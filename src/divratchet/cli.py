@@ -227,23 +227,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _calibration_budget(cfg: RunConfig) -> float:
+def _calibration_budget(cfg: RunConfig, surface: ValueSurface) -> float:
     """eps_disc at the config resolution from a half-resolution pair.
 
-    The pair (n_x/2, n/2) -> (n_x, n) reuses the config-size solve as its
-    fine member; kappa then prices the config step dx + dc.  Falls back to
-    refining upward when the grid floor blocks halving.
+    The pair (n_x/2, n/2) -> (n_x, n) takes the config surface as its fine
+    member when both sizes are even; kappa then prices the config step
+    dx + dc.  When the grid floor blocks halving, the config surface is the
+    coarse member of a pair refined upward.
     """
     g, lad = cfg.grid, cfg.ladder
+    kw = dict(update_tol=cfg.update_tol, method=cfg.method)
     if g.n_x >= 128 and lad.n >= 2:
         coarse_grid = Grid(L=g.L, n_x=g.n_x // 2)
         coarse_ladder = RateLadder(c_bar=lad.c_bar, c_floor=lad.c_floor, n=lad.n // 2)
+        if g.n_x % 2 == 0 and lad.n % 2 == 0:
+            kw["fine_v"] = surface.v
     else:
         coarse_grid, coarse_ladder = g, lad
-    kappa, _ = calibrate_eps_disc(
-        cfg.model, cfg.claims, coarse_grid, coarse_ladder,
-        update_tol=cfg.update_tol, method=cfg.method,
-    )
+        kw["coarse_v"] = surface.v
+    kappa, _ = calibrate_eps_disc(cfg.model, cfg.claims, coarse_grid, coarse_ladder, **kw)
     return kappa * (g.dx + lad.dc)
 
 
@@ -252,7 +254,7 @@ def cmd_verify(args) -> int:
     surface, d = load_or_solve(cfg, force=args.force)
     cert = run_invariant_suite(surface, d)
     if not args.skip_mc:
-        eps = args.eps_disc if args.eps_disc is not None else _calibration_budget(cfg)
+        eps = args.eps_disc if args.eps_disc is not None else _calibration_budget(cfg, surface)
         m = cfg.model
         points = [
             (0.0, m.c_floor),

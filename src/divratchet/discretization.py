@@ -24,6 +24,10 @@ Evaluation paths for the convolution part:
                   finite exponential mixture (scipy.signal.lfilter).
   * "auto"      - recursive when available, else direct.
 All paths agree to quadrature-rounding levels and are deterministic.
+
+The same recursion makes the frozen rung operator banded once its states
+are carried as unknowns (`ConvKernel.rung_band`), which the ladder's policy
+iteration solves in O(n_x) per step.
 """
 
 from __future__ import annotations
@@ -127,6 +131,47 @@ class ConvKernel:
 
     def has_recursion(self) -> bool:
         return self._rec is not None
+
+    def rung_band(self, a: float, b: float, lam: float):
+        """Frozen rung operator in banded form on augmented unknowns.
+
+        Needs an exponential-mixture density.  Node j carries the block
+        [v_j, z^1_j, ..., z^K_j] (stride K + 1), where z^k is the recursion
+        state of component k and S_j = sum_k w_k z^k_j:
+
+            z^k_j - q_k z^k_{j-1} - b_k v_j - a_k v_{j-1} = 0   (j >= 1),
+            z^k_0 = 0,
+            b v_j - a v_{j+1} - lam sum_k w_k z^k_j             (j < n_x),
+            v_{n_x}                                             (Dirichlet).
+
+        The reflected tail lam (1 - F(x_j)) v_0 is the one dense column and
+        is left out for the caller to border.  Returns (ab, (l, u), stride)
+        with ab in the layout of scipy.linalg.solve_banded.
+        """
+        if self._rec is None:
+            raise ValidationError("a banded rung operator needs an exponential-mixture density")
+        n = self.grid.n_x
+        K = len(self._rec)
+        stride = K + 1
+        l, u = 2 * K + 1, K + 1
+        ab = np.zeros((l + u + 1, (n + 1) * stride))
+
+        def put(rows, off, val):  # A[row, row + off] = val
+            ab[u - off, rows + off] = val
+
+        v_rows = np.arange(n) * stride
+        put(v_rows, 0, b)
+        put(v_rows, stride, -a)
+        ab[u, n * stride] = 1.0
+        for k, (wk, q, ak, bk, _) in enumerate(self._rec, 1):
+            put(v_rows, k, -lam * wk)
+            ab[u, k] = 1.0
+            z_rows = np.arange(1, n + 1) * stride + k
+            put(z_rows, 0, 1.0)
+            put(z_rows, -stride, -q)
+            put(z_rows, -k, -bk)
+            put(z_rows, -k - stride, -ak)
+        return ab, (l, u), stride
 
     def convolve(self, f: np.ndarray, method: str = "direct") -> np.ndarray:
         """S_j = integral_0^{x_j} f~(x_j - y) p(y) dy with f~ the linear

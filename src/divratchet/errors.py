@@ -24,7 +24,7 @@ class NoConvergence(DivRatchetError):
 
 
 class ObstacleViolation(DivRatchetError):
-    """A solved rung dips below its obstacle: a scheme bug, not a data issue."""
+    """A solved rung breaks its complementarity system: a scheme bug, not a data issue."""
 
 
 class DomainTooSmall(DivRatchetError):

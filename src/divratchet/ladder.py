@@ -8,13 +8,25 @@ upward.  Each rung solves the variational inequality
 
 with the previous rung as obstacle and v_0 = g (the cap-rate boundary
 solution).  Discretely this is a complementarity system for the same
-upwind/product-integration scheme as the g solve; each Picard stage is
-solved exactly by the projected backward sweep, which is valid because the
-contact set is an upper interval in x (switching is optimal below the free
-boundary, waiting above it).
+upwind/product-integration scheme as the g solve, solved in one of two
+ways depending on the claim family:
 
-A converged rung satisfies, up to iteration error:
-    v_i >= v_{i-1}                          (bitwise, by the projection),
+  * exponential mixtures (exponential, hyperexponential; the kernel has a
+    recursion): policy (Howard) iteration.  Each policy step fixes the
+    contact set, solves the linear rung system exactly as one bordered
+    banded O(n_x) solve, and moves nodes in or out of contact where the
+    obstacle or the equation is violated.  It warm-starts from the previous
+    rung's contact set and settles in a handful of steps.
+  * other densities (shifted Pareto): frozen-T Picard iteration, each stage
+    solved exactly by the projected backward sweep, which is valid because
+    the contact set is an upper interval in x (switching is optimal below
+    the free boundary, waiting above it).  It contracts by lam/(r + lam)
+    per sweep and stops on the sup-norm update.
+
+Both paths end with v_i = max(v_i, v_{i-1}), so the obstacle order holds
+bitwise, and the switch mask is the exact contact set v_i == v_{i-1}.  A
+solved rung satisfies, up to solver error:
+    v_i >= v_{i-1}                          (bitwise),
     residual >= 0 and residual * (v_i - v_{i-1}) = 0 at every node,
     0 <= (v_i - v_{i-1})/dc <= (ell - 1)/r.
 These are re-checked here and gated precisely by the verification layer.
@@ -26,16 +38,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._sweep import projected_backward_scan
+from ._sweep import bordered_banded_solve, projected_backward_scan
 from .boundary import BoundarySolution, solve_g
-from .discretization import Grid, GridFn, get_kernel
+from .discretization import ConvKernel, Grid, GridFn, get_kernel
 from .errors import DomainTooSmall, NoConvergence, ObstacleViolation, ValidationError
 from .model import ClaimDistribution, ModelParams, h_eval
 
-#: switch-region detector: nodes with v_i - v_{i-1} <= EPS_EQ * max(dc, dx)
-#: count as "equal value".  Contact nodes are bitwise equal after the
-#: projected sweep, so the threshold only guards sub-tolerance drift.
-EPS_EQ = 1e-6
+#: a node leaves the contact set only once its residual is below -POLICY_TOL
+#: times the scale b*max|v| of the rung row.  Rounding leaves a few ulps of
+#: that scale in the residual of a solved row; without the margin a node
+#: whose gap and residual both vanish could flip in and out of contact.
+POLICY_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -65,7 +78,12 @@ class RateLadder:
 
 @dataclass
 class ValueSlice:
-    """One rung: value, derivative, and the switch mask (v_i = v_{i-1})."""
+    """One rung: value, derivative, and the switch mask (v_i = v_{i-1}).
+
+    iterations counts policy steps on exponential-mixture rungs and Picard
+    sweeps otherwise; final_update_norm is the sup-norm change of v in the
+    last step (for the first policy step, the change from the obstacle).
+    """
 
     rate: float
     v: GridFn
@@ -77,7 +95,12 @@ class ValueSlice:
 
 @dataclass
 class LadderDiagnostics:
-    """Per-rung solve statistics and the discrete comparison constants."""
+    """Per-rung solve statistics and the discrete comparison constants.
+
+    iterations[0] counts the g solve's Picard sweeps; every later entry
+    counts policy steps on exponential-mixture rungs and projected Picard
+    sweeps on the others (see ValueSlice).
+    """
 
     rates: np.ndarray
     iterations: np.ndarray
@@ -99,6 +122,97 @@ def slope_growth_bound(m: ModelParams) -> float:
     return 2.0 * (m.r + m.lam) * (m.ell - 1.0) / (m.r**2 * (m.mu - m.c_bar))
 
 
+def rung_residual(
+    v: np.ndarray, c: float, m: ModelParams, kern: ConvKernel, h: np.ndarray, method: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """(T v, scheme residual at nodes 0..n_x-1) of the rung with rate c."""
+    n = kern.grid.n_x
+    t = m.lam * (kern.convolve(v, method) + v[0] * kern.tail)
+    residual = -(m.mu - c) * np.diff(v) / kern.grid.dx + (m.r + m.lam) * v[:n] - t[:n] + h[:n] - c
+    return t, residual
+
+
+def picard_rung(
+    psi: np.ndarray,
+    c: float,
+    m: ModelParams,
+    kern: ConvKernel,
+    h: np.ndarray,
+    update_tol: float,
+    max_iter: int,
+    method: str,
+    label: str,
+) -> tuple[np.ndarray, int, float]:
+    """Frozen-T projected sweeps from the obstacle psi (a subsolution)
+    until the sup-norm update is at most update_tol.
+
+    Returns (v, sweeps, final update); raises NoConvergence.
+    """
+    n = kern.grid.n_x
+    a = (m.mu - c) / kern.grid.dx
+    b = a + m.r + m.lam
+    qt = a / b
+    v = psi.copy()
+    update = np.inf
+    for iterations in range(1, max_iter + 1):
+        t = m.lam * (kern.convolve(v, method) + v[0] * kern.tail)
+        v_new = projected_backward_scan((t[:n] - h[:n] + c) / b, qt, psi[:n], psi[n])
+        update = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if update <= update_tol:
+            return v, iterations, update
+    raise NoConvergence(
+        f"rung {label}: sup-norm update {update:.3e} above "
+        f"{update_tol:.1e} after {max_iter} sweeps",
+        iterations=max_iter,
+        update_norm=update,
+    )
+
+
+def policy_rung(
+    psi: np.ndarray,
+    contact: np.ndarray,
+    c: float,
+    m: ModelParams,
+    kern: ConvKernel,
+    h: np.ndarray,
+    max_iter: int,
+    label: str,
+) -> tuple[np.ndarray, int, float]:
+    """Howard iteration on min(A v - rhs, v - psi) = 0 from the contact set
+    `contact` (length n_x), for a kernel with an exponential-mixture
+    recursion.
+
+    Each step solves the frozen-policy system exactly, then puts a free node
+    into contact if it dips below psi and frees a contact node if its
+    residual is negative.  Returns (max(v, psi), policy steps, final update)
+    once the contact set repeats; raises NoConvergence after max_iter steps.
+    """
+    n = kern.grid.n_x
+    a = (m.mu - c) / kern.grid.dx
+    b = a + m.r + m.lam
+    ab, bands, stride = kern.rung_band(a, b, m.lam)
+    rhs = np.append(c - h[:n], psi[n])
+    border = m.lam * kern.tail[:n]
+    v_old = psi
+    update = np.inf
+    for iterations in range(1, max_iter + 1):
+        v = bordered_banded_solve(ab, bands, stride, rhs, border, contact, psi[:n])
+        update = float(np.max(np.abs(v - v_old)))
+        _, res = rung_residual(v, c, m, kern, h, "recursive")
+        tol = POLICY_TOL * b * float(np.max(np.abs(v)))
+        new = np.where(contact, res >= -tol, v[:n] < psi[:n])
+        if np.array_equal(new, contact):
+            return np.maximum(v, psi), iterations, update
+        contact = new
+        v_old = v
+    raise NoConvergence(
+        f"rung {label}: contact set still changing after {max_iter} policy steps",
+        iterations=max_iter,
+        update_norm=update,
+    )
+
+
 def solve_rung(
     prev: ValueSlice,
     c: float,
@@ -108,67 +222,46 @@ def solve_rung(
     update_tol: float = 1e-10,
     max_iter: int = 10000,
     method: str = "auto",
-    mask_threshold: float | None = None,
     rung_label: str = "",
 ) -> ValueSlice:
     """Solve one obstacle problem with the previous rung as obstacle.
 
-    Warm-starts from the obstacle itself (a subsolution), iterates the
-    frozen-T projected sweep, and classifies the contact set.  Raises
-    NoConvergence if the sweep stalls and ObstacleViolation if the
-    converged rung breaks ordering or complementarity (a scheme bug, not a
-    data error).
+    Exponential-mixture claims go through `policy_rung`, warm-started from
+    the previous rung's contact set; other claims through `picard_rung`.
+    update_tol is the Picard stop rule and, on both paths, scales the
+    acceptance tolerance below.  The switch mask is the exact contact set
+    v == prev.v.  Raises NoConvergence if the solver does not settle and
+    ObstacleViolation if the solved rung is not a supersolution or breaks
+    complementarity (a scheme bug, not a data error).
     """
     n = grid.n_x
-    dx = grid.dx
     kern = get_kernel(d, grid)
     h = h_eval(m, d, grid.nodes)
-    a = (m.mu - c) / dx
-    b = a + m.r + m.lam
-    qt = a / b
-    v_L = prev.v.values[n]
-    psi = prev.v.values[:n]
-
-    v = prev.v.values.copy()
-    update = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        t = m.lam * (kern.convolve(v, method) + v[0] * kern.tail)
-        phi = t - h + c
-        v_new = projected_backward_scan(phi[:n] / b, qt, psi, v_L)
-        update = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if update <= update_tol:
-            break
+    psi = prev.v.values
+    label = rung_label or str(c)
+    if kern.has_recursion():
+        v, iterations, update = policy_rung(
+            psi, prev.switch_mask[:n], c, m, kern, h, max_iter, label
+        )
     else:
-        raise NoConvergence(
-            f"rung {rung_label or c}: sup-norm update {update:.3e} above "
-            f"{update_tol:.1e} after {max_iter} sweeps",
-            iterations=max_iter,
-            update_norm=update,
+        v, iterations, update = picard_rung(
+            psi, c, m, kern, h, update_tol, max_iter, method, label
         )
 
-    gap = v - prev.v.values
-    if gap.min() < 0.0:
-        raise ObstacleViolation(
-            f"rung {rung_label or c}: value dips {-gap.min():.3e} below the obstacle"
-        )
-    if mask_threshold is None:
-        mask_threshold = EPS_EQ * dx
-    mask = gap <= mask_threshold
+    gap = v - psi  # >= 0 bitwise: both solvers project onto the obstacle
+    mask = gap == 0.0
 
-    t = m.lam * (kern.convolve(v, method) + v[0] * kern.tail)
-    residual = -(m.mu - c) * np.diff(v) / dx + (m.r + m.lam) * v[:n] - t[:n] + h[:n] - c
+    t, residual = rung_residual(v, c, m, kern, h, method)
     tol_c = max(1e-9, 1e2 * update_tol) * max(1.0, float(np.max(np.abs(v))))
     if residual.min() < -tol_c:
         raise ObstacleViolation(
-            f"rung {rung_label or c}: scheme residual {residual.min():.3e} "
+            f"rung {label}: scheme residual {residual.min():.3e} "
             f"negative beyond {tol_c:.1e}; not a supersolution"
         )
     slack = np.minimum(residual, gap[:n])
     if np.max(np.abs(slack)) > tol_c:
         raise ObstacleViolation(
-            f"rung {rung_label or c}: complementarity defect "
+            f"rung {label}: complementarity defect "
             f"{np.max(np.abs(slack)):.3e} beyond {tol_c:.1e}"
         )
 
@@ -223,14 +316,13 @@ def solve_ladder(
         final_update_norm=boundary.final_update_norm,
     )
     slices = [base]
-    threshold = EPS_EQ * max(ladder.dc, grid.dx)
     rates = ladder.rates
     cut = 0.8 * grid.L
     for i in range(1, ladder.n + 1):
         s = solve_rung(
             slices[-1], float(rates[i]), m, d, grid,
             update_tol=update_tol, max_iter=max_iter, method=method,
-            mask_threshold=threshold, rung_label=f"{i}/{ladder.n}",
+            rung_label=f"{i}/{ladder.n}",
         )
         first = int(np.argmax(s.switch_mask))
         if not s.switch_mask[first] or first * grid.dx > cut:

@@ -322,6 +322,8 @@ def calibrate_eps_disc(
     ladder: RateLadder,
     update_tol: float = 1e-10,
     method: str = "auto",
+    coarse_v: np.ndarray | None = None,
+    fine_v: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Measure the discretization budget eps = kappa*(dx + dc) from one
     refinement pair (n_x, n) -> (2 n_x, 2 n).
@@ -329,17 +331,23 @@ def calibrate_eps_disc(
     kappa is set to three times the observed sup value change per unit of
     (dx + dc), so the budget covers the remaining bias of the coarse grid
     with the standard geometric-series headroom of a first-order scheme.
+    coarse_v / fine_v pass in the stacked rung values of a pair member that
+    is already solved (at (n_x, n) or (2 n_x, 2 n)); only the other member
+    is then solved here.
     """
-    slices_c, _ = solve_ladder(m, d, grid, ladder, update_tol=update_tol, method=method)
     fine_grid = Grid(L=grid.L, n_x=2 * grid.n_x)
     fine_ladder = RateLadder(
         c_bar=ladder.c_bar, c_floor=ladder.c_floor, n=2 * ladder.n
     )
-    slices_f, _ = solve_ladder(
-        m, d, fine_grid, fine_ladder, update_tol=update_tol, method=method
-    )
-    vc = np.stack([s.v.values for s in slices_c])
-    vf = np.stack([s.v.values for s in slices_f])
+
+    def values(g, lad, given):
+        if given is not None:
+            return given
+        slices, _ = solve_ladder(m, d, g, lad, update_tol=update_tol, method=method)
+        return np.stack([s.v.values for s in slices])
+
+    vc = values(grid, ladder, coarse_v)
+    vf = values(fine_grid, fine_ladder, fine_v)
     diff = np.max(np.abs(vc - vf[::2, ::2]))
     step = grid.dx + ladder.dc
     kappa = 3.0 * diff / step

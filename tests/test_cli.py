@@ -289,3 +289,41 @@ def test_verify_certificate_byte_identical(tmp_path):
     assert main(["verify", "--config", cfg, "--skip-mc", "--out", o1]) == 0
     assert main(["verify", "--config", cfg, "--skip-mc", "--out", o2]) == 0
     assert open(o1, "rb").read() == open(o2, "rb").read()
+
+
+@pytest.mark.parametrize(
+    "n_x, n, solves",
+    [(200, 8, 1), (100, 4, 1), (201, 8, 2)],
+    ids=["halved", "fallback", "odd-grid"],
+)
+def test_calibration_reuses_config_surface(tmp_path, monkeypatch, n_x, n, solves):
+    # the config-size surface is one member of the refinement pair (fine when
+    # the config halves evenly, coarse when the grid floor blocks halving);
+    # the budget equals the one from solving both members
+    import divratchet.verify as verify
+    from divratchet.cli import _calibration_budget, load_or_solve
+    from divratchet.config import load_config
+    from divratchet.discretization import Grid
+    from divratchet.ladder import RateLadder
+
+    cfg = load_config(make_cfg(tmp_path, grid__n_x=n_x, ladder__n=n))
+    surface, _ = load_or_solve(cfg)
+    calls = []
+    real = verify.solve_ladder
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "solve_ladder", counting)
+    eps = _calibration_budget(cfg, surface)
+    assert len(calls) == solves
+    monkeypatch.setattr(verify, "solve_ladder", real)
+
+    g, lad = cfg.grid, cfg.ladder
+    if n_x >= 128:
+        g, lad = Grid(L=g.L, n_x=g.n_x // 2), RateLadder(lad.n // 2, lad.c_bar, lad.c_floor)
+    kappa, _ = verify.calibrate_eps_disc(
+        cfg.model, cfg.claims, g, lad, update_tol=cfg.update_tol, method=cfg.method
+    )
+    assert eps == kappa * (cfg.grid.dx + cfg.ladder.dc)

@@ -3,7 +3,8 @@
 The dense reference solver below (`howard_reference`) solves the same
 discrete complementarity system by policy iteration with direct dense
 solves - finitely convergent for M-matrices - and is the independent check
-that the projected-sweep Picard iteration lands on the right solution.
+that both rung solvers (banded policy iteration for exponential mixtures,
+the projected-sweep Picard iteration otherwise) land on the right solution.
 """
 
 import numpy as np
@@ -13,16 +14,20 @@ from divratchet import (
     DomainTooSmall,
     Exponential,
     Grid,
+    HyperExponential,
     ModelParams,
     NoConvergence,
+    ShiftedPareto,
     ValidationError,
     h_eval,
 )
+from divratchet._sweep import bordered_banded_solve
 from divratchet.boundary import solve_g
 from divratchet.discretization import get_kernel
 from divratchet.ladder import (
     RateLadder,
     ValueSlice,
+    picard_rung,
     slope_growth_bound,
     solve_ladder,
     solve_rung,
@@ -33,6 +38,8 @@ D1 = Exponential(0.5)
 M2 = ModelParams(mu=2.0, lam=2.0, r=0.1, ell=2.0, c_bar=1.2, c_floor=0.0)
 D2 = Exponential(0.6)
 G2 = Grid(L=20.0, n_x=800)
+H2 = HyperExponential((0.7, 0.3), (0.3, 1.3))
+P2 = ShiftedPareto(3.0, 1.2)
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +68,17 @@ def dense_system(m, d, grid, c, v_L):
     rhs[:n] = c - h_eval(m, d, grid.nodes[:n])
     rhs[n] = v_L
     return A, rhs
+
+
+def base_slice(m, d, grid):
+    """Rung 0 (the cap-rate value g) as the first obstacle."""
+    base = solve_g(m, d, grid, update_tol=1e-13)
+    return ValueSlice(
+        rate=m.c_bar,
+        v=base.g,
+        v_prime=base.g_prime,
+        switch_mask=np.ones(grid.n_x + 1, dtype=bool),
+    )
 
 
 def howard_reference(m, d, grid, c, psi, v_L):
@@ -132,6 +150,78 @@ class TestAgainstDenseReference:
             ref = howard_reference(M2, D2, grid, c, prev.v.values, prev.v.values[-1])
             assert np.max(np.abs(s.v.values - ref)) < 1e-9
             prev = s
+
+    @pytest.mark.parametrize("d", [D2, H2], ids=["exponential", "hyperexponential"])
+    def test_policy_rungs_match_howard(self, d):
+        grid = Grid(L=12.0, n_x=96)
+        prev = base_slice(M2, d, grid)
+        assert get_kernel(d, grid).has_recursion()
+        for c in (1.0, 0.8, 0.6):
+            s = solve_rung(prev, c, M2, d, grid)
+            ref = howard_reference(M2, d, grid, c, prev.v.values, prev.v.values[-1])
+            assert np.max(np.abs(s.v.values - ref)) < 1e-11
+            assert s.iterations <= 10  # policy steps, not sweeps
+            prev = s
+
+    def test_picard_rungs_match_howard(self):
+        # Pareto claims have no recursion and keep the projected sweep
+        grid = Grid(L=12.0, n_x=96)
+        prev = base_slice(M2, P2, grid)
+        assert not get_kernel(P2, grid).has_recursion()
+        for c in (1.0, 0.8, 0.6):
+            s = solve_rung(prev, c, M2, P2, grid, update_tol=1e-13)
+            ref = howard_reference(M2, P2, grid, c, prev.v.values, prev.v.values[-1])
+            assert np.max(np.abs(s.v.values - ref)) < 1e-9
+            prev = s
+
+    @pytest.mark.parametrize("d", [D2, H2], ids=["exponential", "hyperexponential"])
+    @pytest.mark.parametrize("node0", [True, False], ids=["node0-contact", "node0-free"])
+    def test_bordered_solve_matches_dense(self, d, node0):
+        # one frozen-policy system against the dense matrix with identity
+        # contact rows; node 0 in contact makes x_t[0] = 0 in the border
+        grid = Grid(L=12.0, n_x=96)
+        n = grid.n_x
+        c = 0.6
+        A, rhs = dense_system(M2, d, grid, c, 9.5)
+        psi = np.linspace(3.0, 9.5, n + 1)
+        contact = np.zeros(n, dtype=bool)
+        contact[0] = node0
+        contact[[5, 6, 40]] = True
+        contact[70:] = True
+        rows = np.where(contact)[0]
+        A[rows] = np.eye(n + 1)[rows]
+        rhs[rows] = psi[rows]
+        ref = np.linalg.solve(A, rhs)
+
+        kern = get_kernel(d, grid)
+        a = (M2.mu - c) / grid.dx
+        ab, bands, stride = kern.rung_band(a, a + M2.r + M2.lam, M2.lam)
+        h = h_eval(M2, d, grid.nodes)
+        v = bordered_banded_solve(
+            ab, bands, stride, np.append(c - h[:n], 9.5),
+            M2.lam * kern.tail[:n], contact, psi[:n],
+        )
+        assert np.array_equal(v[:n][contact], psi[:n][contact])
+        assert np.max(np.abs(v - ref)) < 1e-11
+
+    def test_rung_band_needs_recursion(self):
+        with pytest.raises(ValidationError):
+            get_kernel(P2, Grid(L=12.0, n_x=96)).rung_band(1.0, 2.0, 1.0)
+
+    def test_policy_matches_picard_path(self):
+        # README set at 800 x 32: every policy rung against the projected
+        # Picard sweep run on the same obstacle
+        grid = Grid(L=20.0, n_x=800)
+        slices, diag = solve_ladder(M2, D2, grid, RateLadder(32, 1.2, 0.0))
+        kern = get_kernel(D2, grid)
+        h = h_eval(M2, D2, grid.nodes)
+        for prev, s in zip(slices[:-1], slices[1:]):
+            v, sweeps, _ = picard_rung(
+                prev.v.values, s.rate, M2, kern, h, 1e-10, 10000, "auto", "test"
+            )
+            assert np.max(np.abs(v - s.v.values)) < 1e-8
+            assert sweeps > s.iterations
+        assert diag.iterations[1:].max() <= 10
 
     def test_scheme_matrix_is_monotone(self):
         # off-diagonals nonpositive, diagonally dominant with row sums >= r:
