@@ -21,14 +21,18 @@ family (h(0) = lam*ell*gamma, h' = -lam*ell*(1 - F)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NoConvergence, ValidationError
 
 ArrayLike = Union[float, np.ndarray]
+
+#: Newton steps allowed per hyperexponential quantile draw
+NEWTON_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,12 @@ class ClaimDistribution:
         raise NotImplementedError
 
     def sample_from_uniform(self, u: ArrayLike) -> ArrayLike:
-        """Map U(0,1) draws to claim sizes; exact, monotone per branch."""
+        """Map U(0,1) draws to claim sizes; exact, monotone per branch.
+
+        Elementwise: each output depends only on its own u, so transforming
+        a whole block in one call gives bitwise the same sizes as one call
+        per element.
+        """
         raise NotImplementedError
 
     def exp_components(self):
@@ -202,20 +211,40 @@ class HyperExponential(ClaimDistribution):
 
     def sample_from_uniform(self, u):
         # True quantile function, so common random numbers couple
-        # monotonically across distributions.  The mixture cdf is increasing
-        # and concave, hence Newton started at 0 climbs monotonically to the
-        # root; far from the root each step advances ~max(means), so the
-        # iteration count is O(log(1/(1-u))).
+        # monotonically across distributions.  Newton solves
+        # log S(x) = log1p(-u) for the survival S = sum w_k exp(-x/g_k),
+        # evaluated as -x/g_max + log sum w_k exp(-x (1/g_k - 1/g_max)) so
+        # that it neither underflows nor cancels in the tail.  log S is
+        # convex and decreasing, and S(x) >= w_top exp(-x/g_max) makes
+        # g_max (log w_top - log1p(-u)) a lower bound of the root, so the
+        # iterates rise monotonically from it.  Each element leaves the
+        # active set on its own stopping test.
         u = np.asarray(u, float)
-        scalar = u.ndim == 0
-        u = np.clip(np.atleast_1d(u), 0.0, 1.0 - 1e-16)
-        x = np.zeros_like(u)
-        for _ in range(200):
-            step = (u - self.cdf(x)) / self.density(x)
-            x += step
-            if np.max(step) <= 1e-14 * (1.0 + np.max(x)):
-                break
-        return x[0] if scalar else x
+        target = np.log1p(-np.clip(u, 0.0, 1.0 - 1e-16)).ravel()
+        g_max = max(self.means)
+        comps = [(wk, gk, 1.0 / g_max - 1.0 / gk) for wk, gk in zip(self.weights, self.means)]
+        w_top = sum(wk for wk, gk in zip(self.weights, self.means) if gk == g_max)
+        x = np.maximum(0.0, g_max * (math.log(w_top) - target))
+        active = np.arange(x.size)
+        for _ in range(NEWTON_CAP):
+            xa = x[active]
+            s = hs = 0.0
+            for wk, gk, neg_slope in comps:
+                e = wk * np.exp(neg_slope * xa)
+                s = s + e
+                hs = hs + e / gk
+            # step = (log S - target) / hazard, clipped at 0 against rounding
+            step = np.maximum((np.log(s) - xa / g_max - target[active]) * s / hs, 0.0)
+            xa += step
+            x[active] = xa
+            active = active[step > 1e-14 * (1.0 + xa)]
+            if active.size == 0:
+                return x[0] if u.ndim == 0 else x.reshape(u.shape)
+        raise NoConvergence(
+            f"hyperexponential quantile: {active.size} draws unconverged "
+            f"after {NEWTON_CAP} Newton steps",
+            iterations=NEWTON_CAP,
+        )
 
     def exp_components(self):
         return np.asarray(self.weights), np.asarray(self.means)

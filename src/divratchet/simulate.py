@@ -15,7 +15,9 @@ Randomness contract:
     path index under one seed;
   * batch estimators draw canonical chunked matrices rng.random((P, K, 2))
     from Philox seeded with SeedSequence(seed), so path p's k-th claim
-    always sees the same pair regardless of other paths' lifetimes.
+    always sees the same pair regardless of other paths' lifetimes; the
+    K claim sizes of a block are transformed in one sample_from_uniform
+    call, which is elementwise, so they equal the per-claim transforms.
 
 The ratcheting strategy is the feedback read off a solved surface: the
 dividend rate is the equivalent maximum rate of the running maximum (a
@@ -227,7 +229,7 @@ class FrontierSchedule:
         self.rho = np.asarray(rho, float)
         if self.rho.shape != (grid.n_x + 1,):
             raise ValidationError("rate table must have one rate per node")
-        if self.rho.max() > m.c_bar + 1e-12 or self.rho.min() < -1e308:
+        if self.rho.max() > m.c_bar + 1e-12:
             raise ValidationError("rate table exceeds the cap")
         drift = m.mu - self.rho[:-1]
         dt = grid.dx / drift
@@ -297,14 +299,11 @@ def simulate_ratchet(
     seed: int,
     horizon: float | None = None,
     path_index: int = 0,
-    boundary_curve=None,
 ) -> PathRecord:
     """One path of the ratcheting feedback strategy from (x0, c0).
 
     The dividend rate is the rate table evaluated at the running maximum;
     rate changes happen exactly at node crossings while on the frontier.
-    boundary_curve is accepted for callers that carry one; the rate table
-    already encodes the thresholds.
     """
     T = default_horizon(m.r) if horizon is None else float(horizon)
     sched = FrontierSchedule(m, _ratchet_row(rate_map, c0), rate_map.grid)
@@ -397,6 +396,7 @@ def _batch_constant_payoffs(m, d, c_const, x0, n_paths, seed, T):
         alive = np.ones(p, dtype=bool)
         while alive.any():
             draws = rng.random((p, CLAIM_BLOCK, 2))
+            sizes = d.sample_from_uniform(draws[:, :, 1])
             for k in range(CLAIM_BLOCK):
                 if not alive.any():
                     break
@@ -413,7 +413,7 @@ def _batch_constant_payoffs(m, d, c_const, x0, n_paths, seed, T):
                     / m.r
                 )
                 x[run] += (m.mu - c_const) * w[run]
-                z = d.sample_from_uniform(draws[:, k, 1])
+                z = sizes[:, k]
                 shortfall = np.where(run, np.maximum(z - x, 0.0), 0.0)
                 cost[run] += m.ell * np.exp(-m.r * t_next[run]) * shortfall[run]
                 x[run] = np.maximum(x[run] - z[run], 0.0)
@@ -438,6 +438,7 @@ def _batch_ratchet_payoffs(m, d, sched, x0, n_paths, seed, T):
         alive = np.ones(p, dtype=bool)
         while alive.any():
             draws = rng.random((p, CLAIM_BLOCK, 2))
+            sizes = d.sample_from_uniform(draws[:, :, 1])
             for k in range(CLAIM_BLOCK):
                 if not alive.any():
                     break
@@ -465,7 +466,7 @@ def _batch_ratchet_payoffs(m, d, sched, x0, n_paths, seed, T):
                 t_end = t + dur
                 # claim for paths that did not hit the horizon
                 run = alive & ~hor
-                z = d.sample_from_uniform(draws[:, k, 1])
+                z = sizes[:, k]
                 shortfall = np.maximum(z - x_end, 0.0)
                 cost[run] += m.ell * np.exp(-m.r * t_end[run]) * shortfall[run]
                 x_new = np.maximum(x_end - z, 0.0)

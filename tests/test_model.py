@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from divratchet import (
     Exponential,
     HyperExponential,
     ModelParams,
+    NoConvergence,
     ShiftedPareto,
     ValidationError,
     cdf,
@@ -22,6 +24,7 @@ from divratchet import (
     h_eval,
     make_distribution,
 )
+from divratchet import model
 
 
 def p1_params():
@@ -131,6 +134,35 @@ class TestHyperExponential:
         u = np.linspace(0.01, 0.99, 23)
         z = d.sample_from_uniform(u)
         np.testing.assert_allclose(d.cdf(z), u, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "weights, means", [((0.7, 0.3), (0.3, 1.3)), ((0.5, 0.5), (1.0, 3.0))]
+    )
+    def test_sampling_tail_log_survival(self, weights, means):
+        # log S(z) by logsumexp of the components, independent of the sampler
+        d = HyperExponential(weights=weights, means=means)
+        u = np.array([1 - 1e-12, 1 - 1e-15, 1 - 1e-16, 1.0])
+        z = d.sample_from_uniform(u)
+        log_s = logsumexp(np.log(weights) - z[:, None] / np.asarray(means), axis=1)
+        expect = np.log1p(-np.clip(u, 0.0, 1.0 - 1e-16))
+        np.testing.assert_allclose(log_s, expect, rtol=1e-12)
+        assert np.all(np.diff(z) >= 0.0)
+
+    def test_sampling_block_equals_elementwise(self):
+        # the simulator transforms a whole claim block in one call
+        d = HyperExponential(weights=(0.7, 0.3), means=(0.3, 1.3))
+        u = np.random.default_rng(11).random((512, 64))
+        u[0, :4] = [0.0, 1 - 1e-12, 1 - 1e-16, 1.0]
+        z = d.sample_from_uniform(u)
+        each = np.array([[d.sample_from_uniform(v) for v in row] for row in u])
+        assert z.shape == u.shape
+        assert np.array_equal(z, each)
+
+    def test_sampling_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(model, "NEWTON_CAP", 2)
+        with pytest.raises(NoConvergence) as exc:
+            self.make().sample_from_uniform(np.linspace(0.1, 0.9, 5))
+        assert exc.value.iterations == 2
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValidationError):

@@ -12,7 +12,7 @@ from divratchet.boundary import solve_g
 from divratchet.discretization import Grid
 from divratchet.errors import ValidationError
 from divratchet.ladder import RateLadder, solve_ladder
-from divratchet.model import Exponential, ModelParams
+from divratchet.model import Exponential, HyperExponential, ModelParams
 from divratchet.surface import RateMap, ValueSurface, build_rate_map
 
 M1 = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
@@ -20,6 +20,7 @@ D1 = Exponential(gamma_mean=0.5)
 
 M2 = ModelParams(mu=2.0, lam=2.0, r=0.1, ell=2.0, c_bar=1.2, c_floor=0.0)
 D2 = Exponential(gamma_mean=0.6)
+DH = HyperExponential(weights=(0.7, 0.3), means=(0.3, 1.3))
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +34,14 @@ def surface2():
 @pytest.fixture(scope="module")
 def ratemap2(surface2):
     return build_rate_map(surface2)
+
+
+@pytest.fixture(scope="module")
+def ratemap_h():
+    grid = Grid(L=20.0, n_x=400)
+    ladder = RateLadder(c_bar=M2.c_bar, c_floor=M2.c_floor, n=32)
+    slices, diag = solve_ladder(M2, DH, grid, ladder)
+    return build_rate_map(ValueSurface(M2, grid, ladder, slices))
 
 
 def constant_rate_map(grid, rates, row):
@@ -236,6 +245,20 @@ def test_single_path_matches_batch_on_shared_stream(ratemap2, monkeypatch):
     for s in range(1, 6):
         single = sim.simulate_ratchet(M2, D2, ratemap2, 0.0, 0.0, seed=s)
         batch = sim._batch_ratchet_payoffs(M2, D2, sched, 0.0, 1, s, T)
+        assert abs(single.payoff - batch[0]) <= 1e-11
+
+
+def test_single_path_matches_batch_on_shared_stream_hyperexp(ratemap_h, monkeypatch):
+    # as above with hyperexponential claims: the batch engine transforms a
+    # whole claim block at once, the single path one size per claim
+    monkeypatch.setattr(sim, "_path_rng", lambda seed, idx: sim._batch_rng(seed))
+    sched = sim.FrontierSchedule(
+        M2, sim._ratchet_row(ratemap_h, 0.0), ratemap_h.grid
+    )
+    T = sim.default_horizon(M2.r)
+    for s in range(1, 6):
+        single = sim.simulate_ratchet(M2, DH, ratemap_h, 0.0, 0.0, seed=s)
+        batch = sim._batch_ratchet_payoffs(M2, DH, sched, 0.0, 1, s, T)
         assert abs(single.payoff - batch[0]) <= 1e-11
 
 
