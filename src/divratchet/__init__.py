@@ -16,21 +16,17 @@ from .model import (
     HyperExponential,
     ModelParams,
     ShiftedPareto,
-    cdf,
-    density,
     h_eval,
     make_distribution,
 )
 from .discretization import (
     Grid,
-    GridFn,
     apply_I,
     apply_T,
     residual_Lc,
 )
 from .boundary import BoundarySolution, boundary_residual_report, solve_g
 from .ladder import (
-    LadderDiagnostics,
     RateLadder,
     ValueSlice,
     slope_growth_bound,
@@ -79,9 +75,7 @@ __all__ = [
     "Exponential",
     "FreeBoundaryCurve",
     "Grid",
-    "GridFn",
     "HyperExponential",
-    "LadderDiagnostics",
     "ModelParams",
     "NoConvergence",
     "ObstacleViolation",
@@ -101,11 +95,9 @@ __all__ = [
     "boundary_residual_report",
     "build_rate_map",
     "calibrate_eps_disc",
-    "cdf",
     "claims_spec",
     "config_from_mapping",
     "default_horizon",
-    "density",
     "equivalent_max_rate",
     "estimate_boundary_payoff",
     "estimate_constant_payoff",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sweep import backward_linear_solve
-from .discretization import Grid, GridFn, get_kernel, residual_Lc, second_diff
+from .discretization import Grid, get_kernel, residual_Lc, second_diff
 from .errors import NoConvergence
 from .model import ClaimDistribution, ModelParams, h_eval
 
@@ -32,8 +32,8 @@ from .model import ClaimDistribution, ModelParams, h_eval
 class BoundarySolution:
     """Converged bottom-rung value with its upwind derivative and solve stats."""
 
-    g: GridFn
-    g_prime: GridFn
+    g: np.ndarray
+    g_prime: np.ndarray
     picard_iterations: int
     final_update_norm: float
     residual_sup: float
@@ -84,9 +84,8 @@ def solve_g(
             update_norm=update,
         )
 
-    g = GridFn(v, grid)
-    g_prime = GridFn(_upwind_derivative(m, d, grid, v, h, method), grid)
-    res = residual_Lc(m, d, m.c_bar, g, g_prime, method=method).values
+    g_prime = _upwind_derivative(m, d, grid, v, h, method)
+    res = residual_Lc(m, d, grid, m.c_bar, v, g_prime, method=method)
     residual_sup = float(np.max(np.abs(res[:n])))
     if residual_sup > residual_tol:
         raise NoConvergence(
@@ -97,7 +96,7 @@ def solve_g(
             residual=residual_sup,
         )
     return BoundarySolution(
-        g=g,
+        g=v,
         g_prime=g_prime,
         picard_iterations=iterations,
         final_update_norm=update,
@@ -118,27 +117,26 @@ def _upwind_derivative(m, d, grid, v, h, method):
 
 
 def boundary_residual_report(
-    sol: BoundarySolution, m: ModelParams, d: ClaimDistribution
+    sol: BoundarySolution, m: ModelParams, d: ClaimDistribution, grid: Grid
 ) -> dict:
     """Per-node arrays plus the envelope margins, for export and gating."""
-    grid = sol.g.grid
     n = grid.n_x
-    g = sol.g.values
-    res = residual_Lc(m, d, m.c_bar, sol.g, sol.g_prime, method="direct").values
+    g = sol.g
+    res = residual_Lc(m, d, grid, m.c_bar, g, sol.g_prime, method="direct")
     lower = (m.c_bar - m.lam * m.ell * d.gamma) / m.r
     upper = m.c_bar / m.r
     return {
         "x": grid.nodes,
         "g": g,
-        "g_prime": sol.g_prime.values,
+        "g_prime": sol.g_prime,
         "residual": res,
         "residual_sup_interior": float(np.max(np.abs(res[:n]))),
         "lower_bound": lower,
         "upper_bound": upper,
         "g_min": float(g.min()),
         "g_max": float(g.max()),
-        "g_prime_min": float(sol.g_prime.values.min()),
-        "g_prime_max": float(sol.g_prime.values.max()),
+        "g_prime_min": float(sol.g_prime.min()),
+        "g_prime_max": float(sol.g_prime.max()),
         "second_diff_max": float(second_diff(g).max()),
         "dirichlet_gap": float(abs(g[n - 1] - upper)),
         "iterations": sol.picard_iterations,

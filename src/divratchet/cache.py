@@ -4,7 +4,7 @@ Layout (all little-endian): magic "DRVS", u32 version, u32 header length,
 a canonical JSON header (model, claims, grid, ladder, params hash), then
 raw arrays in fixed order: rates, values, derivatives, switch masks,
 iteration counts, final update norms.  Floats travel as raw f64 bytes, so
-a write/read cycle reproduces every slice bit-exactly.
+a write/read cycle reproduces every surface array bit-exactly.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import struct
 import numpy as np
 
 from .config import claims_spec
-from .discretization import Grid, GridFn
+from .discretization import Grid
 from .errors import CacheError
-from .ladder import RateLadder, ValueSlice
+from .ladder import RateLadder
 from .model import ClaimDistribution, ModelParams, make_distribution
 from .surface import ValueSurface
 
@@ -70,7 +70,7 @@ def read_surface(path: str) -> tuple[ValueSurface, ClaimDistribution]:
     """Load a surface written by write_surface; bit-exact round trip."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            raw = bytearray(fh.read())  # writable, like the arrays viewing it
     except OSError as e:
         raise CacheError(f"cannot read cache {path}: {e}") from None
     if len(raw) < 12 or raw[:4] != MAGIC:
@@ -109,19 +109,10 @@ def read_surface(path: str) -> tuple[ValueSurface, ClaimDistribution]:
     if not np.array_equal(rates, ladder.rates):
         raise CacheError("cache rates disagree with the ladder header")
 
-    v = v.reshape(n_rows, n_nodes)
-    vp = vp.reshape(n_rows, n_nodes)
-    masks = masks.reshape(n_rows, n_nodes).astype(bool)
-    slices = [
-        ValueSlice(
-            rate=float(rates[i]),
-            v=GridFn(v[i].copy(), grid),
-            v_prime=GridFn(vp[i].copy(), grid),
-            switch_mask=masks[i].copy(),
-            iterations=int(iters[i]),
-            final_update_norm=float(norms[i]),
-        )
-        for i in range(n_rows)
-    ]
-    surface = ValueSurface(model, grid, ladder, slices, params_hash=params_hash)
+    shape = (n_rows, n_nodes)
+    surface = ValueSurface(
+        model, grid, ladder,
+        v.reshape(shape), vp.reshape(shape), masks.reshape(shape).astype(bool),
+        iters, norms, params_hash=params_hash,
+    )
     return surface, claims

@@ -18,9 +18,9 @@ import sys
 
 from .boundary import boundary_residual_report, solve_g
 from .cache import read_surface, write_surface
-from .config import RunConfig, config_from_mapping, load_config
+from .config import RunConfig, config_from_mapping, load_config, read_config_mapping
 from .discretization import Grid
-from .errors import DivRatchetError, ParseError, ValidationError
+from .errors import DivRatchetError, ValidationError
 from .ladder import RateLadder, solve_ladder
 from .surface import ValueSurface, build_rate_map, extract_boundary
 from . import simulate as sim
@@ -30,8 +30,6 @@ from .verify import (
     mc_cross_check,
     run_invariant_suite,
 )
-
-import yaml
 
 
 def _fmt(v) -> str:
@@ -83,7 +81,7 @@ def load_or_solve(cfg: RunConfig, force: bool = False):
             print(f"cache hit: {path}", file=sys.stderr)
             return surface, d
         print(f"cache stale (hash mismatch), re-solving: {path}", file=sys.stderr)
-    slices, _ = solve_ladder(
+    surface = solve_ladder(
         cfg.model,
         cfg.claims,
         cfg.grid,
@@ -93,9 +91,7 @@ def load_or_solve(cfg: RunConfig, force: bool = False):
         max_iter=cfg.max_iter,
         method=cfg.method,
     )
-    surface = ValueSurface.from_solution(
-        cfg.model, cfg.grid, cfg.ladder, slices, params_hash=cfg.params_hash
-    )
+    surface.params_hash = cfg.params_hash
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
     write_surface(path, surface, cfg.claims)
@@ -113,7 +109,7 @@ def cmd_boundary(args) -> int:
         max_iter=cfg.max_iter,
         method=cfg.method,
     )
-    rep = boundary_residual_report(sol, cfg.model, cfg.claims)
+    rep = boundary_residual_report(sol, cfg.model, cfg.claims, cfg.grid)
     rows = zip(rep["x"], rep["g"], rep["g_prime"], rep["residual"])
     _write_rows(args.out, ["x", "g", "g_prime", "residual"], rows)
     return 0
@@ -273,16 +269,7 @@ _SWEEP_SECTIONS = ("model", "claims", "grid", "ladder", "solver", "simulate")
 
 
 def cmd_sweep(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except OSError as e:
-        raise ParseError(f"cannot read config {args.config}: {e}") from None
-    except yaml.YAMLError as e:
-        raise ParseError(f"cannot parse config {args.config}: {e}") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"config {args.config} must be a YAML mapping")
-
+    doc = read_config_mapping(args.config)
     sec, _, key = args.param.partition(".")
     if sec not in _SWEEP_SECTIONS or not key:
         raise ValidationError(

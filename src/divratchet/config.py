@@ -125,8 +125,9 @@ def _num(sec: dict, section: str, key: str, cast=float, default=None):
         ) from None
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse and validate a YAML run configuration."""
+def read_config_mapping(path: str) -> dict:
+    """The top-level mapping of a YAML config file; raises ParseError when
+    the file cannot be read or parsed or is not a mapping."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
@@ -136,7 +137,12 @@ def load_config(path: str) -> RunConfig:
         raise ParseError(f"cannot parse config {path}: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"config {path} must be a YAML mapping")
-    return config_from_mapping(doc)
+    return doc
+
+
+def load_config(path: str) -> RunConfig:
+    """Parse and validate a YAML run configuration."""
+    return config_from_mapping(read_config_mapping(path))
 
 
 def config_from_mapping(doc: dict) -> RunConfig:

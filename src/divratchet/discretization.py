@@ -64,21 +64,6 @@ class Grid:
         return np.arange(self.n_x + 1) * self.dx
 
 
-@dataclass
-class GridFn:
-    """Real values attached to every node of a grid."""
-
-    values: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, float)
-        if self.values.shape != (self.grid.n_x + 1,):
-            raise ValidationError(
-                f"GridFn needs {self.grid.n_x + 1} values, got {self.values.shape}"
-            )
-
-
 class ConvKernel:
     """Precomputed product-integration data for one (distribution, grid).
 
@@ -197,58 +182,51 @@ class ConvKernel:
 
 
 @lru_cache(maxsize=64)
-def _kernel(dist: ClaimDistribution, grid: Grid) -> ConvKernel:
+def get_kernel(dist: ClaimDistribution, grid: Grid) -> ConvKernel:
+    """Cached ConvKernel for (dist, grid)."""
     return ConvKernel(dist, grid)
 
 
-def get_kernel(dist: ClaimDistribution, grid: Grid) -> ConvKernel:
-    """Cached ConvKernel for (dist, grid)."""
-    return _kernel(dist, grid)
+def _node_values(grid: Grid, f) -> np.ndarray:
+    f = np.asarray(f, float)
+    if f.shape != (grid.n_x + 1,):
+        raise ValidationError(f"need {grid.n_x + 1} node values, got shape {f.shape}")
+    return f
 
 
-def apply_T(m: ModelParams, d: ClaimDistribution, f: GridFn, method: str = "direct") -> GridFn:
+def apply_T(
+    m: ModelParams, d: ClaimDistribution, grid: Grid, f: np.ndarray, method: str = "direct"
+) -> np.ndarray:
     """Jump operator with reflection at zero:
     node j holds lam * (S_j + f_0 * (1 - F(x_j))); T(const K) = lam*K."""
-    k = get_kernel(d, f.grid)
-    s = k.convolve(f.values, method)
-    return GridFn(m.lam * (s + f.values[0] * k.tail), f.grid)
+    f = _node_values(grid, f)
+    k = get_kernel(d, grid)
+    return m.lam * (k.convolve(f, method) + f[0] * k.tail)
 
 
-def apply_I(m: ModelParams, d: ClaimDistribution, f: GridFn, method: str = "direct") -> GridFn:
+def apply_I(
+    m: ModelParams, d: ClaimDistribution, grid: Grid, f: np.ndarray, method: str = "direct"
+) -> np.ndarray:
     """Jump operator without the reflection tail: lam * S_j."""
-    k = get_kernel(d, f.grid)
-    return GridFn(m.lam * k.convolve(f.values, method), f.grid)
+    return m.lam * get_kernel(d, grid).convolve(_node_values(grid, f), method)
 
 
 def residual_Lc(
     m: ModelParams,
     d: ClaimDistribution,
+    grid: Grid,
     c: float,
-    f: GridFn,
-    f_prime: GridFn,
-    rhs_shift: GridFn | None = None,
+    f: np.ndarray,
+    f_prime: np.ndarray,
     method: str = "direct",
-) -> GridFn:
-    """Pointwise residual -(mu-c) f' + (r+lam) f - T f + h - c.
-
-    rhs_shift overrides the tail-cost term h (defaults to the model's h
-    evaluated at the nodes).
-    """
+) -> np.ndarray:
+    """Pointwise residual -(mu-c) f' + (r+lam) f - T f + h - c."""
     if not c < m.mu:
         raise ValidationError("rate must stay below mu")
-    grid = f.grid
-    h = rhs_shift.values if rhs_shift is not None else h_eval(m, d, grid.nodes)
-    t = apply_T(m, d, f, method).values
-    res = -(m.mu - c) * f_prime.values + (m.r + m.lam) * f.values - t + h - c
-    return GridFn(res, grid)
-
-
-def forward_diff(f: np.ndarray, dx: float) -> np.ndarray:
-    """Upwind (forward) difference; last node copies its neighbor's slope."""
-    d = np.empty_like(f)
-    d[:-1] = (f[1:] - f[:-1]) / dx
-    d[-1] = d[-2]
-    return d
+    f = _node_values(grid, f)
+    t = apply_T(m, d, grid, f, method)
+    h = h_eval(m, d, grid.nodes)
+    return -(m.mu - c) * _node_values(grid, f_prime) + (m.r + m.lam) * f - t + h - c
 
 
 def second_diff(f: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ class DomainTooSmall(DivRatchetError):
     """The switching boundary ran past 0.8*L; the x-grid must be extended."""
 
 
-class RateOutOfRange(DivRatchetError):
+class RateOutOfRange(ValidationError):
     """A queried dividend rate lies outside [c_floor, c_bar]."""
 
 

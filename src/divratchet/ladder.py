@@ -30,19 +30,24 @@ solved rung satisfies, up to solver error:
     residual >= 0 and residual * (v_i - v_{i-1}) = 0 at every node,
     0 <= (v_i - v_{i-1})/dc <= (ell - 1)/r.
 These are re-checked here and gated precisely by the verification layer.
+
+`solve_ladder` writes each solved rung straight into its row of the
+(n+1) x (n_x+1) value, derivative and mask arrays and returns them as the
+`ValueSurface`; `solve_rung` returns one rung as a `ValueSlice`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._sweep import bordered_banded_solve, projected_backward_scan
 from .boundary import BoundarySolution, solve_g
-from .discretization import ConvKernel, Grid, GridFn, get_kernel
+from .discretization import ConvKernel, Grid, get_kernel
 from .errors import DomainTooSmall, NoConvergence, ObstacleViolation, ValidationError
 from .model import ClaimDistribution, ModelParams, h_eval
+from .surface import ValueSurface
 
 #: a node leaves the contact set only once its residual is below -POLICY_TOL
 #: times the scale b*max|v| of the rung row.  Rounding leaves a few ulps of
@@ -86,34 +91,11 @@ class ValueSlice:
     """
 
     rate: float
-    v: GridFn
-    v_prime: GridFn
+    v: np.ndarray
+    v_prime: np.ndarray
     switch_mask: np.ndarray
     iterations: int = 0
     final_update_norm: float = 0.0
-
-
-@dataclass
-class LadderDiagnostics:
-    """Per-rung solve statistics and the discrete comparison constants.
-
-    iterations[0] counts the g solve's Picard sweeps; every later entry
-    counts policy steps on exponential-mixture rungs and projected Picard
-    sweeps on the others (see ValueSlice).
-    """
-
-    rates: np.ndarray
-    iterations: np.ndarray
-    update_norms: np.ndarray
-    u_sup: np.ndarray
-    u_min: np.ndarray
-    second_diff_min: np.ndarray
-    dc: float
-    slope_growth_bound: float  # B in u_{i-1} <= u_i + B*dc
-    total_iterations: int = field(init=False)
-
-    def __post_init__(self):
-        self.total_iterations = int(np.sum(self.iterations))
 
 
 def slope_growth_bound(m: ModelParams) -> float:
@@ -237,7 +219,7 @@ def solve_rung(
     n = grid.n_x
     kern = get_kernel(d, grid)
     h = h_eval(m, d, grid.nodes)
-    psi = prev.v.values
+    psi = prev.v
     label = rung_label or str(c)
     if kern.has_recursion():
         v, iterations, update = policy_rung(
@@ -267,13 +249,13 @@ def solve_rung(
 
     v_prime = np.where(
         mask,
-        prev.v_prime.values,
+        prev.v_prime,
         ((m.r + m.lam) * v - t + h - c) / (m.mu - c),
     )
     return ValueSlice(
         rate=c,
-        v=GridFn(v, grid),
-        v_prime=GridFn(v_prime, grid),
+        v=v,
+        v_prime=v_prime,
         switch_mask=mask,
         iterations=iterations,
         final_update_norm=update,
@@ -290,13 +272,14 @@ def solve_ladder(
     max_iter: int = 10000,
     method: str = "auto",
     boundary: BoundarySolution | None = None,
-) -> tuple[list[ValueSlice], LadderDiagnostics]:
+) -> ValueSurface:
     """Solve every rung from the cap rate down to the floor.
 
     Rung 0 is the boundary solution g (solved here unless supplied).  Each
-    later rung warm-starts from its predecessor.  Raises DomainTooSmall if
-    any rung's contact set only begins beyond 0.8 L, since then the free
-    boundary is not resolved inside the domain.
+    later rung warm-starts from its predecessor and is written into its row
+    of the (n+1) x (n_x+1) surface arrays as soon as it is solved.  Raises
+    DomainTooSmall if any rung's contact set only begins beyond 0.8 L,
+    since then the free boundary is not resolved inside the domain.
     """
     if ladder.c_bar != m.c_bar or ladder.c_floor != m.c_floor:
         raise ValidationError("ladder rate range must match the model's")
@@ -306,44 +289,38 @@ def solve_ladder(
             update_tol=update_tol, residual_tol=residual_tol,
             max_iter=max_iter, method=method,
         )
-    n = grid.n_x
-    base = ValueSlice(
+    shape = (ladder.n + 1, grid.n_x + 1)
+    v = np.empty(shape)
+    v_prime = np.empty(shape)
+    masks = np.empty(shape, dtype=bool)
+    iterations = np.empty(ladder.n + 1, dtype=np.int64)
+    update_norms = np.empty(ladder.n + 1)
+    prev = ValueSlice(
         rate=m.c_bar,
         v=boundary.g,
         v_prime=boundary.g_prime,
-        switch_mask=np.ones(n + 1, dtype=bool),
+        switch_mask=np.ones(grid.n_x + 1, dtype=bool),
         iterations=boundary.picard_iterations,
         final_update_norm=boundary.final_update_norm,
     )
-    slices = [base]
     rates = ladder.rates
     cut = 0.8 * grid.L
-    for i in range(1, ladder.n + 1):
-        s = solve_rung(
-            slices[-1], float(rates[i]), m, d, grid,
-            update_tol=update_tol, max_iter=max_iter, method=method,
-            rung_label=f"{i}/{ladder.n}",
-        )
-        first = int(np.argmax(s.switch_mask))
-        if not s.switch_mask[first] or first * grid.dx > cut:
-            raise DomainTooSmall(
-                f"rung {i} (rate {rates[i]:.6g}): no switch node at or below "
-                f"0.8 L = {cut:.6g}; enlarge the domain"
+    for i in range(ladder.n + 1):
+        if i:  # row 0 is g; each later row has the previous one as obstacle
+            prev = solve_rung(
+                prev, float(rates[i]), m, d, grid,
+                update_tol=update_tol, max_iter=max_iter, method=method,
+                rung_label=f"{i}/{ladder.n}",
             )
-        slices.append(s)
-
-    dc = ladder.dc
-    vals = np.stack([s.v.values for s in slices])
-    u = np.diff(vals, axis=0) / dc
-    sd = vals[:, 2:] - 2.0 * vals[:, 1:-1] + vals[:, :-2]
-    diag = LadderDiagnostics(
-        rates=rates,
-        iterations=np.array([s.iterations for s in slices]),
-        update_norms=np.array([s.final_update_norm for s in slices]),
-        u_sup=u.max(axis=1) if ladder.n else np.zeros(0),
-        u_min=u.min(axis=1) if ladder.n else np.zeros(0),
-        second_diff_min=sd.min(axis=1),
-        dc=dc,
-        slope_growth_bound=slope_growth_bound(m),
-    )
-    return slices, diag
+            first = int(np.argmax(prev.switch_mask))
+            if not prev.switch_mask[first] or first * grid.dx > cut:
+                raise DomainTooSmall(
+                    f"rung {i} (rate {rates[i]:.6g}): no switch node at or below "
+                    f"0.8 L = {cut:.6g}; enlarge the domain"
+                )
+        v[i] = prev.v
+        v_prime[i] = prev.v_prime
+        masks[i] = prev.switch_mask
+        iterations[i] = prev.iterations
+        update_norms[i] = prev.final_update_norm
+    return ValueSurface.from_solution(m, grid, ladder, v, v_prime, masks, iterations, update_norms)

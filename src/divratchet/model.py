@@ -300,16 +300,6 @@ class ShiftedPareto(ClaimDistribution):
         return (self.kind, self.alpha, self.theta)
 
 
-def density(d: ClaimDistribution, x: ArrayLike) -> ArrayLike:
-    """Claim-size density p(x), non-increasing and bounded by p(0)."""
-    return d.density(x)
-
-
-def cdf(d: ClaimDistribution, x: ArrayLike) -> ArrayLike:
-    """Claim-size distribution function F(x); F(0) = 0, F(inf) = 1."""
-    return d.cdf(x)
-
-
 def h_eval(m: ModelParams, d: ClaimDistribution, x: ArrayLike) -> ArrayLike:
     """Tail cost h(x) = lam * ell * E[(Z - x)^+].
 

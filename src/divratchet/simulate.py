@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import ClaimDistribution, ModelParams
-from .surface import RateMap
+from .surface import RateMap, rung_index
 
 #: paths per canonical draw chunk; part of the byte-stability contract
 CHUNK_PATHS = 16384
@@ -280,14 +280,7 @@ class FrontierSchedule:
 def _ratchet_row(rate_map: RateMap, c0: float) -> np.ndarray:
     """Node-rate table for initial rate c0: the map's row at the enclosing
     rung (rates snap up, keeping the strategy admissible)."""
-    rates = rate_map.rates
-    n = rates.size - 1
-    c_bar, c_floor = float(rates[0]), float(rates[-1])
-    if c0 > c_bar + 1e-12 or c0 < c_floor - 1e-12:
-        raise ValidationError(f"initial rate {c0} outside [{c_floor}, {c_bar}]")
-    dc = (c_bar - c_floor) / n
-    i = int(np.clip(np.floor((c_bar - c0) / dc + 1e-9), 0, n))
-    return rate_map.values[i]
+    return rate_map.values[rung_index(rate_map.rates, c0)]
 
 
 def simulate_ratchet(

@@ -1,7 +1,8 @@
 """Assembled value surface and the feedback objects read off from it.
 
-The surface stacks the ladder slices into a (n+1) x (n_x+1) lattice over
-(rate, x).  Three consumers:
+The surface holds the solved ladder as (n+1) x (n_x+1) arrays over
+(rate, x): values, derivatives and switch masks, one row per rung, filled
+row by row by the ladder solve.  Three consumers:
 
   * value_at(x, c): bilinear interpolation on the lattice, extended by
     v(0, c) + ell*x for x < 0 (injection linearity) and by c_bar/r for
@@ -17,14 +18,27 @@ The surface stacks the ladder slices into a (n+1) x (n_x+1) lattice over
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .boundary import BoundarySolution
 from .discretization import Grid
 from .errors import DomainTooSmall, RateOutOfRange, ValidationError
-from .ladder import RateLadder, ValueSlice
 from .model import ModelParams
+
+if TYPE_CHECKING:
+    from .ladder import RateLadder
+
+
+def rung_index(rates: np.ndarray, c: float) -> int:
+    """Index of the ladder rung enclosing rate c, snapped up to the higher
+    rate (ratcheting must not round the floor down).  rates runs from c_bar
+    down to c_floor; raises RateOutOfRange outside that window."""
+    n = rates.size - 1
+    c_bar, c_floor = float(rates[0]), float(rates[-1])
+    if c > c_bar + 1e-12 or c < c_floor - 1e-12:
+        raise RateOutOfRange(f"rate {c} outside [{c_floor}, {c_bar}]")
+    return int(np.clip(np.floor((c_bar - c) / ((c_bar - c_floor) / n) + 1e-9), 0, n))
 
 
 @dataclass
@@ -54,50 +68,52 @@ class RateMap:
 
 
 class ValueSurface:
-    """Value function lattice with metadata for caching and simulation."""
+    """Value function lattice with metadata for caching and simulation.
+
+    v, v_prime and masks have one row per rung (rate c_i) and one column
+    per grid node; iterations and update_norms hold one entry per rung.
+    """
 
     def __init__(
         self,
         m: ModelParams,
         grid: Grid,
         ladder: RateLadder,
-        slices: list[ValueSlice],
+        v: np.ndarray,
+        v_prime: np.ndarray,
+        masks: np.ndarray,
+        iterations: np.ndarray,
+        update_norms: np.ndarray,
         params_hash: str = "",
     ):
-        if len(slices) != ladder.n + 1:
-            raise ValidationError("surface needs one slice per ladder rung")
+        rows, nodes = ladder.n + 1, grid.n_x + 1
+        shapes = [a.shape for a in (v, v_prime, masks, iterations, update_norms)]
+        if shapes != [(rows, nodes)] * 3 + [(rows,)] * 2:
+            raise ValidationError(
+                f"surface arrays need shapes ({rows}, {nodes}) x 3 and ({rows},) x 2, "
+                f"got {shapes}"
+            )
         self.m = m
         self.grid = grid
         self.ladder = ladder
         self.rates = ladder.rates
-        self.v = np.ascontiguousarray(np.stack([s.v.values for s in slices]))
-        self.v_prime = np.ascontiguousarray(np.stack([s.v_prime.values for s in slices]))
-        self.masks = np.ascontiguousarray(np.stack([s.switch_mask for s in slices]))
-        self.iterations = np.array([s.iterations for s in slices], dtype=np.int64)
-        self.update_norms = np.array([s.final_update_norm for s in slices])
+        self.v = v
+        self.v_prime = v_prime
+        self.masks = masks
+        self.iterations = iterations
+        self.update_norms = update_norms
         self.params_hash = params_hash
 
     @classmethod
-    def from_solution(
-        cls,
-        m: ModelParams,
-        grid: Grid,
-        ladder: RateLadder,
-        slices: list[ValueSlice],
-        boundary: BoundarySolution | None = None,
-        params_hash: str = "",
-    ) -> "ValueSurface":
-        return cls(m, grid, ladder, slices, params_hash)
+    def from_solution(cls, *args, **kwargs) -> "ValueSurface":
+        """The surface of a ladder solve; solve_ladder builds every surface
+        through here.  Takes the constructor's arguments."""
+        return cls(*args, **kwargs)
 
     def _rate_index(self, c: float) -> tuple[int, float]:
         lad = self.ladder
-        if c > lad.c_bar + 1e-12 or c < lad.c_floor - 1e-12:
-            raise RateOutOfRange(
-                f"rate {c} outside [{lad.c_floor}, {lad.c_bar}]"
-            )
-        pos = (lad.c_bar - c) / lad.dc
-        i = int(np.clip(np.floor(pos), 0, lad.n - 1))
-        t = float(np.clip(pos - i, 0.0, 1.0))
+        i = min(rung_index(self.rates, c), lad.n - 1)
+        t = float(np.clip((lad.c_bar - c) / lad.dc - i, 0.0, 1.0))
         return i, t
 
     def row_at_rate(self, c: float) -> np.ndarray:
@@ -184,10 +200,7 @@ def equivalent_max_rate(surface: ValueSurface, x: float, c: float, rate_map: Rat
     """
     if rate_map is None:
         rate_map = build_rate_map(surface)
-    lad = surface.ladder
-    if c > lad.c_bar + 1e-12 or c < lad.c_floor - 1e-12:
-        raise RateOutOfRange(f"rate {c} outside [{lad.c_floor}, {lad.c_bar}]")
-    i = int(np.clip(np.floor((lad.c_bar - c) / lad.dc + 1e-9), 0, lad.n))
+    i = rung_index(surface.rates, c)
     if x >= surface.grid.L:
         return float(surface.rates[0])
     j = int(np.clip(np.floor(x / surface.grid.dx), 0, surface.grid.n_x))

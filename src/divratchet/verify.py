@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import simulate as sim
-from .discretization import Grid, GridFn, residual_Lc
+from .discretization import Grid, residual_Lc
 from .errors import ValidationError
 from .ladder import RateLadder, slope_growth_bound, solve_ladder
 from .model import ClaimDistribution, ModelParams
@@ -103,16 +103,12 @@ class Certificate:
 def run_invariant_suite(
     surface: ValueSurface,
     d: ClaimDistribution,
-    boundary=None,
-    diagnostics=None,
     tolerances: dict | None = None,
 ) -> Certificate:
     """Re-measure every structural invariant of a solved surface.
 
-    boundary and diagnostics are accepted for callers that carry solver
-    artifacts; the checks themselves read only the surface arrays and the
-    claim distribution, so corrupted data cannot hide behind stale solver
-    state.
+    The checks read only the surface arrays and the claim distribution, so
+    corrupted data cannot hide behind stale solver state.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -140,9 +136,7 @@ def run_invariant_suite(
         )
 
     # cap-rate equation residual on interior nodes
-    g_fn = GridFn(grid=grid, values=v[0])
-    gp_fn = GridFn(grid=grid, values=vp[0])
-    res = residual_Lc(m, d, m.c_bar, g_fn, gp_fn).values
+    res = residual_Lc(m, d, grid, m.c_bar, v[0], vp[0])
     add(
         "boundary_residual",
         "cap-rate integro-differential equation residual, sup over interior",
@@ -242,9 +236,7 @@ def run_invariant_suite(
     # obstacle binds
     comp = 0.0
     for i in range(1, ladder.n + 1):
-        vi = GridFn(grid=grid, values=v[i])
-        vpi = GridFn(grid=grid, values=vp[i])
-        res_i = residual_Lc(m, d, rates[i], vi, vpi).values
+        res_i = residual_Lc(m, d, grid, rates[i], v[i], vp[i])
         gap_i = v[i] - v[i - 1]
         comp = max(
             comp, float(np.max(np.minimum(np.abs(res_i[: grid.n_x]), gap_i[: grid.n_x])))
@@ -331,8 +323,8 @@ def calibrate_eps_disc(
     kappa is set to three times the observed sup value change per unit of
     (dx + dc), so the budget covers the remaining bias of the coarse grid
     with the standard geometric-series headroom of a first-order scheme.
-    coarse_v / fine_v pass in the stacked rung values of a pair member that
-    is already solved (at (n_x, n) or (2 n_x, 2 n)); only the other member
+    coarse_v / fine_v pass in the value array of a pair member that is
+    already solved (at (n_x, n) or (2 n_x, 2 n)); only the other member
     is then solved here.
     """
     fine_grid = Grid(L=grid.L, n_x=2 * grid.n_x)
@@ -343,8 +335,7 @@ def calibrate_eps_disc(
     def values(g, lad, given):
         if given is not None:
             return given
-        slices, _ = solve_ladder(m, d, g, lad, update_tol=update_tol, method=method)
-        return np.stack([s.v.values for s in slices])
+        return solve_ladder(m, d, g, lad, update_tol=update_tol, method=method).v
 
     vc = values(grid, ladder, coarse_v)
     vf = values(fine_grid, fine_ladder, fine_v)

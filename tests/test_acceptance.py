@@ -20,7 +20,6 @@ from divratchet import (
     Grid,
     ModelParams,
     RateLadder,
-    ValueSurface,
     boundary_residual_report,
     build_rate_map,
     estimate_boundary_payoff,
@@ -35,7 +34,6 @@ from divratchet import (
     solve_ladder,
 )
 from divratchet.cli import main as cli_main
-from divratchet.discretization import GridFn
 
 M = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
 D = Exponential(gamma_mean=0.5)
@@ -62,42 +60,40 @@ def boundary():
 def solved(boundary):
     sol, t_g = boundary
     t0 = time.perf_counter()
-    slices, diag = solve_ladder(M, D, GRID, LADDER, update_tol=1e-12, boundary=sol)
+    surface = solve_ladder(M, D, GRID, LADDER, update_tol=1e-12, boundary=sol)
     t_ladder = t_g + (time.perf_counter() - t0)
-    surface = ValueSurface.from_solution(M, GRID, LADDER, slices)
-    return surface, diag, t_ladder
+    return surface, t_ladder
 
 
 @pytest.fixture(scope="module")
 def fine_surface():
     grid = Grid(L=GRID.L, n_x=2 * GRID.n_x)
     ladder = RateLadder(c_bar=M.c_bar, c_floor=M.c_floor, n=2 * LADDER.n)
-    slices, _ = solve_ladder(M, D, grid, ladder, update_tol=1e-12)
-    return ValueSurface.from_solution(M, grid, ladder, slices)
+    return solve_ladder(M, D, grid, ladder, update_tol=1e-12)
 
 
 @pytest.fixture(scope="module")
 def eps_disc(solved, fine_surface):
-    surface, _, _ = solved
+    surface, _ = solved
     diff = float(np.max(np.abs(surface.v - fine_surface.v[::2, ::2])))
     return 3.0 * diff
 
 
 @pytest.fixture(scope="module")
 def rate_map(solved):
-    surface, _, _ = solved
+    surface, _ = solved
     return build_rate_map(surface)
 
 
 def test_criterion_01_boundary_solution(boundary):
     sol, t = boundary
-    rep = boundary_residual_report(sol, M, D)
+    rep = boundary_residual_report(sol, M, D, GRID)
     res = rep["residual_sup_interior"]
     lo, hi = 4.0, 10.0
     in_band = lo - 1e-12 <= rep["g_min"] and rep["g_max"] <= hi + 1e-12
     grad_ok = rep["g_prime_min"] >= 0.0 and rep["g_prime_max"] <= M.ell + 1e-8
     concave_ok = rep["second_diff_max"] <= 1e-8
-    far = abs(sol.g.values[GRID.n_x - 1] - hi)
+    far = abs(sol.g[GRID.n_x - 1] - hi)
     ok = (res <= 1e-8 and in_band and grad_ok and concave_ok
           and far <= 1e-3 and t <= 5.0)
     line = report(1, "boundary solution", ok,
@@ -109,7 +105,7 @@ def test_criterion_01_boundary_solution(boundary):
 
 
 def test_criterion_02_ladder_estimates(solved):
-    surface, _, t = solved
+    surface, t = solved
     v = surface.v
     rates = surface.rates
     dx, dc = GRID.dx, LADDER.dc
@@ -120,8 +116,7 @@ def test_criterion_02_ladder_estimates(solved):
     # complementarity of each rung's obstacle problem against its predecessor
     comp = 0.0
     for i in range(1, LADDER.n + 1):
-        res = residual_Lc(M, D, float(rates[i]),
-                          GridFn(v[i], GRID), GridFn(surface.v_prime[i], GRID)).values
+        res = residual_Lc(M, D, GRID, float(rates[i]), v[i], surface.v_prime[i])
         gap = v[i] - v[i - 1]
         comp = max(comp, float(np.max(np.minimum(np.abs(res[:GRID.n_x]),
                                                  gap[:GRID.n_x]))))
@@ -143,11 +138,10 @@ def test_criterion_02_ladder_estimates(solved):
 
 
 def test_criterion_03_dyadic_monotonicity(solved, boundary):
-    surface, _, _ = solved
+    surface, _ = solved
     sol, _ = boundary
     half = RateLadder(c_bar=M.c_bar, c_floor=M.c_floor, n=128)
-    slices, _ = solve_ladder(M, D, GRID, half, update_tol=1e-12, boundary=sol)
-    v128 = np.stack([s.v.values for s in slices])
+    v128 = solve_ladder(M, D, GRID, half, update_tol=1e-12, boundary=sol).v
     excess = float(np.max(v128 - surface.v[::2]))
     ok = excess <= 1e-7
     line = report(3, "dyadic rung monotonicity", ok,
@@ -156,15 +150,14 @@ def test_criterion_03_dyadic_monotonicity(solved, boundary):
 
 
 def test_criterion_04_floor_independence(solved, boundary, eps_disc):
-    surface, _, _ = solved
+    surface, _ = solved
     sol, _ = boundary
     m_ext = ModelParams(mu=M.mu, lam=M.lam, r=M.r, ell=M.ell,
                         c_bar=M.c_bar, c_floor=-1.0)
     # doubled rung count keeps the rung spacing identical, so the rates in
     # [0, c_bar] coincide node for node
     lad_ext = RateLadder(c_bar=M.c_bar, c_floor=-1.0, n=512)
-    slices, _ = solve_ladder(m_ext, D, GRID, lad_ext, update_tol=1e-12, boundary=sol)
-    v_ext = np.stack([s.v.values for s in slices])
+    v_ext = solve_ladder(m_ext, D, GRID, lad_ext, update_tol=1e-12, boundary=sol).v
     keep = lad_ext.rates >= -1e-12
     assert np.allclose(lad_ext.rates[keep], LADDER.rates, atol=1e-15)
     gap = float(np.max(np.abs(v_ext[keep] - surface.v)))
@@ -177,7 +170,7 @@ def test_criterion_04_floor_independence(solved, boundary, eps_disc):
 
 
 def test_criterion_05_free_boundary(solved, fine_surface):
-    surface, _, _ = solved
+    surface, _ = solved
     curve = extract_boundary(surface)
     up_viol = int(curve.up_closure_violations.sum())
     vp0 = surface.v_prime[:, 0]
@@ -201,7 +194,7 @@ def test_criterion_05_free_boundary(solved, fine_surface):
 
 
 def test_criterion_06_mc_boundary(solved, eps_disc):
-    surface, _, _ = solved
+    surface, _ = solved
     t0 = time.perf_counter()
     worst = ("", 0.0, 1.0)
     ok = True
@@ -222,7 +215,7 @@ def test_criterion_06_mc_boundary(solved, eps_disc):
 
 
 def test_criterion_07_mc_optimality(solved, rate_map, eps_disc):
-    surface, _, _ = solved
+    surface, _ = solved
     ok = True
     details = []
     for k, (x0, c0) in enumerate([(0.0, 0.0), (1.0, 0.5), (3.0, 0.2)]):
@@ -245,7 +238,7 @@ def test_criterion_07_mc_optimality(solved, rate_map, eps_disc):
 
 
 def test_criterion_08_negative_extension(solved, rate_map):
-    surface, _, _ = solved
+    surface, _ = solved
     exact = all(
         surface.value_at(-1.0, float(c)) == surface.value_at(0.0, float(c)) - M.ell
         for c in surface.rates
@@ -263,7 +256,7 @@ def test_criterion_08_negative_extension(solved, rate_map):
 
 
 def test_criterion_09_constructed_violations(solved):
-    surface, _, _ = solved
+    surface, _ = solved
     flagged = {}
 
     bad = copy.deepcopy(surface)

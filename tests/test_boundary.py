@@ -23,11 +23,12 @@ from divratchet.boundary import boundary_residual_report, solve_g
 
 M1 = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
 D1 = Exponential(0.5)
+G1 = Grid(L=30.0, n_x=2000)
 
 
 @pytest.fixture(scope="module")
 def sol_fine():
-    return solve_g(M1, D1, Grid(L=30.0, n_x=2000), update_tol=1e-12)
+    return solve_g(M1, D1, G1, update_tol=1e-12)
 
 
 class TestEnvelope:
@@ -35,22 +36,22 @@ class TestEnvelope:
         assert sol_fine.residual_sup <= 1e-8
 
     def test_value_bounds(self, sol_fine):
-        g = sol_fine.g.values
+        g = sol_fine.g
         lower = (M1.c_bar - M1.lam * M1.ell * D1.gamma) / M1.r
         assert g.min() >= lower - 1e-9
         assert g.max() <= M1.c_bar / M1.r + 1e-9
 
     def test_gradient_bounds(self, sol_fine):
-        gp = sol_fine.g_prime.values
+        gp = sol_fine.g_prime
         assert gp.min() >= -1e-9
         assert gp.max() <= M1.ell + 1e-9
 
     def test_concavity(self, sol_fine):
-        g = sol_fine.g.values
+        g = sol_fine.g
         assert np.max(g[2:] - 2 * g[1:-1] + g[:-2]) <= 1e-8
 
     def test_dirichlet(self, sol_fine):
-        g = sol_fine.g.values
+        g = sol_fine.g
         assert g[-1] == M1.c_bar / M1.r
         assert abs(g[-2] - M1.c_bar / M1.r) <= 1e-3
 
@@ -60,10 +61,10 @@ class TestEnvelope:
         from divratchet import apply_T, h_eval
 
         g = sol_fine.g
-        t = apply_T(M1, D1, g).values
-        h = h_eval(M1, D1, g.grid.nodes)
-        implied = ((M1.r + M1.lam) * g.values - t + h - M1.c_bar) / (M1.mu - M1.c_bar)
-        fd = np.diff(g.values) / g.grid.dx
+        t = apply_T(M1, D1, G1, g)
+        h = h_eval(M1, D1, G1.nodes)
+        implied = ((M1.r + M1.lam) * g - t + h - M1.c_bar) / (M1.mu - M1.c_bar)
+        fd = np.diff(g) / G1.dx
         assert np.max(np.abs(fd - implied[:-1])) <= 1e-9
 
 
@@ -71,27 +72,27 @@ class TestAgainstSimulation:
     def test_value_at_zero(self, sol_fine):
         # frozen oracle: naive per-path MC, seed 2024031, 40000 paths
         mc, se = 9.498694182489494, 0.004218120073912909
-        assert abs(sol_fine.g.values[0] - mc) <= 3 * se + 0.015
+        assert abs(sol_fine.g[0] - mc) <= 3 * se + 0.015
 
     def test_value_at_five(self, sol_fine):
         # frozen oracle: naive per-path MC, seed 2024032, 40000 paths
         mc, se = 9.998058683795772, 0.00026113990885941104
-        j = int(round(5.0 / sol_fine.g.grid.dx))
-        assert abs(sol_fine.g.values[j] - mc) <= 3 * se + 0.002
+        j = int(round(5.0 / G1.dx))
+        assert abs(sol_fine.g[j] - mc) <= 3 * se + 0.002
 
 
 class TestConvergence:
     def test_first_order_in_dx(self):
         g0 = [
-            solve_g(M1, D1, Grid(L=30.0, n_x=n), update_tol=1e-12).g.values[0]
+            solve_g(M1, D1, Grid(L=30.0, n_x=n), update_tol=1e-12).g[0]
             for n in (500, 1000, 2000)
         ]
         ratio = (g0[2] - g0[1]) / (g0[1] - g0[0])
         assert 0.3 <= ratio <= 0.7
 
     def test_deterministic(self):
-        a = solve_g(M1, D1, Grid(L=30.0, n_x=500)).g.values
-        b = solve_g(M1, D1, Grid(L=30.0, n_x=500)).g.values
+        a = solve_g(M1, D1, Grid(L=30.0, n_x=500)).g
+        b = solve_g(M1, D1, Grid(L=30.0, n_x=500)).g
         assert np.array_equal(a, b)
 
     def test_no_convergence_raises(self):
@@ -102,8 +103,8 @@ class TestConvergence:
 
     def test_method_paths_agree(self):
         grid = Grid(L=30.0, n_x=500)
-        a = solve_g(M1, D1, grid, method="recursive", update_tol=1e-12).g.values
-        b = solve_g(M1, D1, grid, method="direct", update_tol=1e-12).g.values
+        a = solve_g(M1, D1, grid, method="recursive", update_tol=1e-12).g
+        b = solve_g(M1, D1, grid, method="direct", update_tol=1e-12).g
         assert np.max(np.abs(a - b)) < 1e-9
 
 
@@ -120,12 +121,12 @@ class TestOtherClaimFamilies:
         m = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
         grid = Grid(L=30.0, n_x=600)
         sol = solve_g(m, d, grid, update_tol=1e-11)
-        g = sol.g.values
+        g = sol.g
         assert sol.residual_sup <= 1e-8
         assert g.min() >= (m.c_bar - m.lam * m.ell * d.gamma) / m.r - 1e-9
         assert g.max() <= m.c_bar / m.r + 1e-9
-        assert sol.g_prime.values.min() >= -1e-9
-        assert sol.g_prime.values.max() <= m.ell + 1e-9
+        assert sol.g_prime.min() >= -1e-9
+        assert sol.g_prime.max() <= m.ell + 1e-9
         # heavy tails approach the Dirichlet pin with visible curvature, so
         # the last interior node carries an O(dx^2) kink; 1e-3*dx^2 covers
         # the measured 1.3e-4*dx^2 with headroom
@@ -134,8 +135,8 @@ class TestOtherClaimFamilies:
 
 class TestReport:
     def test_fields_and_shapes(self, sol_fine):
-        rep = boundary_residual_report(sol_fine, M1, D1)
-        n = sol_fine.g.grid.n_x
+        rep = boundary_residual_report(sol_fine, M1, D1, G1)
+        n = G1.n_x
         for key in ("x", "g", "g_prime", "residual"):
             assert rep[key].shape == (n + 1,)
         assert rep["residual_sup_interior"] <= 1e-8

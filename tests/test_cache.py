@@ -10,7 +10,6 @@ from divratchet.discretization import Grid
 from divratchet.errors import CacheError
 from divratchet.ladder import RateLadder, solve_ladder
 from divratchet.model import Exponential, HyperExponential, ModelParams
-from divratchet.surface import ValueSurface
 
 M = ModelParams(mu=2.0, lam=2.0, r=0.1, ell=2.0, c_bar=1.2, c_floor=0.0)
 D = Exponential(gamma_mean=0.6)
@@ -20,8 +19,9 @@ D = Exponential(gamma_mean=0.6)
 def surface():
     grid = Grid(L=20.0, n_x=200)
     ladder = RateLadder(c_bar=M.c_bar, c_floor=M.c_floor, n=8)
-    slices, _ = solve_ladder(M, D, grid, ladder, update_tol=1e-10)
-    return ValueSurface.from_solution(M, grid, ladder, slices, params_hash="ab" * 32)
+    surface = solve_ladder(M, D, grid, ladder, update_tol=1e-10)
+    surface.params_hash = "ab" * 32
+    return surface
 
 
 def test_round_trip_bit_exact(surface, tmp_path):
@@ -61,8 +61,7 @@ def test_hyperexponential_claims_round_trip(tmp_path):
     d = HyperExponential(weights=(0.25, 0.75), means=(0.2, 1.0))
     grid = Grid(L=30.0, n_x=150)
     ladder = RateLadder(c_bar=M.c_bar, c_floor=M.c_floor, n=4)
-    slices, _ = solve_ladder(M, d, grid, ladder, update_tol=1e-9)
-    surf = ValueSurface.from_solution(M, grid, ladder, slices)
+    surf = solve_ladder(M, d, grid, ladder, update_tol=1e-9)
     path = str(tmp_path / "h.bin")
     write_surface(path, surf, d)
     back, d2 = read_surface(path)

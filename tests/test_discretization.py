@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from divratchet import (
     Exponential,
     Grid,
-    GridFn,
     HyperExponential,
     ModelParams,
     ShiftedPareto,
@@ -53,10 +52,10 @@ class TestGrid:
         with pytest.raises(ValidationError):
             Grid(L=0.0, n_x=100)
 
-    def test_gridfn_length_check(self):
+    def test_node_array_length_check(self):
         g = Grid(L=10.0, n_x=100)
         with pytest.raises(ValidationError):
-            GridFn(np.zeros(5), g)
+            apply_T(M, Exponential(0.5), g, np.zeros(5))
 
 
 class TestJumpOperator:
@@ -64,8 +63,8 @@ class TestJumpOperator:
     def test_constant_reproduced(self, d):
         # T(K) = lam*K: mass below x plus the reflected tail mass sum to 1
         g = Grid(L=30.0, n_x=2000)
-        f = GridFn(np.full(g.n_x + 1, 7.0), g)
-        t = apply_T(M, d, f).values
+        f = np.full(g.n_x + 1, 7.0)
+        t = apply_T(M, d, g, f)
         assert np.max(np.abs(t - M.lam * 7.0)) < 1e-12
 
     def test_linear_oracle_exact(self):
@@ -73,7 +72,7 @@ class TestJumpOperator:
         g = Grid(L=30.0, n_x=2000)
         d = Exponential(1.0)
         x = g.nodes
-        t = apply_T(M, d, GridFn(x.copy(), g)).values
+        t = apply_T(M, d, g, x.copy())
         assert np.max(np.abs(t - M.lam * (x - 1.0 + np.exp(-x)))) < 1e-12
 
     def test_quadratic_oracle_second_order(self):
@@ -82,7 +81,7 @@ class TestJumpOperator:
         for n_x in (250, 500, 1000):
             g = Grid(L=30.0, n_x=n_x)
             x = g.nodes
-            t = apply_I(M, d, GridFn(x**2, g)).values
+            t = apply_I(M, d, g, x**2)
             exact = M.lam * (x**2 - 2.0 * x + 2.0 - 2.0 * np.exp(-x))
             errs.append(np.max(np.abs(t - exact)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
@@ -90,38 +89,38 @@ class TestJumpOperator:
 
     def test_zero_at_origin_without_tail(self):
         g = Grid(L=30.0, n_x=500)
-        f = GridFn(np.cos(g.nodes), g)
-        assert apply_I(M, Exponential(0.5), f).values[0] == 0.0
+        f = np.cos(g.nodes)
+        assert apply_I(M, Exponential(0.5), g, f)[0] == 0.0
 
     def test_origin_with_tail_is_lam_f0(self):
         g = Grid(L=30.0, n_x=500)
-        f = GridFn(np.cos(g.nodes) + 2.0, g)
-        t0 = apply_T(M, Exponential(0.5), f).values[0]
-        assert t0 == pytest.approx(M.lam * f.values[0], rel=1e-14)
+        f = np.cos(g.nodes) + 2.0
+        t0 = apply_T(M, Exponential(0.5), g, f)[0]
+        assert t0 == pytest.approx(M.lam * f[0], rel=1e-14)
 
     @pytest.mark.parametrize("d", ALL_DISTS, ids=lambda d: d.kind)
     def test_methods_agree(self, d):
         g = Grid(L=30.0, n_x=2000)
-        f = GridFn(np.sin(g.nodes / 3.0) + 2.0, g)
-        direct = apply_T(M, d, f, "direct").values
-        fft = apply_T(M, d, f, "fft").values
+        f = np.sin(g.nodes / 3.0) + 2.0
+        direct = apply_T(M, d, g, f, "direct")
+        fft = apply_T(M, d, g, f, "fft")
         assert np.max(np.abs(direct - fft)) < 1e-9
         if d.exp_components() is not None:
-            rec = apply_T(M, d, f, "recursive").values
+            rec = apply_T(M, d, g, f, "recursive")
             assert np.max(np.abs(direct - rec)) < 1e-9
 
     def test_recursive_requires_mixture(self):
         g = Grid(L=30.0, n_x=100)
-        f = GridFn(np.ones(101), g)
+        f = np.ones(101)
         with pytest.raises(ValidationError):
-            apply_T(M, ShiftedPareto(3.0, 1.0), f, "recursive")
+            apply_T(M, ShiftedPareto(3.0, 1.0), g, f, "recursive")
 
     def test_bounded_by_sup(self):
         g = Grid(L=20.0, n_x=400)
         rng = np.random.default_rng(7)
-        f = GridFn(rng.uniform(-3, 5, g.n_x + 1), g)
-        t = apply_T(M, Exponential(0.5), f).values
-        assert np.max(np.abs(t)) <= M.lam * np.max(np.abs(f.values)) + 1e-12
+        f = rng.uniform(-3, 5, g.n_x + 1)
+        t = apply_T(M, Exponential(0.5), g, f)
+        assert np.max(np.abs(t)) <= M.lam * np.max(np.abs(f)) + 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -132,8 +131,8 @@ def test_jump_operator_monotone(seed):
     rng = np.random.default_rng(seed)
     base = rng.normal(size=g.n_x + 1)
     bump = rng.uniform(0, 1, size=g.n_x + 1)
-    lo = apply_T(M, Exponential(0.8), GridFn(base, g)).values
-    hi = apply_T(M, Exponential(0.8), GridFn(base + bump, g)).values
+    lo = apply_T(M, Exponential(0.8), g, base)
+    hi = apply_T(M, Exponential(0.8), g, base + bump)
     assert np.all(hi >= lo - 1e-13)
 
 
@@ -142,9 +141,9 @@ class TestResidual:
         # f = c_bar/r kills everything except h: residual = h
         g = Grid(L=30.0, n_x=500)
         d = Exponential(0.5)
-        f = GridFn(np.full(g.n_x + 1, M.c_bar / M.r), g)
-        fp = GridFn(np.zeros(g.n_x + 1), g)
-        res = residual_Lc(M, d, M.c_bar, f, fp).values
+        f = np.full(g.n_x + 1, M.c_bar / M.r)
+        fp = np.zeros(g.n_x + 1)
+        res = residual_Lc(M, d, g, M.c_bar, f, fp)
         np.testing.assert_allclose(res, h_eval(M, d, g.nodes), atol=1e-11)
 
     def test_constant_low_level(self):
@@ -152,26 +151,17 @@ class TestResidual:
         g = Grid(L=30.0, n_x=500)
         d = Exponential(0.5)
         level = (M.c_bar - M.lam * M.ell * d.gamma) / M.r
-        f = GridFn(np.full(g.n_x + 1, level), g)
-        fp = GridFn(np.zeros(g.n_x + 1), g)
-        res = residual_Lc(M, d, M.c_bar, f, fp).values
+        f = np.full(g.n_x + 1, level)
+        fp = np.zeros(g.n_x + 1)
+        res = residual_Lc(M, d, g, M.c_bar, f, fp)
         expected = h_eval(M, d, g.nodes) - M.lam * M.ell * d.gamma
         np.testing.assert_allclose(res, expected, atol=1e-11)
 
-    def test_rhs_shift_override(self):
-        g = Grid(L=10.0, n_x=100)
-        d = Exponential(0.5)
-        f = GridFn(np.zeros(g.n_x + 1), g)
-        fp = GridFn(np.zeros(g.n_x + 1), g)
-        shift = GridFn(np.full(g.n_x + 1, 2.5), g)
-        res = residual_Lc(M, d, 0.3, f, fp, rhs_shift=shift).values
-        np.testing.assert_allclose(res, 2.5 - 0.3, atol=1e-14)
-
     def test_rate_must_stay_below_mu(self):
         g = Grid(L=10.0, n_x=100)
-        f = GridFn(np.zeros(g.n_x + 1), g)
+        f = np.zeros(g.n_x + 1)
         with pytest.raises(ValidationError):
-            residual_Lc(M, Exponential(0.5), M.mu, f, f)
+            residual_Lc(M, Exponential(0.5), g, M.mu, f, f)
 
 
 class TestSweeps:

@@ -127,12 +127,13 @@ class TestDegenerateChain:
 
     def test_all_rungs_equal_g(self):
         grid = Grid(L=30.0, n_x=800)
-        slices, diag = solve_ladder(M1, D1, grid, RateLadder(32, 1.0, 0.0), update_tol=1e-12)
-        g = slices[0].v.values
-        for s in slices[1:]:
-            assert np.array_equal(s.v.values, g)
-            assert s.switch_mask.all()
-        assert diag.u_sup.max() == 0.0
+        ladder = RateLadder(32, 1.0, 0.0)
+        surface = solve_ladder(M1, D1, grid, ladder, update_tol=1e-12)
+        g = surface.v[0]
+        for v, mask in zip(surface.v[1:], surface.masks[1:]):
+            assert np.array_equal(v, g)
+            assert mask.all()
+        assert (np.diff(surface.v, axis=0) / ladder.dc).max() == 0.0
 
 
 class TestAgainstDenseReference:
@@ -147,8 +148,8 @@ class TestAgainstDenseReference:
         )
         for c in (1.0, 0.8, 0.6):
             s = solve_rung(prev, c, M2, D2, grid, update_tol=1e-13)
-            ref = howard_reference(M2, D2, grid, c, prev.v.values, prev.v.values[-1])
-            assert np.max(np.abs(s.v.values - ref)) < 1e-9
+            ref = howard_reference(M2, D2, grid, c, prev.v, prev.v[-1])
+            assert np.max(np.abs(s.v - ref)) < 1e-9
             prev = s
 
     @pytest.mark.parametrize("d", [D2, H2], ids=["exponential", "hyperexponential"])
@@ -158,8 +159,8 @@ class TestAgainstDenseReference:
         assert get_kernel(d, grid).has_recursion()
         for c in (1.0, 0.8, 0.6):
             s = solve_rung(prev, c, M2, d, grid)
-            ref = howard_reference(M2, d, grid, c, prev.v.values, prev.v.values[-1])
-            assert np.max(np.abs(s.v.values - ref)) < 1e-11
+            ref = howard_reference(M2, d, grid, c, prev.v, prev.v[-1])
+            assert np.max(np.abs(s.v - ref)) < 1e-11
             assert s.iterations <= 10  # policy steps, not sweeps
             prev = s
 
@@ -170,8 +171,8 @@ class TestAgainstDenseReference:
         assert not get_kernel(P2, grid).has_recursion()
         for c in (1.0, 0.8, 0.6):
             s = solve_rung(prev, c, M2, P2, grid, update_tol=1e-13)
-            ref = howard_reference(M2, P2, grid, c, prev.v.values, prev.v.values[-1])
-            assert np.max(np.abs(s.v.values - ref)) < 1e-9
+            ref = howard_reference(M2, P2, grid, c, prev.v, prev.v[-1])
+            assert np.max(np.abs(s.v - ref)) < 1e-9
             prev = s
 
     @pytest.mark.parametrize("d", [D2, H2], ids=["exponential", "hyperexponential"])
@@ -212,16 +213,17 @@ class TestAgainstDenseReference:
         # README set at 800 x 32: every policy rung against the projected
         # Picard sweep run on the same obstacle
         grid = Grid(L=20.0, n_x=800)
-        slices, diag = solve_ladder(M2, D2, grid, RateLadder(32, 1.2, 0.0))
+        surface = solve_ladder(M2, D2, grid, RateLadder(32, 1.2, 0.0))
         kern = get_kernel(D2, grid)
         h = h_eval(M2, D2, grid.nodes)
-        for prev, s in zip(slices[:-1], slices[1:]):
+        for i in range(1, 33):
             v, sweeps, _ = picard_rung(
-                prev.v.values, s.rate, M2, kern, h, 1e-10, 10000, "auto", "test"
+                surface.v[i - 1], float(surface.rates[i]), M2, kern, h, 1e-10, 10000,
+                "auto", "test",
             )
-            assert np.max(np.abs(v - s.v.values)) < 1e-8
-            assert sweeps > s.iterations
-        assert diag.iterations[1:].max() <= 10
+            assert np.max(np.abs(v - surface.v[i])) < 1e-8
+            assert sweeps > surface.iterations[i]
+        assert surface.iterations[1:].max() <= 10
 
     def test_scheme_matrix_is_monotone(self):
         # off-diagonals nonpositive, diagonally dominant with row sums >= r:
@@ -236,71 +238,60 @@ class TestAgainstDenseReference:
 
 class TestChainStructure:
     def test_obstacle_order_bitwise(self, ladder2):
-        slices, _ = ladder2
-        for lo, hi in zip(slices[:-1], slices[1:]):
-            assert np.all(hi.v.values >= lo.v.values)
+        v = ladder2.v
+        assert np.all(v[1:] >= v[:-1])
 
     def test_masks_up_closed(self, ladder2):
-        slices, _ = ladder2
-        for s in slices:
-            m = s.switch_mask
+        for m in ladder2.masks:
             first = int(np.argmax(m))
             assert m[first:].all()
 
     def test_switch_gain_bounds(self, ladder2):
-        _, diag = ladder2
+        u = np.diff(ladder2.v, axis=0) / ladder2.ladder.dc
         cap = (M2.ell - 1.0) / M2.r
-        assert diag.u_min.min() >= 0.0
-        assert diag.u_sup.max() <= cap + 1e-6
+        assert u.min() >= 0.0
+        assert u.max() <= cap + 1e-6
 
     def test_switch_gain_growth(self, ladder2):
-        slices, diag = ladder2
-        vals = np.stack([s.v.values for s in slices])
-        u = np.diff(vals, axis=0) / diag.dc
+        dc = ladder2.ladder.dc
+        u = np.diff(ladder2.v, axis=0) / dc
         growth = u[:-1] - u[1:]  # u_{i-1} - u_i
-        assert growth.max() <= slope_growth_bound(M2) * diag.dc + 1e-6
+        assert growth.max() <= slope_growth_bound(M2) * dc + 1e-6
 
     def test_curvature_lower_bound(self, ladder2):
-        _, diag = ladder2
+        v = ladder2.v
         bound = -M2.lam * M2.ell / (M2.mu - M2.c_bar)
-        assert diag.second_diff_min.min() / G2.dx**2 >= bound - 1e-6
+        second_diff = v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]
+        assert second_diff.min() / G2.dx**2 >= bound - 1e-6
 
     def test_complementarity(self, ladder2):
-        slices, _ = ladder2
         kern = get_kernel(D2, G2)
         h = h_eval(M2, D2, G2.nodes)
         n = G2.n_x
-        for prev, s in zip(slices[:-1], slices[1:]):
-            v = s.v.values
+        for i in range(1, ladder2.ladder.n + 1):
+            v = ladder2.v[i]
+            c = ladder2.rates[i]
             t = M2.lam * (kern.convolve(v, "auto") + v[0] * kern.tail)
             res = (
-                -(M2.mu - s.rate) * np.diff(v) / G2.dx
+                -(M2.mu - c) * np.diff(v) / G2.dx
                 + (M2.r + M2.lam) * v[:n]
                 - t[:n]
                 + h[:n]
-                - s.rate
+                - c
             )
-            gap = v[:n] - prev.v.values[:n]
+            gap = v[:n] - ladder2.v[i - 1, :n]
             assert res.min() >= -1e-8
             assert np.max(np.abs(np.minimum(res, gap))) <= 1e-8
 
     def test_dyadic_refinement_monotone(self, ladder2):
-        slices64, _ = ladder2
-        slices32, _ = solve_ladder(M2, D2, G2, RateLadder(32, 1.2, 0.0), update_tol=1e-11)
-        worst = max(
-            float(np.max(slices32[i].v.values - slices64[2 * i].v.values))
-            for i in range(33)
-        )
+        v32 = solve_ladder(M2, D2, G2, RateLadder(32, 1.2, 0.0), update_tol=1e-11).v
+        worst = float(np.max(v32 - ladder2.v[::2]))
         assert worst <= 1e-7
 
     def test_floor_extension_leaves_upper_rungs(self, ladder2):
-        slices64, _ = ladder2
         m_ext = ModelParams(mu=2.0, lam=2.0, r=0.1, ell=2.0, c_bar=1.2, c_floor=-0.6)
-        slices96, _ = solve_ladder(
-            m_ext, D2, G2, RateLadder(96, 1.2, -0.6), update_tol=1e-11
-        )
-        for i in range(65):
-            assert np.max(np.abs(slices64[i].v.values - slices96[i].v.values)) <= 1e-9
+        v96 = solve_ladder(m_ext, D2, G2, RateLadder(96, 1.2, -0.6), update_tol=1e-11).v
+        assert np.max(np.abs(ladder2.v - v96[:65])) <= 1e-9
 
 
 class TestFailureModes:

@@ -13,7 +13,7 @@ from divratchet.discretization import Grid
 from divratchet.errors import ValidationError
 from divratchet.ladder import RateLadder, solve_ladder
 from divratchet.model import Exponential, HyperExponential, ModelParams
-from divratchet.surface import RateMap, ValueSurface, build_rate_map
+from divratchet.surface import RateMap, build_rate_map
 
 M1 = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
 D1 = Exponential(gamma_mean=0.5)
@@ -27,8 +27,7 @@ DH = HyperExponential(weights=(0.7, 0.3), means=(0.3, 1.3))
 def surface2():
     grid = Grid(L=20.0, n_x=400)
     ladder = RateLadder(c_bar=M2.c_bar, c_floor=M2.c_floor, n=32)
-    slices, diag = solve_ladder(M2, D2, grid, ladder)
-    return ValueSurface(M2, grid, ladder, slices)
+    return solve_ladder(M2, D2, grid, ladder)
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +39,7 @@ def ratemap2(surface2):
 def ratemap_h():
     grid = Grid(L=20.0, n_x=400)
     ladder = RateLadder(c_bar=M2.c_bar, c_floor=M2.c_floor, n=32)
-    slices, diag = solve_ladder(M2, DH, grid, ladder)
-    return build_rate_map(ValueSurface(M2, grid, ladder, slices))
+    return build_rate_map(solve_ladder(M2, DH, grid, ladder))
 
 
 def constant_rate_map(grid, rates, row):
@@ -319,10 +317,10 @@ def test_boundary_estimate_matches_pde_solution():
     sol = solve_g(M1, D1, grid)
     est = sim.estimate_boundary_payoff(M1, D1, 0.0, 20000, seed=42)
     # grid bias at this resolution is about 0.007; allow that plus noise
-    assert abs(est.mean - sol.g.values[0]) <= 3 * est.std_error + 0.02
+    assert abs(est.mean - sol.g[0]) <= 3 * est.std_error + 0.02
     j5 = round(5.0 / grid.dx)
     est5 = sim.estimate_boundary_payoff(M1, D1, 5.0, 20000, seed=43)
-    assert abs(est5.mean - sol.g.values[j5]) <= 3 * est5.std_error + 0.01
+    assert abs(est5.mean - sol.g[j5]) <= 3 * est5.std_error + 0.01
 
 
 def test_ratchet_estimate_matches_surface(surface2, ratemap2):

@@ -13,7 +13,6 @@ from divratchet import (
     HyperExponential,
     ModelParams,
     ShiftedPareto,
-    ValueSurface,
     extract_boundary,
     solve_ladder,
 )
@@ -44,8 +43,7 @@ def test_solved_surface_passes_invariants(kind, n_x, n):
     d = claims(kind)
     grid = Grid(L=20.0, n_x=n_x)
     ladder = RateLadder(n, M.c_bar, M.c_floor)
-    slices, _ = solve_ladder(M, d, grid, ladder)
-    surface = ValueSurface.from_solution(M, grid, ladder, slices)
+    surface = solve_ladder(M, d, grid, ladder)
 
     x_star = extract_boundary(surface).x_star
     assert 0.0 < x_star.max() < 0.8 * grid.L

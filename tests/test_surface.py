@@ -18,11 +18,11 @@ from divratchet import (
     DomainTooSmall,
     Exponential,
     Grid,
-    GridFn,
     ModelParams,
     RateOutOfRange,
+    ValidationError,
 )
-from divratchet.ladder import RateLadder, ValueSlice, solve_ladder
+from divratchet.ladder import RateLadder, solve_ladder
 from divratchet.surface import (
     ValueSurface,
     build_rate_map,
@@ -38,8 +38,7 @@ G2 = Grid(L=20.0, n_x=800)
 @pytest.fixture(scope="module")
 def surf2():
     lad = RateLadder(64, 1.2, 0.0)
-    slices, _ = solve_ladder(M2, D2, G2, lad, update_tol=1e-11)
-    return ValueSurface(M2, G2, lad, slices)
+    return solve_ladder(M2, D2, G2, lad, update_tol=1e-11)
 
 
 def synthetic_surface(masks, rates_spec, values=None, m=None, grid=None):
@@ -48,18 +47,14 @@ def synthetic_surface(masks, rates_spec, values=None, m=None, grid=None):
     m = m or ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.5, c_bar=c_bar, c_floor=c_floor)
     grid = grid or Grid(L=8.0, n_x=64)
     lad = RateLadder(n_rungs, c_bar, c_floor)
-    slices = []
-    for i in range(n_rungs + 1):
-        v = values[i] if values is not None else np.full(grid.n_x + 1, float(i))
-        slices.append(
-            ValueSlice(
-                rate=float(lad.rates[i]),
-                v=GridFn(np.asarray(v, float), grid),
-                v_prime=GridFn(np.zeros(grid.n_x + 1), grid),
-                switch_mask=np.asarray(masks[i], bool),
-            )
-        )
-    return ValueSurface(m, grid, lad, slices)
+    shape = (n_rungs + 1, grid.n_x + 1)
+    if values is None:
+        values = np.arange(n_rungs + 1.0)[:, None] + np.zeros(shape)
+    return ValueSurface(
+        m, grid, lad,
+        np.asarray(values, float), np.zeros(shape), np.asarray(masks, bool),
+        np.zeros(n_rungs + 1, dtype=np.int64), np.zeros(n_rungs + 1),
+    )
 
 
 def pattern_masks(n_rungs, n_nodes, first_true):
@@ -202,3 +197,18 @@ class TestEquivalentRate:
             c = float(surf2.rates[i])
             x = j * G2.dx
             assert equivalent_max_rate(surf2, x, c, rm) == rm.values[i, j]
+
+
+def test_wrong_array_shapes_rejected():
+    grid = Grid(L=8.0, n_x=64)
+    lad = RateLadder(3, 0.9, 0.0)
+    good = np.zeros((4, 65))
+    steps, norms = np.zeros(4, dtype=np.int64), np.zeros(4)
+    m = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.5, c_bar=0.9, c_floor=0.0)
+    ValueSurface(m, grid, lad, good, good, good.astype(bool), steps, norms)
+    with pytest.raises(ValidationError):
+        ValueSurface(m, grid, lad, np.zeros((3, 65)), good, good.astype(bool), steps, norms)
+    with pytest.raises(ValidationError):
+        ValueSurface(m, grid, lad, good, np.zeros((4, 64)), good.astype(bool), steps, norms)
+    with pytest.raises(ValidationError):
+        ValueSurface(m, grid, lad, good, good, good.astype(bool), steps[:3], norms)

@@ -7,9 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from divratchet.discretization import Grid, GridFn
+from divratchet.discretization import Grid
 from divratchet.errors import ValidationError
-from divratchet.ladder import RateLadder, ValueSlice, solve_ladder
+from divratchet.ladder import RateLadder, solve_ladder
 from divratchet.model import Exponential, ModelParams
 from divratchet.surface import ValueSurface, build_rate_map
 from divratchet.verify import (
@@ -28,27 +28,19 @@ D2 = Exponential(gamma_mean=0.6)
 def solved():
     grid = Grid(L=20.0, n_x=400)
     ladder = RateLadder(c_bar=M2.c_bar, c_floor=M2.c_floor, n=32)
-    slices, diag = solve_ladder(M2, D2, grid, ladder)
-    surface = ValueSurface(M2, grid, ladder, slices)
-    return surface, slices, diag
+    return solve_ladder(M2, D2, grid, ladder)
 
 
-def rebuild(surface, slices, k, v=None, v_prime=None, mask=None):
+def rebuild(surface, k, v=None, v_prime=None, mask=None):
     """Copy of the surface with rung k's arrays replaced."""
-    grid = surface.grid
-    new = list(slices)
-    s = new[k]
-    new[k] = ValueSlice(
-        rate=s.rate,
-        v=GridFn(grid=grid, values=v if v is not None else s.v.values),
-        v_prime=GridFn(
-            grid=grid, values=v_prime if v_prime is not None else s.v_prime.values
-        ),
-        switch_mask=mask if mask is not None else s.switch_mask,
-        iterations=s.iterations,
-        final_update_norm=s.final_update_norm,
+    arrays = [surface.v.copy(), surface.v_prime.copy(), surface.masks.copy()]
+    for a, row in zip(arrays, (v, v_prime, mask)):
+        if row is not None:
+            a[k] = row
+    return ValueSurface(
+        surface.m, surface.grid, surface.ladder, *arrays,
+        surface.iterations, surface.update_norms,
     )
-    return ValueSurface(surface.m, grid, surface.ladder, new)
 
 
 class TestCheckResult:
@@ -65,8 +57,8 @@ class TestCheckResult:
 
 class TestInvariantSuite:
     def test_clean_solve_passes_every_check(self, solved):
-        surface, _, diag = solved
-        cert = run_invariant_suite(surface, D2, diagnostics=diag)
+        surface = solved
+        cert = run_invariant_suite(surface, D2)
         failed = [c.name for c in cert.checks if not c.passed]
         assert cert.passed, f"failed: {failed}"
         names = {c.name for c in cert.checks}
@@ -81,7 +73,7 @@ class TestInvariantSuite:
         } <= names
 
     def test_json_roundtrip_and_determinism(self, solved):
-        surface, _, _ = solved
+        surface = solved
         a = run_invariant_suite(surface, D2).to_json()
         b = run_invariant_suite(surface, D2).to_json()
         assert a == b
@@ -90,59 +82,59 @@ class TestInvariantSuite:
         assert all("margin" in c for c in doc["checks"])
 
     def test_check_lookup(self, solved):
-        surface, _, _ = solved
+        surface = solved
         cert = run_invariant_suite(surface, D2)
         assert cert.check("obstacle_order").passed
         with pytest.raises(KeyError):
             cert.check("no_such_check")
 
     def test_obstacle_violation_flagged(self, solved):
-        surface, slices, _ = solved
+        surface = solved
         k = 10
-        v = slices[k].v.values.copy()
+        v = surface.v[k].copy()
         v[40:60] -= 0.05  # dip below the rung above
-        cert = run_invariant_suite(rebuild(surface, slices, k, v=v), D2)
+        cert = run_invariant_suite(rebuild(surface, k, v=v), D2)
         assert not cert.passed
         assert not cert.check("obstacle_order").passed
 
     def test_rate_slope_bound_violation_flagged(self, solved):
-        surface, slices, _ = solved
+        surface = solved
         k = 10
         bump = 2.0 * (M2.ell - 1.0) / M2.r * surface.ladder.dc
-        v = slices[k].v.values + bump
-        cert = run_invariant_suite(rebuild(surface, slices, k, v=v), D2)
+        v = surface.v[k] + bump
+        cert = run_invariant_suite(rebuild(surface, k, v=v), D2)
         assert not cert.passed
         assert not cert.check("rate_slope_upper").passed
 
     def test_mask_up_closure_violation_flagged(self, solved):
-        surface, slices, _ = solved
+        surface = solved
         k = 20
-        mask = slices[k].switch_mask.copy()
+        mask = surface.masks[k].copy()
         first = int(np.argmax(mask))
         assert mask[first:].all(), "fixture rung should have a clean contact tail"
         mask[first + 5] = False
-        cert = run_invariant_suite(rebuild(surface, slices, k, mask=mask), D2)
+        cert = run_invariant_suite(rebuild(surface, k, mask=mask), D2)
         assert not cert.passed
         assert not cert.check("mask_up_closed").passed
 
     def test_threshold_collapse_violation_flagged(self, solved):
-        surface, slices, _ = solved
+        surface = solved
         # claim a gradient at zero of at most 1 on a high rung while lower
         # rungs keep strictly positive thresholds
-        vp = slices[1].v_prime.values.copy()
+        vp = surface.v_prime[1].copy()
         vp[0] = 0.9
-        cert = run_invariant_suite(rebuild(surface, slices, 1, v_prime=vp), D2)
+        cert = run_invariant_suite(rebuild(surface, 1, v_prime=vp), D2)
         assert not cert.check("threshold_collapse").passed
 
     def test_gradient_violation_flagged(self, solved):
-        surface, slices, _ = solved
-        vp = slices[5].v_prime.values.copy()
+        surface = solved
+        vp = surface.v_prime[5].copy()
         vp[100] = M2.ell + 0.5
-        cert = run_invariant_suite(rebuild(surface, slices, 5, v_prime=vp), D2)
+        cert = run_invariant_suite(rebuild(surface, 5, v_prime=vp), D2)
         assert not cert.check("gradient_injection_cap").passed
 
     def test_tolerance_override(self, solved):
-        surface, _, _ = solved
+        surface = solved
         cert = run_invariant_suite(
             surface, D2, tolerances={"residual": 1e-30}
         )
@@ -173,7 +165,7 @@ class TestCalibration:
 
 class TestMcCrossCheck:
     def test_agreement_and_dominance_pass(self, solved):
-        surface, _, _ = solved
+        surface = solved
         rm = build_rate_map(surface)
         cert = mc_cross_check(
             surface, D2, [(0.0, 0.0), (3.0, 0.6)], 4000, seed=7, eps_disc=0.25,
@@ -186,18 +178,18 @@ class TestMcCrossCheck:
         assert any(n.startswith("mc_dominance_0") for n in names)
 
     def test_certificate_deterministic_for_fixed_seed(self, solved):
-        surface, _, _ = solved
+        surface = solved
         a = mc_cross_check(surface, D2, [(1.0, 0.3)], 500, seed=3, eps_disc=0.3)
         b = mc_cross_check(surface, D2, [(1.0, 0.3)], 500, seed=3, eps_disc=0.3)
         assert a.to_json() == b.to_json()
 
     def test_path_minimum_enforced(self, solved):
-        surface, _, _ = solved
+        surface = solved
         with pytest.raises(ValidationError):
             mc_cross_check(surface, D2, [(0.0, 0.0)], 1, seed=3, eps_disc=0.3)
 
     def test_out_of_window_constant_rates_skipped(self, solved):
-        surface, _, _ = solved
+        surface = solved
         cert = mc_cross_check(
             surface, D2, [(1.0, 0.9)], 400, seed=5, eps_disc=0.3,
             constant_rates=[0.3, 1.0],
