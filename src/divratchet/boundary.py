@@ -46,7 +46,6 @@ def solve_g(
     update_tol: float = 1e-10,
     residual_tol: float = 1e-8,
     max_iter: int = 10000,
-    method: str = "auto",
 ) -> BoundarySolution:
     """Picard-iterate the frozen-T upwind scheme to its fixed point.
 
@@ -68,7 +67,7 @@ def solve_g(
     update = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        t = m.lam * (kern.convolve(v, method) + v[0] * kern.tail)
+        t = m.lam * (kern.convolve(v) + v[0] * kern.tail)
         phi = t - h + m.c_bar
         v_new = backward_linear_solve(phi[:n] / b, qt, v_L)
         update = float(np.max(np.abs(v_new - v)))
@@ -84,8 +83,8 @@ def solve_g(
             update_norm=update,
         )
 
-    g_prime = _upwind_derivative(m, d, grid, v, h, method)
-    res = residual_Lc(m, d, grid, m.c_bar, v, g_prime, method=method)
+    g_prime = _upwind_derivative(m, d, grid, v, h)
+    res = residual_Lc(m, d, grid, m.c_bar, v, g_prime)
     residual_sup = float(np.max(np.abs(res[:n])))
     if residual_sup > residual_tol:
         raise NoConvergence(
@@ -104,14 +103,14 @@ def solve_g(
     )
 
 
-def _upwind_derivative(m, d, grid, v, h, method):
+def _upwind_derivative(m, d, grid, v, h):
     """Forward differences on the interior; the Dirichlet node takes the
     derivative the equation itself implies there."""
     n = grid.n_x
     dp = np.empty(n + 1)
     dp[:n] = (v[1:] - v[:n]) / grid.dx
     kern = get_kernel(d, grid)
-    t_L = m.lam * (kern.convolve(v, method)[n] + v[0] * kern.tail[n])
+    t_L = m.lam * (kern.convolve(v)[n] + v[0] * kern.tail[n])
     dp[n] = ((m.r + m.lam) * v[n] - t_L + h[n] - m.c_bar) / (m.mu - m.c_bar)
     return dp
 
@@ -122,7 +121,7 @@ def boundary_residual_report(
     """Per-node arrays plus the envelope margins, for export and gating."""
     n = grid.n_x
     g = sol.g
-    res = residual_Lc(m, d, grid, m.c_bar, g, sol.g_prime, method="direct")
+    res = residual_Lc(m, d, grid, m.c_bar, g, sol.g_prime)
     lower = (m.c_bar - m.lam * m.ell * d.gamma) / m.r
     upper = m.c_bar / m.r
     return {

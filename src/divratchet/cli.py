@@ -89,7 +89,6 @@ def load_or_solve(cfg: RunConfig, force: bool = False):
         update_tol=cfg.update_tol,
         residual_tol=cfg.residual_tol,
         max_iter=cfg.max_iter,
-        method=cfg.method,
     )
     surface.params_hash = cfg.params_hash
     if cfg.out_dir:
@@ -107,7 +106,6 @@ def cmd_boundary(args) -> int:
         update_tol=cfg.update_tol,
         residual_tol=cfg.residual_tol,
         max_iter=cfg.max_iter,
-        method=cfg.method,
     )
     rep = boundary_residual_report(sol, cfg.model, cfg.claims, cfg.grid)
     rows = zip(rep["x"], rep["g"], rep["g_prime"], rep["residual"])
@@ -232,7 +230,7 @@ def _calibration_budget(cfg: RunConfig, surface: ValueSurface) -> float:
     coarse member of a pair refined upward.
     """
     g, lad = cfg.grid, cfg.ladder
-    kw = dict(update_tol=cfg.update_tol, method=cfg.method)
+    kw = dict(update_tol=cfg.update_tol)
     if g.n_x >= 128 and lad.n >= 2:
         coarse_grid = Grid(L=g.L, n_x=g.n_x // 2)
         coarse_ladder = RateLadder(c_bar=lad.c_bar, c_floor=lad.c_floor, n=lad.n // 2)

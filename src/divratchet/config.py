@@ -1,7 +1,7 @@
 """Run configuration: YAML loading, validation, and canonical hashing.
 
 The params hash covers every numeric input that changes solver output
-(model, claims, grid, ladder, solver tolerances, convolution method) and
+(model, claims, grid, ladder, solver update tolerance) and
 deliberately excludes seed, path count, horizon, and output paths, which
 affect only simulation estimates, never the cached surface.
 """
@@ -26,7 +26,15 @@ from .model import (
     make_distribution,
 )
 
-_METHODS = ("auto", "direct", "recursive", "fft")
+#: the keys each config section reads; the claims keys follow claims.kind
+_KEYS = {
+    "model": ("mu", "lam", "r", "ell", "c_bar", "c_floor"),
+    "grid": ("L", "n_x"),
+    "ladder": ("n",),
+    "solver": ("update_tol", "residual_tol", "max_iter"),
+    "simulate": ("paths", "seed", "horizon"),
+    "output": ("dir",),
+}
 
 
 def claims_spec(d: ClaimDistribution) -> tuple[str, dict]:
@@ -55,17 +63,12 @@ class RunConfig:
     update_tol: float = 1e-10
     residual_tol: float = 1e-8
     max_iter: int = 10000
-    method: str = "auto"
     paths: int = 100000
     seed: int = 20240901
     horizon: float | None = None
     out_dir: str = "."
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValidationError(
-                f"solver.method must be one of {_METHODS}, got {self.method!r}"
-            )
         if not self.update_tol > 0:
             raise ValidationError("solver.update_tol must be positive")
         if not self.residual_tol > 0:
@@ -97,8 +100,13 @@ class RunConfig:
             buf += struct.pack(f"<{len(vals)}d", *[float(x) for x in vals])
         buf += struct.pack("<dQQ", self.grid.L, self.grid.n_x, self.ladder.n)
         buf += struct.pack("<d", self.update_tol)
-        buf += self.method.encode()
         return hashlib.sha256(bytes(buf)).hexdigest()
+
+
+def _reject_unknown(sec: dict, known, prefix: str, where: str = "") -> None:
+    unknown = [prefix + str(k) for k in sec if k not in known]
+    if unknown:
+        raise ValidationError(f"unknown config key {', '.join(unknown)}{where}")
 
 
 def _section(doc: dict, name: str, required: bool = True) -> dict:
@@ -109,6 +117,8 @@ def _section(doc: dict, name: str, required: bool = True) -> dict:
         return {}
     if not isinstance(sec, dict):
         raise ValidationError(f"config section {name!r} must be a mapping")
+    if name in _KEYS:
+        _reject_unknown(sec, _KEYS[name], f"{name}.")
     return sec
 
 
@@ -146,7 +156,9 @@ def load_config(path: str) -> RunConfig:
 
 
 def config_from_mapping(doc: dict) -> RunConfig:
-    """Validate an already-parsed configuration mapping."""
+    """Validate an already-parsed configuration mapping; a key that no
+    section or claims kind reads is a ValidationError."""
+    _reject_unknown(doc, (*_KEYS, "claims"), "")
     msec = _section(doc, "model")
     model = ModelParams(
         mu=_num(msec, "model", "mu"),
@@ -162,6 +174,8 @@ def config_from_mapping(doc: dict) -> RunConfig:
         raise ValidationError("claims.kind is required")
     params = {k: v for k, v in csec.items() if k != "kind"}
     claims = make_distribution(csec["kind"], params)
+    kind, known = claims_spec(claims)
+    _reject_unknown(params, known, "claims.", f" for claims.kind {kind!r}")
 
     gsec = _section(doc, "grid")
     grid = Grid(
@@ -191,7 +205,6 @@ def config_from_mapping(doc: dict) -> RunConfig:
         update_tol=_num(ssec, "solver", "update_tol", default=1e-10),
         residual_tol=_num(ssec, "solver", "residual_tol", default=1e-8),
         max_iter=_num(ssec, "solver", "max_iter", cast=int, default=10000),
-        method=str(ssec.get("method", "auto")),
         paths=_num(simsec, "simulate", "paths", cast=int, default=100000),
         seed=_num(simsec, "simulate", "seed", cast=int, default=20240901),
         horizon=horizon,

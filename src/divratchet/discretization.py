@@ -18,11 +18,13 @@ rule shows up as a spurious far-field source and bends the solution near
 the Dirichlet node.
 
 Evaluation paths for the convolution part:
-  * "direct"    - O(n_x^2) weight convolution (np.convolve), the baseline.
-  * "fft"       - same weights via scipy.signal.fftconvolve.
   * "recursive" - exact O(n_x) recursion, available when the density is a
                   finite exponential mixture (scipy.signal.lfilter).
-  * "auto"      - recursive when available, else direct.
+  * "fft"       - zero-padded real FFT product against rfft(w), computed
+                  once per kernel.
+  * "direct"    - O(n_x^2) weight convolution (np.convolve), the reference.
+  * "auto"      - the kernel's choice, which every operator uses: recursive
+                  when available, else fft.
 All paths agree to quadrature-rounding levels and are deterministic.
 
 The same recursion makes the frozen rung operator banded once its states
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
+from scipy.signal import lfilter
 
 from .errors import ValidationError
 from .model import ClaimDistribution, ModelParams, h_eval
@@ -97,6 +99,8 @@ class ConvKernel:
         w[0] = b[0]
         w[1:] = a[:n] + b[1:n + 1]
         self.w = w
+        self._nfft = 1 << (2 * n).bit_length()  # > 2 n_x: no wrap-around in [0, n_x]
+        self._w_hat = np.fft.rfft(w, self._nfft)
         self.b_corr = b  # b_corr[j] = b_{j+1}, the f_0 over-count in (f * w)_j
         self.tail = 1.0 - cdf_e[: n + 1]
         comps = dist.exp_components()
@@ -158,12 +162,12 @@ class ConvKernel:
             put(z_rows, -k - stride, -ak)
         return ab, (l, u), stride
 
-    def convolve(self, f: np.ndarray, method: str = "direct") -> np.ndarray:
+    def convolve(self, f: np.ndarray, method: str = "auto") -> np.ndarray:
         """S_j = integral_0^{x_j} f~(x_j - y) p(y) dy with f~ the linear
-        interpolant of f; S_0 = 0."""
+        interpolant of f; S_0 = 0, by a path of the module docstring."""
         n = self.grid.n_x
         if method == "auto":
-            method = "recursive" if self._rec is not None else "direct"
+            method = "recursive" if self._rec is not None else "fft"
         if method == "recursive":
             if self._rec is None:
                 raise ValidationError("recursive convolution needs an exponential-mixture density")
@@ -174,11 +178,11 @@ class ConvKernel:
             return s
         if method == "direct":
             full = np.convolve(f, self.w)
-            return full[: n + 1] - self.b_corr[: n + 1] * f[0]
-        if method == "fft":
-            full = fftconvolve(f, self.w)
-            return full[: n + 1] - self.b_corr[: n + 1] * f[0]
-        raise ValidationError(f"unknown convolution method {method!r}")
+        elif method == "fft":
+            full = np.fft.irfft(np.fft.rfft(f, self._nfft) * self._w_hat, self._nfft)
+        else:
+            raise ValidationError(f"unknown convolution method {method!r}")
+        return full[: n + 1] - self.b_corr[: n + 1] * f[0]
 
 
 @lru_cache(maxsize=64)
@@ -194,37 +198,27 @@ def _node_values(grid: Grid, f) -> np.ndarray:
     return f
 
 
-def apply_T(
-    m: ModelParams, d: ClaimDistribution, grid: Grid, f: np.ndarray, method: str = "direct"
-) -> np.ndarray:
+def apply_T(m: ModelParams, d: ClaimDistribution, grid: Grid, f: np.ndarray) -> np.ndarray:
     """Jump operator with reflection at zero:
     node j holds lam * (S_j + f_0 * (1 - F(x_j))); T(const K) = lam*K."""
     f = _node_values(grid, f)
     k = get_kernel(d, grid)
-    return m.lam * (k.convolve(f, method) + f[0] * k.tail)
+    return m.lam * (k.convolve(f) + f[0] * k.tail)
 
 
-def apply_I(
-    m: ModelParams, d: ClaimDistribution, grid: Grid, f: np.ndarray, method: str = "direct"
-) -> np.ndarray:
+def apply_I(m: ModelParams, d: ClaimDistribution, grid: Grid, f: np.ndarray) -> np.ndarray:
     """Jump operator without the reflection tail: lam * S_j."""
-    return m.lam * get_kernel(d, grid).convolve(_node_values(grid, f), method)
+    return m.lam * get_kernel(d, grid).convolve(_node_values(grid, f))
 
 
 def residual_Lc(
-    m: ModelParams,
-    d: ClaimDistribution,
-    grid: Grid,
-    c: float,
-    f: np.ndarray,
-    f_prime: np.ndarray,
-    method: str = "direct",
+    m: ModelParams, d: ClaimDistribution, grid: Grid, c: float, f: np.ndarray, f_prime: np.ndarray
 ) -> np.ndarray:
     """Pointwise residual -(mu-c) f' + (r+lam) f - T f + h - c."""
     if not c < m.mu:
         raise ValidationError("rate must stay below mu")
     f = _node_values(grid, f)
-    t = apply_T(m, d, grid, f, method)
+    t = apply_T(m, d, grid, f)
     h = h_eval(m, d, grid.nodes)
     return -(m.mu - c) * _node_values(grid, f_prime) + (m.r + m.lam) * f - t + h - c
 

@@ -105,11 +105,11 @@ def slope_growth_bound(m: ModelParams) -> float:
 
 
 def rung_residual(
-    v: np.ndarray, c: float, m: ModelParams, kern: ConvKernel, h: np.ndarray, method: str
+    v: np.ndarray, c: float, m: ModelParams, kern: ConvKernel, h: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(T v, scheme residual at nodes 0..n_x-1) of the rung with rate c."""
     n = kern.grid.n_x
-    t = m.lam * (kern.convolve(v, method) + v[0] * kern.tail)
+    t = m.lam * (kern.convolve(v) + v[0] * kern.tail)
     residual = -(m.mu - c) * np.diff(v) / kern.grid.dx + (m.r + m.lam) * v[:n] - t[:n] + h[:n] - c
     return t, residual
 
@@ -122,7 +122,6 @@ def picard_rung(
     h: np.ndarray,
     update_tol: float,
     max_iter: int,
-    method: str,
     label: str,
 ) -> tuple[np.ndarray, int, float]:
     """Frozen-T projected sweeps from the obstacle psi (a subsolution)
@@ -137,7 +136,7 @@ def picard_rung(
     v = psi.copy()
     update = np.inf
     for iterations in range(1, max_iter + 1):
-        t = m.lam * (kern.convolve(v, method) + v[0] * kern.tail)
+        t = m.lam * (kern.convolve(v) + v[0] * kern.tail)
         v_new = projected_backward_scan((t[:n] - h[:n] + c) / b, qt, psi[:n], psi[n])
         update = float(np.max(np.abs(v_new - v)))
         v = v_new
@@ -181,7 +180,7 @@ def policy_rung(
     for iterations in range(1, max_iter + 1):
         v = bordered_banded_solve(ab, bands, stride, rhs, border, contact, psi[:n])
         update = float(np.max(np.abs(v - v_old)))
-        _, res = rung_residual(v, c, m, kern, h, "recursive")
+        _, res = rung_residual(v, c, m, kern, h)
         tol = POLICY_TOL * b * float(np.max(np.abs(v)))
         new = np.where(contact, res >= -tol, v[:n] < psi[:n])
         if np.array_equal(new, contact):
@@ -203,7 +202,6 @@ def solve_rung(
     grid: Grid,
     update_tol: float = 1e-10,
     max_iter: int = 10000,
-    method: str = "auto",
     rung_label: str = "",
 ) -> ValueSlice:
     """Solve one obstacle problem with the previous rung as obstacle.
@@ -227,13 +225,13 @@ def solve_rung(
         )
     else:
         v, iterations, update = picard_rung(
-            psi, c, m, kern, h, update_tol, max_iter, method, label
+            psi, c, m, kern, h, update_tol, max_iter, label
         )
 
     gap = v - psi  # >= 0 bitwise: both solvers project onto the obstacle
     mask = gap == 0.0
 
-    t, residual = rung_residual(v, c, m, kern, h, method)
+    t, residual = rung_residual(v, c, m, kern, h)
     tol_c = max(1e-9, 1e2 * update_tol) * max(1.0, float(np.max(np.abs(v))))
     if residual.min() < -tol_c:
         raise ObstacleViolation(
@@ -270,7 +268,6 @@ def solve_ladder(
     update_tol: float = 1e-10,
     residual_tol: float = 1e-8,
     max_iter: int = 10000,
-    method: str = "auto",
     boundary: BoundarySolution | None = None,
 ) -> ValueSurface:
     """Solve every rung from the cap rate down to the floor.
@@ -285,9 +282,7 @@ def solve_ladder(
         raise ValidationError("ladder rate range must match the model's")
     if boundary is None:
         boundary = solve_g(
-            m, d, grid,
-            update_tol=update_tol, residual_tol=residual_tol,
-            max_iter=max_iter, method=method,
+            m, d, grid, update_tol=update_tol, residual_tol=residual_tol, max_iter=max_iter
         )
     shape = (ladder.n + 1, grid.n_x + 1)
     v = np.empty(shape)
@@ -309,7 +304,7 @@ def solve_ladder(
         if i:  # row 0 is g; each later row has the previous one as obstacle
             prev = solve_rung(
                 prev, float(rates[i]), m, d, grid,
-                update_tol=update_tol, max_iter=max_iter, method=method,
+                update_tol=update_tol, max_iter=max_iter,
                 rung_label=f"{i}/{ladder.n}",
             )
             first = int(np.argmax(prev.switch_mask))

@@ -313,7 +313,6 @@ def calibrate_eps_disc(
     grid: Grid,
     ladder: RateLadder,
     update_tol: float = 1e-10,
-    method: str = "auto",
     coarse_v: np.ndarray | None = None,
     fine_v: np.ndarray | None = None,
 ) -> tuple[float, float]:
@@ -335,7 +334,7 @@ def calibrate_eps_disc(
     def values(g, lad, given):
         if given is not None:
             return given
-        return solve_ladder(m, d, g, lad, update_tol=update_tol, method=method).v
+        return solve_ladder(m, d, g, lad, update_tol=update_tol).v
 
     vc = values(grid, ladder, coarse_v)
     vf = values(fine_grid, fine_ladder, fine_v)

@@ -10,6 +10,7 @@ extrapolation.
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from divratchet import (
     Exponential,
@@ -101,11 +102,42 @@ class TestConvergence:
         assert exc.value.iterations == 2
         assert exc.value.update_norm is not None
 
-    def test_method_paths_agree(self):
-        grid = Grid(L=30.0, n_x=500)
-        a = solve_g(M1, D1, grid, method="recursive", update_tol=1e-12).g
-        b = solve_g(M1, D1, grid, method="direct", update_tol=1e-12).g
-        assert np.max(np.abs(a - b)) < 1e-9
+
+class TestExactOracle:
+    """Exponential claims (mean gamma) have a closed-form g on the half-line:
+
+        g(x) = c_bar/r - K exp(-rho x),   K = ell (1 - rho gamma) / rho,
+
+    with rho the root in (0, 1/gamma) of
+        (mu - c_bar) rho + r + lam - lam / (1 - rho gamma) = 0,
+    so g'(0) = ell (1 - rho gamma).  The Dirichlet pin at L adds a term
+    that is negligible on [0, L/2].
+    """
+
+    @pytest.mark.parametrize(
+        "m,gamma,L",
+        [
+            (M1, 0.5, 30.0),
+            (ModelParams(mu=2.0, lam=2.0, r=0.1, ell=2.0, c_bar=1.2, c_floor=0.0), 0.6, 20.0),
+        ],
+        ids=["acceptance", "readme"],
+    )
+    def test_first_order_against_closed_form(self, m, gamma, L):
+        def root_eq(rho):
+            return (m.mu - m.c_bar) * rho + m.r + m.lam - m.lam / (1.0 - rho * gamma)
+
+        rho = brentq(root_eq, 0.0, (1.0 - 1e-12) / gamma)
+        slope0 = m.ell * (1.0 - rho * gamma)
+        errs = []
+        for n_x in (1000, 2000, 4000):
+            grid = Grid(L=L, n_x=n_x)
+            sol = solve_g(m, Exponential(gamma), grid)
+            x = grid.nodes
+            exact = m.c_bar / m.r - slope0 / rho * np.exp(-rho * x)
+            errs.append(float(np.max(np.abs(sol.g - exact)[x <= L / 2])))
+            assert abs(sol.g_prime[0] - slope0) <= 0.5 * grid.dx
+        assert 1.9 <= errs[0] / errs[1] <= 2.1
+        assert 1.9 <= errs[1] / errs[2] <= 2.1
 
 
 class TestOtherClaimFamilies:

@@ -283,6 +283,14 @@ def test_sweep_bad_param_rejected(tmp_path, capsys):
     assert "ValidationError" in capsys.readouterr().err
 
 
+def test_sweep_unknown_key_rejected(tmp_path, capsys):
+    cfg = make_cfg(tmp_path)
+    rc = main(["sweep", "--config", cfg, "--param", "solver.method",
+               "--values", "1.0"])
+    assert rc == 1
+    assert "ValidationError: unknown config key solver.method" in capsys.readouterr().err
+
+
 def test_verify_certificate_byte_identical(tmp_path):
     cfg = make_cfg(tmp_path)
     o1, o2 = str(tmp_path / "c1.json"), str(tmp_path / "c2.json")
@@ -324,6 +332,6 @@ def test_calibration_reuses_config_surface(tmp_path, monkeypatch, n_x, n, solves
     if n_x >= 128:
         g, lad = Grid(L=g.L, n_x=g.n_x // 2), RateLadder(lad.n // 2, lad.c_bar, lad.c_floor)
     kappa, _ = verify.calibrate_eps_disc(
-        cfg.model, cfg.claims, g, lad, update_tol=cfg.update_tol, method=cfg.method
+        cfg.model, cfg.claims, g, lad, update_tol=cfg.update_tol
     )
     assert eps == kappa * (cfg.grid.dx + cfg.ladder.dc)

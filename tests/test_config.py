@@ -51,7 +51,6 @@ def test_load_minimal_config(tmp_path):
     # defaults fill in the optional sections
     assert cfg.update_tol == 1e-10
     assert cfg.max_iter == 10000
-    assert cfg.method == "auto"
     assert cfg.paths == 100000
     assert cfg.horizon is None
     assert cfg.out_dir == "."
@@ -59,13 +58,12 @@ def test_load_minimal_config(tmp_path):
 
 def test_optional_sections_respected(tmp_path):
     doc = base_doc()
-    doc["solver"] = {"update_tol": 1e-12, "max_iter": 500, "method": "fft"}
+    doc["solver"] = {"update_tol": 1e-12, "max_iter": 500}
     doc["simulate"] = {"paths": 5000, "seed": 7, "horizon": 100.0}
     doc["output"] = {"dir": "out"}
     cfg = load_config(write_cfg(tmp_path, doc))
     assert cfg.update_tol == 1e-12
     assert cfg.max_iter == 500
-    assert cfg.method == "fft"
     assert cfg.paths == 5000
     assert cfg.seed == 7
     assert cfg.horizon == 100.0
@@ -93,7 +91,6 @@ def test_hash_stable_across_reload(tmp_path):
         ("grid__n_x", 1000),
         ("ladder__n", 128),
         ("solver__update_tol", 1e-11),
-        ("solver__method", "direct"),
     ],
 )
 def test_hash_changes_with_surface_inputs(tmp_path, key, val):
@@ -185,6 +182,25 @@ def test_missing_claims_kind(tmp_path):
 def test_unknown_method_rejected(tmp_path):
     with pytest.raises(ValidationError, match="solver.method"):
         load_config(write_cfg(tmp_path, base_doc(solver__method="magic")))
+
+
+@pytest.mark.parametrize(
+    "over,name",
+    [
+        ({"solver__method": "auto"}, "solver.method"),
+        ({"solver__update_tl": 1e-9}, "solver.update_tl"),
+        ({"model__mue": 2.0}, "model.mue"),
+        ({"solvr": {"update_tol": 1e-9}}, "solvr"),
+        ({"claims__alpha": 3.0}, "claims.alpha for claims.kind 'exponential'"),
+        (
+            {"claims": {"kind": "shifted_pareto", "alpha": 3.0, "theta": 1.2, "gamma": 0.5}},
+            "claims.gamma for claims.kind 'shifted_pareto'",
+        ),
+    ],
+)
+def test_unknown_key_rejected(tmp_path, over, name):
+    with pytest.raises(ValidationError, match=f"unknown config key {name}"):
+        load_config(write_cfg(tmp_path, base_doc(**over)))
 
 
 def test_ladder_endpoints_must_match_model():

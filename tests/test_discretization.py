@@ -28,6 +28,7 @@ from divratchet._sweep import (
     projected_backward_scan,
     reference_projected_sweep,
 )
+from divratchet.discretization import get_kernel
 
 M = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
 ALL_DISTS = [
@@ -100,20 +101,36 @@ class TestJumpOperator:
 
     @pytest.mark.parametrize("d", ALL_DISTS, ids=lambda d: d.kind)
     def test_methods_agree(self, d):
-        g = Grid(L=30.0, n_x=2000)
-        f = np.sin(g.nodes / 3.0) + 2.0
-        direct = apply_T(M, d, g, f, "direct")
-        fft = apply_T(M, d, g, f, "fft")
-        assert np.max(np.abs(direct - fft)) < 1e-9
-        if d.exp_components() is not None:
-            rec = apply_T(M, d, g, f, "recursive")
-            assert np.max(np.abs(direct - rec)) < 1e-9
+        # odd and large n_x exercise the zero-padded FFT length
+        for n_x in (2000, 1999, 4000):
+            g = Grid(L=30.0, n_x=n_x)
+            kern = get_kernel(d, g)
+            f = np.sin(g.nodes / 3.0) + 2.0
+            direct = kern.convolve(f, "direct")
+            assert direct[0] == 0.0
+            assert np.max(np.abs(direct - kern.convolve(f, "fft"))) < 1e-9
+            if d.exp_components() is not None:
+                assert np.max(np.abs(direct - kern.convolve(f, "recursive"))) < 1e-9
+
+    @pytest.mark.parametrize(
+        "d,path", zip(ALL_DISTS, ("recursive", "recursive", "fft")), ids=[d.kind for d in ALL_DISTS]
+    )
+    def test_auto_is_the_kernel_choice(self, d, path):
+        g = Grid(L=30.0, n_x=1001)
+        kern = get_kernel(d, g)
+        f = np.cos(g.nodes / 2.0) + 1.5
+        assert np.array_equal(kern.convolve(f), kern.convolve(f, path))
 
     def test_recursive_requires_mixture(self):
         g = Grid(L=30.0, n_x=100)
         f = np.ones(101)
         with pytest.raises(ValidationError):
-            apply_T(M, ShiftedPareto(3.0, 1.0), g, f, "recursive")
+            get_kernel(ShiftedPareto(3.0, 1.0), g).convolve(f, "recursive")
+
+    def test_unknown_method_rejected(self):
+        g = Grid(L=30.0, n_x=100)
+        with pytest.raises(ValidationError, match="unknown convolution method"):
+            get_kernel(Exponential(0.5), g).convolve(np.ones(101), "magic")
 
     def test_bounded_by_sup(self):
         g = Grid(L=20.0, n_x=400)

@@ -218,8 +218,7 @@ class TestAgainstDenseReference:
         h = h_eval(M2, D2, grid.nodes)
         for i in range(1, 33):
             v, sweeps, _ = picard_rung(
-                surface.v[i - 1], float(surface.rates[i]), M2, kern, h, 1e-10, 10000,
-                "auto", "test",
+                surface.v[i - 1], float(surface.rates[i]), M2, kern, h, 1e-10, 10000, "test",
             )
             assert np.max(np.abs(v - surface.v[i])) < 1e-8
             assert sweeps > surface.iterations[i]
