@@ -42,15 +42,11 @@ from .surface import (
     extract_boundary,
 )
 from .simulate import (
-    PathRecord,
     PayoffEstimate,
     default_horizon,
     estimate_boundary_payoff,
     estimate_constant_payoff,
     estimate_ratchet_payoff,
-    simulate_boundary,
-    simulate_constant,
-    simulate_ratchet,
 )
 from .verify import (
     Certificate,
@@ -80,7 +76,6 @@ __all__ = [
     "NoConvergence",
     "ObstacleViolation",
     "ParseError",
-    "PathRecord",
     "PayoffEstimate",
     "RateLadder",
     "RateMap",
@@ -110,9 +105,6 @@ __all__ = [
     "read_surface",
     "residual_Lc",
     "run_invariant_suite",
-    "simulate_boundary",
-    "simulate_constant",
-    "simulate_ratchet",
     "slope_growth_bound",
     "solve_g",
     "solve_ladder",

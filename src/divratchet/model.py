@@ -33,6 +33,9 @@ ArrayLike = Union[float, np.ndarray]
 
 #: Newton steps allowed per hyperexponential quantile draw
 NEWTON_CAP = 100
+#: elements per slice of a hyperexponential quantile transform; bounds the
+#: Newton work arrays whatever the size of the block
+SAMPLE_SLICE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -211,16 +214,25 @@ class HyperExponential(ClaimDistribution):
 
     def sample_from_uniform(self, u):
         # True quantile function, so common random numbers couple
-        # monotonically across distributions.  Newton solves
-        # log S(x) = log1p(-u) for the survival S = sum w_k exp(-x/g_k),
-        # evaluated as -x/g_max + log sum w_k exp(-x (1/g_k - 1/g_max)) so
-        # that it neither underflows nor cancels in the tail.  log S is
-        # convex and decreasing, and S(x) >= w_top exp(-x/g_max) makes
+        # monotonically across distributions.  The transform is elementwise,
+        # so the flattened input is taken in slices of SAMPLE_SLICE.
+        u = np.asarray(u, float)
+        flat = u.ravel()
+        x = np.empty(flat.size)
+        for lo in range(0, flat.size, SAMPLE_SLICE):
+            x[lo : lo + SAMPLE_SLICE] = self._quantile(flat[lo : lo + SAMPLE_SLICE])
+        return x[0] if u.ndim == 0 else x.reshape(u.shape)
+
+    def _quantile(self, u):
+        # Newton solves log S(x) = log1p(-u) for the survival
+        # S = sum w_k exp(-x/g_k), evaluated as
+        # -x/g_max + log sum w_k exp(-x (1/g_k - 1/g_max)) so that it
+        # neither underflows nor cancels in the tail.  log S is convex and
+        # decreasing, and S(x) >= w_top exp(-x/g_max) makes
         # g_max (log w_top - log1p(-u)) a lower bound of the root, so the
         # iterates rise monotonically from it.  Each element leaves the
         # active set on its own stopping test.
-        u = np.asarray(u, float)
-        target = np.log1p(-np.clip(u, 0.0, 1.0 - 1e-16)).ravel()
+        target = np.log1p(-np.clip(u, 0.0, 1.0 - 1e-16))
         g_max = max(self.means)
         comps = [(wk, gk, 1.0 / g_max - 1.0 / gk) for wk, gk in zip(self.weights, self.means)]
         w_top = sum(wk for wk, gk in zip(self.weights, self.means) if gk == g_max)
@@ -239,7 +251,7 @@ class HyperExponential(ClaimDistribution):
             x[active] = xa
             active = active[step > 1e-14 * (1.0 + xa)]
             if active.size == 0:
-                return x[0] if u.ndim == 0 else x.reshape(u.shape)
+                return x
         raise NoConvergence(
             f"hyperexponential quantile: {active.size} draws unconverged "
             f"after {NEWTON_CAP} Newton steps",

@@ -29,11 +29,11 @@ from divratchet import (
     h_eval,
     residual_Lc,
     run_invariant_suite,
-    simulate_ratchet,
     solve_g,
     solve_ladder,
 )
 from divratchet.cli import main as cli_main
+from mc_reference import simulate_ratchet
 
 M = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
 D = Exponential(gamma_mean=0.5)

@@ -156,6 +156,16 @@ class TestHyperExponential:
         assert z.shape == u.shape
         assert np.array_equal(z, each)
 
+    def test_sampling_sliced_block_equals_halves(self):
+        # 1100 x 64 exceeds one SAMPLE_SLICE, and the slice edge falls
+        # inside a row; each half fits in one slice
+        d = self.make()
+        u = np.random.default_rng(12).random((1100, 64))
+        assert u.size > model.SAMPLE_SLICE > u[:550].size
+        z = d.sample_from_uniform(u)
+        halves = np.concatenate([d.sample_from_uniform(u[:550]), d.sample_from_uniform(u[550:])])
+        assert np.array_equal(z, halves)
+
     def test_sampling_cap_raises(self, monkeypatch):
         monkeypatch.setattr(model, "NEWTON_CAP", 2)
         with pytest.raises(NoConvergence) as exc:

@@ -7,13 +7,15 @@ import math
 import numpy as np
 import pytest
 
+import mc_reference
 from divratchet import simulate as sim
 from divratchet.boundary import solve_g
 from divratchet.discretization import Grid
 from divratchet.errors import ValidationError
 from divratchet.ladder import RateLadder, solve_ladder
-from divratchet.model import Exponential, HyperExponential, ModelParams
+from divratchet.model import Exponential, HyperExponential, ModelParams, ShiftedPareto
 from divratchet.surface import RateMap, build_rate_map
+from mc_reference import simulate_boundary, simulate_constant, simulate_ratchet
 
 M1 = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
 D1 = Exponential(gamma_mean=0.5)
@@ -21,6 +23,7 @@ D1 = Exponential(gamma_mean=0.5)
 M2 = ModelParams(mu=2.0, lam=2.0, r=0.1, ell=2.0, c_bar=1.2, c_floor=0.0)
 D2 = Exponential(gamma_mean=0.6)
 DH = HyperExponential(weights=(0.7, 0.3), means=(0.3, 1.3))
+DP = ShiftedPareto(alpha=3.0, theta=1.2)
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +43,13 @@ def ratemap_h():
     grid = Grid(L=20.0, n_x=400)
     ladder = RateLadder(c_bar=M2.c_bar, c_floor=M2.c_floor, n=32)
     return build_rate_map(solve_ladder(M2, DH, grid, ladder))
+
+
+@pytest.fixture(scope="module")
+def ratemap_p():
+    grid = Grid(L=20.0, n_x=400)
+    ladder = RateLadder(c_bar=M2.c_bar, c_floor=M2.c_floor, n=16)
+    return build_rate_map(solve_ladder(M2, DP, grid, ladder))
 
 
 def constant_rate_map(grid, rates, row):
@@ -64,7 +74,7 @@ def test_no_claims_constant_rate_closed_form():
     # path is pure drift and dividends have an exact closed form
     m = ModelParams(mu=2.0, lam=1e-8, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
     for c, x0, T in [(1.0, 1.0, 0.8), (0.4, 0.0, 12.0), (1.0, -1.5, 3.0)]:
-        rec = sim.simulate_constant(m, D1, c, x0, seed=3, horizon=T)
+        rec = simulate_constant(m, D1, c, x0, seed=3, horizon=T)
         assert "claim" not in rec.kinds
         expect_div = c * -math.expm1(-m.r * T) / m.r
         assert rec.discounted_dividends == pytest.approx(expect_div, abs=1e-12)
@@ -87,7 +97,7 @@ def test_single_claim_reflection_hand_computed():
     T = w1 + 0.5 * w2
     x0 = 0.0
     c = M1.c_bar
-    rec = sim.simulate_constant(M1, D1, c, x0, seed=seed, horizon=T, path_index=idx)
+    rec = simulate_constant(M1, D1, c, x0, seed=seed, horizon=T, path_index=idx)
     assert rec.kinds.count("horizon") == 1
     assert len([k for k in rec.kinds if k in ("claim", "injection")]) == 1
     # dividends of a fixed-rate strategy are deterministic
@@ -99,7 +109,7 @@ def test_single_claim_reflection_hand_computed():
 
 
 def test_path_record_event_log_consistency():
-    rec = sim.simulate_boundary(M1, D1, 2.0, seed=17, horizon=60.0)
+    rec = simulate_boundary(M1, D1, 2.0, seed=17, horizon=60.0)
     assert set(rec.kinds) <= {"claim", "injection", "horizon", "start"}
     assert rec.kinds[-1] == "horizon"
     assert rec.times[-1] == 60.0
@@ -110,7 +120,7 @@ def test_path_record_event_log_consistency():
 
 
 def test_cumulative_injections_monotone_and_localized(ratemap2):
-    rec = sim.simulate_ratchet(M2, D2, ratemap2, -1.0, 0.0, seed=23)
+    rec = simulate_ratchet(M2, D2, ratemap2, -1.0, 0.0, seed=23)
     d = rec.cumulative_injections
     assert np.all(np.diff(d) >= 0)
     jumps = np.flatnonzero(np.diff(np.concatenate([[0.0], d])) > 0)
@@ -131,7 +141,7 @@ def test_two_seed_estimates_statistically_consistent():
 
 def test_constant_rate_above_cap_rejected():
     with pytest.raises(ValidationError):
-        sim.simulate_constant(M1, D1, M1.c_bar + 0.1, 0.0, seed=1)
+        simulate_constant(M1, D1, M1.c_bar + 0.1, 0.0, seed=1)
     with pytest.raises(ValidationError):
         sim.estimate_constant_payoff(M1, D1, M1.c_bar + 0.1, 0.0, 100, seed=1)
 
@@ -145,7 +155,7 @@ def test_estimator_needs_two_paths(ratemap2):
 
 def test_initial_rate_outside_ladder_rejected(ratemap2):
     with pytest.raises(ValidationError):
-        sim.simulate_ratchet(M2, D2, ratemap2, 0.0, M2.c_bar + 0.05, seed=1)
+        simulate_ratchet(M2, D2, ratemap2, 0.0, M2.c_bar + 0.05, seed=1)
     with pytest.raises(ValidationError):
         sim.estimate_ratchet_payoff(M2, D2, ratemap2, 0.0, -0.1, 100, seed=1)
 
@@ -154,31 +164,31 @@ def test_deterministic_same_seed(ratemap2):
     a = sim.estimate_ratchet_payoff(M2, D2, ratemap2, 1.0, 0.6, 500, seed=9)
     b = sim.estimate_ratchet_payoff(M2, D2, ratemap2, 1.0, 0.6, 500, seed=9)
     assert a.mean == b.mean and a.std_error == b.std_error
-    ra = sim.simulate_ratchet(M2, D2, ratemap2, 1.0, 0.6, seed=9)
-    rb = sim.simulate_ratchet(M2, D2, ratemap2, 1.0, 0.6, seed=9)
+    ra = simulate_ratchet(M2, D2, ratemap2, 1.0, 0.6, seed=9)
+    rb = simulate_ratchet(M2, D2, ratemap2, 1.0, 0.6, seed=9)
     assert ra.payoff == rb.payoff
     assert np.array_equal(ra.times, rb.times)
 
 
 def test_distinct_paths_distinct_streams():
-    a = sim.simulate_boundary(M1, D1, 0.0, seed=9, path_index=0)
-    b = sim.simulate_boundary(M1, D1, 0.0, seed=9, path_index=1)
+    a = simulate_boundary(M1, D1, 0.0, seed=9, path_index=0)
+    b = simulate_boundary(M1, D1, 0.0, seed=9, path_index=1)
     assert a.payoff != b.payoff
 
 
 def test_payoff_never_exceeds_perpetuity_bound():
     cap = M1.c_bar / M1.r
     for i in range(20):
-        rec = sim.simulate_boundary(M1, D1, 3.0, seed=100, path_index=i)
+        rec = simulate_boundary(M1, D1, 3.0, seed=100, path_index=i)
         assert rec.payoff <= cap + 1e-9
 
 
 def test_injection_shift_identity_single_paths(ratemap2):
-    r0 = sim.simulate_ratchet(M2, D2, ratemap2, 0.0, 0.0, seed=5)
-    ra = sim.simulate_ratchet(M2, D2, ratemap2, -2.0, 0.0, seed=5)
+    r0 = simulate_ratchet(M2, D2, ratemap2, 0.0, 0.0, seed=5)
+    ra = simulate_ratchet(M2, D2, ratemap2, -2.0, 0.0, seed=5)
     assert abs(ra.payoff - (r0.payoff - M2.ell * 2.0)) <= 1e-12
-    c0 = sim.simulate_constant(M1, D1, 1.0, 0.0, seed=5)
-    ca = sim.simulate_constant(M1, D1, 1.0, -3.0, seed=5)
+    c0 = simulate_constant(M1, D1, 1.0, 0.0, seed=5)
+    ca = simulate_constant(M1, D1, 1.0, -3.0, seed=5)
     assert abs(ca.payoff - (c0.payoff - M1.ell * 3.0)) <= 1e-12
 
 
@@ -213,10 +223,10 @@ def test_flat_rate_table_matches_constant_simulator():
     rates = np.linspace(M2.c_bar, 0.0, 5)
     rm = constant_rate_map(grid, rates, np.full(grid.n_x + 1, 0.6))
     for i in range(4):
-        a = sim.simulate_ratchet(
+        a = simulate_ratchet(
             M2, D2, rm, 1.0, 0.6, seed=31, horizon=80.0, path_index=i
         )
-        b = sim.simulate_constant(
+        b = simulate_constant(
             M2, D2, 0.6, 1.0, seed=31, horizon=80.0, path_index=i
         )
         assert abs(a.payoff - b.payoff) <= 1e-9
@@ -235,13 +245,13 @@ def test_start_beyond_domain_pays_cap(ratemap2):
 def test_single_path_matches_batch_on_shared_stream(ratemap2, monkeypatch):
     # same draws, two independent accounting implementations (event loop
     # with node snapping vs vectorized schedule evaluation)
-    monkeypatch.setattr(sim, "_path_rng", lambda seed, idx: sim._batch_rng(seed))
+    monkeypatch.setattr(mc_reference, "_path_rng", lambda seed, idx: sim._batch_rng(seed))
     sched = sim.FrontierSchedule(
         M2, sim._ratchet_row(ratemap2, 0.0), ratemap2.grid
     )
     T = sim.default_horizon(M2.r)
     for s in range(1, 6):
-        single = sim.simulate_ratchet(M2, D2, ratemap2, 0.0, 0.0, seed=s)
+        single = simulate_ratchet(M2, D2, ratemap2, 0.0, 0.0, seed=s)
         batch = sim._batch_ratchet_payoffs(M2, D2, sched, 0.0, 1, s, T)
         assert abs(single.payoff - batch[0]) <= 1e-11
 
@@ -249,19 +259,42 @@ def test_single_path_matches_batch_on_shared_stream(ratemap2, monkeypatch):
 def test_single_path_matches_batch_on_shared_stream_hyperexp(ratemap_h, monkeypatch):
     # as above with hyperexponential claims: the batch engine transforms a
     # whole claim block at once, the single path one size per claim
-    monkeypatch.setattr(sim, "_path_rng", lambda seed, idx: sim._batch_rng(seed))
+    monkeypatch.setattr(mc_reference, "_path_rng", lambda seed, idx: sim._batch_rng(seed))
     sched = sim.FrontierSchedule(
         M2, sim._ratchet_row(ratemap_h, 0.0), ratemap_h.grid
     )
     T = sim.default_horizon(M2.r)
     for s in range(1, 6):
-        single = sim.simulate_ratchet(M2, DH, ratemap_h, 0.0, 0.0, seed=s)
+        single = simulate_ratchet(M2, DH, ratemap_h, 0.0, 0.0, seed=s)
         batch = sim._batch_ratchet_payoffs(M2, DH, sched, 0.0, 1, s, T)
         assert abs(single.payoff - batch[0]) <= 1e-11
 
 
+@pytest.mark.parametrize("horizon", [5.0, None], ids=["short", "default"])
+@pytest.mark.parametrize(
+    "claims, rate_map",
+    [(D2, "ratemap2"), (DH, "ratemap_h"), (DP, "ratemap_p")],
+    ids=["exponential", "hyperexponential", "shifted_pareto"],
+)
+def test_batch_ratchet_bitwise_matches_reference(claims, rate_map, horizon, request, monkeypatch):
+    # the live-path engine with carried frontier state against the masked
+    # loop that steps every path on every column: same bits, over partial
+    # and multiple chunks, starts below zero and beyond L, and a horizon
+    # that every path reaches within the first claim block; the integer
+    # start must not make the carried running maximum an integer array
+    monkeypatch.setattr(sim, "CHUNK_PATHS", 300)
+    rm = request.getfixturevalue(rate_map)
+    T = sim.default_horizon(M2.r) if horizon is None else horizon
+    for x0 in (-1.0, 0, 3.0, 25.0):
+        for c0 in (0.0, 0.5):
+            sched = sim.FrontierSchedule(M2, sim._ratchet_row(rm, c0), rm.grid)
+            new = sim._batch_ratchet_payoffs(M2, claims, sched, x0, 1000, 7, T)
+            ref = mc_reference.reference_batch_ratchet(M2, claims, sched, x0, 1000, 7, T)
+            assert np.array_equal(new, ref), (x0, c0)
+
+
 def test_ratchet_rate_never_decreases_along_path(ratemap2):
-    rec = sim.simulate_ratchet(M2, D2, ratemap2, 0.0, 0.0, seed=5)
+    rec = simulate_ratchet(M2, D2, ratemap2, 0.0, 0.0, seed=5)
     rates = rec.rate_after
     assert np.all(np.diff(rates) >= -1e-15)
     assert rates[0] >= 0.0
@@ -279,7 +312,7 @@ def test_deterministic_growth_matches_hand_integration():
     rm = constant_rate_map(grid, rates, row)
     T = 40.0
     x0 = 0.3
-    rec = sim.simulate_ratchet(m, D1, rm, x0, 0.2, seed=3, horizon=T)
+    rec = simulate_ratchet(m, D1, rm, x0, 0.2, seed=3, horizon=T)
     assert "claim" not in rec.kinds and "injection" not in rec.kinds
 
     t1 = (1.0 - x0) / (m.mu - 0.2)
