@@ -8,19 +8,15 @@ Two ways to solve a rung of the rate ladder, chosen by the claim family:
       b v_j = a v_{j+1} + phi_j   (interior j),    v_{n_x} = v_L,
 
   with a = (mu - c)/dx and b = a + r + lam, i.e. v_j = alpha_j + qt v_{j+1}
-  with alpha = phi/b, qt = a/b in (0, 1).  The obstacle variant replaces the
-  affine step by v_j = max(alpha_j + qt v_{j+1}, psi_j), which solves the
-  frozen complementarity system exactly whenever the active set is an
-  upper set in x (Brennan-Schwartz sweep).  `projected_backward_scan`
-  evaluates that recursion with O(log n) numpy passes: the map
-  v -> max(A + Q v, P) is closed under composition,
-
-      (A1,Q1,P1) o (A2,Q2,P2) = (A1 + Q1 A2, Q1 Q2, max(A1 + Q1 P2, P1)),
-
-  so a Hillis-Steele suffix scan composes all node maps and then applies
-  the boundary value once.  `reference_projected_sweep` is the plain loop
-  kept as the test oracle.  `backward_linear_solve` is the unprojected
-  stage used by the cap-rate solve.
+  with alpha = phi/b, qt = a/b in (0, 1).  `backward_linear_solve` solves
+  it as a first-order filter.  The obstacle variant replaces the affine
+  step by v_j = max(alpha_j + qt v_{j+1}, psi_j), which solves the frozen
+  complementarity system exactly whenever the active set is an upper set
+  in x (Brennan-Schwartz sweep); `projected_backward_scan` evaluates it in
+  O(n) from the unprojected solution and a blocked suffix maximum.  The
+  stages contract only by lam/(r + lam), so `anderson_fixed_point` mixes
+  the last few of them (Anderson acceleration) and returns the first plain
+  stage whose update is below the tolerance.
 
 * Policy iteration (exponential-mixture densities).  The whole rung
   operator, nonlocal term included, is banded on the augmented unknowns of
@@ -36,6 +32,15 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.signal import lfilter
+
+from .errors import NoConvergence
+
+#: secant pairs kept by `anderson_fixed_point`
+ANDERSON_DEPTH = 5
+#: log of the smallest weight qt^k inside one block of
+#: `projected_backward_scan`; far above the subnormal range, so the
+#: weighted obstacle terms keep full precision
+_LOG_MIN_WEIGHT = np.log(1e-150)
 
 
 def backward_linear_solve(alpha: np.ndarray, qt: float, v_L: float) -> np.ndarray:
@@ -59,28 +64,36 @@ def projected_backward_scan(
 ) -> np.ndarray:
     """Solve v_j = max(alpha_j + qt*v_{j+1}, psi_j), v_n = v_L.
 
-    alpha and psi hold the interior coefficients (length n).  Exact (up to
-    rounding) reformulation of the sequential recursion; every output node
-    satisfies v_j >= psi_j by construction.
+    alpha and psi hold the interior coefficients (length n).  Closed form of
+    the sequential recursion in O(n): with A the unprojected solution
+    (`backward_linear_solve`) and d = psi - A, the lift y = v - A obeys
+    y_j = max(qt*y_{j+1}, d_j), y_n = 0, so qt^j*y_j is a suffix maximum of
+    qt^k*d_k.  The maximum runs in blocks short enough that the weights
+    qt^k stay above exp(_LOG_MIN_WEIGHT), carrying y across block edges.
+    A node whose own obstacle term attains the maximum returns psi_j
+    bitwise, and every node returns at least psi_j.
     """
     n = alpha.shape[0]
-    a = alpha.astype(float, copy=True)
-    q = np.full(n, qt)
-    p = psi.astype(float, copy=True)
-    s = 1
-    while s < n:
-        head = n - s
-        a_new = a.copy()
-        q_new = q.copy()
-        p_new = p.copy()
-        a_new[:head] = a[:head] + q[:head] * a[s:]
-        p_new[:head] = np.maximum(a[:head] + q[:head] * p[s:], p[:head])
-        q_new[:head] = q[:head] * q[s:]
-        a, q, p = a_new, q_new, p_new
-        s <<= 1
+    A = backward_linear_solve(alpha, qt, v_L)
+    d = psi - A[:n]
+    log_qt = np.log(qt)
+    block = n if n * log_qt >= _LOG_MIN_WEIGHT else max(1, int(_LOG_MIN_WEIGHT / log_qt))
+    w = qt ** np.arange(block + 1.0)
     out = np.empty(n + 1)
-    out[:n] = np.maximum(a + q * v_L, p)
     out[n] = v_L
+    y_next = 0.0  # y at the node after the block
+    e = n
+    while e > 0:
+        s = max(0, e - block)
+        k = e - s
+        z = np.empty(k + 1)
+        np.multiply(w[:k], d[s:e], out=z[:k])
+        z[k] = w[k] * y_next
+        top = np.maximum.accumulate(z[::-1])[::-1]
+        v = np.maximum(A[s:e] + top[:k] / w[:k], psi[s:e])
+        out[s:e] = np.where(top[:k] == z[:k], psi[s:e], v)
+        y_next = top[0]  # w[0] = 1
+        e = s
     return out
 
 
@@ -120,13 +133,60 @@ def bordered_banded_solve(
     return v
 
 
-def reference_projected_sweep(
-    alpha: np.ndarray, qt: float, psi: np.ndarray, v_L: float
-) -> np.ndarray:
-    """Sequential form of `projected_backward_scan`; test oracle."""
-    n = alpha.shape[0]
-    out = np.empty(n + 1)
-    out[n] = v_L
-    for j in range(n - 1, -1, -1):
-        out[j] = max(alpha[j] + qt * out[j + 1], psi[j])
-    return out
+def anderson_fixed_point(
+    G, v: np.ndarray, update_tol: float, max_iter: int, label: str
+) -> tuple[np.ndarray, int, float]:
+    """Fixed point of the sup-norm contraction G by Anderson mixing.
+
+    Each step evaluates g = G(v) and the residual f = g - v, and stops once
+    |f|_inf <= update_tol, returning (g, map evaluations, |f|_inf): the
+    output is a plain image of G, so whatever G guarantees (obstacle order,
+    exact contact) holds for it, and with contraction factor rho it lies
+    within rho/(1 - rho) * |f|_inf of the fixed point.  Otherwise the next
+    iterate is g - dG @ gamma, where gamma fits f by the last
+    ANDERSON_DEPTH residual differences dF in least squares (Walker & Ni,
+    SIAM J. Numer. Anal. 49(4), 2011).  A mixed iterate whose residual is
+    not below that of the last accepted one is dropped with the history,
+    and the plain step G of the accepted iterate is taken instead: the
+    accepted residuals decrease, by at least rho after each dropped step.
+    Raises NoConvergence after max_iter evaluations.
+    """
+    n = v.shape[0]
+    dF = np.empty((ANDERSON_DEPTH, n))
+    dG = np.empty((ANDERSON_DEPTH, n))
+    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))  # dF @ dF.T
+    stored = slot = 0
+    f_acc = g_acc = None  # residual and image of the last accepted iterate
+    best = np.inf
+    mixed = False
+    update = np.inf
+    for evaluations in range(1, max_iter + 1):
+        g = G(v)
+        f = g - v
+        update = float(np.max(np.abs(f)))
+        if update <= update_tol:
+            return g, evaluations, update
+        if mixed and update >= best:
+            stored = slot = 0
+            v = g_acc
+            mixed = False
+            continue
+        if f_acc is not None:
+            np.subtract(f, f_acc, out=dF[slot])
+            np.subtract(g, g_acc, out=dG[slot])
+            stored = min(stored + 1, ANDERSON_DEPTH)
+            gram[slot, :stored] = gram[:stored, slot] = dF[:stored] @ dF[slot]
+            slot = (slot + 1) % ANDERSON_DEPTH
+        f_acc, g_acc, best = f, g, update
+        mixed = stored > 0
+        if mixed:
+            gamma = np.linalg.lstsq(gram[:stored, :stored], dF[:stored] @ f, rcond=None)[0]
+            v = g - gamma @ dG[:stored]
+        else:
+            v = g
+    raise NoConvergence(
+        f"{label}: sup-norm update {update:.3e} above {update_tol:.1e} "
+        f"after {max_iter} map evaluations",
+        iterations=max_iter,
+        update_norm=update,
+    )

@@ -11,7 +11,9 @@ f(0)(1 - F(x)) and the same difference equation holds there.
 
 The solve freezes T at the previous iterate and back-substitutes from the
 Dirichlet node (Picard); the iteration map contracts in sup norm with
-factor at most lam / (r + lam).  Known envelope, used by the checks:
+factor at most lam / (r + lam), so the sweeps are Anderson-mixed
+(`_sweep.anderson_fixed_point`) and the last plain sweep is returned.
+Known envelope, used by the checks:
 
     (c_bar - lam*ell*gamma)/r <= g <= c_bar/r,   0 <= g' <= ell,   g'' <= 0.
 """
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sweep import backward_linear_solve
+from ._sweep import anderson_fixed_point, backward_linear_solve
 from .discretization import Grid, get_kernel, residual_Lc, second_diff
 from .errors import NoConvergence
 from .model import ClaimDistribution, ModelParams, h_eval
@@ -47,12 +49,14 @@ def solve_g(
     residual_tol: float = 1e-8,
     max_iter: int = 10000,
 ) -> BoundarySolution:
-    """Picard-iterate the frozen-T upwind scheme to its fixed point.
+    """Iterate the frozen-T upwind scheme to its fixed point, with Anderson
+    mixing of the sweeps.
 
     Starts from the constant c_bar/r (the value of the cap strategy with no
-    claims, an upper bound).  Stops when the sup-norm update falls below
-    update_tol; the achieved scheme residual is then checked against
-    residual_tol.  Raises NoConvergence on either failure.
+    claims, an upper bound).  Stops when the sup-norm update of a plain
+    sweep falls below update_tol (picard_iterations counts the sweeps);
+    the achieved scheme residual is then checked against residual_tol.
+    Raises NoConvergence on either failure.
     """
     n = grid.n_x
     dx = grid.dx
@@ -63,26 +67,13 @@ def solve_g(
     qt = a / b
     v_L = m.c_bar / m.r
 
-    v = np.full(n + 1, v_L)
-    update = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    def sweep(v):
         t = m.lam * (kern.convolve(v) + v[0] * kern.tail)
-        phi = t - h + m.c_bar
-        v_new = backward_linear_solve(phi[:n] / b, qt, v_L)
-        update = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if update <= update_tol:
-            break
-    else:
-        raise NoConvergence(
-            f"g solve: sup-norm update {update:.3e} still above {update_tol:.1e} "
-            f"after {max_iter} sweeps (contraction estimate "
-            f"{m.lam / (m.r + m.lam):.4f})",
-            iterations=max_iter,
-            update_norm=update,
-        )
+        return backward_linear_solve((t[:n] - h[:n] + m.c_bar) / b, qt, v_L)
 
+    v, iterations, update = anderson_fixed_point(
+        sweep, np.full(n + 1, v_L), update_tol, max_iter, "g solve"
+    )
     g_prime = _upwind_derivative(m, d, grid, v, h)
     res = residual_Lc(m, d, grid, m.c_bar, v, g_prime)
     residual_sup = float(np.max(np.abs(res[:n])))

@@ -18,10 +18,11 @@ ways depending on the claim family:
     obstacle or the equation is violated.  It warm-starts from the previous
     rung's contact set and settles in a handful of steps.
   * other densities (shifted Pareto): frozen-T Picard iteration, each stage
-    solved exactly by the projected backward sweep, which is valid because
-    the contact set is an upper interval in x (switching is optimal below
-    the free boundary, waiting above it).  It contracts by lam/(r + lam)
-    per sweep and stops on the sup-norm update.
+    solved exactly by the O(n_x) projected backward sweep, which is valid
+    because the contact set is an upper interval in x (switching is optimal
+    below the free boundary, waiting above it).  A plain sweep contracts
+    only by lam/(r + lam), so the sweeps are Anderson-mixed; the rung stops
+    on the sup-norm update of a plain sweep and returns that sweep.
 
 Both paths end with v_i = max(v_i, v_{i-1}), so the obstacle order holds
 bitwise, and the switch mask is the exact contact set v_i == v_{i-1}.  A
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sweep import bordered_banded_solve, projected_backward_scan
+from ._sweep import anderson_fixed_point, bordered_banded_solve, projected_backward_scan
 from .boundary import BoundarySolution, solve_g
 from .discretization import ConvKernel, Grid, get_kernel
 from .errors import DomainTooSmall, NoConvergence, ObstacleViolation, ValidationError
@@ -85,9 +86,11 @@ class RateLadder:
 class ValueSlice:
     """One rung: value, derivative, and the switch mask (v_i = v_{i-1}).
 
-    iterations counts policy steps on exponential-mixture rungs and Picard
-    sweeps otherwise; final_update_norm is the sup-norm change of v in the
-    last step (for the first policy step, the change from the obstacle).
+    iterations counts policy steps on exponential-mixture rungs and
+    projected sweeps (map evaluations of the Anderson-mixed Picard
+    iteration) otherwise; final_update_norm is the sup-norm change of v in
+    the last step (for the first policy step, the change from the obstacle;
+    for Picard, the update of the returned sweep).
     """
 
     rate: float
@@ -124,30 +127,22 @@ def picard_rung(
     max_iter: int,
     label: str,
 ) -> tuple[np.ndarray, int, float]:
-    """Frozen-T projected sweeps from the obstacle psi (a subsolution)
-    until the sup-norm update is at most update_tol.
+    """Anderson-mixed frozen-T projected sweeps from the obstacle psi until
+    the sup-norm update of a plain sweep is at most update_tol.
 
-    Returns (v, sweeps, final update); raises NoConvergence.
+    Returns (v, sweeps, final update), v being the last plain sweep; raises
+    NoConvergence after max_iter sweeps.
     """
     n = kern.grid.n_x
     a = (m.mu - c) / kern.grid.dx
     b = a + m.r + m.lam
     qt = a / b
-    v = psi.copy()
-    update = np.inf
-    for iterations in range(1, max_iter + 1):
+
+    def sweep(v):
         t = m.lam * (kern.convolve(v) + v[0] * kern.tail)
-        v_new = projected_backward_scan((t[:n] - h[:n] + c) / b, qt, psi[:n], psi[n])
-        update = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if update <= update_tol:
-            return v, iterations, update
-    raise NoConvergence(
-        f"rung {label}: sup-norm update {update:.3e} above "
-        f"{update_tol:.1e} after {max_iter} sweeps",
-        iterations=max_iter,
-        update_norm=update,
-    )
+        return projected_backward_scan((t[:n] - h[:n] + c) / b, qt, psi[:n], psi[n])
+
+    return anderson_fixed_point(sweep, psi, update_tol, max_iter, f"rung {label}")
 
 
 def policy_rung(

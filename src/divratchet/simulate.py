@@ -120,13 +120,13 @@ class FrontierSchedule:
     def rate_at(self, x):
         """Rate while the running maximum sits at x (right-continuous)."""
         x = np.asarray(x, float)
-        j = np.clip((x / self.grid.dx).astype(np.int64), 0, self.grid.n_x)
+        j = np.minimum(np.maximum((x / self.grid.dx).astype(np.int64), 0), self.grid.n_x)
         return np.where(x >= self.grid.L, self.m.c_bar, self.rho[j])
 
     def clock(self, x):
         x = np.asarray(x, float)
-        j = np.clip(
-            np.floor(x / self.grid.dx).astype(np.int64), 0, self.grid.n_x - 1
+        j = np.minimum(
+            np.maximum(np.floor(x / self.grid.dx).astype(np.int64), 0), self.grid.n_x - 1
         )
         inside = self.t_cross[j] + (x - j * self.grid.dx) / (self.m.mu - self.rho[j])
         beyond = self.t_end + (x - self.grid.L) / self.cap_drift
@@ -135,9 +135,8 @@ class FrontierSchedule:
     def pos_dp(self, tau):
         """Position and clock-discounted dividend prefix at clock tau."""
         tau = np.asarray(tau, float)
-        j = np.clip(
-            np.searchsorted(self.t_cross, tau, side="right") - 1,
-            0,
+        j = np.minimum(
+            np.maximum(np.searchsorted(self.t_cross, tau, side="right") - 1, 0),
             self.grid.n_x - 1,
         )
         over = tau >= self.t_end

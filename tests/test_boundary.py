@@ -21,6 +21,9 @@ from divratchet import (
     ShiftedPareto,
 )
 from divratchet.boundary import boundary_residual_report, solve_g
+from divratchet.ladder import RateLadder
+from divratchet.verify import calibrate_eps_disc
+from sweep_reference import reference_picard_g
 
 M1 = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
 D1 = Exponential(0.5)
@@ -114,7 +117,7 @@ class TestExactOracle:
     that is negligible on [0, L/2].
     """
 
-    @pytest.mark.parametrize(
+    SETS = pytest.mark.parametrize(
         "m,gamma,L",
         [
             (M1, 0.5, 30.0),
@@ -122,22 +125,65 @@ class TestExactOracle:
         ],
         ids=["acceptance", "readme"],
     )
-    def test_first_order_against_closed_form(self, m, gamma, L):
+
+    @staticmethod
+    def exact_g(m, gamma):
+        """(closed-form g as a function of x, its slope at 0)."""
+
         def root_eq(rho):
             return (m.mu - m.c_bar) * rho + m.r + m.lam - m.lam / (1.0 - rho * gamma)
 
         rho = brentq(root_eq, 0.0, (1.0 - 1e-12) / gamma)
         slope0 = m.ell * (1.0 - rho * gamma)
+        return (lambda x: m.c_bar / m.r - slope0 / rho * np.exp(-rho * x)), slope0
+
+    @SETS
+    def test_first_order_against_closed_form(self, m, gamma, L):
+        exact, slope0 = self.exact_g(m, gamma)
         errs = []
         for n_x in (1000, 2000, 4000):
             grid = Grid(L=L, n_x=n_x)
             sol = solve_g(m, Exponential(gamma), grid)
             x = grid.nodes
-            exact = m.c_bar / m.r - slope0 / rho * np.exp(-rho * x)
-            errs.append(float(np.max(np.abs(sol.g - exact)[x <= L / 2])))
+            errs.append(float(np.max(np.abs(sol.g - exact(x))[x <= L / 2])))
             assert abs(sol.g_prime[0] - slope0) <= 0.5 * grid.dx
         assert 1.9 <= errs[0] / errs[1] <= 2.1
         assert 1.9 <= errs[1] / errs[2] <= 2.1
+
+    @SETS
+    def test_eps_disc_covers_rung0_error(self, m, gamma, L):
+        # the refinement budget of verify must cover the true error of g,
+        # the bottom rung of every ladder, at each size
+        exact, _ = self.exact_g(m, gamma)
+        d = Exponential(gamma)
+        for n_x in (1000, 2000, 4000):
+            grid = Grid(L=L, n_x=n_x)
+            x = grid.nodes
+            err = float(np.max(np.abs(solve_g(m, d, grid).g - exact(x))[x <= L / 2]))
+            _, eps_disc = calibrate_eps_disc(m, d, grid, RateLadder(8, m.c_bar, m.c_floor))
+            assert err <= eps_disc
+
+
+class TestAgainstPlainPicard:
+    """`solve_g` mixes its sweeps (Anderson); plain sweeps are the oracle."""
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            Exponential(0.6),
+            HyperExponential((0.7, 0.3), (0.3, 1.3)),
+            ShiftedPareto(alpha=3.0, theta=1.2),
+        ],
+        ids=["exponential", "hyperexponential", "shifted_pareto"],
+    )
+    def test_matches_plain_picard(self, d):
+        m = ModelParams(mu=2.0, lam=2.0, r=0.1, ell=2.0, c_bar=1.2, c_floor=0.0)
+        grid = Grid(L=20.0, n_x=400)
+        sol = solve_g(m, d, grid)
+        ref, plain_sweeps = reference_picard_g(m, d, grid)
+        assert sol.final_update_norm <= 1e-10
+        assert np.max(np.abs(sol.g - ref)) <= 1e-8
+        assert sol.picard_iterations < plain_sweeps
 
 
 class TestOtherClaimFamilies:

@@ -23,12 +23,9 @@ from divratchet import (
     h_eval,
     residual_Lc,
 )
-from divratchet._sweep import (
-    backward_linear_solve,
-    projected_backward_scan,
-    reference_projected_sweep,
-)
+from divratchet._sweep import backward_linear_solve, projected_backward_scan
 from divratchet.discretization import get_kernel
+from sweep_reference import reference_projected_sweep
 
 M = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
 ALL_DISTS = [
@@ -207,18 +204,42 @@ class TestSweeps:
         assert np.all(v[:-1] >= psi)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 100_000),
-    n=st.integers(1, 257),
-    qt=st.floats(0.01, 0.999),
+    n=st.integers(1, 5000),
+    qt=st.floats(1e-3, 0.99999),
+    ties=st.booleans(),
 )
-def test_scan_matches_sequential_oracle(seed, n, qt):
+def test_scan_matches_sequential_oracle(seed, n, qt, ties):
+    # small qt and long n split the scan into many blocks (about 50 nodes
+    # each at qt = 1e-3); ties gives the obstacle repeated values and a flat
+    # run at its maximum, so runs of contact nodes share one value
     rng = np.random.default_rng(seed)
     alpha = rng.normal(size=n) * rng.uniform(0.1, 10)
     psi = rng.normal(size=n) * rng.uniform(0.1, 10)
+    if ties:
+        psi = np.round(psi)
+        lo = int(rng.integers(0, n))
+        psi[lo : lo + int(rng.integers(1, 200))] = psi.max()
     v_L = float(rng.normal())
     fast = projected_backward_scan(alpha, qt, psi, v_L)
     slow = reference_projected_sweep(alpha, qt, psi, v_L)
     scale = np.max(np.abs(slow)) + 1.0
     assert np.max(np.abs(fast - slow)) < 1e-11 * scale
+    assert np.all(fast[:-1] >= psi)
+    took = slow[:-1] == psi  # nodes where the oracle takes the obstacle
+    assert np.array_equal(fast[:-1][took], psi[took])
+
+
+@pytest.mark.parametrize("qt, n", [(0.5, 1600), (1e-3, 5000), (0.99999, 5000)])
+def test_scan_blocks_stay_finite(qt, n):
+    # qt^n underflows for the first two cases; the blocked suffix maximum
+    # must still reproduce the sequential sweep
+    rng = np.random.default_rng(11)
+    alpha = rng.normal(size=n)
+    psi = rng.normal(size=n)
+    fast = projected_backward_scan(alpha, qt, psi, 0.25)
+    slow = reference_projected_sweep(alpha, qt, psi, 0.25)
+    assert np.all(np.isfinite(fast))
+    assert np.max(np.abs(fast - slow)) < 1e-11 * (np.max(np.abs(slow)) + 1.0)

@@ -4,12 +4,15 @@ The dense reference solver below (`howard_reference`) solves the same
 discrete complementarity system by policy iteration with direct dense
 solves - finitely convergent for M-matrices - and is the independent check
 that both rung solvers (banded policy iteration for exponential mixtures,
-the projected-sweep Picard iteration otherwise) land on the right solution.
+the Anderson-mixed projected-sweep Picard iteration otherwise) land on the
+right solution.
 """
 
 import numpy as np
 import pytest
 
+import divratchet._sweep as sweep_mod
+import divratchet.ladder as ladder_mod
 from divratchet import (
     DomainTooSmall,
     Exponential,
@@ -32,6 +35,7 @@ from divratchet.ladder import (
     solve_ladder,
     solve_rung,
 )
+from sweep_reference import reference_picard_rung
 
 M1 = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
 D1 = Exponential(0.5)
@@ -233,6 +237,70 @@ class TestAgainstDenseReference:
         assert off.max() <= 1e-14
         assert np.diag(A).min() > 0
         assert A[:-1].sum(axis=1).min() >= M2.r - 1e-10
+
+
+class TestAnderson:
+    """Pareto rungs are Anderson-mixed projected sweeps; plain sweeps from
+    the same obstacle (`sweep_reference`) are the oracle."""
+
+    def test_pareto_rungs_match_plain_picard(self):
+        grid = Grid(L=20.0, n_x=400)
+        kern = get_kernel(P2, grid)
+        h = h_eval(M2, P2, grid.nodes)
+        psi = base_slice(M2, P2, grid).v
+        for i, c in enumerate(RateLadder(16, 1.2, 0.0).rates[1:], 1):
+            v, sweeps, update = picard_rung(psi, float(c), M2, kern, h, 1e-10, 10000, str(i))
+            ref, plain_sweeps = reference_picard_rung(psi, float(c), M2, P2, grid)
+            assert update <= 1e-10
+            assert np.max(np.abs(v - ref)) <= 1e-8
+            assert np.array_equal(v == psi, ref == psi)
+            assert sweeps < plain_sweeps
+            psi = v
+
+    def test_forced_restarts_still_converge(self, monkeypatch):
+        # mixing coefficients of the wrong sign make mixed steps fail to
+        # lower the residual; each failure must clear the history and fall
+        # back to the plain sweep of the last accepted iterate
+        grid = Grid(L=20.0, n_x=200)
+        kern = get_kernel(P2, grid)
+        h = h_eval(M2, P2, grid.nodes)
+        psi = base_slice(M2, P2, grid).v
+        c = 1.0
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda a, b, rcond=None: (-4.0 * lstsq(a, b, rcond=rcond)[0],)
+        )
+        restarts = 0
+
+        def watched(G, v, tol, max_iter, label):
+            images = []
+
+            def recorded(x):
+                # a restart evaluates the image of the last accepted iterate,
+                # two evaluations back
+                nonlocal restarts
+                restarts += len(images) >= 2 and np.array_equal(x, images[-2])
+                images.append(G(x))
+                return images[-1]
+
+            return sweep_mod.anderson_fixed_point(recorded, v, tol, max_iter, label)
+
+        monkeypatch.setattr(ladder_mod, "anderson_fixed_point", watched)
+        v, sweeps, update = picard_rung(psi, c, M2, kern, h, 1e-10, 10000, "forced")
+        ref, plain_sweeps = reference_picard_rung(psi, c, M2, P2, grid)
+        assert restarts >= 1
+        assert update <= 1e-10
+        assert np.max(np.abs(v - ref)) <= 1e-8
+        assert sweeps <= 2 * plain_sweeps + 2
+
+    def test_no_convergence_counts_sweeps(self):
+        grid = Grid(L=20.0, n_x=200)
+        kern = get_kernel(P2, grid)
+        h = h_eval(M2, P2, grid.nodes)
+        psi = base_slice(M2, P2, grid).v
+        with pytest.raises(NoConvergence, match="rung x: .* after 3 map evaluations") as exc:
+            picard_rung(psi, 1.0, M2, kern, h, 1e-10, 3, "x")
+        assert exc.value.iterations == 3
 
 
 class TestChainStructure:

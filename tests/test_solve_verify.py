@@ -5,6 +5,7 @@ The README model has an interior free boundary at every size below, so the
 certificate is checked on a ladder that actually switches.
 """
 
+import numpy as np
 import pytest
 
 from divratchet import (
@@ -30,8 +31,13 @@ CASES = [
     for n_x in (400, 2000)
     for n in (16, 32, 64)
 ]
-# Picard path; 1600 x 32 is where the contact mask used to admit tiny gaps
-PARETO_CASES = [("shifted_pareto", 400, 16), ("shifted_pareto", 1600, 32)]
+# Anderson-mixed Picard path; 1600 x 32 is where the contact mask used to
+# admit tiny gaps
+PARETO_CASES = [
+    ("shifted_pareto", 400, 16),
+    ("shifted_pareto", 1600, 32),
+    ("shifted_pareto", 2000, 64),
+]
 
 
 def claims(kind):
@@ -48,6 +54,8 @@ def test_solved_surface_passes_invariants(kind, n_x, n):
     x_star = extract_boundary(surface).x_star
     assert 0.0 < x_star.max() < 0.8 * grid.L
     assert surface.masks[1:].mean() < 1.0
+    for mask in surface.masks:  # switch regions are upper sets in x
+        assert mask[int(np.argmax(mask)):].all()
 
     cert = run_invariant_suite(surface, d)
     failed = {c.name: (c.observed, c.bound) for c in cert.checks if not c.passed}
