@@ -23,14 +23,23 @@ its running maximum ("frontier"), cell crossings happen at precomputed
 clock times; while below it ("recovery"), the rate is frozen until the
 maximum is reached again.  Both phases are exact.
 
-The ratchet engine steps only live paths: a path leaves the working arrays
-at the claim step that reaches the horizon, and the sizes of a new block
-are transformed for the live rows only.  Each path carries the frontier
-state of its running maximum (clock, dividend prefix and rate), which is
-recomputed only on the steps where the maximum grows.  Neither changes
-the arithmetic of any path, so payoffs are the same bits as stepping every
-path on every column.  The single-path event-log simulators that check
-this accounting live with the tests as reference implementations.
+Both batch engines prepare each claim block once, not once per claim
+column.  A block is stored claim-major, (2, K, n) for its n live paths,
+so every claim column is contiguous; its interarrival slot is turned in
+place into the waits, and its sizes are transformed for the live rows
+only.  The constant-rate engine then builds the claim clocks by column
+adds in the freed size slot and takes their discount factors with one exp;
+the horizon is exact by masking (from its horizon column on a path has
+the factor e^{-rT} and claim size 0), so only the surplus recursion and
+the two running sums remain per column, and finished paths leave at the
+block end.  The ratchet engine steps only live paths: a path leaves the
+working arrays at the claim step that reaches the horizon.  It carries
+e^{-rt} and the frontier state of its running maximum (clock, dividend
+prefix and rate), recomputed only for the rows whose maximum grows.  None
+of this changes the arithmetic of any path, so payoffs are the same bits
+as stepping every path on every column with per-column transforms.  Those
+masked loops and the single-path event-log simulators that check this
+accounting live with the tests as reference implementations.
 """
 
 from __future__ import annotations
@@ -48,6 +57,8 @@ from .surface import RateMap, rung_index
 CHUNK_PATHS = 16384
 #: claim columns drawn per block
 CLAIM_BLOCK = 64
+#: paths of a block drawn at a time
+DRAW_SLAB = 256
 
 
 def default_horizon(r: float) -> float:
@@ -110,46 +121,62 @@ class FrontierSchedule:
         drift = m.mu - self.rho[:-1]
         dt = grid.dx / drift
         self.t_cross = np.concatenate([[0.0], np.cumsum(dt)])
-        e = np.exp(-m.r * self.t_cross)
-        seg = self.rho[:-1] * (e[:-1] - e[1:]) / m.r
+        e_cross = np.exp(-m.r * self.t_cross)
+        seg = self.rho[:-1] * (e_cross[:-1] - e_cross[1:]) / m.r
         self.dp_node = np.concatenate([[0.0], np.cumsum(seg)])
         self.t_end = float(self.t_cross[-1])
         self.dp_end = float(self.dp_node[-1])
+        self.e_end = math.exp(-m.r * self.t_end)
         self.cap_drift = m.mu - m.c_bar
+        # per-cell tables of the cells [x_j, x_{j+1}), j < n_x, read with
+        # take(mode="clip"), which clamps the cell index as the lookups need
+        self.cell_x = np.arange(grid.n_x) * grid.dx
+        self.cell_t = self.t_cross[:-1]
+        self.cell_rho = self.rho[:-1]
+        self.cell_drift = drift
+        self.cell_dp = self.dp_node[:-1]
+        self.cell_e = e_cross[:-1]
+
+    # Each lookup evaluates the beyond-L (beyond-t_end) branch only when
+    # some entry lies there; entries inside get the same bits either way.
 
     def rate_at(self, x):
         """Rate while the running maximum sits at x (right-continuous)."""
         x = np.asarray(x, float)
-        j = np.minimum(np.maximum((x / self.grid.dx).astype(np.int64), 0), self.grid.n_x)
-        return np.where(x >= self.grid.L, self.m.c_bar, self.rho[j])
+        rate = self.rho.take((x / self.grid.dx).astype(np.int64), mode="clip")
+        over = x >= self.grid.L
+        return np.where(over, self.m.c_bar, rate) if np.count_nonzero(over) else rate
 
     def clock(self, x):
         x = np.asarray(x, float)
-        j = np.minimum(
-            np.maximum(np.floor(x / self.grid.dx).astype(np.int64), 0), self.grid.n_x - 1
-        )
-        inside = self.t_cross[j] + (x - j * self.grid.dx) / (self.m.mu - self.rho[j])
-        beyond = self.t_end + (x - self.grid.L) / self.cap_drift
-        return np.where(x >= self.grid.L, beyond, inside)
+        # truncation, not floor: the clip sends every negative index to 0
+        j = (x / self.grid.dx).astype(np.int64)
+        tau = self.cell_t.take(j, mode="clip") + (
+            x - self.cell_x.take(j, mode="clip")
+        ) / self.cell_drift.take(j, mode="clip")
+        over = x >= self.grid.L
+        if np.count_nonzero(over):
+            tau = np.where(over, self.t_end + (x - self.grid.L) / self.cap_drift, tau)
+        return tau
 
     def pos_dp(self, tau):
         """Position and clock-discounted dividend prefix at clock tau."""
         tau = np.asarray(tau, float)
-        j = np.minimum(
-            np.maximum(np.searchsorted(self.t_cross, tau, side="right") - 1, 0),
-            self.grid.n_x - 1,
-        )
-        over = tau >= self.t_end
+        # the cell whose crossing clock is the last one <= tau
+        j = self.t_cross[1:].searchsorted(tau, side="right")
         e_tau = np.exp(-self.m.r * tau)
-        pos_in = j * self.grid.dx + (tau - self.t_cross[j]) * (self.m.mu - self.rho[j])
-        dp_in = self.dp_node[j] + self.rho[j] * (
-            np.exp(-self.m.r * self.t_cross[j]) - e_tau
+        pos = self.cell_x.take(j, mode="clip") + (
+            tau - self.cell_t.take(j, mode="clip")
+        ) * self.cell_drift.take(j, mode="clip")
+        dp = self.cell_dp.take(j, mode="clip") + self.cell_rho.take(j, mode="clip") * (
+            self.cell_e.take(j, mode="clip") - e_tau
         ) / self.m.r
-        pos_out = self.grid.L + (tau - self.t_end) * self.cap_drift
-        dp_out = self.dp_end + self.m.c_bar * (
-            math.exp(-self.m.r * self.t_end) - e_tau
-        ) / self.m.r
-        return np.where(over, pos_out, pos_in), np.where(over, dp_out, dp_in)
+        over = tau >= self.t_end
+        if np.count_nonzero(over):
+            pos = np.where(over, self.grid.L + (tau - self.t_end) * self.cap_drift, pos)
+            dp_out = self.dp_end + self.m.c_bar * (self.e_end - e_tau) / self.m.r
+            dp = np.where(over, dp_out, dp)
+        return pos, dp
 
 
 def _ratchet_row(rate_map: RateMap, c0: float) -> np.ndarray:
@@ -158,44 +185,113 @@ def _ratchet_row(rate_map: RateMap, c0: float) -> np.ndarray:
     return rate_map.values[rung_index(rate_map.rates, c0)]
 
 
+class _ClaimBlocks:
+    """Claim blocks of one p-path chunk, stored claim-major.
+
+    Each block is the next rng.random((p, K, 2)) of the stream, cut to the
+    live rows and stored as (2, K, n), so that every claim column is
+    contiguous.  It is drawn DRAW_SLAB rows at a time (the stream is the
+    same as one draw) into buffers kept for the whole chunk, so a block
+    touches no fresh pages and never holds the (p, K, 2) draws.
+    """
+
+    def __init__(self, rng, p):
+        self.rng = rng
+        self.buf = np.empty((2, CLAIM_BLOCK, p))
+        self.slab = np.empty((min(DRAW_SLAB, p), CLAIM_BLOCK, 2))
+
+    def next(self, d, lam, live):
+        """Block of the live rows with its interarrival slot turned in place
+        into the waits -log1p(-u)/lam, and the (K, n) claim sizes."""
+        p = self.buf.shape[2]
+        block = self.buf[:, :, : live.size]
+        for i0 in range(0, p, DRAW_SLAB):
+            rows = self.slab[: min(DRAW_SLAB, p - i0)]
+            self.rng.random(out=rows)
+            lo, hi = np.searchsorted(live, (i0, i0 + rows.shape[0]))
+            if hi - lo < rows.shape[0]:
+                rows = rows[live[lo:hi] - i0]
+            block[:, :, lo:hi] = rows.T
+        sizes = d.sample_from_uniform(block[1])
+        w = block[0]
+        np.negative(w, out=w)
+        np.log1p(w, out=w)
+        np.divide(w, -lam, out=w)
+        return block, sizes
+
+
+def _constant_block(m, c_const, T, block, sizes, t, e, x, div, cost):
+    """Advance the live paths of a chunk over one claim block, in place.
+
+    t and e are each path's clock and discount factor at its last claim.
+    The claim clocks go into the size slot of the block, which then holds
+    their discount factors; from each path's horizon column on the factor
+    is e^{-rT} and the claim size 0, so that column adds the dividend up
+    to T and later columns add exactly 0.  Returns the mask of the paths
+    whose horizon fell in the block.
+    """
+    w, clk = block
+    np.add(t, w[0], out=clk[0])
+    for k in range(1, CLAIM_BLOCK):
+        np.add(clk[k - 1], w[k], out=clk[k])
+    t[:] = clk[-1]
+    gone = t >= T
+    past = clk >= T if gone.any() else None
+    np.multiply(clk, -m.r, out=clk)
+    np.exp(clk, out=clk)
+    n_cols = CLAIM_BLOCK
+    if past is not None:
+        np.copyto(clk, math.exp(-m.r * T), where=past)
+        np.copyto(sizes, 0.0, where=past)
+        # columns after the one where every path has passed T add 0
+        ended = past.all(axis=1)
+        if ended[-1]:
+            n_cols = int(ended.argmax()) + 1
+    # dividends c (e_{k-1} - e_k) / r of each claim interval
+    gain = np.empty_like(sizes)
+    np.subtract(e, clk[0], out=gain[0])
+    np.subtract(clk[:-1], clk[1:], out=gain[1:])
+    gain *= c_const
+    gain /= m.r
+    e[:] = clk[-1]
+    # the claim loop reads ell e^{-r t_k} and (mu - c) w_k; products commute
+    # bitwise, so these are the per-claim factors
+    clk *= m.ell
+    w *= m.mu - c_const
+    short = np.empty_like(x)
+    for k in range(n_cols):
+        div += gain[k]
+        x += w[k]
+        np.subtract(sizes[k], x, out=short)
+        np.maximum(short, 0.0, out=short)
+        short *= clk[k]
+        cost += short
+        x -= sizes[k]
+        np.maximum(x, 0.0, out=x)
+    return gone
+
+
 def _batch_constant_payoffs(m, d, c_const, x0, n_paths, seed, T):
     rng = _batch_rng(seed)
     out = np.empty(n_paths)
-    done = 0
-    while done < n_paths:
+    for done in range(0, n_paths, CHUNK_PATHS):
         p = min(CHUNK_PATHS, n_paths - done)
+        res = out[done : done + p]
+        live = np.arange(p)
         t = np.zeros(p)
-        x = np.full(p, max(x0, 0.0))
+        e = np.ones(p)
+        x = np.full(p, max(float(x0), 0.0))
         div = np.zeros(p)
         cost = np.full(p, m.ell * max(-x0, 0.0))
-        alive = np.ones(p, dtype=bool)
-        while alive.any():
-            draws = rng.random((p, CLAIM_BLOCK, 2))
-            sizes = d.sample_from_uniform(draws[:, :, 1])
-            for k in range(CLAIM_BLOCK):
-                if not alive.any():
-                    break
-                w = -np.log1p(-draws[:, k, 0]) / m.lam
-                hit = alive & (t + w >= T)
-                run = alive & ~hit
-                div[hit] += (
-                    c_const * (np.exp(-m.r * t[hit]) - math.exp(-m.r * T)) / m.r
-                )
-                t_next = t + w
-                div[run] += (
-                    c_const
-                    * (np.exp(-m.r * t[run]) - np.exp(-m.r * t_next[run]))
-                    / m.r
-                )
-                x[run] += (m.mu - c_const) * w[run]
-                z = sizes[:, k]
-                shortfall = np.where(run, np.maximum(z - x, 0.0), 0.0)
-                cost[run] += m.ell * np.exp(-m.r * t_next[run]) * shortfall[run]
-                x[run] = np.maximum(x[run] - z[run], 0.0)
-                t[run] = t_next[run]
-                alive &= ~hit
-        out[done : done + p] = div - cost
-        done += p
+        blocks = _ClaimBlocks(rng, p)
+        while live.size:
+            block, sizes = blocks.next(d, m.lam, live)
+            gone = _constant_block(m, c_const, T, block, sizes, t, e, x, div, cost)
+            del sizes  # freed before the next block is sampled
+            if gone.any():
+                res[live[gone]] = div[gone] - cost[gone]
+                keep = ~gone
+                live, t, e, x, div, cost = (a[keep] for a in (live, t, e, x, div, cost))
     return out
 
 
@@ -209,6 +305,7 @@ def _batch_ratchet_payoffs(m, d, sched, x0, n_paths, seed, T):
         # index of working row i
         live = np.arange(p)
         t = np.zeros(p)
+        e = np.ones(p)  # e^{-rt}, carried from step to step
         x = np.full(p, max(float(x0), 0.0))
         mx = x.copy()
         div = np.zeros(p)
@@ -217,15 +314,12 @@ def _batch_ratchet_payoffs(m, d, sched, x0, n_paths, seed, T):
         tau_m = sched.clock(mx)
         dp_m = sched.pos_dp(tau_m)[1]
         rate_m = sched.rate_at(mx)
+        blocks = _ClaimBlocks(rng, p)
         while live.size:
-            draws = rng.random((p, CLAIM_BLOCK, 2))
-            if live.size < p:
-                # keep the live rows only; the full block is freed here
-                draws = draws[live]
-            sizes = d.sample_from_uniform(draws[:, :, 1])
+            block, sizes = blocks.next(d, m.lam, live)
             row = np.arange(live.size)  # block row of each working row
             for k in range(CLAIM_BLOCK):
-                w = -np.log1p(-draws[row, k, 0]) / m.lam
+                w = block[0, k][row]
                 left = T - t
                 dur = np.minimum(w, left)
                 # recovery at the frozen rate of the running maximum
@@ -233,11 +327,17 @@ def _batch_ratchet_payoffs(m, d, sched, x0, n_paths, seed, T):
                 rec = np.minimum((mx - x) / drift, dur)
                 rec = np.maximum(rec, 0.0)
                 t_mid = t + rec
-                div += rate_m * (np.exp(-m.r * t) - np.exp(-m.r * t_mid)) / m.r
+                e_mid = np.exp(-m.r * t_mid)
+                div += rate_m * (e - e_mid) / m.r
                 x_end = np.minimum(x + drift * rec, mx)
+                t = t + dur
+                # a path that stays off the frontier and takes its claim
+                # has rec == dur, so it ends the step at t_mid; only
+                # frontier rows need a new e^{-rt}
+                e = e_mid
                 # frontier growth for the remaining duration
                 front = dur - rec
-                f = np.flatnonzero(front > 0.0)
+                f = (front > 0.0).nonzero()[0]
                 if f.size:
                     tau0 = tau_m[f]
                     pos1, dp1 = sched.pos_dp(tau0 + front[f])
@@ -247,22 +347,23 @@ def _batch_ratchet_payoffs(m, d, sched, x0, n_paths, seed, T):
                     tau_m[f] = tau1
                     dp_m[f] = sched.pos_dp(tau1)[1]
                     rate_m[f] = sched.rate_at(pos1)
-                t = t + dur
+                    e[f] = np.exp(-m.r * t[f])
                 # paths that reach the horizon take no claim and leave
                 hor = w >= left
-                if hor.any():
+                if np.count_nonzero(hor):
                     res[live[hor]] = div[hor] - cost[hor]
                     keep = ~hor
-                    live, row, t, x_end, mx, div, cost, tau_m, dp_m, rate_m = (
+                    live, row, t, e, x_end, mx, div, cost, tau_m, dp_m, rate_m = (
                         a[keep]
-                        for a in (live, row, t, x_end, mx, div, cost, tau_m, dp_m, rate_m)
+                        for a in (live, row, t, e, x_end, mx, div, cost, tau_m, dp_m, rate_m)
                     )
                     if not live.size:
                         break
-                z = sizes[row, k]
+                z = sizes[k][row]
                 shortfall = np.maximum(z - x_end, 0.0)
-                cost += m.ell * np.exp(-m.r * t) * shortfall
+                cost += m.ell * e * shortfall
                 x = np.maximum(x_end - z, 0.0)
+            del sizes  # freed before the next block is sampled
     return out
 
 

@@ -13,6 +13,13 @@ tested against.
   re-evaluates the frontier clock and dividend prefix from the running
   maximum on every step.  The package's engine must reproduce its payoffs
   bitwise.
+* ``reference_batch_constant`` is the masked batch constant-rate loop that
+  steps every path of a chunk on every claim column and transforms each
+  column's waits and discount factors on its own.  The package's engine
+  must reproduce its payoffs bitwise.
+* ``reference_rate_at`` / ``reference_clock`` / ``reference_pos_dp`` are
+  the frontier schedule lookups that evaluate both branches for every
+  entry and select with ``np.where``.
 """
 
 from __future__ import annotations
@@ -304,3 +311,79 @@ def reference_batch_ratchet(m, d, sched, x0, n_paths, seed, T):
         out[done : done + p] = div - cost
         done += p
     return out
+
+
+def reference_batch_constant(m, d, c_const, x0, n_paths, seed, T):
+    rng = sim._batch_rng(seed)
+    out = np.empty(n_paths)
+    done = 0
+    while done < n_paths:
+        p = min(sim.CHUNK_PATHS, n_paths - done)
+        t = np.zeros(p)
+        x = np.full(p, max(x0, 0.0))
+        div = np.zeros(p)
+        cost = np.full(p, m.ell * max(-x0, 0.0))
+        alive = np.ones(p, dtype=bool)
+        while alive.any():
+            draws = rng.random((p, sim.CLAIM_BLOCK, 2))
+            sizes = d.sample_from_uniform(draws[:, :, 1])
+            for k in range(sim.CLAIM_BLOCK):
+                if not alive.any():
+                    break
+                w = -np.log1p(-draws[:, k, 0]) / m.lam
+                hit = alive & (t + w >= T)
+                run = alive & ~hit
+                div[hit] += (
+                    c_const * (np.exp(-m.r * t[hit]) - math.exp(-m.r * T)) / m.r
+                )
+                t_next = t + w
+                div[run] += (
+                    c_const
+                    * (np.exp(-m.r * t[run]) - np.exp(-m.r * t_next[run]))
+                    / m.r
+                )
+                x[run] += (m.mu - c_const) * w[run]
+                z = sizes[:, k]
+                shortfall = np.where(run, np.maximum(z - x, 0.0), 0.0)
+                cost[run] += m.ell * np.exp(-m.r * t_next[run]) * shortfall[run]
+                x[run] = np.maximum(x[run] - z[run], 0.0)
+                t[run] = t_next[run]
+                alive &= ~hit
+        out[done : done + p] = div - cost
+        done += p
+    return out
+
+
+def reference_rate_at(sched, x):
+    x = np.asarray(x, float)
+    j = np.minimum(np.maximum((x / sched.grid.dx).astype(np.int64), 0), sched.grid.n_x)
+    return np.where(x >= sched.grid.L, sched.m.c_bar, sched.rho[j])
+
+
+def reference_clock(sched, x):
+    x = np.asarray(x, float)
+    j = np.minimum(
+        np.maximum(np.floor(x / sched.grid.dx).astype(np.int64), 0), sched.grid.n_x - 1
+    )
+    inside = sched.t_cross[j] + (x - j * sched.grid.dx) / (sched.m.mu - sched.rho[j])
+    beyond = sched.t_end + (x - sched.grid.L) / sched.cap_drift
+    return np.where(x >= sched.grid.L, beyond, inside)
+
+
+def reference_pos_dp(sched, tau):
+    tau = np.asarray(tau, float)
+    j = np.minimum(
+        np.maximum(np.searchsorted(sched.t_cross, tau, side="right") - 1, 0),
+        sched.grid.n_x - 1,
+    )
+    over = tau >= sched.t_end
+    e_tau = np.exp(-sched.m.r * tau)
+    pos_in = j * sched.grid.dx + (tau - sched.t_cross[j]) * (sched.m.mu - sched.rho[j])
+    dp_in = sched.dp_node[j] + sched.rho[j] * (
+        np.exp(-sched.m.r * sched.t_cross[j]) - e_tau
+    ) / sched.m.r
+    pos_out = sched.grid.L + (tau - sched.t_end) * sched.cap_drift
+    dp_out = sched.dp_end + sched.m.c_bar * (
+        math.exp(-sched.m.r * sched.t_end) - e_tau
+    ) / sched.m.r
+    return np.where(over, pos_out, pos_in), np.where(over, dp_out, dp_in)

@@ -3,6 +3,7 @@ with the PDE solver through an entirely different route (sample paths vs
 fixed-point iteration)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,91 @@ def test_batch_ratchet_bitwise_matches_reference(claims, rate_map, horizon, requ
             new = sim._batch_ratchet_payoffs(M2, claims, sched, x0, 1000, 7, T)
             ref = mc_reference.reference_batch_ratchet(M2, claims, sched, x0, 1000, 7, T)
             assert np.array_equal(new, ref), (x0, c0)
+
+
+@pytest.mark.parametrize("horizon", [5.0, None], ids=["short", "default"])
+@pytest.mark.parametrize(
+    "claims", [D2, DH, DP], ids=["exponential", "hyperexponential", "shifted_pareto"]
+)
+def test_batch_constant_bitwise_matches_reference(claims, horizon, monkeypatch):
+    # the block-prepared engine (claim-major blocks, horizon by masking,
+    # compaction at block ends) against the masked loop that steps every
+    # path on every column: same bits over partial and multiple chunks,
+    # starts below zero and beyond L, and a horizon inside the first block
+    monkeypatch.setattr(sim, "CHUNK_PATHS", 300)
+    T = sim.default_horizon(M2.r) if horizon is None else horizon
+    for x0 in (-1.0, 0.0, 3.0, 25.0):
+        for c in (0.0, 0.6, M2.c_bar):
+            new = sim._batch_constant_payoffs(M2, claims, c, x0, 1000, 7, T)
+            ref = mc_reference.reference_batch_constant(M2, claims, c, x0, 1000, 7, T)
+            assert np.array_equal(new, ref), (x0, c)
+
+
+def test_integer_start_matches_float_start():
+    # an integer x0 must not make the surplus an integer array
+    for x0 in (-1, 0, 3):
+        for est in (
+            lambda x: sim.estimate_constant_payoff(
+                M2, D2, 0.6, x, 300, seed=4, horizon=20.0, return_payoffs=True
+            ),
+            lambda x: sim.estimate_boundary_payoff(
+                M2, D2, x, 300, seed=4, horizon=20.0, return_payoffs=True
+            ),
+        ):
+            assert np.array_equal(est(x0)[1], est(float(x0))[1]), x0
+
+
+@pytest.mark.parametrize("rate_map", ["ratemap2", "ratemap_p"])
+def test_schedule_lookups_match_where_forms(rate_map, request):
+    # the lookups evaluate the beyond-L / beyond-t_end branch only when some
+    # entry is there; on arrays wholly inside, on arrays that mix both sides
+    # (nodes, the edges themselves) and on scalar floats they must give the
+    # bits of the forms that evaluate both branches and select
+    rm = request.getfixturevalue(rate_map)
+    sched = sim.FrontierSchedule(M2, sim._ratchet_row(rm, 0.0), rm.grid)
+    rng = np.random.default_rng(5)
+    L, t_end = rm.grid.L, sched.t_end
+    x_in = np.concatenate([rng.uniform(0.0, L, 400), rm.grid.nodes[:-1], [-0.01, -2.5]])
+    x_mixed = np.concatenate([x_in, [L, np.nextafter(L, 0.0), L + 1e-9, 1.5 * L, 40.0]])
+    tau_in = np.concatenate([rng.uniform(0.0, t_end, 400), sched.t_cross[:-1], [-0.01, -3.0]])
+    tau_mixed = np.concatenate(
+        [tau_in, [t_end, np.nextafter(t_end, 0.0), t_end + 1e-9, 2.0 * t_end]]
+    )
+    for x in (x_in, x_mixed):
+        assert np.array_equal(sched.rate_at(x), mc_reference.reference_rate_at(sched, x))
+        assert np.array_equal(sched.clock(x), mc_reference.reference_clock(sched, x))
+    for tau in (tau_in, tau_mixed):
+        for new, ref in zip(sched.pos_dp(tau), mc_reference.reference_pos_dp(sched, tau)):
+            assert np.array_equal(new, ref)
+    for v in (0.0, 0.3 * L, float(rm.grid.nodes[7]), L, 25.0):
+        assert float(sched.rate_at(v)) == float(mc_reference.reference_rate_at(sched, v))
+        assert float(sched.clock(v)) == float(mc_reference.reference_clock(sched, v))
+    for v in (0.0, 0.5 * t_end, t_end, 2.0 * t_end):
+        for new, ref in zip(sched.pos_dp(v), mc_reference.reference_pos_dp(sched, v)):
+            assert float(new) == float(ref)
+
+
+@pytest.mark.parametrize(
+    "engine, claims, bound_mib",
+    [("constant", D2, 41.1), ("constant", DH, 46.1), ("ratchet", D2, 42.7)],
+    ids=["constant-exponential", "constant-hyperexponential", "ratchet-exponential"],
+)
+def test_full_chunk_peak_memory(engine, claims, bound_mib, ratemap2):
+    # tracemalloc peak of one estimate over a full 16,384-path chunk and
+    # two claim blocks.  The bounds are the peaks of the per-column
+    # engines, which held the last block while drawing the next; preparing
+    # a block at once must not cost more than that
+    n = sim.CHUNK_PATHS
+    tracemalloc.start()
+    try:
+        if engine == "constant":
+            sim.estimate_constant_payoff(M2, claims, 0.6, 0.0, n, seed=1, horizon=40.0)
+        else:
+            sim.estimate_ratchet_payoff(M2, claims, ratemap2, 0.0, 0.0, n, seed=1, horizon=40.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20, peak / 2**20
 
 
 def test_ratchet_rate_never_decreases_along_path(ratemap2):
