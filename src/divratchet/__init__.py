@@ -47,6 +47,7 @@ from .simulate import (
     estimate_boundary_payoff,
     estimate_constant_payoff,
     estimate_ratchet_payoff,
+    estimate_strategies,
 )
 from .verify import (
     Certificate,
@@ -97,6 +98,7 @@ __all__ = [
     "estimate_boundary_payoff",
     "estimate_constant_payoff",
     "estimate_ratchet_payoff",
+    "estimate_strategies",
     "extract_boundary",
     "h_eval",
     "load_config",

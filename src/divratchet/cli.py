@@ -16,6 +16,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .boundary import boundary_residual_report, solve_g
 from .cache import read_surface, write_surface
 from .config import RunConfig, config_from_mapping, load_config, read_config_mapping
@@ -42,12 +44,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_rows(out_path: str | None, header: list, rows) -> None:
+def _write_rows(out_path: str | None, header: list, rows, numeric: bool = False) -> None:
+    """CSV of a header and rows.  Numeric rows hold builtin floats and ints
+    only, so their reprs, joined, are the bytes that _fmt and csv give."""
+
     def emit(fh):
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        if numeric:
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        else:
+            for row in rows:
+                w.writerow([_fmt(v) for v in row])
 
     if out_path is None:
         emit(sys.stdout)
@@ -108,15 +116,19 @@ def cmd_boundary(args) -> int:
         max_iter=cfg.max_iter,
     )
     rep = boundary_residual_report(sol, cfg.model, cfg.claims, cfg.grid)
-    rows = zip(rep["x"], rep["g"], rep["g_prime"], rep["residual"])
-    _write_rows(args.out, ["x", "g", "g_prime", "residual"], rows)
+    rows = _float_rows(rep["x"], rep["g"], rep["g_prime"], rep["residual"])
+    _write_rows(args.out, ["x", "g", "g_prime", "residual"], rows, numeric=True)
     return 0
 
 
+def _float_rows(*columns):
+    """Rows of builtin floats from equal-length columns and 2-D blocks."""
+    return (row.tolist() for row in np.column_stack(columns))
+
+
 def _surface_csv_rows(surface: ValueSurface, values):
-    nodes = surface.grid.nodes
-    for j, x in enumerate(nodes):
-        yield [x] + [values[i, j] for i in range(values.shape[0])]
+    """One row per node: x, then the value at every rung."""
+    return _float_rows(surface.grid.nodes, values.T)
 
 
 def _rate_header(surface: ValueSurface) -> list:
@@ -127,7 +139,7 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     surface, _ = load_or_solve(cfg, force=args.force)
     _write_rows(
-        args.out, _rate_header(surface), _surface_csv_rows(surface, surface.v)
+        args.out, _rate_header(surface), _surface_csv_rows(surface, surface.v), numeric=True
     )
     return 0
 
@@ -146,6 +158,7 @@ def cmd_boundary_curve(args) -> int:
         args.out,
         ["rate", "x_star", "gradient_at_zero", "up_closure_violations"],
         rows,
+        numeric=True,
     )
     return 0
 
@@ -155,7 +168,7 @@ def cmd_rate_map(args) -> int:
     surface, _ = load_or_solve(cfg, force=args.force)
     rm = build_rate_map(surface)
     _write_rows(
-        args.out, _rate_header(surface), _surface_csv_rows(surface, rm.values)
+        args.out, _rate_header(surface), _surface_csv_rows(surface, rm.values), numeric=True
     )
     return 0
 

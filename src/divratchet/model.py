@@ -215,15 +215,17 @@ class HyperExponential(ClaimDistribution):
     def sample_from_uniform(self, u):
         # True quantile function, so common random numbers couple
         # monotonically across distributions.  The transform is elementwise,
-        # so the flattened input is taken in slices of SAMPLE_SLICE.
+        # so the flattened input is taken in slices of SAMPLE_SLICE, which
+        # share one set of work arrays.
         u = np.asarray(u, float)
         flat = u.ravel()
         x = np.empty(flat.size)
+        work = np.empty((5, min(flat.size, SAMPLE_SLICE)))
         for lo in range(0, flat.size, SAMPLE_SLICE):
-            x[lo : lo + SAMPLE_SLICE] = self._quantile(flat[lo : lo + SAMPLE_SLICE])
+            self._quantile(flat[lo : lo + SAMPLE_SLICE], x[lo : lo + SAMPLE_SLICE], work)
         return x[0] if u.ndim == 0 else x.reshape(u.shape)
 
-    def _quantile(self, u):
+    def _quantile(self, u, x, work):
         # Newton solves log S(x) = log1p(-u) for the survival
         # S = sum w_k exp(-x/g_k), evaluated as
         # -x/g_max + log sum w_k exp(-x (1/g_k - 1/g_max)) so that it
@@ -231,29 +233,60 @@ class HyperExponential(ClaimDistribution):
         # decreasing, and S(x) >= w_top exp(-x/g_max) makes
         # g_max (log w_top - log1p(-u)) a lower bound of the root, so the
         # iterates rise monotonically from it.  Each element leaves the
-        # active set on its own stopping test.
-        target = np.log1p(-np.clip(u, 0.0, 1.0 - 1e-16))
+        # active set on its own stopping test.  A largest-mean component
+        # has slope 0, so its term is the constant w_k and needs no exp.
+        # While every element is active the step works on x itself, and
+        # every work array is a row of work.
+        target = np.clip(u, 0.0, 1.0 - 1e-16, out=work[0, : u.size])
+        np.negative(target, out=target)
+        np.log1p(target, out=target)
         g_max = max(self.means)
         comps = [(wk, gk, 1.0 / g_max - 1.0 / gk) for wk, gk in zip(self.weights, self.means)]
         w_top = sum(wk for wk, gk in zip(self.weights, self.means) if gk == g_max)
-        x = np.maximum(0.0, g_max * (math.log(w_top) - target))
-        active = np.arange(x.size)
+        np.subtract(math.log(w_top), target, out=x)
+        x *= g_max
+        np.maximum(0.0, x, out=x)
+        active = None  # every element
+        xa, ta = x, target
         for _ in range(NEWTON_CAP):
-            xa = x[active]
-            s = hs = 0.0
+            n = xa.size
+            e, s, hs, step = work[1:, :n]
+            s.fill(0.0)
+            hs.fill(0.0)
             for wk, gk, neg_slope in comps:
-                e = wk * np.exp(neg_slope * xa)
-                s = s + e
-                hs = hs + e / gk
+                if neg_slope == 0.0:
+                    s += wk
+                    hs += wk / gk
+                else:
+                    np.multiply(xa, neg_slope, out=e)
+                    np.exp(e, out=e)
+                    e *= wk
+                    s += e
+                    e /= gk
+                    hs += e
             # step = (log S - target) / hazard, clipped at 0 against rounding
-            step = np.maximum((np.log(s) - xa / g_max - target[active]) * s / hs, 0.0)
+            np.log(s, out=step)
+            step -= np.divide(xa, g_max, out=e)
+            step -= ta
+            step *= s
+            step /= hs
+            np.maximum(step, 0.0, out=step)
             xa += step
-            x[active] = xa
-            active = active[step > 1e-14 * (1.0 + xa)]
+            np.add(xa, 1.0, out=e)
+            e *= 1e-14
+            more = step > e
+            if active is None:
+                if more.all():
+                    continue
+                active = more.nonzero()[0]
+            else:
+                x[active] = xa
+                active = active[more]
             if active.size == 0:
                 return x
+            xa, ta = x[active], target[active]
         raise NoConvergence(
-            f"hyperexponential quantile: {active.size} draws unconverged "
+            f"hyperexponential quantile: {xa.size} draws unconverged "
             f"after {NEWTON_CAP} Newton steps",
             iterations=NEWTON_CAP,
         )

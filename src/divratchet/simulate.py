@@ -14,7 +14,12 @@ seeded with SeedSequence(seed), P = CHUNK_PATHS paths and K = CLAIM_BLOCK
 claims per block, so path p's k-th claim always sees the same pair
 regardless of other paths' lifetimes.  The claim sizes of a block are
 transformed in one sample_from_uniform call, which is elementwise, so they
-equal the per-claim transforms.
+equal the per-claim transforms.  Several strategies can run on one stream
+(estimate_strategies): path p's k-th claim is then the same pair for every
+one of them, so each strategy's payoffs are the bits its own estimator
+gives at that seed, and the strategies are compared on common random
+numbers.  A block is drawn for the paths that some strategy has not
+finished; a strategy that has finished a path adds exactly 0 to it.
 
 The ratcheting strategy is the feedback read off a solved surface: the
 dividend rate is the equivalent maximum rate of the running maximum (a
@@ -23,23 +28,25 @@ its running maximum ("frontier"), cell crossings happen at precomputed
 clock times; while below it ("recovery"), the rate is frozen until the
 maximum is reached again.  Both phases are exact.
 
-Both batch engines prepare each claim block once, not once per claim
-column.  A block is stored claim-major, (2, K, n) for its n live paths,
-so every claim column is contiguous; its interarrival slot is turned in
-place into the waits, and its sizes are transformed for the live rows
-only.  The constant-rate engine then builds the claim clocks by column
-adds in the freed size slot and takes their discount factors with one exp;
-the horizon is exact by masking (from its horizon column on a path has
-the factor e^{-rT} and claim size 0), so only the surplus recursion and
-the two running sums remain per column, and finished paths leave at the
-block end.  The ratchet engine steps only live paths: a path leaves the
-working arrays at the claim step that reaches the horizon.  It carries
-e^{-rt} and the frontier state of its running maximum (clock, dividend
-prefix and rate), recomputed only for the rows whose maximum grows.  None
-of this changes the arithmetic of any path, so payoffs are the same bits
-as stepping every path on every column with per-column transforms.  Those
-masked loops and the single-path event-log simulators that check this
-accounting live with the tests as reference implementations.
+One driver serves every strategy.  It prepares each claim block once, not
+once per claim column or per strategy.  A block is stored claim-major,
+(2, K, n) for its n live paths, so every claim column is contiguous; its
+interarrival slot is turned in place into the waits, and its sizes are
+transformed for the live rows only.  The ratchet reads the block first.
+It carries e^{-rt} and the frontier state of its running maximum (clock,
+dividend prefix and rate), recomputed only for the rows whose maximum
+grows, and it parks a path at its horizon: clock T, rate 0 and no claims,
+so the path's later columns add exactly 0.  The constant rates then build
+the claim clocks by column adds in the freed size slot and take their
+discount factors with one exp, shared by every rate; the horizon is exact
+by masking (from its horizon column on a path has the factor e^{-rT} and
+claim size 0), so only the surplus recursion and the two running sums
+remain per column.  Paths leave at the block end once every strategy has
+passed their horizon.  None of this changes the arithmetic of any path, so
+payoffs are the same bits as stepping every path on every column with
+per-column transforms.  Those masked loops and the single-path event-log
+simulators that check this accounting live with the tests as reference
+implementations.
 """
 
 from __future__ import annotations
@@ -89,7 +96,7 @@ def _batch_rng(seed: int) -> np.random.Generator:
 def _estimate(payoffs: np.ndarray, horizon: float, m: ModelParams) -> PayoffEstimate:
     n = payoffs.size
     mean = math.fsum(payoffs) / n
-    var = math.fsum((p - mean) ** 2 for p in payoffs) / (n - 1)
+    var = math.fsum(((payoffs - mean) ** 2).tolist()) / (n - 1)
     return PayoffEstimate(
         mean=mean,
         std_error=math.sqrt(var / n),
@@ -220,16 +227,83 @@ class _ClaimBlocks:
         return block, sizes
 
 
-def _constant_block(m, c_const, T, block, sizes, t, e, x, div, cost):
-    """Advance the live paths of a chunk over one claim block, in place.
+def _ratchet_block(m, sched, T, waits, sizes, state):
+    """Advance the ratchet strategy of the live paths of a chunk over one
+    claim block, in place.
 
-    t and e are each path's clock and discount factor at its last claim.
+    state holds the rows t, e, mx, tau_m, dp_m, rate_m, x, div, cost: each
+    path's clock and e^{-rt}, its running maximum and the frontier state
+    of that maximum (clock, dividend prefix and rate), its surplus and the
+    two running sums.  A path that reaches its horizon is parked: its clock
+    is set to T and its rate to 0, so later steps last 0 and add exactly 0
+    dividends, and its claims are masked.
+    """
+    t, e, mx, tau_m, dp_m, rate_m, x, div, cost = state
+    parked = 0
+    for k in range(CLAIM_BLOCK):
+        w = waits[k]
+        left = T - t
+        dur = np.minimum(w, left)
+        # recovery at the frozen rate of the running maximum
+        drift = m.mu - rate_m
+        rec = np.minimum((mx - x) / drift, dur)
+        np.maximum(rec, 0.0, out=rec)
+        t_mid = t + rec
+        e_mid = np.exp(-m.r * t_mid)
+        div += rate_m * (e - e_mid) / m.r
+        x_end = np.minimum(x + drift * rec, mx)
+        t += dur
+        # a path that stays off the frontier and takes its claim has
+        # rec == dur, so it ends the step at t_mid; only frontier rows need
+        # a new e^{-rt}
+        e = e_mid
+        # frontier growth for the remaining duration
+        front = dur - rec
+        f = (front > 0.0).nonzero()[0]
+        if f.size:
+            tau0 = tau_m[f]
+            pos1, dp1 = sched.pos_dp(tau0 + front[f])
+            div[f] += np.exp(-m.r * (t_mid[f] - tau0)) * (dp1 - dp_m[f])
+            x_end[f] = mx[f] = pos1
+            tau1 = sched.clock(pos1)
+            tau_m[f] = tau1
+            dp_m[f] = sched.pos_dp(tau1)[1]
+            rate_m[f] = sched.rate_at(pos1)
+            e[f] = np.exp(-m.r * t[f])
+        # paths that reach the horizon take no claim; a parked path meets
+        # w >= 0 == T - t on every later step, so more rows than are parked
+        # means new ones to park
+        hor = w >= left
+        n_hor = np.count_nonzero(hor)
+        if n_hor > parked:
+            np.copyto(t, T, where=hor)
+            np.copyto(rate_m, 0.0, where=hor)
+            parked = n_hor
+        z = sizes[k]
+        shortfall = np.maximum(z - x_end, 0.0)
+        if parked:
+            np.copyto(shortfall, 0.0, where=hor)
+        cost += m.ell * e * shortfall
+        np.maximum(x_end - z, 0.0, out=x)
+        if parked == t.size:
+            break
+    state[1] = e
+
+
+def _constant_block(m, rates, T, block, sizes, state):
+    """Advance each constant-rate strategy of the live paths of a chunk
+    over one claim block, in place, and return the mask of the paths whose
+    horizon fell in the block.
+
+    state holds the rows t and e, each path's clock and discount factor at
+    its last claim, which no rate changes, then x, div and cost per rate.
     The claim clocks go into the size slot of the block, which then holds
     their discount factors; from each path's horizon column on the factor
     is e^{-rT} and the claim size 0, so that column adds the dividend up
-    to T and later columns add exactly 0.  Returns the mask of the paths
-    whose horizon fell in the block.
+    to T and later columns add exactly 0.  A single rate scales the waits
+    and interval discounts in place; several share one scratch pair.
     """
+    t, e = state[:2]
     w, clk = block
     np.add(t, w[0], out=clk[0])
     for k in range(1, CLAIM_BLOCK):
@@ -247,124 +321,110 @@ def _constant_block(m, c_const, T, block, sizes, t, e, x, div, cost):
         ended = past.all(axis=1)
         if ended[-1]:
             n_cols = int(ended.argmax()) + 1
-    # dividends c (e_{k-1} - e_k) / r of each claim interval
-    gain = np.empty_like(sizes)
-    np.subtract(e, clk[0], out=gain[0])
-    np.subtract(clk[:-1], clk[1:], out=gain[1:])
-    gain *= c_const
-    gain /= m.r
+    # discount drops e_{k-1} - e_k of each claim interval
+    drop = np.empty_like(sizes)
+    np.subtract(e, clk[0], out=drop[0])
+    np.subtract(clk[:-1], clk[1:], out=drop[1:])
     e[:] = clk[-1]
     # the claim loop reads ell e^{-r t_k} and (mu - c) w_k; products commute
     # bitwise, so these are the per-claim factors
     clk *= m.ell
-    w *= m.mu - c_const
-    short = np.empty_like(x)
-    for k in range(n_cols):
-        div += gain[k]
-        x += w[k]
-        np.subtract(sizes[k], x, out=short)
-        np.maximum(short, 0.0, out=short)
-        short *= clk[k]
-        cost += short
-        x -= sizes[k]
-        np.maximum(x, 0.0, out=x)
+    short = np.empty_like(t)
+    gain, step = (drop, w) if len(rates) == 1 else np.empty((2,) + w.shape)
+    for i, c_const in enumerate(rates):
+        x, div, cost = state[2 + 3 * i : 5 + 3 * i]
+        # dividends c (e_{k-1} - e_k) / r of each claim interval
+        np.multiply(drop, c_const, out=gain)
+        gain /= m.r
+        np.multiply(w, m.mu - c_const, out=step)
+        for k in range(n_cols):
+            div += gain[k]
+            x += step[k]
+            np.subtract(sizes[k], x, out=short)
+            np.maximum(short, 0.0, out=short)
+            short *= clk[k]
+            cost += short
+            x -= sizes[k]
+            np.maximum(x, 0.0, out=x)
     return gone
 
 
-def _batch_constant_payoffs(m, d, c_const, x0, n_paths, seed, T):
+def _batch_payoffs(m, d, x0, n_paths, seed, T, sched=None, rates=()):
+    """Payoffs per path, one row per strategy: the ratchet strategy of
+    sched when given, then each constant rate, all on one claim stream.
+
+    Each claim block is drawn once for the live paths; the ratchet reads it
+    first, then the constant rates share its claim clocks.  A path leaves
+    when every strategy has passed its horizon.
+    """
     rng = _batch_rng(seed)
-    out = np.empty(n_paths)
+    # state rows: the ratchet's t, e, mx, tau_m, dp_m, rate_m, x, div,
+    # cost, then the constant rates' shared t and e and x, div, cost per rate
+    n_r = 0 if sched is None else 9
+    n_rows = n_r + (2 + 3 * len(rates) if rates else 0)
+    x_rows = np.array([6] * (sched is not None) + [n_r + 2 + 3 * i for i in range(len(rates))])
+    out = np.empty((x_rows.size, n_paths))
     for done in range(0, n_paths, CHUNK_PATHS):
         p = min(CHUNK_PATHS, n_paths - done)
-        res = out[done : done + p]
+        res = out[:, done : done + p]
+        # state columns hold the live paths only; live[i] is the chunk
+        # index of state column i
         live = np.arange(p)
-        t = np.zeros(p)
-        e = np.ones(p)
-        x = np.full(p, max(float(x0), 0.0))
-        div = np.zeros(p)
-        cost = np.full(p, m.ell * max(-x0, 0.0))
+        state = np.zeros((n_rows, p))
+        state[x_rows] = max(float(x0), 0.0)
+        state[x_rows + 2] = m.ell * max(-x0, 0.0)
+        if sched is not None:
+            _, e, mx, tau_m, dp_m, rate_m, x = state[:7]
+            e[:] = 1.0
+            mx[:] = x
+            tau_m[:] = sched.clock(mx)
+            dp_m[:] = sched.pos_dp(tau_m)[1]
+            rate_m[:] = sched.rate_at(mx)
+        if rates:
+            state[n_r + 1] = 1.0
         blocks = _ClaimBlocks(rng, p)
         while live.size:
             block, sizes = blocks.next(d, m.lam, live)
-            gone = _constant_block(m, c_const, T, block, sizes, t, e, x, div, cost)
+            gone = np.ones(live.size, bool)
+            if sched is not None:
+                _ratchet_block(m, sched, T, block[0], sizes, state[:9])
+                gone &= state[0] >= T
+            if rates:
+                gone &= _constant_block(m, rates, T, block, sizes, state[n_r:])
             del sizes  # freed before the next block is sampled
             if gone.any():
-                res[live[gone]] = div[gone] - cost[gone]
+                res[:, live[gone]] = state[x_rows + 1][:, gone] - state[x_rows + 2][:, gone]
                 keep = ~gone
-                live, t, e, x, div, cost = (a[keep] for a in (live, t, e, x, div, cost))
+                live, state = live[keep], state[:, keep]
     return out
 
 
-def _batch_ratchet_payoffs(m, d, sched, x0, n_paths, seed, T):
-    rng = _batch_rng(seed)
-    out = np.empty(n_paths)
-    for done in range(0, n_paths, CHUNK_PATHS):
-        p = min(CHUNK_PATHS, n_paths - done)
-        res = out[done : done + p]
-        # working arrays hold the live paths only; live[i] is the chunk
-        # index of working row i
-        live = np.arange(p)
-        t = np.zeros(p)
-        e = np.ones(p)  # e^{-rt}, carried from step to step
-        x = np.full(p, max(float(x0), 0.0))
-        mx = x.copy()
-        div = np.zeros(p)
-        cost = np.full(p, m.ell * max(-x0, 0.0))
-        # frontier state of the running maximum, recomputed only when it grows
-        tau_m = sched.clock(mx)
-        dp_m = sched.pos_dp(tau_m)[1]
-        rate_m = sched.rate_at(mx)
-        blocks = _ClaimBlocks(rng, p)
-        while live.size:
-            block, sizes = blocks.next(d, m.lam, live)
-            row = np.arange(live.size)  # block row of each working row
-            for k in range(CLAIM_BLOCK):
-                w = block[0, k][row]
-                left = T - t
-                dur = np.minimum(w, left)
-                # recovery at the frozen rate of the running maximum
-                drift = m.mu - rate_m
-                rec = np.minimum((mx - x) / drift, dur)
-                rec = np.maximum(rec, 0.0)
-                t_mid = t + rec
-                e_mid = np.exp(-m.r * t_mid)
-                div += rate_m * (e - e_mid) / m.r
-                x_end = np.minimum(x + drift * rec, mx)
-                t = t + dur
-                # a path that stays off the frontier and takes its claim
-                # has rec == dur, so it ends the step at t_mid; only
-                # frontier rows need a new e^{-rt}
-                e = e_mid
-                # frontier growth for the remaining duration
-                front = dur - rec
-                f = (front > 0.0).nonzero()[0]
-                if f.size:
-                    tau0 = tau_m[f]
-                    pos1, dp1 = sched.pos_dp(tau0 + front[f])
-                    div[f] += np.exp(-m.r * (t_mid[f] - tau0)) * (dp1 - dp_m[f])
-                    x_end[f] = mx[f] = pos1
-                    tau1 = sched.clock(pos1)
-                    tau_m[f] = tau1
-                    dp_m[f] = sched.pos_dp(tau1)[1]
-                    rate_m[f] = sched.rate_at(pos1)
-                    e[f] = np.exp(-m.r * t[f])
-                # paths that reach the horizon take no claim and leave
-                hor = w >= left
-                if np.count_nonzero(hor):
-                    res[live[hor]] = div[hor] - cost[hor]
-                    keep = ~hor
-                    live, row, t, e, x_end, mx, div, cost, tau_m, dp_m, rate_m = (
-                        a[keep]
-                        for a in (live, row, t, e, x_end, mx, div, cost, tau_m, dp_m, rate_m)
-                    )
-                    if not live.size:
-                        break
-                z = sizes[k][row]
-                shortfall = np.maximum(z - x_end, 0.0)
-                cost += m.ell * e * shortfall
-                x = np.maximum(x_end - z, 0.0)
-            del sizes  # freed before the next block is sampled
-    return out
+def estimate_strategies(
+    m: ModelParams,
+    d: ClaimDistribution,
+    x0: float,
+    n_paths: int,
+    seed: int,
+    horizon: float | None = None,
+    rate_map: RateMap | None = None,
+    c0: float | None = None,
+    constant_rates=(),
+):
+    """Batch estimates of several strategies from x0 on one claim stream:
+    the ratcheting feedback strategy at (x0, c0) when rate_map is given,
+    then each constant rate, in that order.  Returns the estimates and the
+    (strategies, n_paths) payoffs; each strategy's payoffs are those of its
+    own estimator at the same seed."""
+    if not all(c <= m.c_bar for c in constant_rates):
+        raise ValidationError("constant rate must not exceed c_bar")
+    if n_paths < 2:
+        raise ValidationError("need at least 2 paths for a standard error")
+    T = default_horizon(m.r) if horizon is None else float(horizon)
+    sched = None
+    if rate_map is not None:
+        sched = FrontierSchedule(m, _ratchet_row(rate_map, c0), rate_map.grid)
+    payoffs = _batch_payoffs(m, d, x0, n_paths, seed, T, sched, tuple(constant_rates))
+    return [_estimate(p, T, m) for p in payoffs], payoffs
 
 
 def estimate_constant_payoff(
@@ -378,14 +438,10 @@ def estimate_constant_payoff(
     return_payoffs: bool = False,
 ):
     """Batch estimate of the fixed-rate strategy value at x0."""
-    if not c_const <= m.c_bar:
-        raise ValidationError("constant rate must not exceed c_bar")
-    if n_paths < 2:
-        raise ValidationError("need at least 2 paths for a standard error")
-    T = default_horizon(m.r) if horizon is None else float(horizon)
-    payoffs = _batch_constant_payoffs(m, d, c_const, x0, n_paths, seed, T)
-    est = _estimate(payoffs, T, m)
-    return (est, payoffs) if return_payoffs else est
+    (est,), payoffs = estimate_strategies(
+        m, d, x0, n_paths, seed, horizon, constant_rates=(c_const,)
+    )
+    return (est, payoffs[0]) if return_payoffs else est
 
 
 def estimate_boundary_payoff(
@@ -415,10 +471,5 @@ def estimate_ratchet_payoff(
     return_payoffs: bool = False,
 ):
     """Batch estimate of the ratcheting feedback strategy value at (x0, c0)."""
-    if n_paths < 2:
-        raise ValidationError("need at least 2 paths for a standard error")
-    T = default_horizon(m.r) if horizon is None else float(horizon)
-    sched = FrontierSchedule(m, _ratchet_row(rate_map, c0), rate_map.grid)
-    payoffs = _batch_ratchet_payoffs(m, d, sched, x0, n_paths, seed, T)
-    est = _estimate(payoffs, T, m)
-    return (est, payoffs) if return_payoffs else est
+    (est,), payoffs = estimate_strategies(m, d, x0, n_paths, seed, horizon, rate_map, c0)
+    return (est, payoffs[0]) if return_payoffs else est

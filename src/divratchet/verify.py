@@ -360,7 +360,9 @@ def mc_cross_check(
 
     Agreement: |MC mean of the feedback strategy - value_at| <= 3 SE +
     eps_disc + tail bound.  Dominance: every constant-rate strategy with
-    rate in [c0, c_bar] stays below value_at plus the same budget.
+    rate in [c0, c_bar] stays below value_at plus the same budget.  Point k
+    runs the feedback strategy and its constant rates on one claim stream,
+    seeded with seed + 7k, so they are compared on common random numbers.
     """
     if n_paths < 2:
         raise ValidationError("need at least 2 paths")
@@ -368,8 +370,9 @@ def mc_cross_check(
     rm = rate_map if rate_map is not None else build_rate_map(surface)
     checks = []
     for k, (x0, c0) in enumerate(points):
-        est = sim.estimate_ratchet_payoff(
-            m, d, rm, x0, c0, n_paths, seed + 7 * k, horizon=horizon
+        rates = [c for c in constant_rates or [0.5 * (c0 + m.c_bar)] if c0 <= c <= m.c_bar]
+        (est, *est_cs), _ = sim.estimate_strategies(
+            m, d, x0, n_paths, seed + 7 * k, horizon, rm, c0, rates
         )
         v = surface.value_at(x0, c0)
         budget = 3.0 * est.std_error + eps_disc + est.tail_bound
@@ -384,12 +387,7 @@ def mc_cross_check(
                 observed=abs(est.mean - v),
             )
         )
-        for c_const in constant_rates or [0.5 * (c0 + m.c_bar)]:
-            if not c0 <= c_const <= m.c_bar:
-                continue
-            est_c = sim.estimate_constant_payoff(
-                m, d, c_const, x0, n_paths, seed + 7 * k + 3, horizon=horizon
-            )
+        for c_const, est_c in zip(rates, est_cs):
             checks.append(
                 CheckResult(
                     name=f"mc_dominance_{k}_{c_const}",

@@ -5,11 +5,12 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 import yaml
 
 from divratchet.cache import read_surface, write_surface
-from divratchet.cli import main
+from divratchet.cli import _float_rows, _write_rows, main
 
 MODEL = {"mu": 2.0, "lam": 2.0, "r": 0.1, "ell": 2.0, "c_bar": 1.2, "c_floor": 0.0}
 
@@ -335,3 +336,24 @@ def test_calibration_reuses_config_surface(tmp_path, monkeypatch, n_x, n, solves
         cfg.model, cfg.claims, g, lad, update_tol=cfg.update_tol
     )
     assert eps == kappa * (cfg.grid.dx + cfg.ladder.dc)
+
+
+def test_numeric_rows_match_formatted_rows(tmp_path):
+    # the surface CSVs join the reprs of builtin floats; that must give the
+    # bytes of the per-value _fmt and csv.writer path, signed zero, small
+    # and large exponents, integral floats and integer columns included
+    x = np.array([0.0, -0.0, 1e-05, 1e16, 1e+16 + 2.0, 3.0, -2.5, 0.1, 1 / 3, float("inf"), -1e-300])
+    block = np.column_stack([x[::-1], 2.0 * x, np.full(x.size, 7.0)])
+    header = ["x", "c=0.0", "c=0.5", "c=1.2"]
+    paths = [str(tmp_path / f"{kind}.csv") for kind in ("fmt", "numeric")]
+    _write_rows(paths[0], header, (r.tolist() for r in np.column_stack([x, block])))
+    _write_rows(paths[1], header, _float_rows(x, block), numeric=True)
+    mixed = list(zip(x.tolist(), range(x.size)))
+    _write_rows(paths[0] + "i", ["v", "n"], mixed)
+    _write_rows(paths[1] + "i", ["v", "n"], mixed, numeric=True)
+    for a, b in (paths, [p + "i" for p in paths]):
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read()
+    with open(paths[1]) as fh:
+        body = fh.read()
+    assert "-0.0," in body and "1e-05," in body and "1e+16," in body and "\n3.0," in body

@@ -5,6 +5,8 @@ Expected values tagged "frozen oracle" were produced by adaptive quadrature
 of the closed forms under test; tolerances cover the reported quad error.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,37 @@ from divratchet import (
     make_distribution,
 )
 from divratchet import model
+
+
+def reference_quantile(d, u):
+    """The hyperexponential Newton quantile as it stood before it skipped
+    the exp of largest-mean components and stepped on x in place, kept
+    verbatim as the bitwise oracle of ``HyperExponential._quantile``."""
+    target = np.log1p(-np.clip(u, 0.0, 1.0 - 1e-16))
+    g_max = max(d.means)
+    comps = [(wk, gk, 1.0 / g_max - 1.0 / gk) for wk, gk in zip(d.weights, d.means)]
+    w_top = sum(wk for wk, gk in zip(d.weights, d.means) if gk == g_max)
+    x = np.maximum(0.0, g_max * (math.log(w_top) - target))
+    active = np.arange(x.size)
+    for _ in range(model.NEWTON_CAP):
+        xa = x[active]
+        s = hs = 0.0
+        for wk, gk, neg_slope in comps:
+            e = wk * np.exp(neg_slope * xa)
+            s = s + e
+            hs = hs + e / gk
+        # step = (log S - target) / hazard, clipped at 0 against rounding
+        step = np.maximum((np.log(s) - xa / g_max - target[active]) * s / hs, 0.0)
+        xa += step
+        x[active] = xa
+        active = active[step > 1e-14 * (1.0 + xa)]
+        if active.size == 0:
+            return x
+    raise NoConvergence(
+        f"hyperexponential quantile: {active.size} draws unconverged "
+        f"after {model.NEWTON_CAP} Newton steps",
+        iterations=model.NEWTON_CAP,
+    )
 
 
 def p1_params():
@@ -165,6 +198,29 @@ class TestHyperExponential:
         z = d.sample_from_uniform(u)
         halves = np.concatenate([d.sample_from_uniform(u[:550]), d.sample_from_uniform(u[550:])])
         assert np.array_equal(z, halves)
+
+    @pytest.mark.parametrize(
+        "weights, means",
+        [
+            ((0.7, 0.3), (0.3, 1.3)),  # largest mean last
+            ((0.3, 0.7), (1.3, 0.3)),  # largest mean first
+            ((0.2, 0.5, 0.3), (1.3, 0.4, 1.3)),  # two components share it
+            ((0.25, 0.25, 0.5), (2.0, 2.0, 0.5)),
+            ((0.4, 0.6), (1.0, 1.0)),  # every slope 0
+        ],
+    )
+    def test_quantile_bitwise_matches_reference(self, weights, means):
+        # skipping the exp of slope-0 components, stepping on x while every
+        # element is active and reusing work arrays leave every bit; the
+        # block holds tail u up to 1, where the clip acts
+        d = HyperExponential(weights=weights, means=means)
+        u = np.random.default_rng(21).random((64, 2048))
+        u[0, :6] = [0.0, 0.5, 1 - 1e-12, 1 - 1e-15, 1 - 1e-16, 1.0]
+        u[1, :4] = [1e-300, 1e-17, 1 - 2**-53, 0.999999]
+        flat = u.ravel()
+        assert np.array_equal(d.sample_from_uniform(u).ravel(), reference_quantile(d, flat))
+        head = u[:2, :8]
+        assert np.array_equal(d.sample_from_uniform(head), reference_quantile(d, head.ravel()).reshape(head.shape))
 
     def test_sampling_cap_raises(self, monkeypatch):
         monkeypatch.setattr(model, "NEWTON_CAP", 2)

@@ -253,7 +253,7 @@ def test_single_path_matches_batch_on_shared_stream(ratemap2, monkeypatch):
     T = sim.default_horizon(M2.r)
     for s in range(1, 6):
         single = simulate_ratchet(M2, D2, ratemap2, 0.0, 0.0, seed=s)
-        batch = sim._batch_ratchet_payoffs(M2, D2, sched, 0.0, 1, s, T)
+        batch = sim._batch_payoffs(M2, D2, 0.0, 1, s, T, sched)[0]
         assert abs(single.payoff - batch[0]) <= 1e-11
 
 
@@ -267,7 +267,7 @@ def test_single_path_matches_batch_on_shared_stream_hyperexp(ratemap_h, monkeypa
     T = sim.default_horizon(M2.r)
     for s in range(1, 6):
         single = simulate_ratchet(M2, DH, ratemap_h, 0.0, 0.0, seed=s)
-        batch = sim._batch_ratchet_payoffs(M2, DH, sched, 0.0, 1, s, T)
+        batch = sim._batch_payoffs(M2, DH, 0.0, 1, s, T, sched)[0]
         assert abs(single.payoff - batch[0]) <= 1e-11
 
 
@@ -289,7 +289,7 @@ def test_batch_ratchet_bitwise_matches_reference(claims, rate_map, horizon, requ
     for x0 in (-1.0, 0, 3.0, 25.0):
         for c0 in (0.0, 0.5):
             sched = sim.FrontierSchedule(M2, sim._ratchet_row(rm, c0), rm.grid)
-            new = sim._batch_ratchet_payoffs(M2, claims, sched, x0, 1000, 7, T)
+            new = sim._batch_payoffs(M2, claims, x0, 1000, 7, T, sched)[0]
             ref = mc_reference.reference_batch_ratchet(M2, claims, sched, x0, 1000, 7, T)
             assert np.array_equal(new, ref), (x0, c0)
 
@@ -307,9 +307,66 @@ def test_batch_constant_bitwise_matches_reference(claims, horizon, monkeypatch):
     T = sim.default_horizon(M2.r) if horizon is None else horizon
     for x0 in (-1.0, 0.0, 3.0, 25.0):
         for c in (0.0, 0.6, M2.c_bar):
-            new = sim._batch_constant_payoffs(M2, claims, c, x0, 1000, 7, T)
+            new = sim._batch_payoffs(M2, claims, x0, 1000, 7, T, rates=(c,))[0]
             ref = mc_reference.reference_batch_constant(M2, claims, c, x0, 1000, 7, T)
             assert np.array_equal(new, ref), (x0, c)
+
+
+@pytest.mark.parametrize("horizon", [5.0, None], ids=["short", "default"])
+@pytest.mark.parametrize(
+    "claims, rate_map",
+    [(D2, "ratemap2"), (DH, "ratemap_h"), (DP, "ratemap_p")],
+    ids=["exponential", "hyperexponential", "shifted_pareto"],
+)
+def test_shared_stream_matches_standalone_estimators(claims, rate_map, horizon, request, monkeypatch):
+    # the ratchet strategy and three constant rates on one claim stream:
+    # each keeps the payoff bits and estimate of its own estimator at the
+    # same seed, over partial and multiple chunks and an integer start
+    monkeypatch.setattr(sim, "CHUNK_PATHS", 300)
+    rm = request.getfixturevalue(rate_map)
+    rates = (0.0, 0.6, M2.c_bar)
+    for x0, c0 in ((-1.0, 0.0), (0, 0.5), (3.0, 0.0), (25.0, 0.5)):
+        ests, pays = sim.estimate_strategies(M2, claims, x0, 1000, 7, horizon, rm, c0, rates)
+        alone = [sim.estimate_ratchet_payoff(M2, claims, rm, x0, c0, 1000, 7, horizon, True)]
+        for c in rates:
+            alone.append(sim.estimate_constant_payoff(M2, claims, c, x0, 1000, 7, horizon, True))
+        assert len(ests) == pays.shape[0] == len(alone)
+        for est, p, (est1, p1) in zip(ests, pays, alone):
+            assert np.array_equal(p, p1), (x0, c0)
+            assert est == est1
+
+
+@pytest.mark.parametrize(
+    "path, k, ulps, ratchet_first",
+    [(0, 63, 0, False), (5, 63, 0, None), (109, 1, 1, True), (6, 1, 0, False)],
+    ids=["block-edge-clock-first", "block-edge", "ratchet-first", "clock-first"],
+)
+def test_shared_stream_horizon_at_a_claim(path, k, ulps, ratchet_first, ratemap2, monkeypatch):
+    # the horizon is the clock of one path's claim k (claim 63 ends the
+    # first block), moved up by some ulps.  The ratchet's horizon test
+    # w_k >= T - t_(k-1) and the clock test t_(k-1) + w_k >= T round
+    # differently: with ratchet_first the ratchet parks the path while the
+    # constant rates still step it, and the other way round with False;
+    # both strategies must keep the bits of the masked reference loops
+    monkeypatch.setattr(sim, "CHUNK_PATHS", 300)
+    u = sim._batch_rng(7).random((300, sim.CLAIM_BLOCK, 2))
+    w = -np.log1p(-u[path, : k + 1, 0]) / M2.lam
+    t = 0.0
+    for wk in w[:-1]:
+        t = t + wk
+    T = t + w[-1]
+    for _ in range(ulps):
+        T = np.nextafter(T, np.inf)
+    if ratchet_first is not None:
+        assert (w[-1] >= T - t, t + w[-1] >= T) == (ratchet_first, not ratchet_first)
+    sched = sim.FrontierSchedule(M2, sim._ratchet_row(ratemap2, 0.0), ratemap2.grid)
+    for x0 in (0.0, 3.0):
+        pays = sim._batch_payoffs(M2, D2, x0, 600, 7, T, sched, (0.6, M2.c_bar))
+        ref = [mc_reference.reference_batch_ratchet(M2, D2, sched, x0, 600, 7, T)]
+        for c in (0.6, M2.c_bar):
+            ref.append(mc_reference.reference_batch_constant(M2, D2, c, x0, 600, 7, T))
+        for p, r in zip(pays, ref):
+            assert np.array_equal(p, r), x0
 
 
 def test_integer_start_matches_float_start():
