@@ -34,28 +34,13 @@ from .verify import (
 )
 
 
-def _fmt(v) -> str:
-    # repr of a builtin float round-trips exactly; numpy scalars are
-    # converted first so their wrapped repr never leaks into the CSV
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
-
-
-def _write_rows(out_path: str | None, header: list, rows, numeric: bool = False) -> None:
-    """CSV of a header and rows.  Numeric rows hold builtin floats and ints
-    only, so their reprs, joined, are the bytes that _fmt and csv give."""
+def _write_rows(out_path: str | None, header: list, rows) -> None:
+    """CSV of a header and rows of builtin floats and ints, each value
+    written as its repr, which round-trips exactly."""
 
     def emit(fh):
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        if numeric:
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
-        else:
-            for row in rows:
-                w.writerow([_fmt(v) for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
     if out_path is None:
         emit(sys.stdout)
@@ -117,7 +102,7 @@ def cmd_boundary(args) -> int:
     )
     rep = boundary_residual_report(sol, cfg.model, cfg.claims, cfg.grid)
     rows = _float_rows(rep["x"], rep["g"], rep["g_prime"], rep["residual"])
-    _write_rows(args.out, ["x", "g", "g_prime", "residual"], rows, numeric=True)
+    _write_rows(args.out, ["x", "g", "g_prime", "residual"], rows)
     return 0
 
 
@@ -138,9 +123,7 @@ def _rate_header(surface: ValueSurface) -> list:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     surface, _ = load_or_solve(cfg, force=args.force)
-    _write_rows(
-        args.out, _rate_header(surface), _surface_csv_rows(surface, surface.v), numeric=True
-    )
+    _write_rows(args.out, _rate_header(surface), _surface_csv_rows(surface, surface.v))
     return 0
 
 
@@ -158,7 +141,6 @@ def cmd_boundary_curve(args) -> int:
         args.out,
         ["rate", "x_star", "gradient_at_zero", "up_closure_violations"],
         rows,
-        numeric=True,
     )
     return 0
 
@@ -167,9 +149,7 @@ def cmd_rate_map(args) -> int:
     cfg = load_config(args.config)
     surface, _ = load_or_solve(cfg, force=args.force)
     rm = build_rate_map(surface)
-    _write_rows(
-        args.out, _rate_header(surface), _surface_csv_rows(surface, rm.values), numeric=True
-    )
+    _write_rows(args.out, _rate_header(surface), _surface_csv_rows(surface, rm.values))
     return 0
 
 
@@ -226,11 +206,7 @@ def cmd_simulate(args) -> int:
     }
     _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True))
     if args.per_path:
-        _write_rows(
-            args.per_path,
-            ["path", "payoff"],
-            ((i, p) for i, p in enumerate(payoffs.tolist())),
-        )
+        _write_rows(args.per_path, ["path", "payoff"], enumerate(payoffs.tolist()))
     return 0
 
 

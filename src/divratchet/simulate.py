@@ -227,126 +227,175 @@ class _ClaimBlocks:
         return block, sizes
 
 
-def _ratchet_block(m, sched, T, waits, sizes, state):
-    """Advance the ratchet strategy of the live paths of a chunk over one
-    claim block, in place.
+class _Ratchet:
+    """The ratcheting strategy of a frontier schedule on the live paths of
+    a chunk.
 
-    state holds the rows t, e, mx, tau_m, dp_m, rate_m, x, div, cost: each
-    path's clock and e^{-rt}, its running maximum and the frontier state
-    of that maximum (clock, dividend prefix and rate), its surplus and the
-    two running sums.  A path that reaches its horizon is parked: its clock
-    is set to T and its rate to 0, so later steps last 0 and add exactly 0
-    dividends, and its claims are masked.
+    Its state rows are t, e, mx, tau_m, dp_m, rate_m, x, div, cost: each
+    path's clock and e^{-rt}, its running maximum and the frontier state of
+    that maximum (clock, dividend prefix and rate), its surplus and the two
+    running sums.
     """
-    t, e, mx, tau_m, dp_m, rate_m, x, div, cost = state
-    parked = 0
-    for k in range(CLAIM_BLOCK):
-        w = waits[k]
-        left = T - t
-        dur = np.minimum(w, left)
-        # recovery at the frozen rate of the running maximum
-        drift = m.mu - rate_m
-        rec = np.minimum((mx - x) / drift, dur)
-        np.maximum(rec, 0.0, out=rec)
-        t_mid = t + rec
-        e_mid = np.exp(-m.r * t_mid)
-        div += rate_m * (e - e_mid) / m.r
-        x_end = np.minimum(x + drift * rec, mx)
-        t += dur
-        # a path that stays off the frontier and takes its claim has
-        # rec == dur, so it ends the step at t_mid; only frontier rows need
-        # a new e^{-rt}
-        e = e_mid
-        # frontier growth for the remaining duration
-        front = dur - rec
-        f = (front > 0.0).nonzero()[0]
-        if f.size:
-            tau0 = tau_m[f]
-            pos1, dp1 = sched.pos_dp(tau0 + front[f])
-            div[f] += np.exp(-m.r * (t_mid[f] - tau0)) * (dp1 - dp_m[f])
-            x_end[f] = mx[f] = pos1
-            tau1 = sched.clock(pos1)
-            tau_m[f] = tau1
-            dp_m[f] = sched.pos_dp(tau1)[1]
-            rate_m[f] = sched.rate_at(pos1)
-            e[f] = np.exp(-m.r * t[f])
-        # paths that reach the horizon take no claim; a parked path meets
-        # w >= 0 == T - t on every later step, so more rows than are parked
-        # means new ones to park
-        hor = w >= left
-        n_hor = np.count_nonzero(hor)
-        if n_hor > parked:
-            np.copyto(t, T, where=hor)
-            np.copyto(rate_m, 0.0, where=hor)
-            parked = n_hor
-        z = sizes[k]
-        shortfall = np.maximum(z - x_end, 0.0)
-        if parked:
-            np.copyto(shortfall, 0.0, where=hor)
-        cost += m.ell * e * shortfall
-        np.maximum(x_end - z, 0.0, out=x)
-        if parked == t.size:
-            break
-    state[1] = e
+
+    n_rows = 9
+
+    def __init__(self, m, sched, T):
+        self.m, self.sched, self.T = m, sched, T
+
+    @staticmethod
+    def payoffs(state):
+        return state[7:8] - state[8:9]
+
+    def start(self, state, x0):
+        _, e, mx, tau_m, dp_m, rate_m, x, _, cost = state
+        x[:] = max(float(x0), 0.0)
+        cost[:] = self.m.ell * max(-x0, 0.0)
+        e[:] = 1.0
+        mx[:] = x
+        tau_m[:] = self.sched.clock(mx)
+        dp_m[:] = self.sched.pos_dp(tau_m)[1]
+        rate_m[:] = self.sched.rate_at(mx)
+
+    def step(self, block, sizes, state):
+        """Advance the paths over one claim block, in place, and return the
+        mask of the paths past their horizon.
+
+        A path that reaches its horizon is parked: its clock is set to T and
+        its rate to 0, so later steps last 0 and add exactly 0 dividends,
+        and its claims are masked.
+        """
+        m, sched, T = self.m, self.sched, self.T
+        waits = block[0]
+        t, e, mx, tau_m, dp_m, rate_m, x, div, cost = state
+        parked = 0
+        for k in range(CLAIM_BLOCK):
+            w = waits[k]
+            left = T - t
+            dur = np.minimum(w, left)
+            # recovery at the frozen rate of the running maximum
+            drift = m.mu - rate_m
+            rec = np.minimum((mx - x) / drift, dur)
+            np.maximum(rec, 0.0, out=rec)
+            t_mid = t + rec
+            e_mid = np.exp(-m.r * t_mid)
+            div += rate_m * (e - e_mid) / m.r
+            x_end = np.minimum(x + drift * rec, mx)
+            t += dur
+            # a path that stays off the frontier and takes its claim has
+            # rec == dur, so it ends the step at t_mid; only frontier rows
+            # need a new e^{-rt}
+            e = e_mid
+            # frontier growth for the remaining duration
+            front = dur - rec
+            f = (front > 0.0).nonzero()[0]
+            if f.size:
+                tau0 = tau_m[f]
+                pos1, dp1 = sched.pos_dp(tau0 + front[f])
+                div[f] += np.exp(-m.r * (t_mid[f] - tau0)) * (dp1 - dp_m[f])
+                x_end[f] = mx[f] = pos1
+                tau1 = sched.clock(pos1)
+                tau_m[f] = tau1
+                dp_m[f] = sched.pos_dp(tau1)[1]
+                rate_m[f] = sched.rate_at(pos1)
+                e[f] = np.exp(-m.r * t[f])
+            # paths that reach the horizon take no claim; a parked path
+            # meets w >= 0 == T - t on every later step, so more rows than
+            # are parked means new ones to park
+            hor = w >= left
+            n_hor = np.count_nonzero(hor)
+            if n_hor > parked:
+                np.copyto(t, T, where=hor)
+                np.copyto(rate_m, 0.0, where=hor)
+                parked = n_hor
+            z = sizes[k]
+            shortfall = np.maximum(z - x_end, 0.0)
+            if parked:
+                np.copyto(shortfall, 0.0, where=hor)
+            cost += m.ell * e * shortfall
+            np.maximum(x_end - z, 0.0, out=x)
+            if parked == t.size:
+                break
+        state[1] = e
+        return t >= T
 
 
-def _constant_block(m, rates, T, block, sizes, state):
-    """Advance each constant-rate strategy of the live paths of a chunk
-    over one claim block, in place, and return the mask of the paths whose
-    horizon fell in the block.
+class _Constant:
+    """Constant-rate strategies on the live paths of a chunk.
 
-    state holds the rows t and e, each path's clock and discount factor at
-    its last claim, which no rate changes, then x, div and cost per rate.
-    The claim clocks go into the size slot of the block, which then holds
-    their discount factors; from each path's horizon column on the factor
-    is e^{-rT} and the claim size 0, so that column adds the dividend up
-    to T and later columns add exactly 0.  A single rate scales the waits
-    and interval discounts in place; several share one scratch pair.
+    The state rows t and e, each path's clock and discount factor at its
+    last claim, are shared, since no rate changes them; then come x, div
+    and cost per rate.
     """
-    t, e = state[:2]
-    w, clk = block
-    np.add(t, w[0], out=clk[0])
-    for k in range(1, CLAIM_BLOCK):
-        np.add(clk[k - 1], w[k], out=clk[k])
-    t[:] = clk[-1]
-    gone = t >= T
-    past = clk >= T if gone.any() else None
-    np.multiply(clk, -m.r, out=clk)
-    np.exp(clk, out=clk)
-    n_cols = CLAIM_BLOCK
-    if past is not None:
-        np.copyto(clk, math.exp(-m.r * T), where=past)
-        np.copyto(sizes, 0.0, where=past)
-        # columns after the one where every path has passed T add 0
-        ended = past.all(axis=1)
-        if ended[-1]:
-            n_cols = int(ended.argmax()) + 1
-    # discount drops e_{k-1} - e_k of each claim interval
-    drop = np.empty_like(sizes)
-    np.subtract(e, clk[0], out=drop[0])
-    np.subtract(clk[:-1], clk[1:], out=drop[1:])
-    e[:] = clk[-1]
-    # the claim loop reads ell e^{-r t_k} and (mu - c) w_k; products commute
-    # bitwise, so these are the per-claim factors
-    clk *= m.ell
-    short = np.empty_like(t)
-    gain, step = (drop, w) if len(rates) == 1 else np.empty((2,) + w.shape)
-    for i, c_const in enumerate(rates):
-        x, div, cost = state[2 + 3 * i : 5 + 3 * i]
-        # dividends c (e_{k-1} - e_k) / r of each claim interval
-        np.multiply(drop, c_const, out=gain)
-        gain /= m.r
-        np.multiply(w, m.mu - c_const, out=step)
-        for k in range(n_cols):
-            div += gain[k]
-            x += step[k]
-            np.subtract(sizes[k], x, out=short)
-            np.maximum(short, 0.0, out=short)
-            short *= clk[k]
-            cost += short
-            x -= sizes[k]
-            np.maximum(x, 0.0, out=x)
-    return gone
+
+    def __init__(self, m, rates, T):
+        self.m, self.rates, self.T = m, rates, T
+        self.n_rows = 2 + 3 * len(rates)
+
+    @staticmethod
+    def payoffs(state):
+        return state[3::3] - state[4::3]
+
+    def start(self, state, x0):
+        state[1] = 1.0
+        state[2::3] = max(float(x0), 0.0)
+        state[4::3] = self.m.ell * max(-x0, 0.0)
+
+    def step(self, block, sizes, state):
+        """Advance the paths over one claim block, in place, and return the
+        mask of the paths whose horizon fell in the block.
+
+        The claim clocks go into the size slot of the block, which then
+        holds their discount factors; from each path's horizon column on
+        the factor is e^{-rT} and the claim size 0, so that column adds the
+        dividend up to T and later columns add exactly 0.  A single rate
+        scales the waits and interval discounts in place; several share
+        one scratch pair.
+        """
+        m, rates, T = self.m, self.rates, self.T
+        t, e = state[:2]
+        w, clk = block
+        np.add(t, w[0], out=clk[0])
+        for k in range(1, CLAIM_BLOCK):
+            np.add(clk[k - 1], w[k], out=clk[k])
+        t[:] = clk[-1]
+        gone = t >= T
+        past = clk >= T if gone.any() else None
+        np.multiply(clk, -m.r, out=clk)
+        np.exp(clk, out=clk)
+        n_cols = CLAIM_BLOCK
+        if past is not None:
+            np.copyto(clk, math.exp(-m.r * T), where=past)
+            np.copyto(sizes, 0.0, where=past)
+            # columns after the one where every path has passed T add 0
+            ended = past.all(axis=1)
+            if ended[-1]:
+                n_cols = int(ended.argmax()) + 1
+        # discount drops e_{k-1} - e_k of each claim interval
+        drop = np.empty_like(sizes)
+        np.subtract(e, clk[0], out=drop[0])
+        np.subtract(clk[:-1], clk[1:], out=drop[1:])
+        e[:] = clk[-1]
+        # the claim loop reads ell e^{-r t_k} and (mu - c) w_k; products
+        # commute bitwise, so these are the per-claim factors
+        clk *= m.ell
+        short = np.empty_like(t)
+        gain, step = (drop, w) if len(rates) == 1 else np.empty((2,) + w.shape)
+        for i, c_const in enumerate(rates):
+            x, div, cost = state[2 + 3 * i : 5 + 3 * i]
+            # dividends c (e_{k-1} - e_k) / r of each claim interval
+            np.multiply(drop, c_const, out=gain)
+            gain /= m.r
+            np.multiply(w, m.mu - c_const, out=step)
+            for k in range(n_cols):
+                div += gain[k]
+                x += step[k]
+                np.subtract(sizes[k], x, out=short)
+                np.maximum(short, 0.0, out=short)
+                short *= clk[k]
+                cost += short
+                x -= sizes[k]
+                np.maximum(x, 0.0, out=x)
+        return gone
 
 
 def _batch_payoffs(m, d, x0, n_paths, seed, T, sched=None, rates=()):
@@ -354,46 +403,39 @@ def _batch_payoffs(m, d, x0, n_paths, seed, T, sched=None, rates=()):
     sched when given, then each constant rate, all on one claim stream.
 
     Each claim block is drawn once for the live paths; the ratchet reads it
-    first, then the constant rates share its claim clocks.  A path leaves
-    when every strategy has passed its horizon.
+    first, then the constant rates overwrite it with their claim clocks.
+    Each strategy owns a band of n_rows state rows, which only its start,
+    step and payoffs read; a path leaves when every strategy has passed its
+    horizon.
     """
+    strategies = [_Ratchet(m, sched, T)] if sched is not None else []
+    if rates:
+        strategies.append(_Constant(m, rates, T))
+    edges = np.cumsum([0] + [s.n_rows for s in strategies]).tolist()
+    bands = list(zip(strategies, edges, edges[1:]))
     rng = _batch_rng(seed)
-    # state rows: the ratchet's t, e, mx, tau_m, dp_m, rate_m, x, div,
-    # cost, then the constant rates' shared t and e and x, div, cost per rate
-    n_r = 0 if sched is None else 9
-    n_rows = n_r + (2 + 3 * len(rates) if rates else 0)
-    x_rows = np.array([6] * (sched is not None) + [n_r + 2 + 3 * i for i in range(len(rates))])
-    out = np.empty((x_rows.size, n_paths))
+    out = np.empty(((sched is not None) + len(rates), n_paths))
     for done in range(0, n_paths, CHUNK_PATHS):
         p = min(CHUNK_PATHS, n_paths - done)
         res = out[:, done : done + p]
         # state columns hold the live paths only; live[i] is the chunk
         # index of state column i
         live = np.arange(p)
-        state = np.zeros((n_rows, p))
-        state[x_rows] = max(float(x0), 0.0)
-        state[x_rows + 2] = m.ell * max(-x0, 0.0)
-        if sched is not None:
-            _, e, mx, tau_m, dp_m, rate_m, x = state[:7]
-            e[:] = 1.0
-            mx[:] = x
-            tau_m[:] = sched.clock(mx)
-            dp_m[:] = sched.pos_dp(tau_m)[1]
-            rate_m[:] = sched.rate_at(mx)
-        if rates:
-            state[n_r + 1] = 1.0
+        state = np.zeros((edges[-1], p))
+        for s, lo, hi in bands:
+            s.start(state[lo:hi], x0)
         blocks = _ClaimBlocks(rng, p)
         while live.size:
             block, sizes = blocks.next(d, m.lam, live)
             gone = np.ones(live.size, bool)
-            if sched is not None:
-                _ratchet_block(m, sched, T, block[0], sizes, state[:9])
-                gone &= state[0] >= T
-            if rates:
-                gone &= _constant_block(m, rates, T, block, sizes, state[n_r:])
+            for s, lo, hi in bands:
+                gone &= s.step(block, sizes, state[lo:hi])
             del sizes  # freed before the next block is sampled
             if gone.any():
-                res[:, live[gone]] = state[x_rows + 1][:, gone] - state[x_rows + 2][:, gone]
+                ended = state[:, gone]
+                res[:, live[gone]] = np.concatenate(
+                    [s.payoffs(ended[lo:hi]) for s, lo, hi in bands]
+                )
                 keep = ~gone
                 live, state = live[keep], state[:, keep]
     return out
@@ -415,7 +457,12 @@ def estimate_strategies(
     then each constant rate, in that order.  Returns the estimates and the
     (strategies, n_paths) payoffs; each strategy's payoffs are those of its
     own estimator at the same seed."""
-    if not all(c <= m.c_bar for c in constant_rates):
+    rates = tuple(constant_rates)
+    if rate_map is None and not rates:
+        raise ValidationError("no strategy: give a rate map or constant rates")
+    if rate_map is not None and c0 is None:
+        raise ValidationError("the ratchet strategy needs an initial rate c0")
+    if not all(c <= m.c_bar for c in rates):
         raise ValidationError("constant rate must not exceed c_bar")
     if n_paths < 2:
         raise ValidationError("need at least 2 paths for a standard error")
@@ -423,7 +470,7 @@ def estimate_strategies(
     sched = None
     if rate_map is not None:
         sched = FrontierSchedule(m, _ratchet_row(rate_map, c0), rate_map.grid)
-    payoffs = _batch_payoffs(m, d, x0, n_paths, seed, T, sched, tuple(constant_rates))
+    payoffs = _batch_payoffs(m, d, x0, n_paths, seed, T, sched, rates)
     return [_estimate(p, T, m) for p in payoffs], payoffs
 
 

@@ -338,22 +338,44 @@ def test_calibration_reuses_config_surface(tmp_path, monkeypatch, n_x, n, solves
     assert eps == kappa * (cfg.grid.dx + cfg.ladder.dc)
 
 
-def test_numeric_rows_match_formatted_rows(tmp_path):
-    # the surface CSVs join the reprs of builtin floats; that must give the
-    # bytes of the per-value _fmt and csv.writer path, signed zero, small
-    # and large exponents, integral floats and integer columns included
+def _formatted_csv(header, rows):
+    # per-value CSV: csv.writer over the repr of every float and the str
+    # of every int
+    fh = io.StringIO()
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
+    return fh.getvalue().encode()
+
+
+def test_repr_rows_match_formatted_rows(tmp_path):
+    # joined reprs give the bytes of the per-value writer on signed zero,
+    # small and large exponents, integral floats and integer columns, and
+    # so do the per-path and sweep CSVs read back
     x = np.array([0.0, -0.0, 1e-05, 1e16, 1e+16 + 2.0, 3.0, -2.5, 0.1, 1 / 3, float("inf"), -1e-300])
     block = np.column_stack([x[::-1], 2.0 * x, np.full(x.size, 7.0)])
     header = ["x", "c=0.0", "c=0.5", "c=1.2"]
-    paths = [str(tmp_path / f"{kind}.csv") for kind in ("fmt", "numeric")]
-    _write_rows(paths[0], header, (r.tolist() for r in np.column_stack([x, block])))
-    _write_rows(paths[1], header, _float_rows(x, block), numeric=True)
-    mixed = list(zip(x.tolist(), range(x.size)))
-    _write_rows(paths[0] + "i", ["v", "n"], mixed)
-    _write_rows(paths[1] + "i", ["v", "n"], mixed, numeric=True)
-    for a, b in (paths, [p + "i" for p in paths]):
-        with open(a, "rb") as fa, open(b, "rb") as fb:
-            assert fa.read() == fb.read()
-    with open(paths[1]) as fh:
+    for head, rows in (
+        (header, list(_float_rows(x, block))),
+        (["v", "n"], list(zip(x.tolist(), range(x.size)))),
+    ):
+        path = str(tmp_path / "rows.csv")
+        _write_rows(path, head, rows)
+        with open(path, "rb") as fh:
+            assert fh.read() == _formatted_csv(head, rows)
+    with open(path) as fh:
         body = fh.read()
     assert "-0.0," in body and "1e-05," in body and "1e+16," in body and "\n3.0," in body
+
+    cfg = make_cfg(tmp_path, ladder__n=4)
+    pp, sweep = str(tmp_path / "paths.csv"), str(tmp_path / "sweep.csv")
+    assert main(["simulate", "--config", cfg, "--strategy", "constant:0.7", "--x0", "-1",
+                 "--paths", "50", "--out", str(tmp_path / "est.json"), "--per-path", pp]) == 0
+    assert main(["sweep", "--config", cfg, "--param", "model.ell",
+                 "--values", "1.5,2", "--out", sweep]) == 0
+    for path, cast in ((pp, (int, float)), (sweep, (float,) * 4)):
+        head, *rows = read_csv(path)
+        rows = [[f(v) for f, v in zip(cast, row)] for row in rows]
+        with open(path, "rb") as fh:
+            assert fh.read() == _formatted_csv(head, rows)

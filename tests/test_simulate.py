@@ -154,6 +154,13 @@ def test_estimator_needs_two_paths(ratemap2):
         sim.estimate_ratchet_payoff(M2, D2, ratemap2, 0.0, 0.0, 1, seed=1)
 
 
+def test_shared_stream_needs_a_strategy(ratemap2):
+    with pytest.raises(ValidationError):
+        sim.estimate_strategies(M2, D2, 0.0, 100, seed=1)
+    with pytest.raises(ValidationError):
+        sim.estimate_strategies(M2, D2, 0.0, 100, seed=1, rate_map=ratemap2)
+
+
 def test_initial_rate_outside_ladder_rejected(ratemap2):
     with pytest.raises(ValidationError):
         simulate_ratchet(M2, D2, ratemap2, 0.0, M2.c_bar + 0.05, seed=1)
@@ -337,17 +344,27 @@ def test_shared_stream_matches_standalone_estimators(claims, rate_map, horizon, 
 
 
 @pytest.mark.parametrize(
-    "path, k, ulps, ratchet_first",
-    [(0, 63, 0, False), (5, 63, 0, None), (109, 1, 1, True), (6, 1, 0, False)],
-    ids=["block-edge-clock-first", "block-edge", "ratchet-first", "clock-first"],
+    "path, k, ulps, ratchet_first, misses",
+    [
+        (0, 63, 0, False, False),
+        (5, 63, 0, None, False),
+        (109, 1, 1, True, False),
+        (6, 1, 0, False, False),
+        (279, 1, 1, True, True),
+    ],
+    ids=["block-edge-clock-first", "block-edge", "ratchet-first", "clock-first", "clock-misses-T"],
 )
-def test_shared_stream_horizon_at_a_claim(path, k, ulps, ratchet_first, ratemap2, monkeypatch):
+def test_shared_stream_horizon_at_a_claim(path, k, ulps, ratchet_first, misses, ratemap2, monkeypatch):
     # the horizon is the clock of one path's claim k (claim 63 ends the
     # first block), moved up by some ulps.  The ratchet's horizon test
     # w_k >= T - t_(k-1) and the clock test t_(k-1) + w_k >= T round
     # differently: with ratchet_first the ratchet parks the path while the
     # constant rates still step it, and the other way round with False;
-    # both strategies must keep the bits of the masked reference loops
+    # both strategies must keep the bits of the masked reference loops.
+    # With misses, the ratchet's clock after its horizon step,
+    # t_(k-1) + (T - t_(k-1)), is not T, and its e^{-rt} is not e^{-rT}:
+    # only parking the clock at T and the rate at 0 keeps the later steps
+    # of that path at exactly 0
     monkeypatch.setattr(sim, "CHUNK_PATHS", 300)
     u = sim._batch_rng(7).random((300, sim.CLAIM_BLOCK, 2))
     w = -np.log1p(-u[path, : k + 1, 0]) / M2.lam
@@ -359,14 +376,27 @@ def test_shared_stream_horizon_at_a_claim(path, k, ulps, ratchet_first, ratemap2
         T = np.nextafter(T, np.inf)
     if ratchet_first is not None:
         assert (w[-1] >= T - t, t + w[-1] >= T) == (ratchet_first, not ratchet_first)
+    assert (np.exp(-M2.r * (t + (T - t))) != np.exp(-M2.r * T)) == misses
     sched = sim.FrontierSchedule(M2, sim._ratchet_row(ratemap2, 0.0), ratemap2.grid)
     for x0 in (0.0, 3.0):
-        pays = sim._batch_payoffs(M2, D2, x0, 600, 7, T, sched, (0.6, M2.c_bar))
         ref = [mc_reference.reference_batch_ratchet(M2, D2, sched, x0, 600, 7, T)]
         for c in (0.6, M2.c_bar):
             ref.append(mc_reference.reference_batch_constant(M2, D2, c, x0, 600, 7, T))
+        pays = sim._batch_payoffs(M2, D2, x0, 600, 7, T, sched, (0.6, M2.c_bar))
         for p, r in zip(pays, ref):
             assert np.array_equal(p, r), x0
+        assert np.array_equal(sim._batch_payoffs(M2, D2, x0, 600, 7, T, sched)[0], ref[0]), x0
+    if misses:
+        # the parked state itself, on the path's first block alone: its
+        # clock is exactly T, its rate 0, and it has passed its horizon
+        block = np.empty((2, sim.CLAIM_BLOCK, 1))
+        block[0, :, 0] = -np.log1p(-u[path, :, 0]) / M2.lam
+        sizes = D2.sample_from_uniform(u[path, :, 1:])
+        ratchet = sim._Ratchet(M2, sched, T)
+        state = np.zeros((ratchet.n_rows, 1))
+        ratchet.start(state, 0.0)
+        assert ratchet.step(block, sizes, state)[0]
+        assert state[0, 0] == T and state[5, 0] == 0.0
 
 
 def test_integer_start_matches_float_start():
