@@ -1,8 +1,10 @@
 """Linear and obstacle solves for the upwind transport systems.
 
-Two ways to solve a rung of the rate ladder, chosen by the claim family:
+Two ways to solve g and the rungs of the rate ladder, chosen by the claim
+family:
 
-* Picard (any claim density; the only path for shifted Pareto).  Each
+* Picard (densities without an exponential-mixture recursion, i.e. shifted
+  Pareto).  Each
   stage freezes the nonlocal term and leaves a bidiagonal system
 
       b v_j = a v_{j+1} + phi_j   (interior j),    v_{n_x} = v_L,
@@ -25,12 +27,14 @@ Two ways to solve a rung of the rate ladder, chosen by the claim family:
   (contact rows are identity rows v_j = psi_j) in O(n_x): with x_r and x_t
   the banded solutions for the right-hand side and for the border column,
   v = x_r + theta x_t and theta = v_0 gives theta = x_r[0] / (1 - x_t[0]).
+  With an empty contact set it is the whole g solve.  It calls LAPACK gbsv
+  directly on one Fortran-ordered copy of the band.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.signal import lfilter
 
 from .errors import NoConvergence
@@ -41,6 +45,8 @@ ANDERSON_DEPTH = 5
 #: `projected_backward_scan`; far above the subnormal range, so the
 #: weighted obstacle terms keep full precision
 _LOG_MIN_WEIGHT = np.log(1e-150)
+#: LAPACK banded LU solve (the routine scipy.linalg.solve_banded wraps)
+_GBSV = get_lapack_funcs("gbsv", dtype=np.float64)
 
 
 def backward_linear_solve(alpha: np.ndarray, qt: float, v_L: float) -> np.ndarray:
@@ -108,25 +114,28 @@ def bordered_banded_solve(
 ) -> np.ndarray:
     """Solve one frozen-policy rung system; returns v at all n+1 nodes.
 
-    ab, bands and stride come from `ConvKernel.rung_band`.  rhs holds the
-    n+1 right-hand sides of the v rows, border the n coefficients of v_0
-    moved to the right of the equation rows.  Rows where the length-n mask
+    ab, bands and stride come from `ConvKernel.rung_band` (LAPACK gbsv
+    layout, Fortran order); ab is not modified.  rhs holds the n+1
+    right-hand sides of the v rows, border the n coefficients of v_0 moved
+    to the right of the equation rows.  Rows where the length-n mask
     contact holds become v_j = psi_j; those nodes are returned equal to
-    psi bitwise.
+    psi bitwise.  Raises LinAlgError if the system is singular.
     """
     n = contact.shape[0]
-    u = bands[1]
-    ab = ab.copy()
+    diag = bands[0] + bands[1]
+    ab = ab.copy(order="F")
     rows = np.flatnonzero(contact) * stride
     for off in range(stride + 1):  # v_j, z^1_j .. z^K_j, v_{j+1}
-        ab[u - off, rows + off] = 0.0
-    ab[u, rows] = 1.0
-    b2 = np.zeros((ab.shape[1], 2))
+        ab[diag - off, rows + off] = 0.0
+    ab[diag, rows] = 1.0
+    b2 = np.zeros((ab.shape[1], 2), order="F")
     b2[::stride, 0] = rhs
     b2[: n * stride : stride, 1] = border
     b2[rows, 0] = psi[contact]
     b2[rows, 1] = 0.0
-    x = solve_banded(bands, ab, b2, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    _, _, x, info = _GBSV(*bands, ab, b2, overwrite_ab=True, overwrite_b=True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
     theta = x[0, 0] / (1.0 - x[0, 1])
     v = x[::stride, 0] + theta * x[::stride, 1]
     v[:n][contact] = psi[contact]

@@ -9,11 +9,24 @@ discretized with the upwind difference and the product-integration jump
 operator.  Node 0 needs no special casing: T carries the reflected mass
 f(0)(1 - F(x)) and the same difference equation holds there.
 
-The solve freezes T at the previous iterate and back-substitutes from the
-Dirichlet node (Picard); the iteration map contracts in sup norm with
-factor at most lam / (r + lam), so the sweeps are Anderson-mixed
-(`_sweep.anderson_fixed_point`) and the last plain sweep is returned.
-Known envelope, used by the checks:
+Two routes, by claim family:
+
+  * exponential mixtures (exponential, hyperexponential; the kernel has a
+    recursion): the scheme is the ladder's rung system with rate c_bar and
+    an empty contact set, banded on the augmented unknowns of
+    `ConvKernel.rung_band`, so g is one exact `bordered_banded_solve`.
+  * other densities (shifted Pareto): the solve freezes T at the previous
+    iterate and back-substitutes from the Dirichlet node (Picard); the
+    iteration map contracts in sup norm with factor at most
+    lam / (r + lam), so the sweeps are Anderson-mixed
+    (`_sweep.anderson_fixed_point`) and the last plain sweep is returned.
+
+The exact discrete g is non-decreasing and at most c_bar/r (comparison
+principle), but where its slope is below one ulp over dx rounding can
+leave one- and two-ulp decreases near the Dirichlet node.  The banded
+route therefore ends with a monotone projection: clip at c_bar/r, take the
+running maximum and pin g(L) = c_bar/r, so g' >= 0 and g <= c_bar/r hold
+bitwise.  Known envelope, used by the checks:
 
     (c_bar - lam*ell*gamma)/r <= g <= c_bar/r,   0 <= g' <= ell,   g'' <= 0.
 """
@@ -24,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sweep import anderson_fixed_point, backward_linear_solve
+from ._sweep import anderson_fixed_point, backward_linear_solve, bordered_banded_solve
 from .discretization import Grid, get_kernel, residual_Lc, second_diff
 from .errors import NoConvergence
 from .model import ClaimDistribution, ModelParams, h_eval
@@ -49,14 +62,18 @@ def solve_g(
     residual_tol: float = 1e-8,
     max_iter: int = 10000,
 ) -> BoundarySolution:
-    """Iterate the frozen-T upwind scheme to its fixed point, with Anderson
-    mixing of the sweeps.
+    """Solve the upwind scheme for g by the route of the module docstring.
 
-    Starts from the constant c_bar/r (the value of the cap strategy with no
-    claims, an upper bound).  Stops when the sup-norm update of a plain
-    sweep falls below update_tol (picard_iterations counts the sweeps);
-    the achieved scheme residual is then checked against residual_tol.
-    Raises NoConvergence on either failure.
+    Exponential mixtures: one banded solve, then the monotone projection;
+    picard_iterations is 1 and final_update_norm is the sup-norm change the
+    projection made.  Other densities: Anderson-mixed Picard sweeps from
+    the constant c_bar/r (the value of the cap strategy with no claims, an
+    upper bound) until the sup-norm update of a plain sweep falls below
+    update_tol; picard_iterations counts the sweeps (map evaluations) and
+    final_update_norm is the update of the returned sweep.  update_tol and
+    max_iter act on the Picard route only.  On both routes the achieved
+    scheme residual is then checked against residual_tol.  Raises
+    NoConvergence on either failure.
     """
     n = grid.n_x
     dx = grid.dx
@@ -64,16 +81,28 @@ def solve_g(
     h = h_eval(m, d, grid.nodes)
     a = (m.mu - m.c_bar) / dx
     b = a + m.r + m.lam
-    qt = a / b
     v_L = m.c_bar / m.r
 
-    def sweep(v):
-        t = m.lam * (kern.convolve(v) + v[0] * kern.tail)
-        return backward_linear_solve((t[:n] - h[:n] + m.c_bar) / b, qt, v_L)
+    if kern.has_recursion():
+        ab, bands, stride = kern.rung_band(a, b, m.lam)
+        no_contact = np.zeros(n, dtype=bool)
+        raw = bordered_banded_solve(
+            ab, bands, stride, np.append(m.c_bar - h[:n], v_L),
+            m.lam * kern.tail[:n], no_contact, np.full(n, v_L),
+        )
+        v = np.maximum.accumulate(np.minimum(raw, v_L))
+        v[n] = v_L
+        iterations, update = 1, float(np.max(np.abs(v - raw)))
+    else:
+        qt = a / b
 
-    v, iterations, update = anderson_fixed_point(
-        sweep, np.full(n + 1, v_L), update_tol, max_iter, "g solve"
-    )
+        def sweep(v):
+            t = m.lam * (kern.convolve(v) + v[0] * kern.tail)
+            return backward_linear_solve((t[:n] - h[:n] + m.c_bar) / b, qt, v_L)
+
+        v, iterations, update = anderson_fixed_point(
+            sweep, np.full(n + 1, v_L), update_tol, max_iter, "g solve"
+        )
     g_prime = _upwind_derivative(m, d, grid, v, h)
     res = residual_Lc(m, d, grid, m.c_bar, v, g_prime)
     residual_sup = float(np.max(np.abs(res[:n])))

@@ -137,10 +137,13 @@ def _num(sec: dict, section: str, key: str, cast=float, default=None):
 
 def read_config_mapping(path: str) -> dict:
     """The top-level mapping of a YAML config file; raises ParseError when
-    the file cannot be read or parsed or is not a mapping."""
+    the file cannot be read or parsed or is not a mapping.  Parses with
+    libyaml's safe loader when PyYAML was built with it (about 8x faster),
+    else with the pure-Python safe loader; both build the same mapping."""
+    loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=loader)
     except OSError as e:
         raise ParseError(f"cannot read config {path}: {e}") from None
     except yaml.YAMLError as e:

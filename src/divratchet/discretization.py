@@ -28,8 +28,8 @@ Evaluation paths for the convolution part:
 All paths agree to quadrature-rounding levels and are deterministic.
 
 The same recursion makes the frozen rung operator banded once its states
-are carried as unknowns (`ConvKernel.rung_band`), which the ladder's policy
-iteration solves in O(n_x) per step.
+are carried as unknowns (`ConvKernel.rung_band`), which the g solve and the
+ladder's policy iteration solve in O(n_x) per step.
 """
 
 from __future__ import annotations
@@ -135,7 +135,9 @@ class ConvKernel:
 
         The reflected tail lam (1 - F(x_j)) v_0 is the one dense column and
         is left out for the caller to border.  Returns (ab, (l, u), stride)
-        with ab in the layout of scipy.linalg.solve_banded.
+        with ab in the Fortran-ordered layout of LAPACK gbsv: l spare rows
+        for the LU fill-in above the l + u + 1 diagonals, A[i, j] at
+        ab[l + u + i - j, j].
         """
         if self._rec is None:
             raise ValidationError("a banded rung operator needs an exponential-mixture density")
@@ -143,18 +145,19 @@ class ConvKernel:
         K = len(self._rec)
         stride = K + 1
         l, u = 2 * K + 1, K + 1
-        ab = np.zeros((l + u + 1, (n + 1) * stride))
+        diag = l + u
+        ab = np.zeros((2 * l + u + 1, (n + 1) * stride), order="F")
 
         def put(rows, off, val):  # A[row, row + off] = val
-            ab[u - off, rows + off] = val
+            ab[diag - off, rows + off] = val
 
         v_rows = np.arange(n) * stride
         put(v_rows, 0, b)
         put(v_rows, stride, -a)
-        ab[u, n * stride] = 1.0
+        ab[diag, n * stride] = 1.0
         for k, (wk, q, ak, bk, _) in enumerate(self._rec, 1):
             put(v_rows, k, -lam * wk)
-            ab[u, k] = 1.0
+            ab[diag, k] = 1.0
             z_rows = np.arange(1, n + 1) * stride + k
             put(z_rows, 0, 1.0)
             put(z_rows, -stride, -q)

@@ -153,7 +153,11 @@ class Exponential(ClaimDistribution):
         return self.gamma_mean * np.exp(-np.asarray(x, float) / self.gamma_mean)
 
     def sample_from_uniform(self, u):
-        return -self.gamma_mean * np.log1p(-np.asarray(u, float))
+        # -gamma * log1p(-u) in one output array; u is left untouched
+        u = np.asarray(u, float)
+        out = np.negative(u, out=np.empty(u.shape))
+        np.log1p(out, out=out)
+        return np.multiply(out, -self.gamma_mean, out=out)
 
     def exp_components(self):
         return np.array([1.0]), np.array([self.gamma_mean])

@@ -228,3 +228,34 @@ def test_claims_spec_round_trip(dist):
     rebuilt = make_distribution(kind, params)
     assert type(rebuilt) is type(dist)
     assert rebuilt.params_key() == dist.params_key()
+
+
+README_CONFIG = """\
+model:  {mu: 2.0, lam: 2.0, r: 0.1, ell: 2.0, c_bar: 1.2, c_floor: 0.0}
+claims: {kind: exponential, gamma: 0.6}      # or hyperexponential / shifted_pareto
+grid:   {L: 20.0, n_x: 800}
+ladder: {n: 32}
+solver:   {update_tol: 1.0e-10}                 # optional
+simulate: {paths: 100000, seed: 20240901}       # optional
+output:   {dir: runs}                           # optional, cache location
+"""
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_libyaml_and_python_loaders_agree():
+    fast = yaml.load(README_CONFIG, Loader=yaml.CSafeLoader)
+    slow = yaml.load(README_CONFIG, Loader=yaml.SafeLoader)
+    assert fast == slow
+    assert fast["solver"]["update_tol"] == 1e-10
+
+
+def test_loads_without_libyaml(tmp_path, monkeypatch):
+    p = tmp_path / "run.yaml"
+    p.write_text(README_CONFIG)
+    with_default = load_config(str(p))
+    monkeypatch.setattr(yaml, "__with_libyaml__", False)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert load_config(str(p)) == with_default
+    p.write_text("model: [unclosed\n")
+    with pytest.raises(ParseError, match="cannot parse"):
+        load_config(str(p))

@@ -31,6 +31,7 @@ from divratchet.ladder import (
     RateLadder,
     ValueSlice,
     picard_rung,
+    policy_rung,
     slope_growth_bound,
     solve_ladder,
     solve_rung,
@@ -373,3 +374,36 @@ class TestFailureModes:
             solve_ladder(
                 M2, D2, grid, RateLadder(8, 1.2, 0.0), max_iter=1, boundary=base
             )
+
+
+class TestWarmStart:
+    """README set at 1000 x 64 (the ladder-exp benchmark size)."""
+
+    @pytest.fixture(scope="class")
+    def readme_ladder(self):
+        grid = Grid(L=20.0, n_x=1000)
+        return grid, solve_ladder(M2, D2, grid, RateLadder(64, 1.2, 0.0))
+
+    def test_start_does_not_change_v(self, readme_ladder):
+        # the converged contact set fixes v, so the previous contact set,
+        # the extrapolated interval and the empty set give the same bits
+        grid, surface = readme_ladder
+        n = grid.n_x
+        kern = get_kernel(D2, grid)
+        h = h_eval(M2, D2, grid.nodes)
+        firsts = [int(np.argmax(mask)) for mask in surface.masks]
+        for i in range(1, surface.ladder.n + 1):
+            starts = [surface.masks[i - 1][:n], np.zeros(n, dtype=bool)]
+            if i >= 3:
+                starts.append(np.arange(n) >= 2 * firsts[i - 1] - firsts[i - 2])
+            for contact in starts:
+                v, _, _ = policy_rung(
+                    surface.v[i - 1], contact, float(surface.rates[i]), M2, kern, h, 200, "test",
+                )
+                assert np.array_equal(v, surface.v[i])
+
+    def test_policy_steps_capped(self, readme_ladder):
+        # 202 steps from the previous contact set; 112 measured
+        _, surface = readme_ladder
+        assert int(surface.iterations[1:].sum()) <= 120
+
