@@ -138,7 +138,7 @@ def _num(sec: dict, section: str, key: str, cast=float, default=None):
 def read_config_mapping(path: str) -> dict:
     """The top-level mapping of a YAML config file; raises ParseError when
     the file cannot be read or parsed or is not a mapping.  Parses with
-    libyaml's safe loader when PyYAML was built with it (about 8x faster),
+    libyaml's safe loader when PyYAML was built with it (several times faster),
     else with the pure-Python safe loader; both build the same mapping."""
     loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     try:
