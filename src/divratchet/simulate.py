@@ -14,12 +14,13 @@ seeded with SeedSequence(seed), P = CHUNK_PATHS paths and K = CLAIM_BLOCK
 claims per block, so path p's k-th claim always sees the same pair
 regardless of other paths' lifetimes.  The claim sizes of a block are
 transformed in one sample_from_uniform call, which is elementwise, so they
-equal the per-claim transforms.  Several strategies can run on one stream
-(estimate_strategies): path p's k-th claim is then the same pair for every
-one of them, so each strategy's payoffs are the bits its own estimator
-gives at that seed, and the strategies are compared on common random
-numbers.  A block is drawn for the paths that some strategy has not
-finished; a strategy that has finished a path adds exactly 0 to it.
+equal the per-claim transforms.  Several strategies, each from several
+start points, can run on one stream (estimate_strategies): path p's k-th
+claim is then the same pair for every strategy and start point, so each
+one's payoffs are the bits its own one-point estimator gives at that seed,
+and they are all compared on common random numbers.  A block is drawn for
+the paths that some strategy has not finished from some start point; one
+that has finished a path adds exactly 0 to it.
 
 The ratcheting strategy is the feedback read off a solved surface: the
 dividend rate is the equivalent maximum rate of the running maximum (a
@@ -28,8 +29,12 @@ its running maximum ("frontier"), cell crossings happen at precomputed
 clock times; while below it ("recovery"), the rate is frozen until the
 maximum is reached again.  Both phases are exact.
 
-One driver serves every strategy.  It prepares each claim block once, not
-once per claim column or per strategy.  A block is stored claim-major,
+One driver serves every strategy and start point.  It prepares each claim
+block once, not once per claim column, strategy or start point.  A
+strategy's state is stacked as (start points, n) arrays, so each per-claim
+numpy call serves every start point while the block's claim columns
+broadcast across them; the ratchet's start points each read their own
+frontier schedule, stacked into one table.  A block is stored claim-major,
 (2, K, n) for its n live paths, so every claim column is contiguous; its
 interarrival slot is turned in place into the waits, and its sizes are
 transformed for the live rows only.  The ratchet reads the block first.
@@ -42,11 +47,11 @@ discount factors with one exp, shared by every rate; the horizon is exact
 by masking (from its horizon column on a path has the factor e^{-rT} and
 claim size 0), so only the surplus recursion and the two running sums
 remain per column.  Paths leave at the block end once every strategy has
-passed their horizon.  None of this changes the arithmetic of any path, so
-payoffs are the same bits as stepping every path on every column with
-per-column transforms.  Those masked loops and the single-path event-log
-simulators that check this accounting live with the tests as reference
-implementations.
+passed their horizon from every start point.  None of this changes the
+arithmetic of any path, so payoffs are the same bits as stepping every
+path on every column with per-column transforms.  Those masked loops and
+the single-path event-log simulators that check this accounting live with
+the tests as reference implementations.
 """
 
 from __future__ import annotations
@@ -107,7 +112,8 @@ def _estimate(payoffs: np.ndarray, horizon: float, m: ModelParams) -> PayoffEsti
 
 
 class FrontierSchedule:
-    """Precomputed growth schedule of the surplus along its running maximum.
+    """Precomputed growth schedule of the surplus along its running maximum,
+    for one node-rate table or a (points, n_x + 1) stack of them.
 
     With node rates rho_j (constant on [x_j, x_{j+1})), the frontier clock
     tau(x) is the time for the maximum to grow from 0 to x, and DP(tau) the
@@ -115,62 +121,109 @@ class FrontierSchedule:
     A frontier run from position x over duration D then contributes
     e^{-r (t_enter - tau(x))} * (DP(tau(x) + D) - DP(tau(x))) discounted
     dividends at absolute entry time t_enter.
+
+    A stack serves several start points at once: its lookups take at, the
+    select() of the entries, and read each entry's own point's tables.
     """
 
     def __init__(self, m: ModelParams, rho: np.ndarray, grid):
         self.m = m
         self.grid = grid
         self.rho = np.asarray(rho, float)
-        if self.rho.shape != (grid.n_x + 1,):
+        if self.rho.ndim not in (1, 2) or self.rho.shape[-1] != grid.n_x + 1:
             raise ValidationError("rate table must have one rate per node")
         if self.rho.max() > m.c_bar + 1e-12:
             raise ValidationError("rate table exceeds the cap")
-        drift = m.mu - self.rho[:-1]
-        dt = grid.dx / drift
-        self.t_cross = np.concatenate([[0.0], np.cumsum(dt)])
-        e_cross = np.exp(-m.r * self.t_cross)
-        seg = self.rho[:-1] * (e_cross[:-1] - e_cross[1:]) / m.r
-        self.dp_node = np.concatenate([[0.0], np.cumsum(seg)])
-        self.t_end = float(self.t_cross[-1])
-        self.dp_end = float(self.dp_node[-1])
-        self.e_end = math.exp(-m.r * self.t_end)
+        rows = self.rho.reshape(-1, grid.n_x + 1)
+        self.n_points = rows.shape[0]
+        zero = np.zeros((self.n_points, 1))
+        drift = m.mu - rows[:, :-1]
+        t_cross = np.concatenate([zero, np.cumsum(grid.dx / drift, axis=1)], axis=1)
+        e_cross = np.exp(-m.r * t_cross)
+        seg = rows[:, :-1] * (e_cross[:, :-1] - e_cross[:, 1:]) / m.r
+        dp_node = np.concatenate([zero, np.cumsum(seg, axis=1)], axis=1)
+        self.t_cross = t_cross.reshape(self.rho.shape)
+        self.dp_node = dp_node.reshape(self.rho.shape)
+        ends = (
+            t_cross[:, -1],
+            dp_node[:, -1],
+            np.array([math.exp(-m.r * t) for t in t_cross[:, -1]]),
+        )
+        # per point; one table keeps them as floats
+        if self.n_points == 1:
+            ends = [float(a[0]) for a in ends]
+        self.t_end, self.dp_end, self.e_end = ends
         self.cap_drift = m.mu - m.c_bar
-        # per-cell tables of the cells [x_j, x_{j+1}), j < n_x, read with
-        # take(mode="clip"), which clamps the cell index as the lookups need
-        self.cell_x = np.arange(grid.n_x) * grid.dx
-        self.cell_t = self.t_cross[:-1]
-        self.cell_rho = self.rho[:-1]
-        self.cell_drift = drift
-        self.cell_dp = self.dp_node[:-1]
-        self.cell_e = e_cross[:-1]
+        self._t_next = t_cross[:, 1:]
+        # per-cell tables of the cells [x_j, x_{j+1}), j < n_x, one block of
+        # n_x + 1 entries per point whose last entry repeats cell n_x - 1, so
+        # take(mode="clip") within one table clamps the cell index as the
+        # lookups need, and a point's block is reached by adding its offset
+        self.stride = grid.n_x + 1
+
+        def cells(a):
+            return np.concatenate([a[:, :-1], a[:, -2:-1]], axis=1).reshape(-1)
+
+        self.cell_x = cells(np.tile(np.arange(grid.n_x + 1) * grid.dx, (self.n_points, 1)))
+        self.cell_t = cells(t_cross)
+        self.cell_rho = cells(rows)
+        self.cell_drift = cells(np.concatenate([drift, zero], axis=1))
+        self.cell_dp = cells(dp_node)
+        self.cell_e = cells(e_cross)
+        self.node_rho = rows.reshape(-1)
+        self._cuts = np.arange(self.n_points + 1)
+
+    def select(self, flat, width):
+        """Lookup selection of entries of a (points, width) array, given by
+        their ascending flat indices: each entry's point, its table offset
+        and the bounds of each point's run.  None for one table."""
+        if self.n_points == 1:
+            return None
+        pt = flat // width
+        return pt, pt * self.stride, pt.searchsorted(self._cuts)
 
     # Each lookup evaluates the beyond-L (beyond-t_end) branch only when
     # some entry lies there; entries inside get the same bits either way.
+    # With a selection the positions must be >= 0, so a cell index only
+    # overshoots its point's block where the beyond branch replaces it.
 
-    def rate_at(self, x):
+    def rate_at(self, x, at=None):
         """Rate while the running maximum sits at x (right-continuous)."""
         x = np.asarray(x, float)
-        rate = self.rho.take((x / self.grid.dx).astype(np.int64), mode="clip")
+        j = (x / self.grid.dx).astype(np.int64)
+        if at is not None:
+            j += at[1]
+        rate = self.node_rho.take(j, mode="clip")
         over = x >= self.grid.L
         return np.where(over, self.m.c_bar, rate) if np.count_nonzero(over) else rate
 
-    def clock(self, x):
+    def clock(self, x, at=None):
         x = np.asarray(x, float)
         # truncation, not floor: the clip sends every negative index to 0
         j = (x / self.grid.dx).astype(np.int64)
+        if at is not None:
+            j += at[1]
         tau = self.cell_t.take(j, mode="clip") + (
             x - self.cell_x.take(j, mode="clip")
         ) / self.cell_drift.take(j, mode="clip")
         over = x >= self.grid.L
         if np.count_nonzero(over):
-            tau = np.where(over, self.t_end + (x - self.grid.L) / self.cap_drift, tau)
+            t_end = self.t_end if at is None else self.t_end.take(at[0])
+            tau = np.where(over, t_end + (x - self.grid.L) / self.cap_drift, tau)
         return tau
 
-    def pos_dp(self, tau):
+    def pos_dp(self, tau, at=None):
         """Position and clock-discounted dividend prefix at clock tau."""
         tau = np.asarray(tau, float)
         # the cell whose crossing clock is the last one <= tau
-        j = self.t_cross[1:].searchsorted(tau, side="right")
+        if at is None:
+            j = self._t_next[0].searchsorted(tau, side="right")
+        else:
+            _, off, cuts = at
+            j = np.empty(tau.shape, np.int64)
+            for t_next, lo, hi in zip(self._t_next, cuts[:-1], cuts[1:]):
+                j[lo:hi] = t_next.searchsorted(tau[lo:hi], side="right")
+            j += off
         e_tau = np.exp(-self.m.r * tau)
         pos = self.cell_x.take(j, mode="clip") + (
             tau - self.cell_t.take(j, mode="clip")
@@ -178,10 +231,14 @@ class FrontierSchedule:
         dp = self.cell_dp.take(j, mode="clip") + self.cell_rho.take(j, mode="clip") * (
             self.cell_e.take(j, mode="clip") - e_tau
         ) / self.m.r
-        over = tau >= self.t_end
+        t_end = self.t_end if at is None else self.t_end.take(at[0])
+        over = tau >= t_end
         if np.count_nonzero(over):
-            pos = np.where(over, self.grid.L + (tau - self.t_end) * self.cap_drift, pos)
-            dp_out = self.dp_end + self.m.c_bar * (self.e_end - e_tau) / self.m.r
+            pos = np.where(over, self.grid.L + (tau - t_end) * self.cap_drift, pos)
+            dp_end, e_end = self.dp_end, self.e_end
+            if at is not None:
+                dp_end, e_end = dp_end.take(at[0]), e_end.take(at[0])
+            dp_out = dp_end + self.m.c_bar * (e_end - e_tau) / self.m.r
             dp = np.where(over, dp_out, dp)
         return pos, dp
 
@@ -227,46 +284,66 @@ class _ClaimBlocks:
         return block, sizes
 
 
-class _Ratchet:
-    """The ratcheting strategy of a frontier schedule on the live paths of
-    a chunk.
+def _rows(band, k, n):
+    """The k state arrays of a band of k * n rows: (n, paths) each, or
+    (paths,) for n = 1."""
+    return band.reshape((k, n, -1) if n > 1 else (k, -1))
 
-    Its state rows are t, e, mx, tau_m, dp_m, rate_m, x, div, cost: each
-    path's clock and e^{-rt}, its running maximum and the frontier state of
-    that maximum (clock, dividend prefix and rate), its surplus and the two
-    running sums.
+
+def _column(values, like):
+    """One value per row of like, shaped to broadcast over its paths."""
+    return np.reshape(values, like.shape[:-1] + (1,))
+
+
+class _Ratchet:
+    """The ratcheting strategy of a frontier schedule from each of its start
+    points, on the live paths of a chunk.
+
+    Its state rows are t, e, mx, tau_m, dp_m, rate_m, x, div, cost, each a
+    (points, n) array: each path's clock and e^{-rt}, its running maximum
+    and the frontier state of that maximum (clock, dividend prefix and
+    rate), its surplus and the two running sums.  Row i of the schedule
+    starts from x0s[i].
     """
 
-    n_rows = 9
+    def __init__(self, m, sched, x0s, T):
+        self.m, self.sched, self.x0s, self.T = m, sched, x0s, T
+        self.n_rows = 9 * len(x0s)
 
-    def __init__(self, m, sched, T):
-        self.m, self.sched, self.T = m, sched, T
+    def payoffs(self, band):
+        n = len(self.x0s)
+        return band[7 * n : 8 * n] - band[8 * n :]
 
-    @staticmethod
-    def payoffs(state):
-        return state[7:8] - state[8:9]
-
-    def start(self, state, x0):
-        _, e, mx, tau_m, dp_m, rate_m, x, _, cost = state
-        x[:] = max(float(x0), 0.0)
-        cost[:] = self.m.ell * max(-x0, 0.0)
+    def start(self, band):
+        sched = self.sched
+        _, e, mx, tau_m, dp_m, rate_m, x, _, cost = _rows(band, 9, len(self.x0s))
+        x[:] = _column([max(float(x0), 0.0) for x0 in self.x0s], x)
+        cost[:] = _column([self.m.ell * max(-x0, 0.0) for x0 in self.x0s], x)
         e[:] = 1.0
         mx[:] = x
-        tau_m[:] = self.sched.clock(mx)
-        dp_m[:] = self.sched.pos_dp(tau_m)[1]
-        rate_m[:] = self.sched.rate_at(mx)
+        flat = mx.reshape(-1)
+        at = sched.select(np.arange(flat.size), mx.shape[-1])
+        tau = sched.clock(flat, at)
+        tau_m[:] = tau.reshape(mx.shape)
+        dp_m[:] = sched.pos_dp(tau, at)[1].reshape(mx.shape)
+        rate_m[:] = sched.rate_at(flat, at).reshape(mx.shape)
 
-    def step(self, block, sizes, state):
+    def step(self, block, sizes, band):
         """Advance the paths over one claim block, in place, and return the
-        mask of the paths past their horizon.
+        mask of the paths past their horizon from every start point.
 
         A path that reaches its horizon is parked: its clock is set to T and
         its rate to 0, so later steps last 0 and add exactly 0 dividends,
-        and its claims are masked.
+        and its claims are masked.  Each claim column broadcasts across the
+        start points; the frontier rows are indexed flat.
         """
         m, sched, T = self.m, self.sched, self.T
         waits = block[0]
-        t, e, mx, tau_m, dp_m, rate_m, x, div, cost = state
+        rows = _rows(band, 9, len(self.x0s))
+        t, e, mx, tau_m, dp_m, rate_m, x, div, cost = rows
+        width = t.shape[-1]
+        # the same rows flat, for the frontier rows' flat indices
+        t_f, _, mx_f, tau_f, dp_f, rate_f, _, div_f, _ = band.reshape(9, -1)
         parked = 0
         for k in range(CLAIM_BLOCK):
             w = waits[k]
@@ -287,17 +364,18 @@ class _Ratchet:
             e = e_mid
             # frontier growth for the remaining duration
             front = dur - rec
-            f = (front > 0.0).nonzero()[0]
+            f = (front > 0.0).reshape(-1).nonzero()[0]
             if f.size:
-                tau0 = tau_m[f]
-                pos1, dp1 = sched.pos_dp(tau0 + front[f])
-                div[f] += np.exp(-m.r * (t_mid[f] - tau0)) * (dp1 - dp_m[f])
-                x_end[f] = mx[f] = pos1
-                tau1 = sched.clock(pos1)
-                tau_m[f] = tau1
-                dp_m[f] = sched.pos_dp(tau1)[1]
-                rate_m[f] = sched.rate_at(pos1)
-                e[f] = np.exp(-m.r * t[f])
+                at = sched.select(f, width)
+                tau0 = tau_f[f]
+                pos1, dp1 = sched.pos_dp(tau0 + front.reshape(-1)[f], at)
+                div_f[f] += np.exp(-m.r * (t_mid.reshape(-1)[f] - tau0)) * (dp1 - dp_f[f])
+                x_end.reshape(-1)[f] = mx_f[f] = pos1
+                tau1 = sched.clock(pos1, at)
+                tau_f[f] = tau1
+                dp_f[f] = sched.pos_dp(tau1, at)[1]
+                rate_f[f] = sched.rate_at(pos1, at)
+                e.reshape(-1)[f] = np.exp(-m.r * t_f[f])
             # paths that reach the horizon take no claim; a parked path
             # meets w >= 0 == T - t on every later step, so more rows than
             # are parked means new ones to park
@@ -315,44 +393,54 @@ class _Ratchet:
             np.maximum(x_end - z, 0.0, out=x)
             if parked == t.size:
                 break
-        state[1] = e
-        return t >= T
+        rows[1] = e
+        return (t >= T).reshape(-1, width).all(axis=0)
 
 
 class _Constant:
-    """Constant-rate strategies on the live paths of a chunk.
+    """Constant-rate strategies, each from its own start point, on the live
+    paths of a chunk.
 
     The state rows t and e, each path's clock and discount factor at its
-    last claim, are shared, since no rate changes them; then come x, div
-    and cost per rate.
+    last claim, are shared, since no rate or start changes them; then come
+    the (strategies, n) arrays x, div and cost, one row per (x0, rate).
     """
 
-    def __init__(self, m, rates, T):
-        self.m, self.rates, self.T = m, rates, T
-        self.n_rows = 2 + 3 * len(rates)
+    def __init__(self, m, starts, T):
+        self.m, self.T = m, T
+        self.x0s = [x0 for x0, _ in starts]
+        self.rates = np.array([c for _, c in starts])
+        self.n_rows = 2 + 3 * len(starts)
 
-    @staticmethod
-    def payoffs(state):
-        return state[3::3] - state[4::3]
+    def payoffs(self, band):
+        n = len(self.x0s)
+        return band[2 + n : 2 + 2 * n] - band[2 + 2 * n :]
 
-    def start(self, state, x0):
-        state[1] = 1.0
-        state[2::3] = max(float(x0), 0.0)
-        state[4::3] = self.m.ell * max(-x0, 0.0)
+    def start(self, band):
+        n, p = len(self.x0s), band.shape[1]
+        x, _, cost = _rows(band[2:], 3, n)
+        band[1] = 1.0
+        x[:] = _column([max(float(x0), 0.0) for x0 in self.x0s], x)
+        cost[:] = _column([self.m.ell * max(-x0, 0.0) for x0 in self.x0s], x)
+        # block-sized scratch for the whole chunk, sliced to the live width
+        self.drop = np.empty((CLAIM_BLOCK, p))
+        self.pair = np.empty((2, CLAIM_BLOCK, n, p)) if n > 1 else None
 
-    def step(self, block, sizes, state):
+    def step(self, block, sizes, band):
         """Advance the paths over one claim block, in place, and return the
         mask of the paths whose horizon fell in the block.
 
         The claim clocks go into the size slot of the block, which then
         holds their discount factors; from each path's horizon column on
         the factor is e^{-rT} and the claim size 0, so that column adds the
-        dividend up to T and later columns add exactly 0.  A single rate
-        scales the waits and interval discounts in place; several share
-        one scratch pair.
+        dividend up to T and later columns add exactly 0.  A single
+        strategy scales the waits and interval discounts in place; several
+        fill one scratch pair, and each claim column serves them all.
         """
-        m, rates, T = self.m, self.rates, self.T
-        t, e = state[:2]
+        m, T = self.m, self.T
+        t, e = band[:2]
+        x, div, cost = _rows(band[2:], 3, len(self.x0s))
+        width = t.size
         w, clk = block
         np.add(t, w[0], out=clk[0])
         for k in range(1, CLAIM_BLOCK):
@@ -371,50 +459,56 @@ class _Constant:
             if ended[-1]:
                 n_cols = int(ended.argmax()) + 1
         # discount drops e_{k-1} - e_k of each claim interval
-        drop = np.empty_like(sizes)
+        drop = self.drop[:, :width]
         np.subtract(e, clk[0], out=drop[0])
         np.subtract(clk[:-1], clk[1:], out=drop[1:])
         e[:] = clk[-1]
         # the claim loop reads ell e^{-r t_k} and (mu - c) w_k; products
         # commute bitwise, so these are the per-claim factors
         clk *= m.ell
-        short = np.empty_like(t)
-        gain, step = (drop, w) if len(rates) == 1 else np.empty((2,) + w.shape)
-        for i, c_const in enumerate(rates):
-            x, div, cost = state[2 + 3 * i : 5 + 3 * i]
-            # dividends c (e_{k-1} - e_k) / r of each claim interval
-            np.multiply(drop, c_const, out=gain)
-            gain /= m.r
-            np.multiply(w, m.mu - c_const, out=step)
-            for k in range(n_cols):
-                div += gain[k]
-                x += step[k]
-                np.subtract(sizes[k], x, out=short)
-                np.maximum(short, 0.0, out=short)
-                short *= clk[k]
-                cost += short
-                x -= sizes[k]
-                np.maximum(x, 0.0, out=x)
+        short = np.empty_like(x)
+        rates = self.rates
+        if self.pair is None:
+            gain, step = drop, w
+        else:
+            # claim-major (K, strategies, n), so column k serves them all
+            gain, step = self.pair[..., :width]
+            drop, w, rates = drop[:, None], w[:, None], rates[:, None]
+        # dividends c (e_{k-1} - e_k) / r of each claim interval
+        np.multiply(drop, rates, out=gain)
+        gain /= m.r
+        np.multiply(w, m.mu - rates, out=step)
+        for k in range(n_cols):
+            div += gain[k]
+            x += step[k]
+            np.subtract(sizes[k], x, out=short)
+            np.maximum(short, 0.0, out=short)
+            short *= clk[k]
+            cost += short
+            x -= sizes[k]
+            np.maximum(x, 0.0, out=x)
         return gone
 
 
-def _batch_payoffs(m, d, x0, n_paths, seed, T, sched=None, rates=()):
-    """Payoffs per path, one row per strategy: the ratchet strategy of
-    sched when given, then each constant rate, all on one claim stream.
+def _batch_payoffs(m, d, n_paths, seed, T, sched=None, x0s=(), starts=()):
+    """Payoffs per path, one row per strategy and start point: the ratchet
+    strategy of sched from each of x0s (schedule row i from x0s[i]), then
+    the constant-rate strategy of each (x0, rate) of starts, all on one
+    claim stream.
 
     Each claim block is drawn once for the live paths; the ratchet reads it
     first, then the constant rates overwrite it with their claim clocks.
     Each strategy owns a band of n_rows state rows, which only its start,
     step and payoffs read; a path leaves when every strategy has passed its
-    horizon.
+    horizon from every start point.
     """
-    strategies = [_Ratchet(m, sched, T)] if sched is not None else []
-    if rates:
-        strategies.append(_Constant(m, rates, T))
+    strategies = [_Ratchet(m, sched, x0s, T)] if len(x0s) else []
+    if starts:
+        strategies.append(_Constant(m, starts, T))
     edges = np.cumsum([0] + [s.n_rows for s in strategies]).tolist()
     bands = list(zip(strategies, edges, edges[1:]))
     rng = _batch_rng(seed)
-    out = np.empty(((sched is not None) + len(rates), n_paths))
+    out = np.empty((len(x0s) + len(starts), n_paths))
     for done in range(0, n_paths, CHUNK_PATHS):
         p = min(CHUNK_PATHS, n_paths - done)
         res = out[:, done : done + p]
@@ -423,7 +517,7 @@ def _batch_payoffs(m, d, x0, n_paths, seed, T, sched=None, rates=()):
         live = np.arange(p)
         state = np.zeros((edges[-1], p))
         for s, lo, hi in bands:
-            s.start(state[lo:hi], x0)
+            s.start(state[lo:hi])
         blocks = _ClaimBlocks(rng, p)
         while live.size:
             block, sizes = blocks.next(d, m.lam, live)
@@ -432,45 +526,50 @@ def _batch_payoffs(m, d, x0, n_paths, seed, T, sched=None, rates=()):
                 gone &= s.step(block, sizes, state[lo:hi])
             del sizes  # freed before the next block is sampled
             if gone.any():
-                ended = state[:, gone]
+                ended = state.compress(gone, axis=1)
                 res[:, live[gone]] = np.concatenate(
                     [s.payoffs(ended[lo:hi]) for s, lo, hi in bands]
                 )
+                # compress keeps the state C-ordered, so every band's rows
+                # stay contiguous and its reshapes stay views
                 keep = ~gone
-                live, state = live[keep], state[:, keep]
+                live, state = live[keep], state.compress(keep, axis=1)
     return out
 
 
 def estimate_strategies(
     m: ModelParams,
     d: ClaimDistribution,
-    x0: float,
     n_paths: int,
     seed: int,
     horizon: float | None = None,
     rate_map: RateMap | None = None,
-    c0: float | None = None,
-    constant_rates=(),
+    ratchets=(),
+    constants=(),
 ):
-    """Batch estimates of several strategies from x0 on one claim stream:
-    the ratcheting feedback strategy at (x0, c0) when rate_map is given,
-    then each constant rate, in that order.  Returns the estimates and the
-    (strategies, n_paths) payoffs; each strategy's payoffs are those of its
-    own estimator at the same seed."""
-    rates = tuple(constant_rates)
-    if rate_map is None and not rates:
-        raise ValidationError("no strategy: give a rate map or constant rates")
-    if rate_map is not None and c0 is None:
-        raise ValidationError("the ratchet strategy needs an initial rate c0")
-    if not all(c <= m.c_bar for c in rates):
+    """Batch estimates of several strategies and start points on one claim
+    stream: the ratcheting feedback strategy of rate_map from each (x0, c0)
+    of ratchets, then the constant-rate strategy of each (x0, c) of
+    constants, in that order.  Returns the estimates and the
+    (strategies, n_paths) payoffs; each row's payoffs are those of its own
+    one-point estimator at the same seed."""
+    ratchets, constants = list(ratchets), list(constants)
+    if not ratchets and not constants:
+        raise ValidationError("no strategy: give ratchet or constant-rate start points")
+    if ratchets and rate_map is None:
+        raise ValidationError("the ratchet strategy needs a rate map")
+    if not all(c <= m.c_bar for _, c in constants):
         raise ValidationError("constant rate must not exceed c_bar")
     if n_paths < 2:
         raise ValidationError("need at least 2 paths for a standard error")
     T = default_horizon(m.r) if horizon is None else float(horizon)
     sched = None
-    if rate_map is not None:
-        sched = FrontierSchedule(m, _ratchet_row(rate_map, c0), rate_map.grid)
-    payoffs = _batch_payoffs(m, d, x0, n_paths, seed, T, sched, rates)
+    if ratchets:
+        rows = np.stack([_ratchet_row(rate_map, c0) for _, c0 in ratchets])
+        sched = FrontierSchedule(m, rows, rate_map.grid)
+    payoffs = _batch_payoffs(
+        m, d, n_paths, seed, T, sched, [x0 for x0, _ in ratchets], constants
+    )
     return [_estimate(p, T, m) for p in payoffs], payoffs
 
 
@@ -486,7 +585,7 @@ def estimate_constant_payoff(
 ):
     """Batch estimate of the fixed-rate strategy value at x0."""
     (est,), payoffs = estimate_strategies(
-        m, d, x0, n_paths, seed, horizon, constant_rates=(c_const,)
+        m, d, n_paths, seed, horizon, constants=[(x0, c_const)]
     )
     return (est, payoffs[0]) if return_payoffs else est
 
@@ -518,5 +617,7 @@ def estimate_ratchet_payoff(
     return_payoffs: bool = False,
 ):
     """Batch estimate of the ratcheting feedback strategy value at (x0, c0)."""
-    (est,), payoffs = estimate_strategies(m, d, x0, n_paths, seed, horizon, rate_map, c0)
+    (est,), payoffs = estimate_strategies(
+        m, d, n_paths, seed, horizon, rate_map, ratchets=[(x0, c0)]
+    )
     return (est, payoffs[0]) if return_payoffs else est

@@ -1,5 +1,8 @@
 """Cross-validation of a solved surface: structural invariants plus a
-Monte Carlo comparison through an independent route.
+Monte Carlo comparison through an independent route.  The Monte Carlo
+checks of every point come from one pass on one claim stream, so the
+feedback strategy and the constant rates of all points are compared on
+common random numbers.
 
 Every invariant the solver is supposed to enforce is re-measured here from
 the stored arrays (never from solver-internal state) and reported as a
@@ -360,20 +363,27 @@ def mc_cross_check(
 
     Agreement: |MC mean of the feedback strategy - value_at| <= 3 SE +
     eps_disc + tail bound.  Dominance: every constant-rate strategy with
-    rate in [c0, c_bar] stays below value_at plus the same budget.  Point k
-    runs the feedback strategy and its constant rates on one claim stream,
-    seeded with seed + 7k, so they are compared on common random numbers.
+    rate in [c0, c_bar] stays below value_at plus the same budget.  One
+    pass on the claim stream of seed runs the feedback strategy and the
+    constant rates from every point, so all of them are compared on common
+    random numbers, and each point's checks are those of a one-point call
+    at the same seed.
     """
     if n_paths < 2:
         raise ValidationError("need at least 2 paths")
+    if not points:
+        return Certificate(checks=[])
     m = surface.m
     rm = rate_map if rate_map is not None else build_rate_map(surface)
+    rates = [
+        [c for c in constant_rates or [0.5 * (c0 + m.c_bar)] if c0 <= c <= m.c_bar]
+        for _, c0 in points
+    ]
+    starts = [(x0, c) for (x0, _), rs in zip(points, rates) for c in rs]
+    ests, _ = sim.estimate_strategies(m, d, n_paths, seed, horizon, rm, points, starts)
+    est_cs = iter(ests[len(points) :])
     checks = []
-    for k, (x0, c0) in enumerate(points):
-        rates = [c for c in constant_rates or [0.5 * (c0 + m.c_bar)] if c0 <= c <= m.c_bar]
-        (est, *est_cs), _ = sim.estimate_strategies(
-            m, d, x0, n_paths, seed + 7 * k, horizon, rm, c0, rates
-        )
+    for k, ((x0, c0), est, rs) in enumerate(zip(points, ests, rates)):
         v = surface.value_at(x0, c0)
         budget = 3.0 * est.std_error + eps_disc + est.tail_bound
         checks.append(
@@ -387,7 +397,8 @@ def mc_cross_check(
                 observed=abs(est.mean - v),
             )
         )
-        for c_const, est_c in zip(rates, est_cs):
+        # rs first: zip then draws no estimate beyond this point's rates
+        for c_const, est_c in zip(rs, est_cs):
             checks.append(
                 CheckResult(
                     name=f"mc_dominance_{k}_{c_const}",

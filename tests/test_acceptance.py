@@ -23,8 +23,7 @@ from divratchet import (
     boundary_residual_report,
     build_rate_map,
     estimate_boundary_payoff,
-    estimate_constant_payoff,
-    estimate_ratchet_payoff,
+    estimate_strategies,
     extract_boundary,
     h_eval,
     residual_Lc,
@@ -215,19 +214,23 @@ def test_criterion_06_mc_boundary(solved, eps_disc):
 
 
 def test_criterion_07_mc_optimality(solved, rate_map, eps_disc):
+    # one pass on the claim stream of SEED: the feedback strategy from each
+    # point and two constant rates per point, on common random numbers
     surface, _ = solved
     ok = True
     details = []
-    for k, (x0, c0) in enumerate([(0.0, 0.0), (1.0, 0.5), (3.0, 0.2)]):
-        est = estimate_ratchet_payoff(M, D, rate_map, x0, c0, PATHS, SEED + 7 * k)
+    points = [(0.0, 0.0), (1.0, 0.5), (3.0, 0.2)]
+    rates = [(0.5 * (c0 + M.c_bar), M.c_bar) for _, c0 in points]
+    constants = [(x0, c) for (x0, _), rs in zip(points, rates) for c in rs]
+    ests, _ = estimate_strategies(M, D, PATHS, SEED, None, rate_map, points, constants)
+    est_cs = iter(ests[len(points):])
+    for (x0, c0), est, rs in zip(points, ests, rates):
         v = surface.value_at(x0, c0)
         diff = abs(est.mean - v)
         budget = 3.0 * est.std_error + eps_disc + est.tail_bound
         agree = diff <= budget
         dom = True
-        for c_const in (0.5 * (c0 + M.c_bar), M.c_bar):
-            est_c = estimate_constant_payoff(M, D, c_const, x0, PATHS,
-                                             SEED + 7 * k + 3)
+        for c_const, est_c in zip(rs, est_cs):
             margin = est_c.mean - v
             dom = dom and margin <= 3.0 * est_c.std_error + eps_disc + est_c.tail_bound
         ok = ok and agree and dom

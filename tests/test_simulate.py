@@ -156,9 +156,9 @@ def test_estimator_needs_two_paths(ratemap2):
 
 def test_shared_stream_needs_a_strategy(ratemap2):
     with pytest.raises(ValidationError):
-        sim.estimate_strategies(M2, D2, 0.0, 100, seed=1)
+        sim.estimate_strategies(M2, D2, 100, seed=1)
     with pytest.raises(ValidationError):
-        sim.estimate_strategies(M2, D2, 0.0, 100, seed=1, rate_map=ratemap2)
+        sim.estimate_strategies(M2, D2, 100, seed=1, ratchets=[(0.0, 0.0)])
 
 
 def test_initial_rate_outside_ladder_rejected(ratemap2):
@@ -260,7 +260,7 @@ def test_single_path_matches_batch_on_shared_stream(ratemap2, monkeypatch):
     T = sim.default_horizon(M2.r)
     for s in range(1, 6):
         single = simulate_ratchet(M2, D2, ratemap2, 0.0, 0.0, seed=s)
-        batch = sim._batch_payoffs(M2, D2, 0.0, 1, s, T, sched)[0]
+        batch = sim._batch_payoffs(M2, D2, 1, s, T, sched, (0.0,))[0]
         assert abs(single.payoff - batch[0]) <= 1e-11
 
 
@@ -274,7 +274,7 @@ def test_single_path_matches_batch_on_shared_stream_hyperexp(ratemap_h, monkeypa
     T = sim.default_horizon(M2.r)
     for s in range(1, 6):
         single = simulate_ratchet(M2, DH, ratemap_h, 0.0, 0.0, seed=s)
-        batch = sim._batch_payoffs(M2, DH, 0.0, 1, s, T, sched)[0]
+        batch = sim._batch_payoffs(M2, DH, 1, s, T, sched, (0.0,))[0]
         assert abs(single.payoff - batch[0]) <= 1e-11
 
 
@@ -296,7 +296,7 @@ def test_batch_ratchet_bitwise_matches_reference(claims, rate_map, horizon, requ
     for x0 in (-1.0, 0, 3.0, 25.0):
         for c0 in (0.0, 0.5):
             sched = sim.FrontierSchedule(M2, sim._ratchet_row(rm, c0), rm.grid)
-            new = sim._batch_payoffs(M2, claims, x0, 1000, 7, T, sched)[0]
+            new = sim._batch_payoffs(M2, claims, 1000, 7, T, sched, (x0,))[0]
             ref = mc_reference.reference_batch_ratchet(M2, claims, sched, x0, 1000, 7, T)
             assert np.array_equal(new, ref), (x0, c0)
 
@@ -314,7 +314,7 @@ def test_batch_constant_bitwise_matches_reference(claims, horizon, monkeypatch):
     T = sim.default_horizon(M2.r) if horizon is None else horizon
     for x0 in (-1.0, 0.0, 3.0, 25.0):
         for c in (0.0, 0.6, M2.c_bar):
-            new = sim._batch_payoffs(M2, claims, x0, 1000, 7, T, rates=(c,))[0]
+            new = sim._batch_payoffs(M2, claims, 1000, 7, T, starts=((x0, c),))[0]
             ref = mc_reference.reference_batch_constant(M2, claims, c, x0, 1000, 7, T)
             assert np.array_equal(new, ref), (x0, c)
 
@@ -333,7 +333,9 @@ def test_shared_stream_matches_standalone_estimators(claims, rate_map, horizon, 
     rm = request.getfixturevalue(rate_map)
     rates = (0.0, 0.6, M2.c_bar)
     for x0, c0 in ((-1.0, 0.0), (0, 0.5), (3.0, 0.0), (25.0, 0.5)):
-        ests, pays = sim.estimate_strategies(M2, claims, x0, 1000, 7, horizon, rm, c0, rates)
+        ests, pays = sim.estimate_strategies(
+            M2, claims, 1000, 7, horizon, rm, [(x0, c0)], [(x0, c) for c in rates]
+        )
         alone = [sim.estimate_ratchet_payoff(M2, claims, rm, x0, c0, 1000, 7, horizon, True)]
         for c in rates:
             alone.append(sim.estimate_constant_payoff(M2, claims, c, x0, 1000, 7, horizon, True))
@@ -341,6 +343,40 @@ def test_shared_stream_matches_standalone_estimators(claims, rate_map, horizon, 
         for est, p, (est1, p1) in zip(ests, pays, alone):
             assert np.array_equal(p, p1), (x0, c0)
             assert est == est1
+
+
+@pytest.mark.parametrize("horizon", [5.0, None], ids=["short", "default"])
+@pytest.mark.parametrize(
+    "claims, rate_map",
+    [(D2, "ratemap2"), (DH, "ratemap_h"), (DP, "ratemap_p")],
+    ids=["exponential", "hyperexponential", "shifted_pareto"],
+)
+def test_several_start_points_match_one_point_estimators(
+    claims, rate_map, horizon, request, monkeypatch
+):
+    # one pass over several start points: ratchet rows from below zero, the
+    # integer 0 and beyond L, at the cap, at 0 and between rungs, and
+    # constant rows from their own starts; every row keeps the payoff bits
+    # and estimate of its own one-point estimator at the same seed, over
+    # partial and multiple chunks
+    monkeypatch.setattr(sim, "CHUNK_PATHS", 300)
+    rm = request.getfixturevalue(rate_map)
+    between = 0.5
+    assert not np.any(rm.rates == between)
+    ratchets = [(-1.0, 0.0), (0, M2.c_bar), (25.0, between), (3.0, between)]
+    constants = [(-1.0, 0.6), (0, M2.c_bar), (3.0, 0.0), (25.0, 0.6)]
+    ests, pays = sim.estimate_strategies(M2, claims, 1000, 7, horizon, rm, ratchets, constants)
+    alone = [
+        sim.estimate_ratchet_payoff(M2, claims, rm, x0, c0, 1000, 7, horizon, True)
+        for x0, c0 in ratchets
+    ] + [
+        sim.estimate_constant_payoff(M2, claims, c, x0, 1000, 7, horizon, True)
+        for x0, c in constants
+    ]
+    assert len(ests) == pays.shape[0] == len(alone)
+    for row, (est, p, (est1, p1)) in enumerate(zip(ests, pays, alone)):
+        assert np.array_equal(p, p1), row
+        assert est == est1, row
 
 
 @pytest.mark.parametrize(
@@ -364,7 +400,8 @@ def test_shared_stream_horizon_at_a_claim(path, k, ulps, ratchet_first, misses, 
     # With misses, the ratchet's clock after its horizon step,
     # t_(k-1) + (T - t_(k-1)), is not T, and its e^{-rt} is not e^{-rT}:
     # only parking the clock at T and the rate at 0 keeps the later steps
-    # of that path at exactly 0
+    # of that path at exactly 0.  A pass from both start points at once,
+    # each with its own frontier schedule, keeps the same bits
     monkeypatch.setattr(sim, "CHUNK_PATHS", 300)
     u = sim._batch_rng(7).random((300, sim.CLAIM_BLOCK, 2))
     w = -np.log1p(-u[path, : k + 1, 0]) / M2.lam
@@ -377,24 +414,40 @@ def test_shared_stream_horizon_at_a_claim(path, k, ulps, ratchet_first, misses, 
     if ratchet_first is not None:
         assert (w[-1] >= T - t, t + w[-1] >= T) == (ratchet_first, not ratchet_first)
     assert (np.exp(-M2.r * (t + (T - t))) != np.exp(-M2.r * T)) == misses
-    sched = sim.FrontierSchedule(M2, sim._ratchet_row(ratemap2, 0.0), ratemap2.grid)
+    rows = [sim._ratchet_row(ratemap2, c0) for c0 in (0.0, 0.5)]
+    sched = sim.FrontierSchedule(M2, rows[0], ratemap2.grid)
+    refs = {}
     for x0 in (0.0, 3.0):
         ref = [mc_reference.reference_batch_ratchet(M2, D2, sched, x0, 600, 7, T)]
         for c in (0.6, M2.c_bar):
             ref.append(mc_reference.reference_batch_constant(M2, D2, c, x0, 600, 7, T))
-        pays = sim._batch_payoffs(M2, D2, x0, 600, 7, T, sched, (0.6, M2.c_bar))
+        pays = sim._batch_payoffs(M2, D2, 600, 7, T, sched, (x0,), ((x0, 0.6), (x0, M2.c_bar)))
         for p, r in zip(pays, ref):
             assert np.array_equal(p, r), x0
-        assert np.array_equal(sim._batch_payoffs(M2, D2, x0, 600, 7, T, sched)[0], ref[0]), x0
+        assert np.array_equal(sim._batch_payoffs(M2, D2, 600, 7, T, sched, (x0,))[0], ref[0]), x0
+        refs[x0] = ref
+    sched1 = sim.FrontierSchedule(M2, rows[1], ratemap2.grid)
+    ref = [
+        refs[0.0][0],
+        mc_reference.reference_batch_ratchet(M2, D2, sched1, 3.0, 600, 7, T),
+        refs[0.0][1],
+        refs[3.0][2],
+    ]
+    stacked = sim.FrontierSchedule(M2, np.stack(rows), ratemap2.grid)
+    pays = sim._batch_payoffs(
+        M2, D2, 600, 7, T, stacked, (0.0, 3.0), ((0.0, 0.6), (3.0, M2.c_bar))
+    )
+    for row, (p, r) in enumerate(zip(pays, ref)):
+        assert np.array_equal(p, r), row
     if misses:
         # the parked state itself, on the path's first block alone: its
         # clock is exactly T, its rate 0, and it has passed its horizon
         block = np.empty((2, sim.CLAIM_BLOCK, 1))
         block[0, :, 0] = -np.log1p(-u[path, :, 0]) / M2.lam
         sizes = D2.sample_from_uniform(u[path, :, 1:])
-        ratchet = sim._Ratchet(M2, sched, T)
+        ratchet = sim._Ratchet(M2, sched, (0.0,), T)
         state = np.zeros((ratchet.n_rows, 1))
-        ratchet.start(state, 0.0)
+        ratchet.start(state)
         assert ratchet.step(block, sizes, state)[0]
         assert state[0, 0] == T and state[5, 0] == 0.0
 
@@ -445,21 +498,39 @@ def test_schedule_lookups_match_where_forms(rate_map, request):
 
 @pytest.mark.parametrize(
     "engine, claims, bound_mib",
-    [("constant", D2, 41.1), ("constant", DH, 46.1), ("ratchet", D2, 42.7)],
-    ids=["constant-exponential", "constant-hyperexponential", "ratchet-exponential"],
+    [
+        ("constant", D2, 41.1),
+        ("constant", DH, 46.1),
+        ("ratchet", D2, 42.7),
+        ("two-point", D2, 41.1 + 42.7),
+    ],
+    ids=[
+        "constant-exponential",
+        "constant-hyperexponential",
+        "ratchet-exponential",
+        "two-point-exponential",
+    ],
 )
 def test_full_chunk_peak_memory(engine, claims, bound_mib, ratemap2):
     # tracemalloc peak of one estimate over a full 16,384-path chunk and
-    # two claim blocks.  The bounds are the peaks of the per-column
-    # engines, which held the last block while drawing the next; preparing
-    # a block at once must not cost more than that
+    # two claim blocks.  The one-point bounds are the peaks of the
+    # per-column engines, which held the last block while drawing the next;
+    # preparing a block at once must not cost more than that.  One pass of
+    # a ratchet and a constant rate from each of two start points must not
+    # cost more than a one-point ratchet and a one-point constant-rate
+    # estimate at their bounds held at once
     n = sim.CHUNK_PATHS
     tracemalloc.start()
     try:
         if engine == "constant":
             sim.estimate_constant_payoff(M2, claims, 0.6, 0.0, n, seed=1, horizon=40.0)
-        else:
+        elif engine == "ratchet":
             sim.estimate_ratchet_payoff(M2, claims, ratemap2, 0.0, 0.0, n, seed=1, horizon=40.0)
+        else:
+            sim.estimate_strategies(
+                M2, claims, n, 1, 40.0, ratemap2,
+                [(0.0, 0.0), (2.0, 0.6)], [(0.0, 0.6), (2.0, M2.c_bar)],
+            )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

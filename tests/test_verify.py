@@ -177,6 +177,30 @@ class TestMcCrossCheck:
         assert "mc_agreement_0" in names
         assert any(n.startswith("mc_dominance_0") for n in names)
 
+    def test_points_share_one_stream(self, solved):
+        # one pass over two points gives the checks of two one-point calls
+        # at the same seed, the second re-indexed as point 1
+        surface = solved
+        points = [(0.0, 0.0), (3.0, 0.6)]
+        for rates in (None, [0.3, 0.9, 1.2]):
+            both = mc_cross_check(
+                surface, D2, points, 500, seed=3, eps_disc=0.3, constant_rates=rates
+            )
+            one = [
+                mc_cross_check(surface, D2, [pt], 500, seed=3, eps_disc=0.3, constant_rates=rates)
+                for pt in points
+            ]
+            expect = one[0].checks + [
+                CheckResult(
+                    name=c.name.replace("_0", "_1", 1),
+                    description=c.description,
+                    bound=c.bound,
+                    observed=c.observed,
+                )
+                for c in one[1].checks
+            ]
+            assert both.checks == expect
+
     def test_certificate_deterministic_for_fixed_seed(self, solved):
         surface = solved
         a = mc_cross_check(surface, D2, [(1.0, 0.3)], 500, seed=3, eps_disc=0.3)
