@@ -154,7 +154,7 @@ class FrontierSchedule:
             ends = [float(a[0]) for a in ends]
         self.t_end, self.dp_end, self.e_end = ends
         self.cap_drift = m.mu - m.c_bar
-        self._t_next = t_cross[:, 1:]
+        self._t_next = list(t_cross[:, 1:])
         # per-cell tables of the cells [x_j, x_{j+1}), j < n_x, one block of
         # n_x + 1 entries per point whose last entry repeats cell n_x - 1, so
         # take(mode="clip") within one table clamps the cell index as the
@@ -364,18 +364,18 @@ class _Ratchet:
             e = e_mid
             # frontier growth for the remaining duration
             front = dur - rec
-            f = (front > 0.0).reshape(-1).nonzero()[0]
+            f = (front > 0.0).ravel().nonzero()[0]
             if f.size:
                 at = sched.select(f, width)
                 tau0 = tau_f[f]
-                pos1, dp1 = sched.pos_dp(tau0 + front.reshape(-1)[f], at)
-                div_f[f] += np.exp(-m.r * (t_mid.reshape(-1)[f] - tau0)) * (dp1 - dp_f[f])
-                x_end.reshape(-1)[f] = mx_f[f] = pos1
+                pos1, dp1 = sched.pos_dp(tau0 + front.ravel()[f], at)
+                div_f[f] += np.exp(-m.r * (t_mid.ravel()[f] - tau0)) * (dp1 - dp_f[f])
+                x_end.ravel()[f] = mx_f[f] = pos1
                 tau1 = sched.clock(pos1, at)
                 tau_f[f] = tau1
                 dp_f[f] = sched.pos_dp(tau1, at)[1]
                 rate_f[f] = sched.rate_at(pos1, at)
-                e.reshape(-1)[f] = np.exp(-m.r * t_f[f])
+                e.ravel()[f] = np.exp(-m.r * t_f[f])
             # paths that reach the horizon take no claim; a parked path
             # meets w >= 0 == T - t on every later step, so more rows than
             # are parked means new ones to park
@@ -424,7 +424,6 @@ class _Constant:
         cost[:] = _column([self.m.ell * max(-x0, 0.0) for x0 in self.x0s], x)
         # block-sized scratch for the whole chunk, sliced to the live width
         self.drop = np.empty((CLAIM_BLOCK, p))
-        self.pair = np.empty((2, CLAIM_BLOCK, n, p)) if n > 1 else None
 
     def step(self, block, sizes, band):
         """Advance the paths over one claim block, in place, and return the
@@ -435,7 +434,7 @@ class _Constant:
         the factor is e^{-rT} and the claim size 0, so that column adds the
         dividend up to T and later columns add exactly 0.  A single
         strategy scales the waits and interval discounts in place; several
-        fill one scratch pair, and each claim column serves them all.
+        scale each claim column for all of them at once.
         """
         m, T = self.m, self.T
         t, e = band[:2]
@@ -467,20 +466,25 @@ class _Constant:
         # commute bitwise, so these are the per-claim factors
         clk *= m.ell
         short = np.empty_like(x)
-        rates = self.rates
-        if self.pair is None:
-            gain, step = drop, w
+        # dividends c (e_{k-1} - e_k) / r of each claim interval and the
+        # surplus steps (mu - c) w_k
+        one = len(self.x0s) == 1
+        if one:
+            np.multiply(drop, self.rates, out=drop)
+            drop /= m.r
+            np.multiply(w, m.mu - self.rates, out=w)
         else:
-            # claim-major (K, strategies, n), so column k serves them all
-            gain, step = self.pair[..., :width]
-            drop, w, rates = drop[:, None], w[:, None], rates[:, None]
-        # dividends c (e_{k-1} - e_k) / r of each claim interval
-        np.multiply(drop, rates, out=gain)
-        gain /= m.r
-        np.multiply(w, m.mu - rates, out=step)
+            rates = self.rates[:, None]
+            gain, step, drift = np.empty_like(x), np.empty_like(x), m.mu - rates
         for k in range(n_cols):
-            div += gain[k]
-            x += step[k]
+            if one:
+                gain, step = drop[k], w[k]
+            else:
+                np.multiply(drop[k], rates, out=gain)
+                gain /= m.r
+                np.multiply(w[k], drift, out=step)
+            div += gain
+            x += step
             np.subtract(sizes[k], x, out=short)
             np.maximum(short, 0.0, out=short)
             short *= clk[k]
