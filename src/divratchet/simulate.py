@@ -417,13 +417,10 @@ class _Constant:
         return band[2 + n : 2 + 2 * n] - band[2 + 2 * n :]
 
     def start(self, band):
-        n, p = len(self.x0s), band.shape[1]
-        x, _, cost = _rows(band[2:], 3, n)
+        x, _, cost = _rows(band[2:], 3, len(self.x0s))
         band[1] = 1.0
         x[:] = _column([max(float(x0), 0.0) for x0 in self.x0s], x)
         cost[:] = _column([self.m.ell * max(-x0, 0.0) for x0 in self.x0s], x)
-        # block-sized scratch for the whole chunk, sliced to the live width
-        self.drop = np.empty((CLAIM_BLOCK, p))
 
     def step(self, block, sizes, band):
         """Advance the paths over one claim block, in place, and return the
@@ -439,7 +436,6 @@ class _Constant:
         m, T = self.m, self.T
         t, e = band[:2]
         x, div, cost = _rows(band[2:], 3, len(self.x0s))
-        width = t.size
         w, clk = block
         np.add(t, w[0], out=clk[0])
         for k in range(1, CLAIM_BLOCK):
@@ -458,7 +454,7 @@ class _Constant:
             if ended[-1]:
                 n_cols = int(ended.argmax()) + 1
         # discount drops e_{k-1} - e_k of each claim interval
-        drop = self.drop[:, :width]
+        drop = np.empty_like(sizes)
         np.subtract(e, clk[0], out=drop[0])
         np.subtract(clk[:-1], clk[1:], out=drop[1:])
         e[:] = clk[-1]
