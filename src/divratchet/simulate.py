@@ -340,7 +340,7 @@ class _Ratchet:
         m, sched, T = self.m, self.sched, self.T
         waits = block[0]
         rows = _rows(band, 9, len(self.x0s))
-        t, e, mx, tau_m, dp_m, rate_m, x, div, cost = rows
+        t, e, mx, _, _, rate_m, x, div, cost = rows
         width = t.shape[-1]
         # the same rows flat, for the frontier rows' flat indices
         t_f, _, mx_f, tau_f, dp_f, rate_f, _, div_f, _ = band.reshape(9, -1)
