@@ -10,7 +10,8 @@ import pytest
 import yaml
 
 from divratchet.cache import read_surface, write_surface
-from divratchet.cli import _float_rows, _write_rows, main
+from divratchet.cli import _BLOCK_ROWS, _float_rows, _write_rows, main
+from divratchet.surface import build_rate_map
 
 MODEL = {"mu": 2.0, "lam": 2.0, "r": 0.1, "ell": 2.0, "c_bar": 1.2, "c_floor": 0.0}
 
@@ -350,32 +351,72 @@ def _formatted_csv(header, rows):
 
 
 def test_repr_rows_match_formatted_rows(tmp_path):
-    # joined reprs give the bytes of the per-value writer on signed zero,
-    # small and large exponents, integral floats and integer columns, and
-    # so do the per-path and sweep CSVs read back
-    x = np.array([0.0, -0.0, 1e-05, 1e16, 1e+16 + 2.0, 3.0, -2.5, 0.1, 1 / 3, float("inf"), -1e-300])
+    # the run-head writer of float tables and the joined reprs of mixed
+    # rows give the bytes of the per-value writer on signed zero, NaN,
+    # infinities, the smallest subnormal, small and large exponents,
+    # integral floats and integer columns, on runs of equal cells along a
+    # row, across the writer's row blocks and in one column; so do the
+    # grid, per-path and sweep CSVs read back
+    nan, inf = float("nan"), float("inf")
+    x = np.array([0.0, -0.0, 1e-05, 1e16, 1e+16 + 2.0, 3.0, -2.5, 0.1, 1 / 3, inf, -1e-300,
+                  nan, -inf, 5e-324])
     block = np.column_stack([x[::-1], 2.0 * x, np.full(x.size, 7.0)])
     header = ["x", "c=0.0", "c=0.5", "c=1.2"]
-    for head, rows in (
-        (header, list(_float_rows(x, block))),
+    # more rows than one writer block; runs of 1 to 7 cells that shift with
+    # the row, whole-row runs on both sides of the first block edge (equal
+    # to each other, so a run would cross it were rows not kept apart),
+    # -0.0 beside 0.0, and NaNs of two bit patterns side by side
+    pool = np.array([0.0, -0.0, 1 / 3, nan, inf, -inf, 5e-324, 1e16, 0.1])
+    n_rows, n_cols = 2 * _BLOCK_ROWS + 3, 40
+    i, j = np.ogrid[:n_rows, :n_cols]
+    wide = pool[(i + j // (1 + i % 7)) % pool.size]
+    wide[_BLOCK_ROWS - 1 : _BLOCK_ROWS + 1] = 1 / 3
+    wide[0, :] = np.resize([0.0, -0.0, -0.0, 0.0], n_cols)
+    wide[1, :] = np.resize([nan, -nan, -nan, nan, 2.5], n_cols)
+    cases = (
+        (header, _float_rows(x, block)),
+        (["x"] + [f"c={k}" for k in range(1, n_cols)], _float_rows(wide[:, 0], wide[:, 1:])),
+        (["x"], _float_rows(x)),
         (["v", "n"], list(zip(x.tolist(), range(x.size)))),
-    ):
+    )
+    bodies = []
+    for head, rows in cases:
         path = str(tmp_path / "rows.csv")
         _write_rows(path, head, rows)
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
         with open(path, "rb") as fh:
-            assert fh.read() == _formatted_csv(head, rows)
-    with open(path) as fh:
-        body = fh.read()
-    assert "-0.0," in body and "1e-05," in body and "1e+16," in body and "\n3.0," in body
+            bodies.append(fh.read().decode())
+            assert bodies[-1].encode() == _formatted_csv(head, rows)
+    assert "-0.0," in bodies[0] and "1e-05," in bodies[0] and "1e+16," in bodies[0]
+    assert "\n3.0," in bodies[3] and "nan," in bodies[0] and "5e-324," in bodies[0]
+    assert "\n0.0,-0.0,-0.0,0.0,0.0,-0.0," in bodies[1]
+    assert "\nnan,nan,nan,nan,2.5,nan," in bodies[1]
+    assert "\n" + ",".join(["0.3333333333333333"] * n_cols) + "\n" in bodies[1]
+    assert bodies[2].splitlines()[-1] == "5e-324"
 
     cfg = make_cfg(tmp_path, ladder__n=4)
     pp, sweep = str(tmp_path / "paths.csv"), str(tmp_path / "sweep.csv")
+    grids = {cmd: str(tmp_path / f"{cmd}.csv") for cmd in ("solve", "rate-map", "boundary")}
+    for cmd, out in grids.items():
+        assert main([cmd, "--config", cfg, "--out", out]) == 0
+    (cache,) = (tmp_path / "out").glob("surface-*.bin")
+    surface, _ = read_surface(str(cache))
     assert main(["simulate", "--config", cfg, "--strategy", "constant:0.7", "--x0", "-1",
                  "--paths", "50", "--out", str(tmp_path / "est.json"), "--per-path", pp]) == 0
     assert main(["sweep", "--config", cfg, "--param", "model.ell",
                  "--values", "1.5,2", "--out", sweep]) == 0
-    for path, cast in ((pp, (int, float)), (sweep, (float,) * 4)):
+    tables = {}
+    for path, cast in ((pp, (int, float)), (sweep, (float,) * 4),
+                       *((out, None) for out in grids.values())):
         head, *rows = read_csv(path)
-        rows = [[f(v) for f, v in zip(cast, row)] for row in rows]
+        rows = [[f(v) for f, v in zip(cast or (float,) * len(row), row)] for row in rows]
+        tables[path] = np.array(rows)
         with open(path, "rb") as fh:
             assert fh.read() == _formatted_csv(head, rows)
+    # the grid CSVs hold the surface bit for bit, and its switching region
+    # gives runs of equal cells along the rows
+    v, rm = tables[grids["solve"]][:, 1:], tables[grids["rate-map"]][:, 1:]
+    assert np.array_equal(v.view(np.int64), surface.v.T.view(np.int64))
+    assert np.array_equal(rm.view(np.int64), build_rate_map(surface).values.T.view(np.int64))
+    assert (v[:, 1:] == v[:, :-1]).any(axis=1).sum() > 10
