@@ -24,11 +24,14 @@ family:
   operator, nonlocal term included, is banded on the augmented unknowns of
   `ConvKernel.rung_band` except for the reflected-tail column
   border_j * v_0.  `bordered_banded_solve` solves one frozen-policy system
-  (contact rows are identity rows v_j = psi_j) in O(n_x): with x_r and x_t
-  the banded solutions for the right-hand side and for the border column,
+  (contact rows are identity rows v_j = psi_j): with x_r and x_t the
+  banded solutions for the right-hand side and for the border column,
   v = x_r + theta x_t and theta = v_0 gives theta = x_r[0] / (1 - x_t[0]).
-  With an empty contact set it is the whole g solve.  It calls LAPACK gbsv
-  directly on one Fortran-ordered copy of the band.
+  Above the last free node v is psi, and the system is block lower
+  triangular there, so the band is factored only up to the last free node:
+  the cost is linear in that node, not in n_x.  With an empty contact set
+  it is the whole g solve.  It calls LAPACK gbsv directly on one
+  Fortran-ordered copy of the leading block of the band.
 """
 
 from __future__ import annotations
@@ -119,26 +122,39 @@ def bordered_banded_solve(
     right-hand sides of the v rows, border the n coefficients of v_0 moved
     to the right of the equation rows.  Rows where the length-n mask
     contact holds become v_j = psi_j; those nodes are returned equal to
-    psi bitwise.  Raises LinAlgError if the system is singular.
+    psi bitwise, and v_n is returned as rhs_n.
+
+    Only the nodes up to the last free one are solved.  With top the last
+    free node plus one (0 if every node is in contact), the system is
+    block lower triangular around the unknown v_top: a v row reaches at
+    most v_{j+1} and z rows reach only left, and the row of v_top is an
+    identity row (a contact row, or the Dirichlet row when top = n).  So
+    the leading top*stride + 1 unknowns solve on their own, and above top
+    v is psi.  Raises LinAlgError if the system is singular.
     """
     n = contact.shape[0]
+    free = np.flatnonzero(~contact)
+    top = int(free[-1]) + 1 if free.size else 0
+    size = top * stride + 1
     diag = bands[0] + bands[1]
-    ab = ab.copy(order="F")
-    rows = np.flatnonzero(contact) * stride
+    ab = ab[:, :size].copy(order="F")
+    rows = np.flatnonzero(contact[:top]) * stride
     for off in range(stride + 1):  # v_j, z^1_j .. z^K_j, v_{j+1}
         ab[diag - off, rows + off] = 0.0
     ab[diag, rows] = 1.0
-    b2 = np.zeros((ab.shape[1], 2), order="F")
-    b2[::stride, 0] = rhs
-    b2[: n * stride : stride, 1] = border
-    b2[rows, 0] = psi[contact]
+    ab[diag, -1] = 1.0  # v_top: the other entries of its row lie right of the block
+    v = np.append(psi, rhs[n])
+    b2 = np.zeros((size, 2), order="F")
+    b2[:-1:stride, 0] = rhs[:top]
+    b2[:-1:stride, 1] = border[:top]
+    b2[rows, 0] = psi[:top][contact[:top]]
     b2[rows, 1] = 0.0
+    b2[-1, 0] = v[top]
     _, _, x, info = _GBSV(*bands, ab, b2, overwrite_ab=True, overwrite_b=True)
     if info > 0:
         raise LinAlgError("singular matrix")
     theta = x[0, 0] / (1.0 - x[0, 1])
-    v = x[::stride, 0] + theta * x[::stride, 1]
-    v[:n][contact] = psi[contact]
+    v[free] = x[free * stride, 0] + theta * x[free * stride, 1]
     return v
 
 

@@ -28,8 +28,9 @@ Evaluation paths for the convolution part:
 All paths agree to quadrature-rounding levels and are deterministic.
 
 The same recursion makes the frozen rung operator banded once its states
-are carried as unknowns (`ConvKernel.rung_band`), which the g solve and the
-ladder's policy iteration solve in O(n_x) per step.
+are carried as unknowns (`ConvKernel.rung_band`).  The g solve factors the
+whole band once; each step of the ladder's policy iteration factors it
+only up to the rung's last free node.
 """
 
 from __future__ import annotations

@@ -14,10 +14,11 @@ ways depending on the claim family:
   * exponential mixtures (exponential, hyperexponential; the kernel has a
     recursion): policy (Howard) iteration.  Each policy step fixes the
     contact set, solves the linear rung system exactly as one bordered
-    banded O(n_x) solve, and moves nodes in or out of contact where the
-    obstacle or the equation is violated.  `solve_ladder` warm-starts rungs
-    1 and 2 from the previous rung's contact set, and every later rung from
-    the upper interval whose first node is extrapolated linearly from the
+    banded solve over the nodes up to the last free one (above it v is the
+    obstacle), and moves nodes in or out of contact where the obstacle or
+    the equation is violated.  `solve_ladder` warm-starts rungs 1 and 2
+    from the previous rung's contact set, and every later rung from the
+    upper interval whose first node is extrapolated linearly from the
     thresholds of the two rungs before it; the threshold moves almost
     evenly with the rate, so the start is within a few nodes of the answer
     and the rung settles in one to four steps (rungs 1 and 2 take four to
@@ -30,9 +31,11 @@ ways depending on the claim family:
     only by lam/(r + lam), so the sweeps are Anderson-mixed; the rung stops
     on the sup-norm update of a plain sweep and returns that sweep.
 
-Both paths end with v_i = max(v_i, v_{i-1}), so the obstacle order holds
-bitwise, and the switch mask is the exact contact set v_i == v_{i-1}.  A
-solved rung satisfies, up to solver error:
+Both paths end on or above the obstacle bitwise: the projected sweep takes
+max(., v_{i-1}) at every node, and policy iteration stops only when no
+free node lies below v_{i-1} while contact nodes equal it.  So the
+obstacle order holds bitwise, and the switch mask is the exact contact set
+v_i == v_{i-1}.  A solved rung satisfies, up to solver error:
     v_i >= v_{i-1}                          (bitwise),
     residual >= 0 and residual * (v_i - v_{i-1}) = 0 at every node,
     0 <= (v_i - v_{i-1})/dc <= (ell - 1)/r.
@@ -160,15 +163,18 @@ def policy_rung(
     h: np.ndarray,
     max_iter: int,
     label: str,
-) -> tuple[np.ndarray, int, float]:
+) -> tuple[np.ndarray, int, float, tuple[np.ndarray, np.ndarray]]:
     """Howard iteration on min(A v - rhs, v - psi) = 0 from the contact set
     `contact` (length n_x), for a kernel with an exponential-mixture
     recursion.
 
-    Each step solves the frozen-policy system exactly, then puts a free node
-    into contact if it dips below psi and frees a contact node if its
-    residual is negative.  Returns (max(v, psi), policy steps, final update)
-    once the contact set repeats; raises NoConvergence after max_iter steps.
+    Each step solves the frozen-policy system exactly, up to the last free
+    node (`bordered_banded_solve`), then puts a free node into contact if it
+    dips below psi and frees a contact node if its residual is negative.
+    Once the contact set repeats, returns (v, policy steps, final update,
+    (T v, residual)), the last pair being `rung_residual(v)` of that step.
+    v >= psi holds bitwise then: no free node lies below psi, and contact
+    nodes and v_n equal psi.  Raises NoConvergence after max_iter steps.
     """
     n = kern.grid.n_x
     a = (m.mu - c) / kern.grid.dx
@@ -181,11 +187,11 @@ def policy_rung(
     for iterations in range(1, max_iter + 1):
         v = bordered_banded_solve(ab, bands, stride, rhs, border, contact, psi[:n])
         update = float(np.max(np.abs(v - v_old)))
-        _, res = rung_residual(v, c, m, kern, h)
+        t, res = rung_residual(v, c, m, kern, h)
         tol = POLICY_TOL * b * float(np.max(np.abs(v)))
         new = np.where(contact, res >= -tol, v[:n] < psi[:n])
         if np.array_equal(new, contact):
-            return np.maximum(v, psi), iterations, update
+            return v, iterations, update, (t, res)
         contact = new
         v_old = v
     raise NoConvergence(
@@ -225,16 +231,18 @@ def solve_rung(
     if kern.has_recursion():
         if contact is None:
             contact = prev.switch_mask[:n]
-        v, iterations, update = policy_rung(psi, contact, c, m, kern, h, max_iter, label)
+        v, iterations, update, (t, residual) = policy_rung(
+            psi, contact, c, m, kern, h, max_iter, label
+        )
     else:
         v, iterations, update = picard_rung(
             psi, c, m, kern, h, update_tol, max_iter, label
         )
+        t, residual = rung_residual(v, c, m, kern, h)
 
-    gap = v - psi  # >= 0 bitwise: both solvers project onto the obstacle
+    gap = v - psi  # >= 0 bitwise: both solvers end on or above the obstacle
     mask = gap == 0.0
 
-    t, residual = rung_residual(v, c, m, kern, h)
     tol_c = max(1e-9, 1e2 * update_tol) * max(1.0, float(np.max(np.abs(v))))
     if residual.min() < -tol_c:
         raise ObstacleViolation(

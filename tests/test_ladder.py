@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import divratchet._sweep as sweep_mod
+import divratchet.boundary as boundary_mod
 import divratchet.ladder as ladder_mod
 from divratchet import (
     DomainTooSmall,
@@ -32,10 +33,12 @@ from divratchet.ladder import (
     ValueSlice,
     picard_rung,
     policy_rung,
+    rung_residual,
     slope_growth_bound,
     solve_ladder,
     solve_rung,
 )
+from ladder_reference import reference_bordered_banded_solve
 from sweep_reference import reference_picard_rung
 
 M1 = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
@@ -240,6 +243,59 @@ class TestAgainstDenseReference:
         assert A[:-1].sum(axis=1).min() >= M2.r - 1e-10
 
 
+H3 = HyperExponential((0.2, 0.5, 0.3), (0.1, 0.8, 4.0))
+
+
+def cut_masks(n, rng):
+    """Contact sets of length n: none, all, an upper interval, random, and
+    an upper interval with 5% of its nodes flipped."""
+    upper = np.arange(n) >= n // 3
+    return {
+        "none": np.zeros(n, dtype=bool),
+        "all": np.ones(n, dtype=bool),
+        "upper": upper,
+        "random": rng.random(n) < 0.5,
+        "upper-flipped": upper ^ (rng.random(n) < 0.05),
+    }
+
+
+class TestCutSolve:
+    """`bordered_banded_solve` factors the band only up to the last free
+    node; the full-band solve (`ladder_reference`) is the oracle, bitwise."""
+
+    @pytest.mark.parametrize(
+        "d", [D2, H2, H3], ids=["exponential", "hyperexponential", "mixture3"]
+    )
+    @pytest.mark.parametrize("n_x", [64, 200, 1000])
+    @pytest.mark.parametrize("c", [0.0, 0.6, 1.2], ids=["floor", "mid", "cap"])
+    @pytest.mark.parametrize("mask", ["none", "all", "upper", "random", "upper-flipped"])
+    def test_matches_full_band(self, d, n_x, c, mask):
+        grid = Grid(L=20.0, n_x=n_x)
+        kern = get_kernel(d, grid)
+        a = (M2.mu - c) / grid.dx
+        ab, bands, stride = kern.rung_band(a, a + M2.r + M2.lam, M2.lam)
+        h = h_eval(M2, d, grid.nodes)
+        psi = M2.c_bar / M2.r * (1.0 - 0.6 * np.exp(-grid.nodes / 4.0))
+        contact = cut_masks(n_x, np.random.default_rng(n_x))[mask]
+        args = (ab, bands, stride, np.append(c - h[:n_x], psi[n_x]),
+                M2.lam * kern.tail[:n_x], contact, psi[:n_x])
+        ab_before = ab.copy()
+        v = bordered_banded_solve(*args)
+        assert np.array_equal(v, reference_bordered_banded_solve(*args))
+        assert np.array_equal(ab, ab_before)
+
+    def test_readme_ladder_matches_full_band(self, monkeypatch):
+        # README model at 1000 x 64 (the ladder-exp size), g included
+        grid = Grid(L=20.0, n_x=1000)
+        ladder = RateLadder(64, 1.2, 0.0)
+        cut = solve_ladder(M2, D2, grid, ladder)
+        monkeypatch.setattr(ladder_mod, "bordered_banded_solve", reference_bordered_banded_solve)
+        monkeypatch.setattr(boundary_mod, "bordered_banded_solve", reference_bordered_banded_solve)
+        full = solve_ladder(M2, D2, grid, ladder)
+        for name in ("v", "v_prime", "masks", "iterations"):
+            assert np.array_equal(getattr(cut, name), getattr(full, name)), name
+
+
 class TestAnderson:
     """Pareto rungs are Anderson-mixed projected sweeps; plain sweeps from
     the same obstacle (`sweep_reference`) are the oracle."""
@@ -397,10 +453,28 @@ class TestWarmStart:
             if i >= 3:
                 starts.append(np.arange(n) >= 2 * firsts[i - 1] - firsts[i - 2])
             for contact in starts:
-                v, _, _ = policy_rung(
+                v, _, _, _ = policy_rung(
                     surface.v[i - 1], contact, float(surface.rates[i]), M2, kern, h, 200, "test",
                 )
                 assert np.array_equal(v, surface.v[i])
+
+    def test_returned_residual_is_that_of_v(self, readme_ladder):
+        # solve_rung takes (T v, residual) from the last policy step
+        # instead of recomputing it; the converged v needs no projection
+        grid, surface = readme_ladder
+        n = grid.n_x
+        kern = get_kernel(D2, grid)
+        h = h_eval(M2, D2, grid.nodes)
+        for i in range(1, surface.ladder.n + 1):
+            psi, c = surface.v[i - 1], float(surface.rates[i])
+            v, _, _, (t, res) = policy_rung(
+                psi, surface.masks[i - 1][:n], c, M2, kern, h, 200, "test",
+            )
+            t_ref, res_ref = rung_residual(v, c, M2, kern, h)
+            assert np.array_equal(t, t_ref)
+            assert np.array_equal(res, res_ref)
+            assert np.array_equal(np.maximum(v, psi), v)
+            assert np.array_equal(v, surface.v[i])
 
     def test_policy_steps_capped(self, readme_ladder):
         # 202 steps from the previous contact set; 112 measured
