@@ -21,7 +21,6 @@ from .model import (
 )
 from .discretization import (
     Grid,
-    apply_I,
     apply_T,
     residual_Lc,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "ValidationError",
     "ValueSlice",
     "ValueSurface",
-    "apply_I",
     "apply_T",
     "boundary_residual_report",
     "build_rate_map",

@@ -136,20 +136,14 @@ def cmd_boundary(args) -> int:
         max_iter=cfg.max_iter,
     )
     rep = boundary_residual_report(sol, cfg.model, cfg.claims, cfg.grid)
-    rows = _float_rows(rep["x"], rep["g"], rep["g_prime"], rep["residual"])
+    rows = np.column_stack((rep["x"], rep["g"], rep["g_prime"], rep["residual"]))
     _write_rows(args.out, ["x", "g", "g_prime", "residual"], rows)
     return 0
 
 
-def _float_rows(*columns) -> np.ndarray:
-    """Contiguous float64 (rows x cols) table of equal-length columns and
-    2-D blocks, for _write_rows."""
-    return np.column_stack(columns)
-
-
 def _surface_csv_rows(surface: ValueSurface, values):
     """One row per node: x, then the value at every rung."""
-    return _float_rows(surface.grid.nodes, values.T)
+    return np.column_stack((surface.grid.nodes, values.T))
 
 
 def _rate_header(surface: ValueSurface) -> list:

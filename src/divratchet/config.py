@@ -9,6 +9,7 @@ affect only simulation estimates, never the cached surface.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -77,8 +78,8 @@ class RunConfig:
             raise ValidationError("solver.max_iter must be at least 1")
         if self.paths < 2:
             raise ValidationError("simulate.paths must be at least 2")
-        if self.horizon is not None and not self.horizon > 0:
-            raise ValidationError("simulate.horizon must be positive when set")
+        if self.horizon is not None and not 0 < self.horizon < math.inf:
+            raise ValidationError("simulate.horizon must be finite and positive when set")
         if self.ladder.c_bar != self.model.c_bar or self.ladder.c_floor != self.model.c_floor:
             raise ValidationError("ladder endpoints must match the model's rate window")
 

@@ -1,11 +1,10 @@
 """Uniform x-grid and discrete integro-differential operators.
 
-The two nonlocal operators acting on grid functions f over [0, L] are
+The nonlocal operator acting on grid functions f over [0, L] is
 
     (T f)(x) = lam * ( integral_0^x f(x-y) p(y) dy  +  f(0) * (1 - F(x)) )
-    (I f)(x) = lam *   integral_0^x f(x-y) p(y) dy
 
-and the transport residual combines them with the upwind derivative:
+and the transport residual combines it with the upwind derivative:
 
     residual = -(mu - c) f' + (r + lam) f - T f + h - c.
 
@@ -208,11 +207,6 @@ def apply_T(m: ModelParams, d: ClaimDistribution, grid: Grid, f: np.ndarray) -> 
     f = _node_values(grid, f)
     k = get_kernel(d, grid)
     return m.lam * (k.convolve(f) + f[0] * k.tail)
-
-
-def apply_I(m: ModelParams, d: ClaimDistribution, grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Jump operator without the reflection tail: lam * S_j."""
-    return m.lam * get_kernel(d, grid).convolve(_node_values(grid, f))
 
 
 def residual_Lc(

@@ -39,19 +39,22 @@ frontier schedule, stacked into one table.  A block is stored claim-major,
 interarrival slot is turned in place into the waits, and its sizes are
 transformed for the live rows only.  The ratchet reads the block first.
 It carries e^{-rt} and the frontier state of its running maximum (clock,
-dividend prefix and rate), recomputed only for the rows whose maximum
-grows, and it parks a path at its horizon: clock T, rate 0 and no claims,
-so the path's later columns add exactly 0.  The constant rates then build
-the claim clocks by column adds in the freed size slot and take their
-discount factors with one exp, shared by every rate; the horizon is exact
-by masking (from its horizon column on a path has the factor e^{-rT} and
-claim size 0), so only the surplus recursion and the two running sums
-remain per column.  Paths leave at the block end once every strategy has
-passed their horizon from every start point.  None of this changes the
-arithmetic of any path, so payoffs are the same bits as stepping every
-path on every column with per-column transforms.  Those masked loops and
-the single-path event-log simulators that check this accounting live with
-the tests as reference implementations.
+dividend prefix and rate).  A frontier run moves that clock on by its
+duration, and one schedule lookup at the new clock gives the new maximum,
+prefix and rate, all from the cell the clock lies in; the clock is never
+derived from the maximum again.  The ratchet parks a path at its horizon:
+clock T, rate 0 and no claims, so the path's later columns add exactly 0.
+The constant rates then build the claim clocks by column adds in the
+freed size slot and take their discount factors with one exp, shared by
+every rate; the horizon is exact by masking (from its horizon column on a
+path has the factor e^{-rT} and claim size 0), so only the surplus
+recursion and the two running sums remain per column.  Paths leave at
+the block end once every strategy has passed their horizon from every
+start point.  None of this changes the arithmetic of any path, so payoffs
+are the same bits as stepping every path on every column with per-column
+transforms.  Those masked loops and the single-path event-log simulators
+that check this accounting live with the tests as reference
+implementations.
 """
 
 from __future__ import annotations
@@ -120,7 +123,11 @@ class FrontierSchedule:
     clock-discounted dividend integral int_0^tau e^{-r s} rho(pos(s)) ds.
     A frontier run from position x over duration D then contributes
     e^{-r (t_enter - tau(x))} * (DP(tau(x) + D) - DP(tau(x))) discounted
-    dividends at absolute entry time t_enter.
+    dividends at absolute entry time t_enter, and ends at clock
+    tau(x) + D.  A caller that carries the clock thus needs one lookup per
+    run, at_clock(tau(x) + D), for the new position, prefix and rate;
+    clock() and rate_at() map a position to the clock and rate once, at
+    the start.
 
     A stack serves several start points at once: its lookups take at, the
     select() of the entries, and read each entry's own point's tables.
@@ -164,12 +171,17 @@ class FrontierSchedule:
         def cells(a):
             return np.concatenate([a[:, :-1], a[:, -2:-1]], axis=1).reshape(-1)
 
-        self.cell_x = cells(np.tile(np.arange(grid.n_x + 1) * grid.dx, (self.n_points, 1)))
-        self.cell_t = cells(t_cross)
-        self.cell_rho = cells(rows)
-        self.cell_drift = cells(np.concatenate([drift, zero], axis=1))
-        self.cell_dp = cells(dp_node)
-        self.cell_e = cells(e_cross)
+        # stacked as one (6, cells) table, so a lookup is one take: each
+        # cell's left node, crossing clock, rate, drift, dividend prefix
+        # and e^{-rt} at its crossing
+        self.cells = np.stack([
+            cells(np.tile(np.arange(grid.n_x + 1) * grid.dx, (self.n_points, 1))),
+            cells(t_cross),
+            cells(rows),
+            cells(np.concatenate([drift, zero], axis=1)),
+            cells(dp_node),
+            cells(e_cross),
+        ])
         self.node_rho = rows.reshape(-1)
         self._cuts = np.arange(self.n_points + 1)
 
@@ -203,19 +215,19 @@ class FrontierSchedule:
         j = (x / self.grid.dx).astype(np.int64)
         if at is not None:
             j += at[1]
-        tau = self.cell_t.take(j, mode="clip") + (
-            x - self.cell_x.take(j, mode="clip")
-        ) / self.cell_drift.take(j, mode="clip")
+        x_j, t_j, _, drift_j, _, _ = self.cells.take(j, axis=1, mode="clip")
+        tau = t_j + (x - x_j) / drift_j
         over = x >= self.grid.L
         if np.count_nonzero(over):
             t_end = self.t_end if at is None else self.t_end.take(at[0])
             tau = np.where(over, t_end + (x - self.grid.L) / self.cap_drift, tau)
         return tau
 
-    def pos_dp(self, tau, at=None):
-        """Position and clock-discounted dividend prefix at clock tau."""
+    def at_clock(self, tau, at=None):
+        """Position, clock-discounted dividend prefix and rate at clock tau,
+        all read from the one cell whose crossing clock is the last <= tau
+        (the cap beyond t_end)."""
         tau = np.asarray(tau, float)
-        # the cell whose crossing clock is the last one <= tau
         if at is None:
             j = self._t_next[0].searchsorted(tau, side="right")
         else:
@@ -225,12 +237,9 @@ class FrontierSchedule:
                 j[lo:hi] = t_next.searchsorted(tau[lo:hi], side="right")
             j += off
         e_tau = np.exp(-self.m.r * tau)
-        pos = self.cell_x.take(j, mode="clip") + (
-            tau - self.cell_t.take(j, mode="clip")
-        ) * self.cell_drift.take(j, mode="clip")
-        dp = self.cell_dp.take(j, mode="clip") + self.cell_rho.take(j, mode="clip") * (
-            self.cell_e.take(j, mode="clip") - e_tau
-        ) / self.m.r
+        x_j, t_j, rate, drift_j, dp_j, e_j = self.cells.take(j, axis=1, mode="clip")
+        pos = x_j + (tau - t_j) * drift_j
+        dp = dp_j + rate * (e_j - e_tau) / self.m.r
         t_end = self.t_end if at is None else self.t_end.take(at[0])
         over = tau >= t_end
         if np.count_nonzero(over):
@@ -240,7 +249,8 @@ class FrontierSchedule:
                 dp_end, e_end = dp_end.take(at[0]), e_end.take(at[0])
             dp_out = dp_end + self.m.c_bar * (e_end - e_tau) / self.m.r
             dp = np.where(over, dp_out, dp)
-        return pos, dp
+            rate = np.where(over, self.m.c_bar, rate)
+        return pos, dp, rate
 
 
 def _ratchet_row(rate_map: RateMap, c0: float) -> np.ndarray:
@@ -302,8 +312,10 @@ class _Ratchet:
     Its state rows are t, e, mx, tau_m, dp_m, rate_m, x, div, cost, each a
     (points, n) array: each path's clock and e^{-rt}, its running maximum
     and the frontier state of that maximum (clock, dividend prefix and
-    rate), its surplus and the two running sums.  Row i of the schedule
-    starts from x0s[i].
+    rate), its surplus and the two running sums.  The frontier state is
+    read off the maximum at the start and carried from then on: a frontier
+    run adds its duration to tau_m, and at_clock(tau_m) gives the new mx,
+    dp_m and rate_m.  Row i of the schedule starts from x0s[i].
     """
 
     def __init__(self, m, sched, x0s, T):
@@ -325,7 +337,7 @@ class _Ratchet:
         at = sched.select(np.arange(flat.size), mx.shape[-1])
         tau = sched.clock(flat, at)
         tau_m[:] = tau.reshape(mx.shape)
-        dp_m[:] = sched.pos_dp(tau, at)[1].reshape(mx.shape)
+        dp_m[:] = sched.at_clock(tau, at)[1].reshape(mx.shape)
         rate_m[:] = sched.rate_at(flat, at).reshape(mx.shape)
 
     def step(self, block, sizes, band):
@@ -368,13 +380,13 @@ class _Ratchet:
             if f.size:
                 at = sched.select(f, width)
                 tau0 = tau_f[f]
-                pos1, dp1 = sched.pos_dp(tau0 + front.ravel()[f], at)
+                tau1 = tau0 + front.ravel()[f]
+                pos1, dp1, rate1 = sched.at_clock(tau1, at)
                 div_f[f] += np.exp(-m.r * (t_mid.ravel()[f] - tau0)) * (dp1 - dp_f[f])
                 x_end.ravel()[f] = mx_f[f] = pos1
-                tau1 = sched.clock(pos1, at)
                 tau_f[f] = tau1
-                dp_f[f] = sched.pos_dp(tau1, at)[1]
-                rate_f[f] = sched.rate_at(pos1, at)
+                dp_f[f] = dp1
+                rate_f[f] = rate1
                 e.ravel()[f] = np.exp(-m.r * t_f[f])
             # paths that reach the horizon take no claim; a parked path
             # meets w >= 0 == T - t on every later step, so more rows than
@@ -558,11 +570,17 @@ def estimate_strategies(
         raise ValidationError("no strategy: give ratchet or constant-rate start points")
     if ratchets and rate_map is None:
         raise ValidationError("the ratchet strategy needs a rate map")
+    # a non-finite start or rate gives a nan or infinite payoff
+    if not all(map(math.isfinite, (v for s in ratchets + constants for v in s))):
+        raise ValidationError("start points and rates must be finite")
     if not all(c <= m.c_bar for _, c in constants):
         raise ValidationError("constant rate must not exceed c_bar")
     if n_paths < 2:
         raise ValidationError("need at least 2 paths for a standard error")
     T = default_horizon(m.r) if horizon is None else float(horizon)
+    # no path ever reaches a nan or inf horizon, so the loop would not end
+    if not 0 < T < math.inf:
+        raise ValidationError(f"horizon must be finite and positive, got {horizon!r}")
     sched = None
     if ratchets:
         rows = np.stack([_ratchet_row(rate_map, c0) for _, c0 in ratchets])

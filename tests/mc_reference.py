@@ -9,15 +9,15 @@ tested against.
   rather than evaluating the frontier schedule, so they are an independent
   accounting of the same strategy.
 * ``reference_batch_ratchet`` is the masked batch ratchet loop that steps
-  every path of a chunk on every claim column, dead or alive, and
-  re-evaluates the frontier clock and dividend prefix from the running
-  maximum on every step.  The package's engine must reproduce its payoffs
-  bitwise.
+  every path of a chunk on every claim column, dead or alive.  It carries
+  the frontier clock and rate of the running maximum as state, as the
+  engine does, and looks the dividend prefix up at that clock on every
+  step.  The package's engine must reproduce its payoffs bitwise.
 * ``reference_batch_constant`` is the masked batch constant-rate loop that
   steps every path of a chunk on every claim column and transforms each
   column's waits and discount factors on its own.  The package's engine
   must reproduce its payoffs bitwise.
-* ``reference_rate_at`` / ``reference_clock`` / ``reference_pos_dp`` are
+* ``reference_rate_at`` / ``reference_clock`` / ``reference_at_clock`` are
   the frontier schedule lookups that evaluate both branches for every
   entry and select with ``np.where``.
 """
@@ -268,6 +268,11 @@ def reference_batch_ratchet(m, d, sched, x0, n_paths, seed, T):
         t = np.zeros(p)
         x = np.full(p, max(x0, 0.0))
         mx = x.copy()
+        # the frontier clock and rate of the running maximum, carried as the
+        # engine carries them: read off mx at the start, then the clock
+        # moves on by each frontier run and the rate is that of its cell
+        tau = sched.clock(mx)
+        rate_m = sched.rate_at(mx)
         div = np.zeros(p)
         cost = np.full(p, m.ell * max(-x0, 0.0))
         alive = np.ones(p, dtype=bool)
@@ -281,7 +286,6 @@ def reference_batch_ratchet(m, d, sched, x0, n_paths, seed, T):
                 dur = np.minimum(w, T - t)
                 hor = alive & (w >= T - t)
                 # recovery at the frozen rate of the running maximum
-                rate_m = sched.rate_at(mx)
                 rec = np.minimum((mx - x) / (m.mu - rate_m), dur)
                 rec = np.maximum(rec, 0.0)
                 t_mid = t + rec
@@ -291,13 +295,15 @@ def reference_batch_ratchet(m, d, sched, x0, n_paths, seed, T):
                 # frontier growth for the remaining duration
                 front = dur - rec
                 has_front = alive & (front > 0.0)
-                tau0 = sched.clock(mx)
-                pos1, dp1 = sched.pos_dp(tau0 + front)
-                _, dp0 = sched.pos_dp(tau0)
-                fr_div = np.exp(-m.r * (t_mid - tau0)) * (dp1 - dp0)
+                tau1 = tau + front
+                pos1, dp1, rate1 = sched.at_clock(tau1)
+                dp0 = sched.at_clock(tau)[1]
+                fr_div = np.exp(-m.r * (t_mid - tau)) * (dp1 - dp0)
                 div[has_front] += fr_div[has_front]
                 x_end = np.where(has_front, pos1, x_mid)
                 mx = np.where(has_front, pos1, mx)
+                tau = np.where(has_front, tau1, tau)
+                rate_m = np.where(has_front, rate1, rate_m)
                 t_end = t + dur
                 # claim for paths that did not hit the horizon
                 run = alive & ~hor
@@ -370,7 +376,7 @@ def reference_clock(sched, x):
     return np.where(x >= sched.grid.L, beyond, inside)
 
 
-def reference_pos_dp(sched, tau):
+def reference_at_clock(sched, tau):
     tau = np.asarray(tau, float)
     j = np.minimum(
         np.maximum(np.searchsorted(sched.t_cross, tau, side="right") - 1, 0),
@@ -386,4 +392,8 @@ def reference_pos_dp(sched, tau):
     dp_out = sched.dp_end + sched.m.c_bar * (
         math.exp(-sched.m.r * sched.t_end) - e_tau
     ) / sched.m.r
-    return np.where(over, pos_out, pos_in), np.where(over, dp_out, dp_in)
+    return (
+        np.where(over, pos_out, pos_in),
+        np.where(over, dp_out, dp_in),
+        np.where(over, sched.m.c_bar, sched.rho[j]),
+    )

@@ -10,7 +10,8 @@ import pytest
 import yaml
 
 from divratchet.cache import read_surface, write_surface
-from divratchet.cli import _BLOCK_ROWS, _float_rows, _write_rows, main
+from divratchet import simulate as sim
+from divratchet.cli import _BLOCK_ROWS, _write_rows, main
 from divratchet.surface import build_rate_map
 
 MODEL = {"mu": 2.0, "lam": 2.0, "r": 0.1, "ell": 2.0, "c_bar": 1.2, "c_floor": 0.0}
@@ -204,6 +205,34 @@ def test_simulate_bad_constant_rate_message(tmp_path, capsys):
     assert "ValidationError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, over",
+    [
+        (["--strategy", "ratchet", "--x0", "0", "--horizon", "nan"], {}),
+        (["--strategy", "boundary", "--x0", "0", "--horizon", "inf"], {}),
+        (["--strategy", "constant:0.6", "--x0", "0", "--horizon", "-5"], {}),
+        (["--strategy", "constant:0.6", "--x0", "nan"], {}),
+        (["--strategy", "ratchet", "--x0", "0", "--c0", "nan"], {}),
+        (["--strategy", "constant:-inf", "--x0", "0"], {}),
+        (["--strategy", "constant:0.6", "--x0", "0"], {"simulate__horizon": float("inf")}),
+    ],
+    ids=["horizon-nan", "horizon-inf", "horizon-negative", "x0-nan", "c0-nan",
+         "rate-inf", "yaml-horizon-inf"],
+)
+def test_simulate_rejects_non_finite_input(argv, over, tmp_path, capsys, monkeypatch):
+    # a nan or inf horizon looped forever and the others gave a number:
+    # each exits 1 with the typed error before any path is stepped
+    def no_loop(*args, **kwargs):
+        raise AssertionError("the Monte Carlo loop was entered")
+
+    monkeypatch.setattr(sim, "_batch_payoffs", no_loop)
+    cfg = make_cfg(tmp_path, **over)
+    out = tmp_path / "est.json"
+    assert main(["simulate", "--config", cfg, *argv, "--out", str(out)]) == 1
+    assert "ValidationError: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_skip_mc_passes(tmp_path, capsys):
     cfg = make_cfg(tmp_path)
     out = str(tmp_path / "cert.json")
@@ -374,9 +403,9 @@ def test_repr_rows_match_formatted_rows(tmp_path):
     wide[0, :] = np.resize([0.0, -0.0, -0.0, 0.0], n_cols)
     wide[1, :] = np.resize([nan, -nan, -nan, nan, 2.5], n_cols)
     cases = (
-        (header, _float_rows(x, block)),
-        (["x"] + [f"c={k}" for k in range(1, n_cols)], _float_rows(wide[:, 0], wide[:, 1:])),
-        (["x"], _float_rows(x)),
+        (header, np.column_stack((x, block))),
+        (["x"] + [f"c={k}" for k in range(1, n_cols)], np.column_stack((wide[:, 0], wide[:, 1:]))),
+        (["x"], np.column_stack((x,))),
         (["v", "n"], list(zip(x.tolist(), range(x.size)))),
     )
     bodies = []

@@ -161,6 +161,36 @@ def test_shared_stream_needs_a_strategy(ratemap2):
         sim.estimate_strategies(M2, D2, 100, seed=1, ratchets=[(0.0, 0.0)])
 
 
+def _no_loop(*args, **kwargs):
+    raise AssertionError("the Monte Carlo loop was entered")
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -5.0, 0.0])
+def test_horizon_must_be_finite_and_positive(horizon, ratemap2, monkeypatch):
+    # no path parks or leaves under a nan or inf horizon, so the estimate
+    # would never return, and a negative one gave a mean with SE 0: each
+    # is a typed error before any path is stepped
+    monkeypatch.setattr(sim, "_batch_payoffs", _no_loop)
+    for kw in (dict(rate_map=ratemap2, ratchets=[(0.0, 0.0)]), dict(constants=[(0.0, 0.6)])):
+        with pytest.raises(ValidationError, match="horizon"):
+            sim.estimate_strategies(M2, D2, 100, 1, horizon, **kw)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_start_points_and_rates_must_be_finite(bad, ratemap2, monkeypatch):
+    # a nan start gave a nan estimate; an infinite start or rate never
+    # reaches its horizon in finite arithmetic
+    monkeypatch.setattr(sim, "_batch_payoffs", _no_loop)
+    for kw in (
+        dict(rate_map=ratemap2, ratchets=[(bad, 0.0)]),
+        dict(rate_map=ratemap2, ratchets=[(0.0, 0.0), (1.0, bad)]),
+        dict(constants=[(bad, 0.6)]),
+        dict(constants=[(0.0, bad)]),
+    ):
+        with pytest.raises(ValidationError, match="finite"):
+            sim.estimate_strategies(M2, D2, 100, 1, **kw)
+
+
 def test_initial_rate_outside_ladder_rejected(ratemap2):
     with pytest.raises(ValidationError):
         simulate_ratchet(M2, D2, ratemap2, 0.0, M2.c_bar + 0.05, seed=1)
@@ -452,6 +482,49 @@ def test_shared_stream_horizon_at_a_claim(path, k, ulps, ratchet_first, misses, 
         assert state[0, 0] == T and state[5, 0] == 0.0
 
 
+@pytest.mark.parametrize(
+    "claims, rate_map",
+    [(D2, "ratemap2"), (DH, "ratemap_h"), (DP, "ratemap_p")],
+    ids=["exponential", "hyperexponential", "shifted_pareto"],
+)
+def test_carried_frontier_state_tracks_running_maximum(claims, rate_map, request, monkeypatch):
+    # the ratchet carries its frontier clock, moved on by each frontier run,
+    # and the rate of the cell that clock lies in, instead of reading both
+    # off the running maximum again.  After every claim column (one-column
+    # blocks), on every unparked row of a pass from four start points, the
+    # clock stays within 1 ulp of clock(mx): the clock is never re-derived,
+    # so the error does not grow.  The rate equals rate_at(mx) except where
+    # mx lies within 4 ulps of a node, where the two lookups may round to
+    # neighbouring cells; no such row occurs at this seed
+    monkeypatch.setattr(sim, "CLAIM_BLOCK", 1)
+    rm = request.getfixturevalue(rate_map)
+    x0s = (-1.0, 0.0, 3.0, 25.0)
+    rows = np.stack([sim._ratchet_row(rm, c0) for c0 in (0.0, 0.0, 0.5, M2.c_bar)])
+    T = sim.default_horizon(M2.r)
+    ratchet = sim._Ratchet(M2, sim.FrontierSchedule(M2, rows, rm.grid), x0s, T)
+    alone = [sim.FrontierSchedule(M2, row, rm.grid) for row in rows]
+    blocks = sim._ClaimBlocks(sim._batch_rng(7), 500)
+    live = np.arange(500)
+    state = np.zeros((ratchet.n_rows, live.size))
+    ratchet.start(state)
+    checked = near_node = 0
+    while live.size:
+        block, sizes = blocks.next(claims, M2.lam, live)
+        gone = ratchet.step(block, sizes, state)
+        t, _, mx, tau, _, rate = sim._rows(state, 9, len(x0s))[:6]
+        for sched, on, mx_i, tau_i, rate_i in zip(alone, t < T, mx, tau, rate):
+            mx_i, tau_i, rate_i = mx_i[on], tau_i[on], rate_i[on]
+            clock = sched.clock(mx_i)
+            assert np.all(np.abs(tau_i - clock) <= np.spacing(clock))
+            node = np.round(mx_i / rm.grid.dx) * rm.grid.dx
+            near = np.abs(mx_i - node) <= 4 * np.spacing(node)
+            assert np.array_equal(rate_i[~near], sched.rate_at(mx_i[~near]))
+            checked += mx_i.size
+            near_node += np.count_nonzero(near)
+        live, state = live[~gone], state.compress(~gone, axis=1)
+    assert checked > 10**5 and near_node == 0
+
+
 def test_integer_start_matches_float_start():
     # an integer x0 must not make the surplus an integer array
     for x0 in (-1, 0, 3):
@@ -486,13 +559,13 @@ def test_schedule_lookups_match_where_forms(rate_map, request):
         assert np.array_equal(sched.rate_at(x), mc_reference.reference_rate_at(sched, x))
         assert np.array_equal(sched.clock(x), mc_reference.reference_clock(sched, x))
     for tau in (tau_in, tau_mixed):
-        for new, ref in zip(sched.pos_dp(tau), mc_reference.reference_pos_dp(sched, tau)):
+        for new, ref in zip(sched.at_clock(tau), mc_reference.reference_at_clock(sched, tau)):
             assert np.array_equal(new, ref)
     for v in (0.0, 0.3 * L, float(rm.grid.nodes[7]), L, 25.0):
         assert float(sched.rate_at(v)) == float(mc_reference.reference_rate_at(sched, v))
         assert float(sched.clock(v)) == float(mc_reference.reference_clock(sched, v))
     for v in (0.0, 0.5 * t_end, t_end, 2.0 * t_end):
-        for new, ref in zip(sched.pos_dp(v), mc_reference.reference_pos_dp(sched, v)):
+        for new, ref in zip(sched.at_clock(v), mc_reference.reference_at_clock(sched, v)):
             assert float(new) == float(ref)
 
 
