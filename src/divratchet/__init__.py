@@ -43,7 +43,6 @@ from .surface import (
 from .simulate import (
     PayoffEstimate,
     default_horizon,
-    estimate_boundary_payoff,
     estimate_constant_payoff,
     estimate_ratchet_payoff,
     estimate_strategies,
@@ -93,7 +92,6 @@ __all__ = [
     "config_from_mapping",
     "default_horizon",
     "equivalent_max_rate",
-    "estimate_boundary_payoff",
     "estimate_constant_payoff",
     "estimate_ratchet_payoff",
     "estimate_strategies",

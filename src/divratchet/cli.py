@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -26,7 +28,7 @@ from .config import RunConfig, config_from_mapping, load_config, read_config_map
 from .discretization import Grid
 from .errors import DivRatchetError, ValidationError
 from .ladder import RateLadder, solve_ladder
-from .surface import ValueSurface, build_rate_map, extract_boundary
+from .surface import ValueSurface, build_rate_map, extract_boundary, rung_index
 from . import simulate as sim
 from .verify import (
     Certificate,
@@ -201,26 +203,27 @@ def _parse_strategy(text: str):
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     kind, rate = _parse_strategy(args.strategy)
-    n_paths = args.paths if args.paths is not None else cfg.paths
-    seed = args.seed if args.seed is not None else cfg.seed
-    horizon = args.horizon if args.horizon is not None else cfg.horizon
+    # the overrides pass RunConfig's checks, and the start point its own,
+    # before the ratchet's surface is solved
+    over = {k: getattr(args, k) for k in ("paths", "seed", "horizon")}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in over.items() if v is not None})
     x0 = args.x0
     c0 = args.c0 if args.c0 is not None else cfg.model.c_floor
-    m, d = cfg.model, cfg.claims
+    if not (math.isfinite(x0) and math.isfinite(c0)):
+        raise ValidationError("--x0 and --c0 must be finite")
+    m, d, seed = cfg.model, cfg.claims, cfg.seed
 
-    if kind == "boundary":
-        est, payoffs = sim.estimate_boundary_payoff(
-            m, d, x0, n_paths, seed, horizon=horizon, return_payoffs=True
-        )
-    elif kind == "constant":
-        est, payoffs = sim.estimate_constant_payoff(
-            m, d, rate, x0, n_paths, seed, horizon=horizon, return_payoffs=True
-        )
-    else:
+    if kind == "ratchet":
+        rung_index(cfg.ladder.rates, c0)  # RateOutOfRange outside the window
         surface, d = load_or_solve(cfg, force=args.force)
         rm = build_rate_map(surface)
         est, payoffs = sim.estimate_ratchet_payoff(
-            m, d, rm, x0, c0, n_paths, seed, horizon=horizon, return_payoffs=True
+            m, d, rm, x0, c0, cfg.paths, seed, horizon=cfg.horizon, return_payoffs=True
+        )
+    else:
+        c = m.c_bar if kind == "boundary" else rate
+        est, payoffs = sim.estimate_constant_payoff(
+            m, d, c, x0, cfg.paths, seed, horizon=cfg.horizon, return_payoffs=True
         )
 
     doc = {
@@ -277,7 +280,7 @@ def cmd_verify(args) -> int:
             surface, d, points, cfg.paths, cfg.seed, eps,
             horizon=cfg.horizon,
         )
-        cert = Certificate.merged(cert, mc)
+        cert = Certificate(checks=cert.checks + mc.checks)
     _write_text(args.out, cert.to_json())
     return 0 if cert.passed else 1
 

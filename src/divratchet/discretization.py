@@ -93,8 +93,6 @@ class ConvKernel:
         # biasing T on constants
         a = np.clip(a, 0.0, m0)
         b = m0 - a
-        self.a = a
-        self.b = b
         w = np.empty(n + 1)
         w[0] = b[0]
         w[1:] = a[:n] + b[1:n + 1]

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sweep import anderson_fixed_point, bordered_banded_solve, projected_backward_scan
-from .boundary import BoundarySolution, solve_g
+from .boundary import solve_g
 from .discretization import ConvKernel, Grid, get_kernel
 from .errors import DomainTooSmall, NoConvergence, ObstacleViolation, ValidationError
 from .model import ClaimDistribution, ModelParams, h_eval
@@ -102,7 +102,6 @@ class ValueSlice:
     for Picard, the update of the returned sweep).
     """
 
-    rate: float
     v: np.ndarray
     v_prime: np.ndarray
     switch_mask: np.ndarray
@@ -262,7 +261,6 @@ def solve_rung(
         ((m.r + m.lam) * v - t + h - c) / (m.mu - c),
     )
     return ValueSlice(
-        rate=c,
         v=v,
         v_prime=v_prime,
         switch_mask=mask,
@@ -279,23 +277,21 @@ def solve_ladder(
     update_tol: float = 1e-10,
     residual_tol: float = 1e-8,
     max_iter: int = 10000,
-    boundary: BoundarySolution | None = None,
 ) -> ValueSurface:
     """Solve every rung from the cap rate down to the floor.
 
-    Rung 0 is the boundary solution g (solved here unless supplied).  Each
-    later rung has its predecessor as obstacle, warm-starts as the module
-    docstring describes, and is written into its row
-    of the (n+1) x (n_x+1) surface arrays as soon as it is solved.  Raises
+    Rung 0 is the boundary solution g, solved here with the same tolerances.
+    Each later rung has its predecessor as obstacle, warm-starts as the
+    module docstring describes, and is written into its row of the
+    (n+1) x (n_x+1) surface arrays as soon as it is solved.  Raises
     DomainTooSmall if any rung's contact set only begins beyond 0.8 L,
     since then the free boundary is not resolved inside the domain.
     """
     if ladder.c_bar != m.c_bar or ladder.c_floor != m.c_floor:
         raise ValidationError("ladder rate range must match the model's")
-    if boundary is None:
-        boundary = solve_g(
-            m, d, grid, update_tol=update_tol, residual_tol=residual_tol, max_iter=max_iter
-        )
+    boundary = solve_g(
+        m, d, grid, update_tol=update_tol, residual_tol=residual_tol, max_iter=max_iter
+    )
     shape = (ladder.n + 1, grid.n_x + 1)
     v = np.empty(shape)
     v_prime = np.empty(shape)
@@ -303,7 +299,6 @@ def solve_ladder(
     iterations = np.empty(ladder.n + 1, dtype=np.int64)
     update_norms = np.empty(ladder.n + 1)
     prev = ValueSlice(
-        rate=m.c_bar,
         v=boundary.g,
         v_prime=boundary.g_prime,
         switch_mask=np.ones(grid.n_x + 1, dtype=bool),

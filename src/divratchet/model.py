@@ -118,10 +118,6 @@ class ClaimDistribution:
         mixture, else None.  Enables the O(n) convolution recursion."""
         return None
 
-    def params_key(self) -> tuple:
-        """Numeric identity for hashing/caching."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Exponential(ClaimDistribution):
@@ -161,9 +157,6 @@ class Exponential(ClaimDistribution):
 
     def exp_components(self):
         return np.array([1.0]), np.array([self.gamma_mean])
-
-    def params_key(self):
-        return (self.kind, self.gamma_mean)
 
 
 @dataclass(frozen=True)
@@ -298,9 +291,6 @@ class HyperExponential(ClaimDistribution):
     def exp_components(self):
         return np.asarray(self.weights), np.asarray(self.means)
 
-    def params_key(self):
-        return (self.kind, self.weights, self.means)
-
 
 @dataclass(frozen=True)
 class ShiftedPareto(ClaimDistribution):
@@ -344,9 +334,6 @@ class ShiftedPareto(ClaimDistribution):
     def sample_from_uniform(self, u):
         u = np.asarray(u, float)
         return self.theta * ((1.0 - u) ** (-1.0 / self.alpha) - 1.0)
-
-    def params_key(self):
-        return (self.kind, self.alpha, self.theta)
 
 
 def h_eval(m: ModelParams, d: ClaimDistribution, x: ArrayLike) -> ArrayLike:

@@ -608,21 +608,6 @@ def estimate_constant_payoff(
     return (est, payoffs[0]) if return_payoffs else est
 
 
-def estimate_boundary_payoff(
-    m: ModelParams,
-    d: ClaimDistribution,
-    x0: float,
-    n_paths: int,
-    seed: int,
-    horizon: float | None = None,
-    return_payoffs: bool = False,
-):
-    """Batch estimate of the cap-rate strategy value at x0."""
-    return estimate_constant_payoff(
-        m, d, m.c_bar, x0, n_paths, seed, horizon, return_payoffs
-    )
-
-
 def estimate_ratchet_payoff(
     m: ModelParams,
     d: ClaimDistribution,

@@ -190,7 +190,7 @@ def build_rate_map(surface: ValueSurface) -> RateMap:
     return RateMap(rates=surface.rates.copy(), grid=surface.grid, values=out)
 
 
-def equivalent_max_rate(surface: ValueSurface, x: float, c: float, rate_map: RateMap | None = None) -> float:
+def equivalent_max_rate(surface: ValueSurface, x: float, c: float) -> float:
     """Highest rate whose rung value matches the current one at x.
 
     The rate argument snaps up to the enclosing rung (ratcheting must not
@@ -198,10 +198,8 @@ def equivalent_max_rate(surface: ValueSurface, x: float, c: float, rate_map: Rat
     right-continuous in x.  Beyond the largest threshold the answer is the
     cap rate.
     """
-    if rate_map is None:
-        rate_map = build_rate_map(surface)
     i = rung_index(surface.rates, c)
     if x >= surface.grid.L:
         return float(surface.rates[0])
     j = int(np.clip(np.floor(x / surface.grid.dx), 0, surface.grid.n_x))
-    return float(rate_map.values[i, j])
+    return float(build_rate_map(surface).values[i, j])

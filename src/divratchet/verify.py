@@ -24,9 +24,9 @@ from .discretization import Grid, residual_Lc
 from .errors import ValidationError
 from .ladder import RateLadder, slope_growth_bound, solve_ladder
 from .model import ClaimDistribution, ModelParams
-from .surface import RateMap, ValueSurface, build_rate_map, extract_boundary
+from .surface import ValueSurface, build_rate_map, extract_boundary
 
-#: default tolerances; a caller-supplied dict overrides individual keys
+#: the bound of each invariant check; every certificate reads this one table
 DEFAULT_TOLERANCES = {
     "residual": 1e-8,
     "envelope": 1e-8,
@@ -95,27 +95,15 @@ class Certificate:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    @staticmethod
-    def merged(*certs: "Certificate") -> "Certificate":
-        out = []
-        for c in certs:
-            out.extend(c.checks)
-        return Certificate(checks=out)
 
-
-def run_invariant_suite(
-    surface: ValueSurface,
-    d: ClaimDistribution,
-    tolerances: dict | None = None,
-) -> Certificate:
-    """Re-measure every structural invariant of a solved surface.
+def run_invariant_suite(surface: ValueSurface, d: ClaimDistribution) -> Certificate:
+    """Re-measure every structural invariant of a solved surface, each
+    against its bound in DEFAULT_TOLERANCES.
 
     The checks read only the surface arrays and the claim distribution, so
     corrupted data cannot hide behind stale solver state.
     """
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
+    tol = DEFAULT_TOLERANCES
     m = surface.m
     grid = surface.grid
     ladder = surface.ladder
@@ -355,37 +343,33 @@ def mc_cross_check(
     seed: int,
     eps_disc: float,
     horizon: float | None = None,
-    rate_map: RateMap | None = None,
-    constant_rates: list | None = None,
 ) -> Certificate:
     """Monte Carlo agreement and dominance checks at the given (x0, c0)
     points.
 
     Agreement: |MC mean of the feedback strategy - value_at| <= 3 SE +
-    eps_disc + tail bound.  Dominance: every constant-rate strategy with
-    rate in [c0, c_bar] stays below value_at plus the same budget.  One
-    pass on the claim stream of seed runs the feedback strategy and the
-    constant rates from every point, so all of them are compared on common
-    random numbers, and each point's checks are those of a one-point call
-    at the same seed.
+    eps_disc + tail bound.  Dominance: the constant-rate strategy with rate
+    (c0 + c_bar)/2 stays below value_at plus the same budget.  One pass on
+    the claim stream of seed runs the feedback strategy and the constant
+    rate from every point, so all of them are compared on common random
+    numbers, and each point's checks are those of a one-point call at the
+    same seed.  A c0 outside [c_floor, c_bar] raises RateOutOfRange before
+    any path is stepped.
     """
     if n_paths < 2:
         raise ValidationError("need at least 2 paths")
     if not points:
         return Certificate(checks=[])
     m = surface.m
-    rm = rate_map if rate_map is not None else build_rate_map(surface)
-    rates = [
-        [c for c in constant_rates or [0.5 * (c0 + m.c_bar)] if c0 <= c <= m.c_bar]
-        for _, c0 in points
-    ]
-    starts = [(x0, c) for (x0, _), rs in zip(points, rates) for c in rs]
-    ests, _ = sim.estimate_strategies(m, d, n_paths, seed, horizon, rm, points, starts)
-    est_cs = iter(ests[len(points) :])
+    # within rung_index's 1e-12 slack above c_bar the midpoint would exceed it
+    rates = [min(0.5 * (c0 + m.c_bar), m.c_bar) for _, c0 in points]
+    starts = [(x0, c) for (x0, _), c in zip(points, rates)]
+    ests, _ = sim.estimate_strategies(
+        m, d, n_paths, seed, horizon, build_rate_map(surface), points, starts
+    )
     checks = []
-    for k, ((x0, c0), est, rs) in enumerate(zip(points, ests, rates)):
+    for k, ((x0, c0), c, est, est_c) in enumerate(zip(points, rates, ests, ests[len(points) :])):
         v = surface.value_at(x0, c0)
-        budget = 3.0 * est.std_error + eps_disc + est.tail_bound
         checks.append(
             CheckResult(
                 name=f"mc_agreement_{k}",
@@ -393,21 +377,19 @@ def mc_cross_check(
                     f"feedback-strategy sample mean matches the surface at "
                     f"(x0={x0}, c0={c0}) within 3 SE + discretization budget"
                 ),
-                bound=budget,
+                bound=3.0 * est.std_error + eps_disc + est.tail_bound,
                 observed=abs(est.mean - v),
             )
         )
-        # rs first: zip then draws no estimate beyond this point's rates
-        for c_const, est_c in zip(rs, est_cs):
-            checks.append(
-                CheckResult(
-                    name=f"mc_dominance_{k}_{c_const}",
-                    description=(
-                        f"constant rate {c_const} from (x0={x0}, c0={c0}) "
-                        f"does not beat the surface value"
-                    ),
-                    bound=3.0 * est_c.std_error + eps_disc + est_c.tail_bound,
-                    observed=est_c.mean - v,
-                )
+        checks.append(
+            CheckResult(
+                name=f"mc_dominance_{k}_{c}",
+                description=(
+                    f"constant rate {c} from (x0={x0}, c0={c0}) "
+                    f"does not beat the surface value"
+                ),
+                bound=3.0 * est_c.std_error + eps_disc + est_c.tail_bound,
+                observed=est_c.mean - v,
             )
+        )
     return Certificate(checks=checks)

@@ -22,7 +22,7 @@ from divratchet import (
     RateLadder,
     boundary_residual_report,
     build_rate_map,
-    estimate_boundary_payoff,
+    estimate_constant_payoff,
     estimate_strategies,
     extract_boundary,
     h_eval,
@@ -56,12 +56,10 @@ def boundary():
 
 
 @pytest.fixture(scope="module")
-def solved(boundary):
-    sol, t_g = boundary
+def solved():
     t0 = time.perf_counter()
-    surface = solve_ladder(M, D, GRID, LADDER, update_tol=1e-12, boundary=sol)
-    t_ladder = t_g + (time.perf_counter() - t0)
-    return surface, t_ladder
+    surface = solve_ladder(M, D, GRID, LADDER, update_tol=1e-12)
+    return surface, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -136,11 +134,10 @@ def test_criterion_02_ladder_estimates(solved):
     assert ok, line
 
 
-def test_criterion_03_dyadic_monotonicity(solved, boundary):
+def test_criterion_03_dyadic_monotonicity(solved):
     surface, _ = solved
-    sol, _ = boundary
     half = RateLadder(c_bar=M.c_bar, c_floor=M.c_floor, n=128)
-    v128 = solve_ladder(M, D, GRID, half, update_tol=1e-12, boundary=sol).v
+    v128 = solve_ladder(M, D, GRID, half, update_tol=1e-12).v
     excess = float(np.max(v128 - surface.v[::2]))
     ok = excess <= 1e-7
     line = report(3, "dyadic rung monotonicity", ok,
@@ -148,15 +145,14 @@ def test_criterion_03_dyadic_monotonicity(solved, boundary):
     assert ok, line
 
 
-def test_criterion_04_floor_independence(solved, boundary, eps_disc):
+def test_criterion_04_floor_independence(solved, eps_disc):
     surface, _ = solved
-    sol, _ = boundary
     m_ext = ModelParams(mu=M.mu, lam=M.lam, r=M.r, ell=M.ell,
                         c_bar=M.c_bar, c_floor=-1.0)
     # doubled rung count keeps the rung spacing identical, so the rates in
     # [0, c_bar] coincide node for node
     lad_ext = RateLadder(c_bar=M.c_bar, c_floor=-1.0, n=512)
-    v_ext = solve_ladder(m_ext, D, GRID, lad_ext, update_tol=1e-12, boundary=sol).v
+    v_ext = solve_ladder(m_ext, D, GRID, lad_ext, update_tol=1e-12).v
     keep = lad_ext.rates >= -1e-12
     assert np.allclose(lad_ext.rates[keep], LADDER.rates, atol=1e-15)
     gap = float(np.max(np.abs(v_ext[keep] - surface.v)))
@@ -199,7 +195,7 @@ def test_criterion_06_mc_boundary(solved, eps_disc):
     ok = True
     details = []
     for x0 in (0.0, 1.0, 5.0):
-        est = estimate_boundary_payoff(M, D, x0, PATHS, SEED)
+        est = estimate_constant_payoff(M, D, M.c_bar, x0, PATHS, SEED)
         g_x = surface.value_at(x0, M.c_bar)
         diff = abs(est.mean - g_x)
         budget = 3.0 * est.std_error + eps_disc + est.tail_bound

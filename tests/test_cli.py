@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from divratchet.cache import read_surface, write_surface
-from divratchet import simulate as sim
+from divratchet import cli, simulate as sim
 from divratchet.cli import _BLOCK_ROWS, _write_rows, main
 from divratchet.surface import build_rate_map
 
@@ -206,30 +206,41 @@ def test_simulate_bad_constant_rate_message(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, over",
+    "argv, over, error",
     [
-        (["--strategy", "ratchet", "--x0", "0", "--horizon", "nan"], {}),
-        (["--strategy", "boundary", "--x0", "0", "--horizon", "inf"], {}),
-        (["--strategy", "constant:0.6", "--x0", "0", "--horizon", "-5"], {}),
-        (["--strategy", "constant:0.6", "--x0", "nan"], {}),
-        (["--strategy", "ratchet", "--x0", "0", "--c0", "nan"], {}),
-        (["--strategy", "constant:-inf", "--x0", "0"], {}),
-        (["--strategy", "constant:0.6", "--x0", "0"], {"simulate__horizon": float("inf")}),
+        (["--strategy", "ratchet", "--x0", "0", "--horizon", "nan"], {}, "ValidationError"),
+        (["--strategy", "boundary", "--x0", "0", "--horizon", "inf"], {}, "ValidationError"),
+        (["--strategy", "constant:0.6", "--x0", "0", "--horizon", "-5"], {}, "ValidationError"),
+        (["--strategy", "constant:0.6", "--x0", "nan"], {}, "ValidationError"),
+        (["--strategy", "ratchet", "--x0", "0", "--c0", "nan"], {}, "ValidationError"),
+        (["--strategy", "constant:-inf", "--x0", "0"], {}, "ValidationError"),
+        (
+            ["--strategy", "constant:0.6", "--x0", "0"],
+            {"simulate__horizon": float("inf")},
+            "ValidationError",
+        ),
+        (["--strategy", "ratchet", "--x0", "0", "--paths", "1"], {}, "ValidationError"),
+        (["--strategy", "ratchet", "--x0", "0", "--c0", "5"], {}, "RateOutOfRange"),
     ],
     ids=["horizon-nan", "horizon-inf", "horizon-negative", "x0-nan", "c0-nan",
-         "rate-inf", "yaml-horizon-inf"],
+         "rate-inf", "yaml-horizon-inf", "paths-one", "c0-above-cap"],
 )
-def test_simulate_rejects_non_finite_input(argv, over, tmp_path, capsys, monkeypatch):
+def test_simulate_rejects_non_finite_input(argv, over, error, tmp_path, capsys, monkeypatch):
     # a nan or inf horizon looped forever and the others gave a number:
-    # each exits 1 with the typed error before any path is stepped
+    # each exits 1 with the typed error before the surface is solved or
+    # any path is stepped
     def no_loop(*args, **kwargs):
         raise AssertionError("the Monte Carlo loop was entered")
 
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the surface was solved")
+
     monkeypatch.setattr(sim, "_batch_payoffs", no_loop)
+    monkeypatch.setattr(cli, "load_or_solve", no_solve)
     cfg = make_cfg(tmp_path, **over)
     out = tmp_path / "est.json"
     assert main(["simulate", "--config", cfg, *argv, "--out", str(out)]) == 1
-    assert "ValidationError: " in capsys.readouterr().err
+    assert f"{error}: " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -134,8 +134,8 @@ def test_cumulative_injections_monotone_and_localized(ratemap2):
 
 
 def test_two_seed_estimates_statistically_consistent():
-    a = sim.estimate_boundary_payoff(M1, D1, 1.0, 4000, seed=101)
-    b = sim.estimate_boundary_payoff(M1, D1, 1.0, 4000, seed=202)
+    a = sim.estimate_constant_payoff(M1, D1, M1.c_bar, 1.0, 4000, seed=101)
+    b = sim.estimate_constant_payoff(M1, D1, M1.c_bar, 1.0, 4000, seed=202)
     joint = math.hypot(a.std_error, b.std_error)
     assert abs(a.mean - b.mean) <= 3 * joint
 
@@ -149,7 +149,7 @@ def test_constant_rate_above_cap_rejected():
 
 def test_estimator_needs_two_paths(ratemap2):
     with pytest.raises(ValidationError):
-        sim.estimate_boundary_payoff(M1, D1, 0.0, 1, seed=1)
+        sim.estimate_constant_payoff(M1, D1, M1.c_bar, 0.0, 1, seed=1)
     with pytest.raises(ValidationError):
         sim.estimate_ratchet_payoff(M2, D2, ratemap2, 0.0, 0.0, 1, seed=1)
 
@@ -243,8 +243,8 @@ def test_injection_shift_identity_batch(ratemap2):
 def test_cap_start_reproduces_fixed_rate_strategy(ratemap2):
     # c0 = c_bar pins the whole rate table at the cap; the ratchet machinery
     # must then agree pathwise with the plain fixed-rate simulator
-    _, pb = sim.estimate_boundary_payoff(
-        M2, D2, 1.0, 800, seed=11, return_payoffs=True
+    _, pb = sim.estimate_constant_payoff(
+        M2, D2, M2.c_bar, 1.0, 800, seed=11, return_payoffs=True
     )
     _, pr = sim.estimate_ratchet_payoff(
         M2, D2, ratemap2, 1.0, M2.c_bar, 800, seed=11, return_payoffs=True
@@ -271,8 +271,8 @@ def test_flat_rate_table_matches_constant_simulator():
 
 
 def test_start_beyond_domain_pays_cap(ratemap2):
-    _, pb = sim.estimate_boundary_payoff(
-        M2, D2, 25.0, 200, seed=13, return_payoffs=True
+    _, pb = sim.estimate_constant_payoff(
+        M2, D2, M2.c_bar, 25.0, 200, seed=13, return_payoffs=True
     )
     _, pr = sim.estimate_ratchet_payoff(
         M2, D2, ratemap2, 25.0, 0.3, 200, seed=13, return_payoffs=True
@@ -532,8 +532,8 @@ def test_integer_start_matches_float_start():
             lambda x: sim.estimate_constant_payoff(
                 M2, D2, 0.6, x, 300, seed=4, horizon=20.0, return_payoffs=True
             ),
-            lambda x: sim.estimate_boundary_payoff(
-                M2, D2, x, 300, seed=4, horizon=20.0, return_payoffs=True
+            lambda x: sim.estimate_constant_payoff(
+                M2, D2, M2.c_bar, x, 300, seed=4, horizon=20.0, return_payoffs=True
             ),
         ):
             assert np.array_equal(est(x0)[1], est(float(x0))[1]), x0
@@ -665,11 +665,11 @@ def test_deterministic_growth_matches_hand_integration():
 def test_boundary_estimate_matches_pde_solution():
     grid = Grid(L=30.0, n_x=2000)
     sol = solve_g(M1, D1, grid)
-    est = sim.estimate_boundary_payoff(M1, D1, 0.0, 20000, seed=42)
+    est = sim.estimate_constant_payoff(M1, D1, M1.c_bar, 0.0, 20000, seed=42)
     # grid bias at this resolution is about 0.007; allow that plus noise
     assert abs(est.mean - sol.g[0]) <= 3 * est.std_error + 0.02
     j5 = round(5.0 / grid.dx)
-    est5 = sim.estimate_boundary_payoff(M1, D1, 5.0, 20000, seed=43)
+    est5 = sim.estimate_constant_payoff(M1, D1, M1.c_bar, 5.0, 20000, seed=43)
     assert abs(est5.mean - sol.g[j5]) <= 3 * est5.std_error + 0.01
 
 

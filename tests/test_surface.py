@@ -180,14 +180,14 @@ class TestEquivalentRate:
         rm = build_rate_map(surf2)
         dc = surf2.ladder.dc
         c_mid = float(surf2.rates[3]) - 0.5 * dc
-        got = equivalent_max_rate(surf2, 0.0, c_mid, rm)
+        got = equivalent_max_rate(surf2, 0.0, c_mid)
         assert got == rm.values[3, 0]
 
     def test_right_continuous_in_x(self, surf2):
         rm = build_rate_map(surf2)
         j = 150
-        at_node = equivalent_max_rate(surf2, j * G2.dx, 0.0, rm)
-        just_left = equivalent_max_rate(surf2, j * G2.dx - 1e-9, 0.0, rm)
+        at_node = equivalent_max_rate(surf2, j * G2.dx, 0.0)
+        just_left = equivalent_max_rate(surf2, j * G2.dx - 1e-9, 0.0)
         assert at_node == rm.values[64, j]
         assert just_left == rm.values[64, j - 1]
 
@@ -196,7 +196,7 @@ class TestEquivalentRate:
         for i, j in [(5, 0), (20, 77), (64, 400)]:
             c = float(surf2.rates[i])
             x = j * G2.dx
-            assert equivalent_max_rate(surf2, x, c, rm) == rm.values[i, j]
+            assert equivalent_max_rate(surf2, x, c) == rm.values[i, j]
 
 
 def test_wrong_array_shapes_rejected():

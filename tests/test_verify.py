@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from divratchet.discretization import Grid
-from divratchet.errors import ValidationError
+from divratchet import simulate as sim
+from divratchet.errors import RateOutOfRange, ValidationError
 from divratchet.ladder import RateLadder, solve_ladder
 from divratchet.model import Exponential, ModelParams
-from divratchet.surface import ValueSurface, build_rate_map
+from divratchet.surface import ValueSurface
 from divratchet.verify import (
-    Certificate,
     CheckResult,
     calibrate_eps_disc,
     mc_cross_check,
@@ -133,22 +133,15 @@ class TestInvariantSuite:
         cert = run_invariant_suite(rebuild(surface, 5, v_prime=vp), D2)
         assert not cert.check("gradient_injection_cap").passed
 
-    def test_tolerance_override(self, solved):
+    def test_boundary_residual_violation_flagged(self, solved):
+        # one cap-rung slope off by 1e-6 leaves (mu - c_bar) * 1e-6 of
+        # equation residual there, far beyond the 1e-8 of DEFAULT_TOLERANCES
         surface = solved
-        cert = run_invariant_suite(
-            surface, D2, tolerances={"residual": 1e-30}
-        )
+        assert run_invariant_suite(surface, D2).check("boundary_residual").passed
+        vp = surface.v_prime[0].copy()
+        vp[100] += 1e-6
+        cert = run_invariant_suite(rebuild(surface, 0, v_prime=vp), D2)
         assert not cert.check("boundary_residual").passed
-
-    def test_merged_certificates(self):
-        a = Certificate(
-            checks=[CheckResult(name="x", description="", bound=1.0, observed=0.0)]
-        )
-        b = Certificate(
-            checks=[CheckResult(name="y", description="", bound=1.0, observed=2.0)]
-        )
-        m = Certificate.merged(a, b)
-        assert len(m.checks) == 2 and not m.passed
 
 
 class TestCalibration:
@@ -166,10 +159,8 @@ class TestCalibration:
 class TestMcCrossCheck:
     def test_agreement_and_dominance_pass(self, solved):
         surface = solved
-        rm = build_rate_map(surface)
         cert = mc_cross_check(
-            surface, D2, [(0.0, 0.0), (3.0, 0.6)], 4000, seed=7, eps_disc=0.25,
-            rate_map=rm,
+            surface, D2, [(0.0, 0.0), (3.0, 0.6)], 4000, seed=7, eps_disc=0.25
         )
         failed = [c.name for c in cert.checks if not c.passed]
         assert cert.passed, f"failed: {failed}"
@@ -182,24 +173,18 @@ class TestMcCrossCheck:
         # at the same seed, the second re-indexed as point 1
         surface = solved
         points = [(0.0, 0.0), (3.0, 0.6)]
-        for rates in (None, [0.3, 0.9, 1.2]):
-            both = mc_cross_check(
-                surface, D2, points, 500, seed=3, eps_disc=0.3, constant_rates=rates
+        both = mc_cross_check(surface, D2, points, 500, seed=3, eps_disc=0.3)
+        one = [mc_cross_check(surface, D2, [pt], 500, seed=3, eps_disc=0.3) for pt in points]
+        expect = one[0].checks + [
+            CheckResult(
+                name=c.name.replace("_0", "_1", 1),
+                description=c.description,
+                bound=c.bound,
+                observed=c.observed,
             )
-            one = [
-                mc_cross_check(surface, D2, [pt], 500, seed=3, eps_disc=0.3, constant_rates=rates)
-                for pt in points
-            ]
-            expect = one[0].checks + [
-                CheckResult(
-                    name=c.name.replace("_0", "_1", 1),
-                    description=c.description,
-                    bound=c.bound,
-                    observed=c.observed,
-                )
-                for c in one[1].checks
-            ]
-            assert both.checks == expect
+            for c in one[1].checks
+        ]
+        assert both.checks == expect
 
     def test_certificate_deterministic_for_fixed_seed(self, solved):
         surface = solved
@@ -212,13 +197,12 @@ class TestMcCrossCheck:
         with pytest.raises(ValidationError):
             mc_cross_check(surface, D2, [(0.0, 0.0)], 1, seed=3, eps_disc=0.3)
 
-    def test_out_of_window_constant_rates_skipped(self, solved):
-        surface = solved
-        cert = mc_cross_check(
-            surface, D2, [(1.0, 0.9)], 400, seed=5, eps_disc=0.3,
-            constant_rates=[0.3, 1.0],
-        )
-        # 0.3 sits below c0=0.9, inadmissible for a ratchet, so only the
-        # 1.0 dominance check is emitted
-        doms = [c for c in cert.checks if c.name.startswith("mc_dominance")]
-        assert len(doms) == 1 and doms[0].name.endswith("_1.0")
+    @pytest.mark.parametrize("c0", [M2.c_bar + 0.1, M2.c_floor - 0.1], ids=["above-cap", "below-floor"])
+    def test_start_rate_outside_window_raises(self, solved, c0, monkeypatch):
+        # on both sides of [c_floor, c_bar], before any path is stepped
+        def no_loop(*args, **kwargs):
+            raise AssertionError("the Monte Carlo loop was entered")
+
+        monkeypatch.setattr(sim, "_batch_payoffs", no_loop)
+        with pytest.raises(RateOutOfRange):
+            mc_cross_check(solved, D2, [(0.0, 0.0), (1.0, c0)], 400, seed=5, eps_disc=0.3)
