@@ -18,7 +18,9 @@ family:
   O(n) from the unprojected solution and a blocked suffix maximum.  The
   stages contract only by lam/(r + lam), so `anderson_fixed_point` mixes
   the last few of them (Anderson acceleration) and returns the first plain
-  stage whose update is below the tolerance.
+  stage whose update is below the tolerance.  n need not be n_x: a ladder
+  rung runs its stages only on the nodes up to a cut above its free
+  boundary, with the obstacle value there as v_L (`ladder.picard_rung`).
 
 * Policy iteration (exponential-mixture densities).  The whole rung
   operator, nonlocal term included, is banded on the augmented unknowns of

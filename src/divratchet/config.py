@@ -78,6 +78,8 @@ class RunConfig:
             raise ValidationError("solver.max_iter must be at least 1")
         if self.paths < 2:
             raise ValidationError("simulate.paths must be at least 2")
+        if self.seed < 0:
+            raise ValidationError("simulate.seed must be non-negative")
         if self.horizon is not None and not 0 < self.horizon < math.inf:
             raise ValidationError("simulate.horizon must be finite and positive when set")
         if self.ladder.c_bar != self.model.c_bar or self.ladder.c_floor != self.model.c_floor:

@@ -20,11 +20,14 @@ Evaluation paths for the convolution part:
   * "recursive" - exact O(n_x) recursion, available when the density is a
                   finite exponential mixture (scipy.signal.lfilter).
   * "fft"       - zero-padded real FFT product against rfft(w), computed
-                  once per kernel.
+                  once per FFT size and kept by the kernel.
   * "direct"    - O(n_x^2) weight convolution (np.convolve), the reference.
   * "auto"      - the kernel's choice, which every operator uses: recursive
                   when available, else fft.
 All paths agree to quadrature-rounding levels and are deterministic.
+S_j reads only f_0..f_j, so every path also takes a prefix f_0..f_k
+(k <= n_x) and returns S_0..S_k; the truncated Picard rungs of the ladder
+rely on this.
 
 The same recursion makes the frozen rung operator banded once its states
 are carried as unknowns (`ConvKernel.rung_band`).  The g solve factors the
@@ -97,8 +100,7 @@ class ConvKernel:
         w[0] = b[0]
         w[1:] = a[:n] + b[1:n + 1]
         self.w = w
-        self._nfft = 1 << (2 * n).bit_length()  # > 2 n_x: no wrap-around in [0, n_x]
-        self._w_hat = np.fft.rfft(w, self._nfft)
+        self._w_hat = {}  # FFT size -> rfft of its half-length prefix of w
         self.b_corr = b  # b_corr[j] = b_{j+1}, the f_0 over-count in (f * w)_j
         self.tail = 1.0 - cdf_e[: n + 1]
         comps = dist.exp_components()
@@ -165,25 +167,37 @@ class ConvKernel:
 
     def convolve(self, f: np.ndarray, method: str = "auto") -> np.ndarray:
         """S_j = integral_0^{x_j} f~(x_j - y) p(y) dy with f~ the linear
-        interpolant of f; S_0 = 0, by a path of the module docstring."""
-        n = self.grid.n_x
+        interpolant of f; S_0 = 0, by a path of the module docstring.
+
+        f may be any prefix f_0..f_k of a grid function (k <= n_x); the
+        result is then S_0..S_k.
+        """
+        k = f.shape[0] - 1
         if method == "auto":
             method = "recursive" if self._rec is not None else "fft"
         if method == "recursive":
             if self._rec is None:
                 raise ValidationError("recursive convolution needs an exponential-mixture density")
-            s = np.zeros(n + 1)
+            s = np.zeros(k + 1)
             for wk, q, ak, bk, qpow in self._rec:
                 y = lfilter([bk, ak], [1.0, -q], f)
-                s += wk * (y - (bk * f[0]) * qpow)
+                s += wk * (y - (bk * f[0]) * qpow[: k + 1])
             return s
         if method == "direct":
-            full = np.convolve(f, self.w)
+            full = np.convolve(f, self.w[: k + 1])
         elif method == "fft":
-            full = np.fft.irfft(np.fft.rfft(f, self._nfft) * self._w_hat, self._nfft)
+            # k < nfft/2, so f times w_0..w_{nfft/2 - 1} does not wrap
+            # around in nfft points, and S_0..S_k read only w_0..w_k.  So
+            # one transform per FFT size serves every prefix length that
+            # maps to it; at k = n_x it covers all of w.
+            nfft = 2 << k.bit_length()
+            w_hat = self._w_hat.get(nfft)
+            if w_hat is None:
+                w_hat = self._w_hat[nfft] = np.fft.rfft(self.w[: nfft // 2], nfft)
+            full = np.fft.irfft(np.fft.rfft(f, nfft) * w_hat, nfft)
         else:
             raise ValidationError(f"unknown convolution method {method!r}")
-        return full[: n + 1] - self.b_corr[: n + 1] * f[0]
+        return full[: k + 1] - self.b_corr[: k + 1] * f[0]
 
 
 @lru_cache(maxsize=64)

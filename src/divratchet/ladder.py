@@ -26,10 +26,18 @@ ways depending on the claim family:
     step count, never v.
   * other densities (shifted Pareto): frozen-T Picard iteration, each stage
     solved exactly by the O(n_x) projected backward sweep, which is valid
-    because the contact set is an upper interval in x (switching is optimal
-    below the free boundary, waiting above it).  A plain sweep contracts
+    because the contact set is an upper interval in x (waiting is optimal
+    below the free boundary, switching above it).  A plain sweep contracts
     only by lam/(r + lam), so the sweeps are Anderson-mixed; the rung stops
-    on the sup-norm update of a plain sweep and returns that sweep.
+    on the sup-norm update of a plain sweep and returns that sweep.  From
+    rung 2 on, the sweeps run only up to a cut node a margin above the
+    first node of the same warm-start contact set (above it v is the
+    obstacle, and T is causal, so the convolution needs only the nodes up
+    to the cut).  The result stands if a full-domain sweep of it keeps
+    every node from the cut on at the obstacle; otherwise the rung is
+    solved again on the whole domain.  Rung 1, and every rung whose
+    obstacle has a free node above its own first contact node, is solved
+    on the whole domain.
 
 Both paths end on or above the obstacle bitwise: the projected sweep takes
 max(., v_{i-1}) at every node, and policy iteration stops only when no
@@ -64,6 +72,14 @@ from .surface import ValueSurface
 #: that scale in the residual of a solved row; without the margin a node
 #: whose gap and residual both vanish could flip in and out of contact.
 POLICY_TOL = 1e-13
+#: a truncated Picard rung keeps j // 4 + PICARD_MARGIN nodes above the first
+#: node j of its start contact set (`picard_rung`).  The extrapolated start
+#: lies below the true first contact node by the second difference of the
+#: thresholds: over 4 models and 2 Pareto laws, at most 4 nodes at
+#: 1600 x 32, 13 at 1600 x 16, 48 at 1600 x 8 and 158 at 1600 x 4.  The
+#: margin covers every ladder with n >= 8 there (n = 4 rungs may be solved
+#: twice); its fixed part covers small j and the rounding at the boundary.
+PICARD_MARGIN = 8
 
 
 @dataclass(frozen=True)
@@ -97,7 +113,8 @@ class ValueSlice:
 
     iterations counts policy steps on exponential-mixture rungs and
     projected sweeps (map evaluations of the Anderson-mixed Picard
-    iteration) otherwise; final_update_norm is the sup-norm change of v in
+    iteration, over both solves when a truncated rung is solved again)
+    otherwise; final_update_norm is the sup-norm change of v in
     the last step (for the first policy step, the change from the obstacle;
     for Picard, the update of the returned sweep).
     """
@@ -134,23 +151,48 @@ def picard_rung(
     update_tol: float,
     max_iter: int,
     label: str,
+    contact: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, float]:
     """Anderson-mixed frozen-T projected sweeps from the obstacle psi until
     the sup-norm update of a plain sweep is at most update_tol.
 
-    Returns (v, sweeps, final update), v being the last plain sweep; raises
-    NoConvergence after max_iter sweeps.
+    The contact set is an upper interval, so above the free boundary v is
+    psi.  Given a start contact set whose first node j is above 0, the
+    sweeps run on nodes 0..top only, top = j + j // 4 + PICARD_MARGIN, with
+    v_top = psi_top as the Dirichlet value; T is causal (S_0..S_top read
+    only v_0..v_top), so the convolution takes the prefix alone.  The
+    result, extended by psi above top, is kept if one full-domain sweep of
+    it leaves every node from top on at psi.  Otherwise the rung is solved
+    again on all n_x + 1 nodes, as it is at once when contact is None,
+    empty or starts at node 0 (g's all-contact mask carries no threshold).
+
+    Returns (v, sweeps, final update), v being the last plain sweep and
+    sweeps the map evaluations of every solve made (the acceptance sweep
+    not counted); raises NoConvergence after max_iter sweeps of one solve.
     """
     n = kern.grid.n_x
     a = (m.mu - c) / kern.grid.dx
     b = a + m.r + m.lam
     qt = a / b
 
-    def sweep(v):
-        t = m.lam * (kern.convolve(v) + v[0] * kern.tail)
-        return projected_backward_scan((t[:n] - h[:n] + c) / b, qt, psi[:n], psi[n])
+    def sweep(v):  # on nodes 0..k, v_k = psi_k
+        k = v.shape[0] - 1
+        t = m.lam * (kern.convolve(v) + v[0] * kern.tail[: k + 1])
+        return projected_backward_scan((t[:k] - h[:k] + c) / b, qt, psi[:k], psi[k])
 
-    return anderson_fixed_point(sweep, psi, update_tol, max_iter, f"rung {label}")
+    def solve(top):
+        return anderson_fixed_point(sweep, psi[: top + 1], update_tol, max_iter, f"rung {label}")
+
+    first = 0 if contact is None else int(np.argmax(contact))
+    top = first + first // 4 + PICARD_MARGIN
+    if first == 0 or top >= n:
+        return solve(n)
+    v, sweeps, update = solve(top)
+    v = np.concatenate((v, psi[top + 1 :]))
+    if np.array_equal(sweep(v)[top:], psi[top:]):
+        return v, sweeps, update
+    v, more, update = solve(n)
+    return v, sweeps + more, update
 
 
 def policy_rung(
@@ -213,11 +255,13 @@ def solve_rung(
 ) -> ValueSlice:
     """Solve one obstacle problem with the previous rung as obstacle.
 
-    Exponential-mixture claims go through `policy_rung`, warm-started from
-    the length-n_x mask contact (default: the previous rung's contact set);
-    other claims through `picard_rung`, which ignores contact.
-    update_tol is the Picard stop rule and, on both paths, scales the
-    acceptance tolerance below.  The switch mask is the exact contact set
+    Claims go through `policy_rung` (exponential mixtures) or `picard_rung`
+    (others), both warm-started from the length-n_x mask contact (default:
+    the previous rung's contact set).  Picard rungs cut their sweeps above
+    the first node of contact, unless the obstacle's own contact set has a
+    free node above its first node: no cut holds then, so the rung is
+    solved on the whole domain at once.  update_tol is the Picard stop rule
+    and, on both paths, scales the acceptance tolerance below.  The switch mask is the exact contact set
     v == prev.v.  Raises NoConvergence if the solver does not settle and
     ObstacleViolation if the solved rung is not a supersolution or breaks
     complementarity (a scheme bug, not a data error).
@@ -227,15 +271,17 @@ def solve_rung(
     h = h_eval(m, d, grid.nodes)
     psi = prev.v
     label = rung_label or str(c)
+    if contact is None:
+        contact = prev.switch_mask[:n]
     if kern.has_recursion():
-        if contact is None:
-            contact = prev.switch_mask[:n]
         v, iterations, update, (t, residual) = policy_rung(
             psi, contact, c, m, kern, h, max_iter, label
         )
     else:
+        if not prev.switch_mask[np.argmax(prev.switch_mask):].all():
+            contact = None
         v, iterations, update = picard_rung(
-            psi, c, m, kern, h, update_tol, max_iter, label
+            psi, c, m, kern, h, update_tol, max_iter, label, contact
         )
         t, residual = rung_residual(v, c, m, kern, h)
 

@@ -577,6 +577,8 @@ def estimate_strategies(
         raise ValidationError("constant rate must not exceed c_bar")
     if n_paths < 2:
         raise ValidationError("need at least 2 paths for a standard error")
+    if seed < 0:  # SeedSequence takes non-negative integers only
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     T = default_horizon(m.r) if horizon is None else float(horizon)
     # no path ever reaches a nan or inf horizon, so the loop would not end
     if not 0 < T < math.inf:

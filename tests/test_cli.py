@@ -221,9 +221,12 @@ def test_simulate_bad_constant_rate_message(tmp_path, capsys):
         ),
         (["--strategy", "ratchet", "--x0", "0", "--paths", "1"], {}, "ValidationError"),
         (["--strategy", "ratchet", "--x0", "0", "--c0", "5"], {}, "RateOutOfRange"),
+        (["--strategy", "ratchet", "--x0", "0", "--seed", "-1"], {}, "ValidationError"),
+        (["--strategy", "ratchet", "--x0", "0"], {"simulate__seed": -1}, "ValidationError"),
     ],
     ids=["horizon-nan", "horizon-inf", "horizon-negative", "x0-nan", "c0-nan",
-         "rate-inf", "yaml-horizon-inf", "paths-one", "c0-above-cap"],
+         "rate-inf", "yaml-horizon-inf", "paths-one", "c0-above-cap", "seed-negative",
+         "yaml-seed-negative"],
 )
 def test_simulate_rejects_non_finite_input(argv, over, error, tmp_path, capsys, monkeypatch):
     # a nan or inf horizon looped forever and the others gave a number:

@@ -118,6 +118,35 @@ class TestJumpOperator:
         f = np.cos(g.nodes / 2.0) + 1.5
         assert np.array_equal(kern.convolve(f), kern.convolve(f, path))
 
+    @pytest.mark.parametrize("d", ALL_DISTS, ids=lambda d: d.kind)
+    def test_prefix_is_causal(self, d):
+        # S_j reads only f_0..f_j: a prefix of f convolves to the same
+        # prefix of S.  300 and 260 share one FFT size, and 1 and 2 are the
+        # smallest; the truncated Picard rungs rest on this
+        g = Grid(L=30.0, n_x=1000)
+        kern = get_kernel(d, g)
+        f = np.sin(g.nodes / 3.0) + 2.0
+        methods = ["direct", "fft"] + (["recursive"] if kern.has_recursion() else [])
+        for method in methods:
+            full = kern.convolve(f, method)
+            for k in (0, 1, 2, 4, 63, 64, 300, 260, 511, 999, 1000):
+                part = kern.convolve(f[: k + 1], method)
+                assert part.shape == (k + 1,)
+                assert np.max(np.abs(part - full[: k + 1])) < 1e-12, (method, k)
+
+    def test_fft_transforms_one_per_size(self):
+        # one cached transform per FFT size, and the whole-grid product is
+        # the zero-padded FFT of all of w
+        g = Grid(L=30.0, n_x=1000)
+        kern = get_kernel(ShiftedPareto(3.0, 1.2), g)
+        f = np.cos(g.nodes) + 1.5
+        for k in range(1001):
+            kern.convolve(f[: k + 1], "fft")
+        assert len(kern._w_hat) == 11  # 2, 4, ..., 2048
+        nfft = 2048
+        full = np.fft.irfft(np.fft.rfft(f, nfft) * np.fft.rfft(kern.w, nfft), nfft)
+        assert np.array_equal(kern.convolve(f, "fft"), full[:1001] - kern.b_corr * f[0])
+
     def test_recursive_requires_mixture(self):
         g = Grid(L=30.0, n_x=100)
         f = np.ones(101)

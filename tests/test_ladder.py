@@ -28,7 +28,9 @@ from divratchet import (
 from divratchet._sweep import bordered_banded_solve
 from divratchet.boundary import solve_g
 from divratchet.discretization import get_kernel
+from divratchet.surface import build_rate_map, extract_boundary
 from divratchet.ladder import (
+    PICARD_MARGIN,
     RateLadder,
     ValueSlice,
     picard_rung,
@@ -356,6 +358,85 @@ class TestAnderson:
         with pytest.raises(NoConvergence, match="rung x: .* after 3 map evaluations") as exc:
             picard_rung(psi, 1.0, M2, kern, h, 1e-10, 3, "x")
         assert exc.value.iterations == 3
+
+
+def record_solve_lengths(monkeypatch):
+    """Node counts of the Anderson solves that picard_rung makes."""
+    lengths = []
+    orig = ladder_mod.anderson_fixed_point
+
+    def recorded(G, v, *args):
+        lengths.append(v.shape[0])
+        return orig(G, v, *args)
+
+    monkeypatch.setattr(ladder_mod, "anderson_fixed_point", recorded)
+    return lengths
+
+
+class TestTruncatedPicard:
+    """From rung 2 on, Pareto rungs sweep only up to a cut above the
+    estimated free boundary; the whole-domain solve (the cut forced to n_x)
+    is the oracle."""
+
+    @pytest.mark.parametrize(
+        "d, n_x, n",
+        [(P2, 1600, 32), (P2, 800, 16), (ShiftedPareto(2.2, 0.6), 800, 16)],
+        ids=["pareto3-1600x32", "pareto3-800x16", "pareto2.2-800x16"],
+    )
+    def test_matches_whole_domain(self, d, n_x, n, monkeypatch):
+        grid = Grid(L=20.0, n_x=n_x)
+        ladder = RateLadder(n, 1.2, 0.0)
+        tol = 1e-10
+        lengths = record_solve_lengths(monkeypatch)
+        cut = solve_ladder(M2, d, grid, ladder, update_tol=tol)
+        # every rung from the second on was cut, and none solved again
+        assert sum(k < n_x + 1 for k in lengths) == n - 1
+        assert lengths.count(n_x + 1) == 1  # rung 1
+        monkeypatch.setattr(ladder_mod, "PICARD_MARGIN", n_x)
+        full = solve_ladder(M2, d, grid, ladder, update_tol=tol)
+        assert np.array_equal(cut.masks, full.masks)
+        assert np.array_equal(cut.iterations, full.iterations)
+        assert np.array_equal(extract_boundary(cut).x_star, extract_boundary(full).x_star)
+        assert np.array_equal(build_rate_map(cut).values, build_rate_map(full).values)
+        # both stop within rho/(1 - rho) * update_tol of the same fixed point
+        rho = M2.lam / (M2.r + M2.lam)
+        assert np.max(np.abs(cut.v - full.v)) <= 2 * rho / (1 - rho) * tol
+
+    def test_cut_below_the_boundary_falls_back(self, monkeypatch):
+        # a start set beginning at half the true first contact node forces
+        # v = psi where the rung is free: the acceptance sweep rejects it,
+        # and the rung is solved again on the whole domain
+        grid = Grid(L=20.0, n_x=800)
+        n = grid.n_x
+        surface = solve_ladder(M2, P2, grid, RateLadder(16, 1.2, 0.0))
+        kern = get_kernel(P2, grid)
+        h = h_eval(M2, P2, grid.nodes)
+        lengths = record_solve_lengths(monkeypatch)
+        for i in (2, 8, 16):
+            psi, c = surface.v[i - 1], float(surface.rates[i])
+            first = int(np.argmax(surface.masks[i]))
+            j = first // 2
+            top = j + j // 4 + PICARD_MARGIN
+            assert top < first
+            contact = np.arange(n) >= j
+            lengths.clear()
+            v, sweeps, update = picard_rung(psi, c, M2, kern, h, 1e-10, 10000, "x", contact)
+            assert lengths[0] == top + 1 and lengths[1] == n + 1
+            full_v, full_sweeps, full_update = picard_rung(psi, c, M2, kern, h, 1e-10, 10000, "x")
+            assert np.array_equal(v, full_v)
+            assert update == full_update
+            assert sweeps > full_sweeps  # the rejected solve is counted
+
+    def test_pocketed_obstacle_is_not_cut(self, monkeypatch):
+        # lam = 3, ell = 1.5 on L = 20 leaves a free pocket below the pin at
+        # L on every rung: no cut can hold, so every rung is solved once on
+        # the whole domain
+        m = ModelParams(mu=2.0, lam=3.0, r=0.1, ell=1.5, c_bar=1.2, c_floor=0.0)
+        grid = Grid(L=20.0, n_x=400)
+        lengths = record_solve_lengths(monkeypatch)
+        surface = solve_ladder(m, P2, grid, RateLadder(8, 1.2, 0.0))
+        assert not surface.masks[1][np.argmax(surface.masks[1]):].all()
+        assert lengths == [grid.n_x + 1] * 8
 
 
 class TestChainStructure:

@@ -191,6 +191,16 @@ def test_start_points_and_rates_must_be_finite(bad, ratemap2, monkeypatch):
             sim.estimate_strategies(M2, D2, 100, 1, **kw)
 
 
+def test_seed_must_be_non_negative(ratemap2, monkeypatch):
+    # numpy's SeedSequence raised a bare ValueError from inside the loop;
+    # the check comes before the ratchet's schedule is built
+    monkeypatch.setattr(sim, "_batch_payoffs", _no_loop)
+    monkeypatch.setattr(sim, "FrontierSchedule", _no_loop)
+    for kw in (dict(rate_map=ratemap2, ratchets=[(0.0, 0.0)]), dict(constants=[(0.0, 0.6)])):
+        with pytest.raises(ValidationError, match="seed"):
+            sim.estimate_strategies(M2, D2, 100, -1, **kw)
+
+
 def test_initial_rate_outside_ladder_rejected(ratemap2):
     with pytest.raises(ValidationError):
         simulate_ratchet(M2, D2, ratemap2, 0.0, M2.c_bar + 0.05, seed=1)
