@@ -19,11 +19,7 @@ from .model import (
     h_eval,
     make_distribution,
 )
-from .discretization import (
-    Grid,
-    apply_T,
-    residual_Lc,
-)
+from .discretization import Grid, scheme_residual
 from .boundary import BoundarySolution, boundary_residual_report, solve_g
 from .ladder import (
     RateLadder,
@@ -84,7 +80,6 @@ __all__ = [
     "ValidationError",
     "ValueSlice",
     "ValueSurface",
-    "apply_T",
     "boundary_residual_report",
     "build_rate_map",
     "calibrate_eps_disc",
@@ -101,8 +96,8 @@ __all__ = [
     "make_distribution",
     "mc_cross_check",
     "read_surface",
-    "residual_Lc",
     "run_invariant_suite",
+    "scheme_residual",
     "slope_growth_bound",
     "solve_g",
     "solve_ladder",

@@ -38,17 +38,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sweep import anderson_fixed_point, backward_linear_solve, bordered_banded_solve
-from .discretization import Grid, get_kernel, residual_Lc, second_diff
+from .discretization import Grid, equation_slope, get_kernel, scheme_residual, second_diff
 from .errors import NoConvergence
 from .model import ClaimDistribution, ModelParams, h_eval
 
 
 @dataclass
 class BoundarySolution:
-    """Converged bottom-rung value with its upwind derivative and solve stats."""
+    """Converged bottom-rung value with its upwind derivative, its scheme
+    residual at every node (taken with g_prime) and solve stats."""
 
     g: np.ndarray
     g_prime: np.ndarray
+    residual: np.ndarray
     picard_iterations: int
     final_update_norm: float
     residual_sup: float
@@ -97,14 +99,16 @@ def solve_g(
         qt = a / b
 
         def sweep(v):
-            t = m.lam * (kern.convolve(v) + v[0] * kern.tail)
+            t = kern.jump(v, m.lam)
             return backward_linear_solve((t[:n] - h[:n] + m.c_bar) / b, qt, v_L)
 
         v, iterations, update = anderson_fixed_point(
             sweep, np.full(n + 1, v_L), update_tol, max_iter, "g solve"
         )
-    g_prime = _upwind_derivative(m, d, grid, v, h)
-    res = residual_Lc(m, d, grid, m.c_bar, v, g_prime)
+    # forward differences; the Dirichlet node takes the slope the equation implies
+    g_prime = np.append(np.diff(v) / dx, 0.0)
+    g_prime[n] = equation_slope(kern.jump(v, m.lam)[n], v[n], m.c_bar, m, h[n])
+    _, res = scheme_residual(v, g_prime, m.c_bar, m, kern, h)
     residual_sup = float(np.max(np.abs(res[:n])))
     if residual_sup > residual_tol:
         raise NoConvergence(
@@ -117,22 +121,11 @@ def solve_g(
     return BoundarySolution(
         g=v,
         g_prime=g_prime,
+        residual=res,
         picard_iterations=iterations,
         final_update_norm=update,
         residual_sup=residual_sup,
     )
-
-
-def _upwind_derivative(m, d, grid, v, h):
-    """Forward differences on the interior; the Dirichlet node takes the
-    derivative the equation itself implies there."""
-    n = grid.n_x
-    dp = np.empty(n + 1)
-    dp[:n] = (v[1:] - v[:n]) / grid.dx
-    kern = get_kernel(d, grid)
-    t_L = m.lam * (kern.convolve(v)[n] + v[0] * kern.tail[n])
-    dp[n] = ((m.r + m.lam) * v[n] - t_L + h[n] - m.c_bar) / (m.mu - m.c_bar)
-    return dp
 
 
 def boundary_residual_report(
@@ -141,7 +134,7 @@ def boundary_residual_report(
     """Per-node arrays plus the envelope margins, for export and gating."""
     n = grid.n_x
     g = sol.g
-    res = residual_Lc(m, d, grid, m.c_bar, g, sol.g_prime)
+    res = sol.residual
     lower = (m.c_bar - m.lam * m.ell * d.gamma) / m.r
     upper = m.c_bar / m.r
     return {
@@ -149,7 +142,7 @@ def boundary_residual_report(
         "g": g,
         "g_prime": sol.g_prime,
         "residual": res,
-        "residual_sup_interior": float(np.max(np.abs(res[:n]))),
+        "residual_sup_interior": sol.residual_sup,
         "lower_bound": lower,
         "upper_bound": upper,
         "g_min": float(g.min()),

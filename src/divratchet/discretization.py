@@ -1,12 +1,15 @@
-"""Uniform x-grid and discrete integro-differential operators.
+"""Uniform x-grid and the discrete scheme every solver and check shares.
 
 The nonlocal operator acting on grid functions f over [0, L] is
 
     (T f)(x) = lam * ( integral_0^x f(x-y) p(y) dy  +  f(0) * (1 - F(x)) )
 
-and the transport residual combines it with the upwind derivative:
+(`ConvKernel.jump`), and the scheme residual of rate c combines it with a
+slope f', which the solvers take as the upwind difference (f_{j+1} - f_j)/dx:
 
-    residual = -(mu - c) f' + (r + lam) f - T f + h - c.
+    residual = -(mu - c) f' + (r + lam) f - T f + h - c   (`scheme_residual`).
+
+`equation_slope` is the f' that zeroes it; no other module writes these down.
 
 Quadrature is product integration: the claim density is integrated exactly
 over each cell against the piecewise-linear interpolant of f.  This keeps
@@ -25,9 +28,9 @@ Evaluation paths for the convolution part:
   * "auto"      - the kernel's choice, which every operator uses: recursive
                   when available, else fft.
 All paths agree to quadrature-rounding levels and are deterministic.
-S_j reads only f_0..f_j, so every path also takes a prefix f_0..f_k
-(k <= n_x) and returns S_0..S_k; the truncated Picard rungs of the ladder
-rely on this.
+S_j reads only f_0..f_j, so every path, and T, also takes a prefix
+f_0..f_k (k <= n_x) and returns node values 0..k; the truncated Picard
+rungs of the ladder rely on this.
 
 The same recursion makes the frozen rung operator banded once its states
 are carried as unknowns (`ConvKernel.rung_band`).  The g solve factors the
@@ -44,7 +47,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import ValidationError
-from .model import ClaimDistribution, ModelParams, h_eval
+from .model import ClaimDistribution, ModelParams
 
 
 @dataclass(frozen=True)
@@ -199,6 +202,11 @@ class ConvKernel:
             raise ValidationError(f"unknown convolution method {method!r}")
         return full[: k + 1] - self.b_corr[: k + 1] * f[0]
 
+    def jump(self, f: np.ndarray, lam: float) -> np.ndarray:
+        """T f with reflection at zero, lam * (S_j + f_0 (1 - F(x_j))), so
+        T(const K) = lam*K; on any prefix f_0..f_k, as `convolve`."""
+        return lam * (self.convolve(f) + f[0] * self.tail[: f.shape[0]])
+
 
 @lru_cache(maxsize=64)
 def get_kernel(dist: ClaimDistribution, grid: Grid) -> ConvKernel:
@@ -206,31 +214,24 @@ def get_kernel(dist: ClaimDistribution, grid: Grid) -> ConvKernel:
     return ConvKernel(dist, grid)
 
 
-def _node_values(grid: Grid, f) -> np.ndarray:
-    f = np.asarray(f, float)
-    if f.shape != (grid.n_x + 1,):
-        raise ValidationError(f"need {grid.n_x + 1} node values, got shape {f.shape}")
-    return f
-
-
-def apply_T(m: ModelParams, d: ClaimDistribution, grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Jump operator with reflection at zero:
-    node j holds lam * (S_j + f_0 * (1 - F(x_j))); T(const K) = lam*K."""
-    f = _node_values(grid, f)
-    k = get_kernel(d, grid)
-    return m.lam * (k.convolve(f) + f[0] * k.tail)
-
-
-def residual_Lc(
-    m: ModelParams, d: ClaimDistribution, grid: Grid, c: float, f: np.ndarray, f_prime: np.ndarray
-) -> np.ndarray:
-    """Pointwise residual -(mu-c) f' + (r+lam) f - T f + h - c."""
+def scheme_residual(
+    v: np.ndarray, v_prime: np.ndarray, c: float, m: ModelParams, kern: ConvKernel, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(T v, residual at nodes 0..k-1) for the k slopes in v_prime, with v
+    on all n_x + 1 nodes, h = h_eval on the nodes and c below mu."""
+    if np.shape(v) != kern.tail.shape:
+        raise ValidationError(f"need {kern.tail.size} node values, got shape {np.shape(v)}")
     if not c < m.mu:
         raise ValidationError("rate must stay below mu")
-    f = _node_values(grid, f)
-    t = apply_T(m, d, grid, f)
-    h = h_eval(m, d, grid.nodes)
-    return -(m.mu - c) * _node_values(grid, f_prime) + (m.r + m.lam) * f - t + h - c
+    t = kern.jump(v, m.lam)
+    k = v_prime.shape[0]
+    return t, -(m.mu - c) * v_prime + (m.r + m.lam) * v[:k] - t[:k] + h[:k] - c
+
+
+def equation_slope(t, v, c: float, m: ModelParams, h):
+    """The slope that zeroes the scheme residual of rate c, given t = T v;
+    on arrays or single nodes."""
+    return ((m.r + m.lam) * v - t + h - c) / (m.mu - c)
 
 
 def second_diff(f: np.ndarray) -> np.ndarray:

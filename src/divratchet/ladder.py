@@ -47,7 +47,10 @@ v_i == v_{i-1}.  A solved rung satisfies, up to solver error:
     v_i >= v_{i-1}                          (bitwise),
     residual >= 0 and residual * (v_i - v_{i-1}) = 0 at every node,
     0 <= (v_i - v_{i-1})/dc <= (ell - 1)/r.
-These are re-checked here and gated precisely by the verification layer.
+Both paths hand back T v and the `scheme_residual` (forward-difference v')
+of their v; `solve_rung` checks that residual and takes v' at free nodes
+from `equation_slope`, with no further convolution.  The verification
+layer re-checks the rung equations from v alone and gates them.
 
 `solve_ladder` writes each solved rung straight into its row of the
 (n+1) x (n_x+1) value, derivative and mask arrays and returns them as the
@@ -62,10 +65,10 @@ import numpy as np
 
 from ._sweep import anderson_fixed_point, bordered_banded_solve, projected_backward_scan
 from .boundary import solve_g
-from .discretization import ConvKernel, Grid, get_kernel
+from .discretization import ConvKernel, Grid, equation_slope, get_kernel, scheme_residual
 from .errors import DomainTooSmall, NoConvergence, ObstacleViolation, ValidationError
 from .model import ClaimDistribution, ModelParams, h_eval
-from .surface import ValueSurface
+from .surface import TRUSTED_FRACTION, ValueSurface, contact_scan
 
 #: a node leaves the contact set only once its residual is below -POLICY_TOL
 #: times the scale b*max|v| of the rung row.  Rounding leaves a few ulps of
@@ -132,16 +135,6 @@ def slope_growth_bound(m: ModelParams) -> float:
     return 2.0 * (m.r + m.lam) * (m.ell - 1.0) / (m.r**2 * (m.mu - m.c_bar))
 
 
-def rung_residual(
-    v: np.ndarray, c: float, m: ModelParams, kern: ConvKernel, h: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(T v, scheme residual at nodes 0..n_x-1) of the rung with rate c."""
-    n = kern.grid.n_x
-    t = m.lam * (kern.convolve(v) + v[0] * kern.tail)
-    residual = -(m.mu - c) * np.diff(v) / kern.grid.dx + (m.r + m.lam) * v[:n] - t[:n] + h[:n] - c
-    return t, residual
-
-
 def picard_rung(
     psi: np.ndarray,
     c: float,
@@ -152,7 +145,7 @@ def picard_rung(
     max_iter: int,
     label: str,
     contact: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, float]:
+) -> tuple[np.ndarray, int, float, tuple[np.ndarray, np.ndarray]]:
     """Anderson-mixed frozen-T projected sweeps from the obstacle psi until
     the sup-norm update of a plain sweep is at most update_tol.
 
@@ -162,37 +155,45 @@ def picard_rung(
     v_top = psi_top as the Dirichlet value; T is causal (S_0..S_top read
     only v_0..v_top), so the convolution takes the prefix alone.  The
     result, extended by psi above top, is kept if one full-domain sweep of
-    it leaves every node from top on at psi.  Otherwise the rung is solved
-    again on all n_x + 1 nodes, as it is at once when contact is None,
-    empty or starts at node 0 (g's all-contact mask carries no threshold).
+    it, from the T v of its residual, leaves every node from top on at psi.
+    Otherwise the rung is solved again on all n_x + 1 nodes, as it is at
+    once when contact is None, empty or starts at node 0 (as g's does).
 
-    Returns (v, sweeps, final update), v being the last plain sweep and
-    sweeps the map evaluations of every solve made (the acceptance sweep
-    not counted); raises NoConvergence after max_iter sweeps of one solve.
+    Returns (v, sweeps, final update, (T v, residual)) as `policy_rung`
+    does, v being the last plain sweep and sweeps the map evaluations of
+    every solve made (the acceptance sweep not counted); raises
+    NoConvergence after max_iter sweeps of one solve.
     """
     n = kern.grid.n_x
-    a = (m.mu - c) / kern.grid.dx
+    dx = kern.grid.dx
+    a = (m.mu - c) / dx
     b = a + m.r + m.lam
     qt = a / b
 
-    def sweep(v):  # on nodes 0..k, v_k = psi_k
+    def scan(v, t):  # projected sweep on nodes 0..k, v_k = psi_k, given t = T v
         k = v.shape[0] - 1
-        t = m.lam * (kern.convolve(v) + v[0] * kern.tail[: k + 1])
         return projected_backward_scan((t[:k] - h[:k] + c) / b, qt, psi[:k], psi[k])
+
+    def sweep(v):
+        return scan(v, kern.jump(v, m.lam))
 
     def solve(top):
         return anderson_fixed_point(sweep, psi[: top + 1], update_tol, max_iter, f"rung {label}")
 
-    first = 0 if contact is None else int(np.argmax(contact))
+    def residual(v):
+        return scheme_residual(v, np.diff(v) / dx, c, m, kern, h)
+
+    first = 0 if contact is None else int(contact_scan(contact)[0])
     top = first + first // 4 + PICARD_MARGIN
-    if first == 0 or top >= n:
-        return solve(n)
-    v, sweeps, update = solve(top)
-    v = np.concatenate((v, psi[top + 1 :]))
-    if np.array_equal(sweep(v)[top:], psi[top:]):
-        return v, sweeps, update
+    sweeps = 0
+    if 0 < first and top < n:
+        v, sweeps, update = solve(top)
+        v = np.concatenate((v, psi[top + 1 :]))
+        t_res = residual(v)
+        if np.array_equal(scan(v, t_res[0])[top:], psi[top:]):
+            return v, sweeps, update, t_res
     v, more, update = solve(n)
-    return v, sweeps + more, update
+    return v, sweeps + more, update, residual(v)
 
 
 def policy_rung(
@@ -213,7 +214,8 @@ def policy_rung(
     node (`bordered_banded_solve`), then puts a free node into contact if it
     dips below psi and frees a contact node if its residual is negative.
     Once the contact set repeats, returns (v, policy steps, final update,
-    (T v, residual)), the last pair being `rung_residual(v)` of that step.
+    (T v, residual)), the last pair being `scheme_residual` of that step's v
+    with its forward difference.
     v >= psi holds bitwise then: no free node lies below psi, and contact
     nodes and v_n equal psi.  Raises NoConvergence after max_iter steps.
     """
@@ -228,7 +230,7 @@ def policy_rung(
     for iterations in range(1, max_iter + 1):
         v = bordered_banded_solve(ab, bands, stride, rhs, border, contact, psi[:n])
         update = float(np.max(np.abs(v - v_old)))
-        t, res = rung_residual(v, c, m, kern, h)
+        t, res = scheme_residual(v, np.diff(v) / kern.grid.dx, c, m, kern, h)
         tol = POLICY_TOL * b * float(np.max(np.abs(v)))
         new = np.where(contact, res >= -tol, v[:n] < psi[:n])
         if np.array_equal(new, contact):
@@ -278,12 +280,12 @@ def solve_rung(
             psi, contact, c, m, kern, h, max_iter, label
         )
     else:
-        if not prev.switch_mask[np.argmax(prev.switch_mask):].all():
+        first, free = contact_scan(prev.switch_mask)
+        if free or first > n:
             contact = None
-        v, iterations, update = picard_rung(
+        v, iterations, update, (t, residual) = picard_rung(
             psi, c, m, kern, h, update_tol, max_iter, label, contact
         )
-        t, residual = rung_residual(v, c, m, kern, h)
 
     gap = v - psi  # >= 0 bitwise: both solvers end on or above the obstacle
     mask = gap == 0.0
@@ -301,11 +303,7 @@ def solve_rung(
             f"{np.max(np.abs(slack)):.3e} beyond {tol_c:.1e}"
         )
 
-    v_prime = np.where(
-        mask,
-        prev.v_prime,
-        ((m.r + m.lam) * v - t + h - c) / (m.mu - c),
-    )
+    v_prime = np.where(mask, prev.v_prime, equation_slope(t, v, c, m, h))
     return ValueSlice(
         v=v,
         v_prime=v_prime,
@@ -352,7 +350,7 @@ def solve_ladder(
         final_update_norm=boundary.final_update_norm,
     )
     rates = ladder.rates
-    cut = 0.8 * grid.L
+    cut = TRUSTED_FRACTION * grid.L
     nodes = np.arange(grid.n_x)
     firsts = []  # first contact node of each solved rung
     for i in range(ladder.n + 1):
@@ -365,12 +363,12 @@ def solve_ladder(
                 update_tol=update_tol, max_iter=max_iter,
                 rung_label=f"{i}/{ladder.n}", contact=contact,
             )
-            first = int(np.argmax(prev.switch_mask))
+            first = int(contact_scan(prev.switch_mask)[0])
             firsts.append(first)
-            if not prev.switch_mask[first] or first * grid.dx > cut:
+            if first * grid.dx > cut:
                 raise DomainTooSmall(
                     f"rung {i} (rate {rates[i]:.6g}): no switch node at or below "
-                    f"0.8 L = {cut:.6g}; enlarge the domain"
+                    f"{TRUSTED_FRACTION} L = {cut:.6g}; enlarge the domain"
                 )
         v[i] = prev.v
         v_prime[i] = prev.v_prime

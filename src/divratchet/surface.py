@@ -29,6 +29,9 @@ from .model import ModelParams
 if TYPE_CHECKING:
     from .ladder import RateLadder
 
+#: a switching threshold is trusted only at or below this fraction of L
+TRUSTED_FRACTION = 0.8
+
 
 def rung_index(rates: np.ndarray, c: float) -> int:
     """Index of the ladder rung enclosing rate c, snapped up to the higher
@@ -144,6 +147,15 @@ class ValueSurface:
         return float((1.0 - s) * row[j] + s * row[j + 1])
 
 
+def contact_scan(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per mask row (the last axis): the first contact node, or the row
+    length if the row has none, and the count of free nodes above it."""
+    size = masks.shape[-1]
+    contacts = masks.sum(axis=-1)  # all at or above the first
+    first = np.where(contacts > 0, masks.argmax(axis=-1), size)
+    return first, size - first - contacts
+
+
 def extract_boundary(surface: ValueSurface) -> FreeBoundaryCurve:
     """Per-rung switching threshold: first contact node times dx.
 
@@ -151,26 +163,20 @@ def extract_boundary(surface: ValueSurface) -> FreeBoundaryCurve:
     0.8 L (the threshold is then not trusted).
     """
     grid = surface.grid
-    n_r = surface.ladder.n
-    dx = grid.dx
-    cut = 0.8 * grid.L
-    x_star = np.empty(n_r + 1)
-    viol = np.zeros(n_r + 1, dtype=np.int64)
-    for i in range(1, n_r + 1):
-        mask = surface.masks[i]
-        first = int(np.argmax(mask))
-        if not mask[first] or first * dx > cut:
-            raise DomainTooSmall(
-                f"rung {i} (rate {surface.rates[i]:.6g}): no contact node at or "
-                f"below 0.8 L = {cut:.6g}"
-            )
-        x_star[i] = first * dx
-        viol[i] = int(np.sum(~mask[first:]))
-    x_star[0] = x_star[1] if n_r >= 1 else 0.0
+    first, free = contact_scan(surface.masks)
+    x_star = first * grid.dx
+    cut = TRUSTED_FRACTION * grid.L
+    i = int(np.argmax(x_star[1:] > cut)) + 1
+    if x_star[i] > cut:
+        raise DomainTooSmall(
+            f"rung {i} (rate {surface.rates[i]:.6g}): no contact node at or "
+            f"below {TRUSTED_FRACTION} L = {cut:.6g}"
+        )
+    x_star[0] = x_star[1]
     return FreeBoundaryCurve(
         rates=surface.rates.copy(),
         x_star=x_star,
-        up_closure_violations=viol,
+        up_closure_violations=free,
         gradient_at_zero=surface.v_prime[:, 0].copy(),
     )
 

@@ -7,24 +7,30 @@ common random numbers.
 Every invariant the solver is supposed to enforce is re-measured here from
 the stored arrays (never from solver-internal state) and reported as a
 named check with its bound, the observed value, and the margin.  Failures
-are data, not exceptions, so a corrupted surface produces a failing
-certificate instead of a crash.
+are data, not exceptions, so a corrupted surface (a rung without contact
+included) produces a failing certificate instead of a crash.
+
+The equation checks take `discretization.scheme_residual`.
+`complementarity` reads each rung's v only, through its forward difference:
+the stored v' of a free node is the slope that zeroes the residual, so a
+residual taken with it would hold for any v.  Stored rung slopes are
+checked by the gradient window and `threshold_collapse` alone.
+`boundary_residual` reads the stored g', the forward difference of g.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import simulate as sim
-from .discretization import Grid, residual_Lc
+from .discretization import Grid, get_kernel, scheme_residual
 from .errors import ValidationError
 from .ladder import RateLadder, slope_growth_bound, solve_ladder
-from .model import ClaimDistribution, ModelParams
-from .surface import ValueSurface, build_rate_map, extract_boundary
+from .model import ClaimDistribution, ModelParams, h_eval
+from .surface import TRUSTED_FRACTION, ValueSurface, build_rate_map, contact_scan
 
 #: the bound of each invariant check; every certificate reads this one table
 DEFAULT_TOLERANCES = {
@@ -37,7 +43,7 @@ DEFAULT_TOLERANCES = {
     "u_bound": 1e-6,
     "u_growth": 1e-6,
     "complementarity": 1e-8,
-    "boundary_fraction": 0.8,
+    "boundary_fraction": TRUSTED_FRACTION,
 }
 
 
@@ -111,8 +117,8 @@ def run_invariant_suite(surface: ValueSurface, d: ClaimDistribution) -> Certific
     dc = ladder.dc
     v = surface.v
     vp = surface.v_prime
-    masks = surface.masks
     rates = surface.rates
+    kern, h = get_kernel(d, grid), h_eval(m, d, grid.nodes)
     mean_claim = float(d.tail_mean(0.0))
     checks = []
 
@@ -127,12 +133,12 @@ def run_invariant_suite(surface: ValueSurface, d: ClaimDistribution) -> Certific
         )
 
     # cap-rate equation residual on interior nodes
-    res = residual_Lc(m, d, grid, m.c_bar, v[0], vp[0])
+    _, res = scheme_residual(v[0], vp[0, :-1], m.c_bar, m, kern, h)
     add(
         "boundary_residual",
         "cap-rate integro-differential equation residual, sup over interior",
         tol["residual"],
-        np.max(np.abs(res[: grid.n_x])),
+        np.max(np.abs(res)),
     )
     add(
         "boundary_dirichlet",
@@ -207,31 +213,20 @@ def run_invariant_suite(surface: ValueSurface, d: ClaimDistribution) -> Certific
         tol["u_bound"],
         np.max(u - (m.ell - 1.0) / m.r) if u.size else -np.inf,
     )
-    if u.shape[0] >= 2:
-        growth = u[:-1] - u[1:] - slope_growth_bound(m) * dc
-        add(
-            "rate_slope_growth",
-            "rate-direction slope increments bounded by the drift constant",
-            tol["u_growth"],
-            np.max(growth),
-        )
-    else:
-        add(
-            "rate_slope_growth",
-            "rate-direction slope increments bounded by the drift constant",
-            tol["u_growth"],
-            -np.inf,
-        )
+    growth = u[:-1] - u[1:] - slope_growth_bound(m) * dc
+    add(
+        "rate_slope_growth",
+        "rate-direction slope increments bounded by the drift constant",
+        tol["u_growth"],
+        np.max(growth) if growth.size else -np.inf,
+    )
 
-    # complementarity: on every node either the equation holds or the
-    # obstacle binds
+    # complementarity: on every node either the equation of the forward
+    # difference of v holds or the obstacle binds
     comp = 0.0
     for i in range(1, ladder.n + 1):
-        res_i = residual_Lc(m, d, grid, rates[i], v[i], vp[i])
-        gap_i = v[i] - v[i - 1]
-        comp = max(
-            comp, float(np.max(np.minimum(np.abs(res_i[: grid.n_x]), gap_i[: grid.n_x])))
-        )
+        _, res_i = scheme_residual(v[i], np.diff(v[i]) / dx, rates[i], m, kern, h)
+        comp = max(comp, float(np.max(np.minimum(np.abs(res_i), gaps[i - 1, :-1]))))
     add(
         "complementarity",
         "min(equation residual, obstacle gap) vanishes on interior nodes",
@@ -240,32 +235,29 @@ def run_invariant_suite(surface: ValueSurface, d: ClaimDistribution) -> Certific
     )
 
     # switch masks: once switching is optimal it stays optimal for larger x
-    viol = 0
-    for i in range(1, ladder.n + 1):
-        row = masks[i]
-        first = np.argmax(row) if row.any() else row.size
-        viol += int(np.sum(~row[first:]))
+    first, free = contact_scan(surface.masks[1:])
     add(
         "mask_up_closed",
         "contact region of each rung is an upper interval in surplus",
         0.0,
-        viol,
+        np.sum(free),
     )
 
-    # switching thresholds: inside the trusted domain, and zero for every
-    # lower rate once the gradient at zero drops to 1
-    fb = extract_boundary(surface)
+    # switching thresholds of rungs 1..n, (n_x + 1) dx for a rung without
+    # contact: inside the trusted domain, and zero for lower rates once
+    # the gradient at zero drops to 1
+    x_star = first * dx
     add(
         "boundary_inside_domain",
         "largest switching threshold within the trusted fraction of L",
         tol["boundary_fraction"],
-        np.max(fb.x_star) / grid.L,
+        np.max(x_star) / grid.L,
     )
     vp0 = vp[:, 0]
     small = np.flatnonzero(vp0 <= 1.0 + 1e-9)
     if small.size:
         i0 = max(int(small.min()), 1)
-        prop = float(np.max(fb.x_star[i0:]))
+        prop = float(np.max(x_star[i0 - 1 :]))
     else:
         prop = 0.0
     add(

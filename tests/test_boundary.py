@@ -62,10 +62,11 @@ class TestEnvelope:
     def test_derivative_consistent_with_equation(self, sol_fine):
         # forward differences must match the derivative the equation
         # implies, to iteration error
-        from divratchet import apply_T, h_eval
+        from divratchet import h_eval
+        from divratchet.discretization import get_kernel
 
         g = sol_fine.g
-        t = apply_T(M1, D1, G1, g)
+        t = get_kernel(D1, G1).jump(g, M1.lam)
         h = h_eval(M1, D1, G1.nodes)
         implied = ((M1.r + M1.lam) * g - t + h - M1.c_bar) / (M1.mu - M1.c_bar)
         fd = np.diff(g) / G1.dx

@@ -18,9 +18,8 @@ from divratchet import (
     ModelParams,
     ShiftedPareto,
     ValidationError,
-    apply_T,
     h_eval,
-    residual_Lc,
+    scheme_residual,
 )
 from divratchet._sweep import backward_linear_solve, projected_backward_scan
 from divratchet.discretization import get_kernel
@@ -52,7 +51,9 @@ class TestGrid:
     def test_node_array_length_check(self):
         g = Grid(L=10.0, n_x=100)
         with pytest.raises(ValidationError):
-            apply_T(M, Exponential(0.5), g, np.zeros(5))
+            scheme_residual(
+                np.zeros(5), np.zeros(4), M.c_bar, M, get_kernel(Exponential(0.5), g), np.zeros(5)
+            )
 
 
 class TestJumpOperator:
@@ -61,7 +62,7 @@ class TestJumpOperator:
         # T(K) = lam*K: mass below x plus the reflected tail mass sum to 1
         g = Grid(L=30.0, n_x=2000)
         f = np.full(g.n_x + 1, 7.0)
-        t = apply_T(M, d, g, f)
+        t = get_kernel(d, g).jump(f, M.lam)
         assert np.max(np.abs(t - M.lam * 7.0)) < 1e-12
 
     def test_linear_oracle_exact(self):
@@ -69,7 +70,7 @@ class TestJumpOperator:
         g = Grid(L=30.0, n_x=2000)
         d = Exponential(1.0)
         x = g.nodes
-        t = apply_T(M, d, g, x.copy())
+        t = get_kernel(d, g).jump(x.copy(), M.lam)
         assert np.max(np.abs(t - M.lam * (x - 1.0 + np.exp(-x)))) < 1e-12
 
     def test_quadratic_oracle_second_order(self):
@@ -79,7 +80,7 @@ class TestJumpOperator:
             g = Grid(L=30.0, n_x=n_x)
             x = g.nodes
             # f(0) = 0, so the reflection tail adds nothing
-            t = apply_T(M, d, g, x**2)
+            t = get_kernel(d, g).jump(x**2, M.lam)
             exact = M.lam * (x**2 - 2.0 * x + 2.0 - 2.0 * np.exp(-x))
             errs.append(np.max(np.abs(t - exact)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
@@ -93,7 +94,7 @@ class TestJumpOperator:
     def test_origin_with_tail_is_lam_f0(self):
         g = Grid(L=30.0, n_x=500)
         f = np.cos(g.nodes) + 2.0
-        t0 = apply_T(M, Exponential(0.5), g, f)[0]
+        t0 = get_kernel(Exponential(0.5), g).jump(f, M.lam)[0]
         assert t0 == pytest.approx(M.lam * f[0], rel=1e-14)
 
     @pytest.mark.parametrize("d", ALL_DISTS, ids=lambda d: d.kind)
@@ -162,7 +163,7 @@ class TestJumpOperator:
         g = Grid(L=20.0, n_x=400)
         rng = np.random.default_rng(7)
         f = rng.uniform(-3, 5, g.n_x + 1)
-        t = apply_T(M, Exponential(0.5), g, f)
+        t = get_kernel(Exponential(0.5), g).jump(f, M.lam)
         assert np.max(np.abs(t)) <= M.lam * np.max(np.abs(f)) + 1e-12
 
 
@@ -174,8 +175,8 @@ def test_jump_operator_monotone(seed):
     rng = np.random.default_rng(seed)
     base = rng.normal(size=g.n_x + 1)
     bump = rng.uniform(0, 1, size=g.n_x + 1)
-    lo = apply_T(M, Exponential(0.8), g, base)
-    hi = apply_T(M, Exponential(0.8), g, base + bump)
+    lo = get_kernel(Exponential(0.8), g).jump(base, M.lam)
+    hi = get_kernel(Exponential(0.8), g).jump(base + bump, M.lam)
     assert np.all(hi >= lo - 1e-13)
 
 
@@ -186,7 +187,7 @@ class TestResidual:
         d = Exponential(0.5)
         f = np.full(g.n_x + 1, M.c_bar / M.r)
         fp = np.zeros(g.n_x + 1)
-        res = residual_Lc(M, d, g, M.c_bar, f, fp)
+        _, res = scheme_residual(f, fp, M.c_bar, M, get_kernel(d, g), h_eval(M, d, g.nodes))
         np.testing.assert_allclose(res, h_eval(M, d, g.nodes), atol=1e-11)
 
     def test_constant_low_level(self):
@@ -196,7 +197,7 @@ class TestResidual:
         level = (M.c_bar - M.lam * M.ell * d.gamma) / M.r
         f = np.full(g.n_x + 1, level)
         fp = np.zeros(g.n_x + 1)
-        res = residual_Lc(M, d, g, M.c_bar, f, fp)
+        _, res = scheme_residual(f, fp, M.c_bar, M, get_kernel(d, g), h_eval(M, d, g.nodes))
         expected = h_eval(M, d, g.nodes) - M.lam * M.ell * d.gamma
         np.testing.assert_allclose(res, expected, atol=1e-11)
 
@@ -204,7 +205,7 @@ class TestResidual:
         g = Grid(L=10.0, n_x=100)
         f = np.zeros(g.n_x + 1)
         with pytest.raises(ValidationError):
-            residual_Lc(M, Exponential(0.5), g, M.mu, f, f)
+            scheme_residual(f, f, M.mu, M, get_kernel(Exponential(0.5), g), f)
 
 
 class TestSweeps:

@@ -13,6 +13,7 @@ import pytest
 
 import divratchet._sweep as sweep_mod
 import divratchet.boundary as boundary_mod
+import divratchet.discretization as discretization
 import divratchet.ladder as ladder_mod
 from divratchet import (
     DomainTooSmall,
@@ -27,7 +28,7 @@ from divratchet import (
 )
 from divratchet._sweep import bordered_banded_solve
 from divratchet.boundary import solve_g
-from divratchet.discretization import get_kernel
+from divratchet.discretization import get_kernel, scheme_residual
 from divratchet.surface import build_rate_map, extract_boundary
 from divratchet.ladder import (
     PICARD_MARGIN,
@@ -35,7 +36,6 @@ from divratchet.ladder import (
     ValueSlice,
     picard_rung,
     policy_rung,
-    rung_residual,
     slope_growth_bound,
     solve_ladder,
     solve_rung,
@@ -225,7 +225,7 @@ class TestAgainstDenseReference:
         kern = get_kernel(D2, grid)
         h = h_eval(M2, D2, grid.nodes)
         for i in range(1, 33):
-            v, sweeps, _ = picard_rung(
+            v, sweeps, _, _ = picard_rung(
                 surface.v[i - 1], float(surface.rates[i]), M2, kern, h, 1e-10, 10000, "test",
             )
             assert np.max(np.abs(v - surface.v[i])) < 1e-8
@@ -306,7 +306,7 @@ class TestAnderson:
         h = h_eval(M2, P2, grid.nodes)
         psi = base_slice(M2, P2, grid).v
         for i, c in enumerate(RateLadder(16, 1.2, 0.0).rates[1:], 1):
-            v, sweeps, update = picard_rung(psi, float(c), M2, kern, h, 1e-10, 10000, str(i))
+            v, sweeps, update, _ = picard_rung(psi, float(c), M2, kern, h, 1e-10, 10000, str(i))
             ref, plain_sweeps = reference_picard_rung(psi, float(c), M2, P2, grid)
             assert update <= 1e-10
             assert np.max(np.abs(v - ref)) <= 1e-8
@@ -343,7 +343,7 @@ class TestAnderson:
             return sweep_mod.anderson_fixed_point(recorded, v, tol, max_iter, label)
 
         monkeypatch.setattr(ladder_mod, "anderson_fixed_point", watched)
-        v, sweeps, update = picard_rung(psi, c, M2, kern, h, 1e-10, 10000, "forced")
+        v, sweeps, update, _ = picard_rung(psi, c, M2, kern, h, 1e-10, 10000, "forced")
         ref, plain_sweeps = reference_picard_rung(psi, c, M2, P2, grid)
         assert restarts >= 1
         assert update <= 1e-10
@@ -420,12 +420,40 @@ class TestTruncatedPicard:
             assert top < first
             contact = np.arange(n) >= j
             lengths.clear()
-            v, sweeps, update = picard_rung(psi, c, M2, kern, h, 1e-10, 10000, "x", contact)
+            v, sweeps, update, _ = picard_rung(psi, c, M2, kern, h, 1e-10, 10000, "x", contact)
             assert lengths[0] == top + 1 and lengths[1] == n + 1
-            full_v, full_sweeps, full_update = picard_rung(psi, c, M2, kern, h, 1e-10, 10000, "x")
+            full_v, full_sweeps, full_update, _ = picard_rung(psi, c, M2, kern, h, 1e-10, 10000, "x")
             assert np.array_equal(v, full_v)
             assert update == full_update
             assert sweeps > full_sweeps  # the rejected solve is counted
+
+    def test_returned_residual_is_that_of_v(self, monkeypatch):
+        # a kept cut, a cut that falls back and a whole-domain solve each
+        # hand back scheme_residual(v); a kept cut convolves the whole grid
+        # once, in the acceptance sweep that reads that T v
+        grid = Grid(L=20.0, n_x=800)
+        n = grid.n_x
+        surface = solve_ladder(M2, P2, grid, RateLadder(16, 1.2, 0.0))
+        kern = get_kernel(P2, grid)
+        h = h_eval(M2, P2, grid.nodes)
+        lengths = []
+        convolve = discretization.ConvKernel.convolve
+
+        def recorded(self, f, method="auto"):
+            lengths.append(f.shape[0])
+            return convolve(self, f, method)
+
+        monkeypatch.setattr(discretization.ConvKernel, "convolve", recorded)
+        psi, c = surface.v[7], float(surface.rates[8])
+        first = int(np.argmax(surface.masks[8]))
+        for start, full_grid_calls in [(first, 1), (first // 2, None), (None, None)]:
+            contact = None if start is None else np.arange(n) >= start
+            lengths.clear()
+            v, _, _, (t, res) = picard_rung(psi, c, M2, kern, h, 1e-10, 10000, "x", contact)
+            if full_grid_calls is not None:
+                assert lengths.count(n + 1) == full_grid_calls
+            t_ref, res_ref = scheme_residual(v, np.diff(v) / grid.dx, c, M2, kern, h)
+            assert np.array_equal(t, t_ref) and np.array_equal(res, res_ref)
 
     def test_pocketed_obstacle_is_not_cut(self, monkeypatch):
         # lam = 3, ell = 1.5 on L = 20 leaves a free pocket below the pin at
@@ -548,7 +576,7 @@ class TestWarmStart:
             v, _, _, (t, res) = policy_rung(
                 psi, surface.masks[i - 1][:n], c, M2, kern, h, 200, "test",
             )
-            t_ref, res_ref = rung_residual(v, c, M2, kern, h)
+            t_ref, res_ref = scheme_residual(v, np.diff(v) / grid.dx, c, M2, kern, h)
             assert np.array_equal(t, t_ref)
             assert np.array_equal(res, res_ref)
             assert np.array_equal(np.maximum(v, psi), v)

@@ -26,6 +26,7 @@ from divratchet.ladder import RateLadder, solve_ladder
 from divratchet.surface import (
     ValueSurface,
     build_rate_map,
+    contact_scan,
     equivalent_max_rate,
     extract_boundary,
 )
@@ -149,6 +150,16 @@ class TestBoundaryExtraction:
         surf = synthetic_surface(masks, (1, 0.9, 0.0))
         with pytest.raises(DomainTooSmall):
             extract_boundary(surf)
+
+    def test_contact_scan(self):
+        # a clean upper interval, a hole above the threshold, no contact
+        masks = np.zeros((3, 9), dtype=bool)
+        masks[0, 3:] = True
+        masks[1, [2, 4, 5, 8]] = True
+        first, free = contact_scan(masks)
+        assert first.tolist() == [3, 2, 9] and free.tolist() == [0, 3, 0]
+        one = contact_scan(masks[1])
+        assert (int(one[0]), int(one[1])) == (2, 3)
 
     def test_solved_surface(self, surf2):
         fb = extract_boundary(surf2)

@@ -7,11 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from divratchet.discretization import Grid
+from divratchet.discretization import Grid, equation_slope, get_kernel
 from divratchet import simulate as sim
 from divratchet.errors import RateOutOfRange, ValidationError
 from divratchet.ladder import RateLadder, solve_ladder
-from divratchet.model import Exponential, ModelParams
+from divratchet.model import Exponential, ModelParams, h_eval
 from divratchet.surface import ValueSurface
 from divratchet.verify import (
     CheckResult,
@@ -132,6 +132,41 @@ class TestInvariantSuite:
         vp[100] = M2.ell + 0.5
         cert = run_invariant_suite(rebuild(surface, 5, v_prime=vp), D2)
         assert not cert.check("gradient_injection_cap").passed
+
+    @pytest.mark.parametrize("bump", [1e-4, 1e-5])
+    def test_complementarity_reads_the_values(self, solved, bump):
+        # raise one free node of rung 5 and re-derive its slopes as
+        # solve_rung does: the stored v' then zeroes the equation residual
+        # at every free node, so only the residual of the forward difference
+        # of v sees the bump (a slope change of bump/dx)
+        surface, k = solved, 5
+        grid, c = surface.grid, float(surface.rates[k])
+        mask = surface.masks[k]
+        j = int(np.argmax(mask)) // 2
+        assert not mask[j]
+        v = surface.v[k].copy()
+        v[j] += bump
+        kern, h = get_kernel(D2, grid), h_eval(M2, D2, grid.nodes)
+        slope = equation_slope(kern.jump(v, M2.lam), v, c, M2, h)
+        vp = np.where(mask, surface.v_prime[k - 1], slope)
+        cert = run_invariant_suite(rebuild(surface, k, v=v, v_prime=vp), D2)
+        assert [ch.name for ch in cert.checks if not ch.passed] == ["complementarity"]
+        assert cert.check("complementarity").observed > 10 * bump
+
+    @pytest.mark.parametrize("frac", [0.9, 1.01], ids=["late-threshold", "no-contact"])
+    def test_untrusted_threshold_fails_without_raising(self, solved, frac):
+        # extract_boundary raises DomainTooSmall here; the certificate
+        # reports the threshold instead (a rung without contact reads its
+        # row length, (n_x + 1) dx)
+        surface, k = solved, 5
+        grid = surface.grid
+        mask = surface.masks[k] & (grid.nodes >= frac * grid.L)
+        cert = run_invariant_suite(rebuild(surface, k, mask=mask), D2)
+        check = cert.check("boundary_inside_domain")
+        assert not check.passed
+        first = int(np.argmax(mask)) if mask.any() else grid.n_x + 1
+        assert check.observed == first * grid.dx / grid.L
+        assert check.observed == pytest.approx(min(frac, 1 + 1 / grid.n_x), abs=1e-12)
 
     def test_boundary_residual_violation_flagged(self, solved):
         # one cap-rung slope off by 1e-6 leaves (mu - c_bar) * 1e-6 of
