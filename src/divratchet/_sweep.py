@@ -38,6 +38,8 @@ family:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.signal import lfilter
@@ -52,6 +54,8 @@ ANDERSON_DEPTH = 5
 _LOG_MIN_WEIGHT = np.log(1e-150)
 #: LAPACK banded LU solve (the routine scipy.linalg.solve_banded wraps)
 _GBSV = get_lapack_funcs("gbsv", dtype=np.float64)
+#: LAPACK dense LU solve (the routine np.linalg.solve calls)
+_GESV = get_lapack_funcs("gesv", dtype=np.float64)
 
 
 def backward_linear_solve(alpha: np.ndarray, qt: float, v_L: float) -> np.ndarray:
@@ -160,6 +164,15 @@ def bordered_banded_solve(
     return v
 
 
+def _gram_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """gamma with gram @ gamma = rhs by LU; a singular or non-finite solve
+    (collinear residual differences) falls back to least squares."""
+    _, _, gamma, info = _GESV(gram, rhs)
+    if info == 0 and np.isfinite(gamma).all():
+        return gamma
+    return np.linalg.lstsq(gram, rhs, rcond=None)[0]
+
+
 def anderson_fixed_point(
     G, v: np.ndarray, update_tol: float, max_iter: int, label: str
 ) -> tuple[np.ndarray, int, float]:
@@ -171,12 +184,14 @@ def anderson_fixed_point(
     exact contact) holds for it, and with contraction factor rho it lies
     within rho/(1 - rho) * |f|_inf of the fixed point.  Otherwise the next
     iterate is g - dG @ gamma, where gamma fits f by the last
-    ANDERSON_DEPTH residual differences dF in least squares (Walker & Ni,
-    SIAM J. Numer. Anal. 49(4), 2011).  A mixed iterate whose residual is
+    ANDERSON_DEPTH residual differences dF (Walker & Ni, SIAM J. Numer.
+    Anal. 49(4), 2011) through the normal equations dF dF^T gamma = dF f,
+    solved by LU (`_gram_solve`).  A mixed iterate whose residual is
     not below that of the last accepted one is dropped with the history,
     and the plain step G of the accepted iterate is taken instead: the
     accepted residuals decrease, by at least rho after each dropped step.
-    Raises NoConvergence after max_iter evaluations.
+    Raises NoConvergence as soon as an update is not finite, and after
+    max_iter evaluations.
     """
     n = v.shape[0]
     dF = np.empty((ANDERSON_DEPTH, n))
@@ -193,6 +208,12 @@ def anderson_fixed_point(
         update = float(np.max(np.abs(f)))
         if update <= update_tol:
             return g, evaluations, update
+        if not math.isfinite(update):
+            raise NoConvergence(
+                f"{label}: non-finite update after {evaluations} map evaluations",
+                iterations=evaluations,
+                update_norm=update,
+            )
         if mixed and update >= best:
             stored = slot = 0
             v = g_acc
@@ -207,8 +228,7 @@ def anderson_fixed_point(
         f_acc, g_acc, best = f, g, update
         mixed = stored > 0
         if mixed:
-            gamma = np.linalg.lstsq(gram[:stored, :stored], dF[:stored] @ f, rcond=None)[0]
-            v = g - gamma @ dG[:stored]
+            v = g - _gram_solve(gram[:stored, :stored], dF[:stored] @ f) @ dG[:stored]
         else:
             v = g
     raise NoConvergence(

@@ -124,7 +124,7 @@ class ConvKernel:
     def has_recursion(self) -> bool:
         return self._rec is not None
 
-    def rung_band(self, a: float, b: float, lam: float):
+    def rung_band(self, a: float, b: float, lam: float, ab: np.ndarray | None = None):
         """Frozen rung operator in banded form on augmented unknowns.
 
         Needs an exponential-mixture density.  Node j carries the block
@@ -140,7 +140,9 @@ class ConvKernel:
         is left out for the caller to border.  Returns (ab, (l, u), stride)
         with ab in the Fortran-ordered layout of LAPACK gbsv: l spare rows
         for the LU fill-in above the l + u + 1 diagonals, A[i, j] at
-        ab[l + u + i - j, j].
+        ab[l + u + i - j, j].  Only the b and -a diagonals of the v rows
+        depend on the rate: given the ab of an earlier call with the same
+        lam, only they are rewritten, in place.
         """
         if self._rec is None:
             raise ValidationError("a banded rung operator needs an exponential-mixture density")
@@ -149,23 +151,24 @@ class ConvKernel:
         stride = K + 1
         l, u = 2 * K + 1, K + 1
         diag = l + u
-        ab = np.zeros((2 * l + u + 1, (n + 1) * stride), order="F")
 
         def put(rows, off, val):  # A[row, row + off] = val
             ab[diag - off, rows + off] = val
 
         v_rows = np.arange(n) * stride
+        if ab is None:
+            ab = np.zeros((2 * l + u + 1, (n + 1) * stride), order="F")
+            ab[diag, n * stride] = 1.0
+            for k, (wk, q, ak, bk, _) in enumerate(self._rec, 1):
+                put(v_rows, k, -lam * wk)
+                ab[diag, k] = 1.0
+                z_rows = np.arange(1, n + 1) * stride + k
+                put(z_rows, 0, 1.0)
+                put(z_rows, -stride, -q)
+                put(z_rows, -k, -bk)
+                put(z_rows, -k - stride, -ak)
         put(v_rows, 0, b)
         put(v_rows, stride, -a)
-        ab[diag, n * stride] = 1.0
-        for k, (wk, q, ak, bk, _) in enumerate(self._rec, 1):
-            put(v_rows, k, -lam * wk)
-            ab[diag, k] = 1.0
-            z_rows = np.arange(1, n + 1) * stride + k
-            put(z_rows, 0, 1.0)
-            put(z_rows, -stride, -q)
-            put(z_rows, -k, -bk)
-            put(z_rows, -k - stride, -ak)
         return ab, (l, u), stride
 
     def convolve(self, f: np.ndarray, method: str = "auto") -> np.ndarray:

@@ -14,7 +14,8 @@ class ParseError(DivRatchetError):
 
 
 class NoConvergence(DivRatchetError):
-    """A Picard iteration failed to reach its tolerance within the cap."""
+    """An iteration failed to reach its tolerance within the cap, or produced
+    a non-finite update."""
 
     def __init__(self, message, iterations=None, update_norm=None, residual=None):
         super().__init__(message)

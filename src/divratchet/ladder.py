@@ -29,15 +29,22 @@ ways depending on the claim family:
     because the contact set is an upper interval in x (waiting is optimal
     below the free boundary, switching above it).  A plain sweep contracts
     only by lam/(r + lam), so the sweeps are Anderson-mixed; the rung stops
-    on the sup-norm update of a plain sweep and returns that sweep.  From
-    rung 2 on, the sweeps run only up to a cut node a margin above the
-    first node of the same warm-start contact set (above it v is the
-    obstacle, and T is causal, so the convolution needs only the nodes up
-    to the cut).  The result stands if a full-domain sweep of it keeps
-    every node from the cut on at the obstacle; otherwise the rung is
-    solved again on the whole domain.  Rung 1, and every rung whose
-    obstacle has a free node above its own first contact node, is solved
-    on the whole domain.
+    on the sup-norm update of a plain sweep and returns that sweep.  Rungs
+    1 and 2 start from their obstacle.  Every later rung starts from the
+    value 2 v_{i-1} - v_{i-2} extrapolated from the two rungs above it,
+    and on the obstacle over the contact interval extrapolated from their
+    thresholds: 373 sweeps instead of 436 at 1600 x 32, and v moves only
+    within the stop rule's distance of the fixed point.  (Extrapolated
+    from g, or on nodes where the rung is in contact, the start lies above
+    the fixed point; there the mixed steps fail, and a rung can take
+    several times its cold sweeps.)  From rung 2 on, the sweeps run only
+    up to a cut node a margin above the first node of the warm-start
+    contact set (above it v is the obstacle, and T is causal, so the
+    convolution needs only the nodes up to the cut).  The result stands if
+    a full-domain sweep of it keeps every node from the cut on at the
+    obstacle; otherwise the rung is solved again on the whole domain, from
+    the same start.  Rung 1, and every rung whose obstacle has a free node
+    above its own first contact node, is solved on the whole domain.
 
 Both paths end on or above the obstacle bitwise: the projected sweep takes
 max(., v_{i-1}) at every node, and policy iteration stops only when no
@@ -145,9 +152,11 @@ def picard_rung(
     max_iter: int,
     label: str,
     contact: np.ndarray | None = None,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, float, tuple[np.ndarray, np.ndarray]]:
-    """Anderson-mixed frozen-T projected sweeps from the obstacle psi until
-    the sup-norm update of a plain sweep is at most update_tol.
+    """Anderson-mixed frozen-T projected sweeps from start (n_x + 1 nodes,
+    on or above psi; default the obstacle psi itself) until the sup-norm
+    update of a plain sweep is at most update_tol.
 
     The contact set is an upper interval, so above the free boundary v is
     psi.  Given a start contact set whose first node j is above 0, the
@@ -156,8 +165,9 @@ def picard_rung(
     only v_0..v_top), so the convolution takes the prefix alone.  The
     result, extended by psi above top, is kept if one full-domain sweep of
     it, from the T v of its residual, leaves every node from top on at psi.
-    Otherwise the rung is solved again on all n_x + 1 nodes, as it is at
-    once when contact is None, empty or starts at node 0 (as g's does).
+    Otherwise the rung is solved again on all n_x + 1 nodes from start,
+    as it is at once when contact is None, empty or starts at node 0 (as
+    g's does).
 
     Returns (v, sweeps, final update, (T v, residual)) as `policy_rung`
     does, v being the last plain sweep and sweeps the map evaluations of
@@ -177,8 +187,10 @@ def picard_rung(
     def sweep(v):
         return scan(v, kern.jump(v, m.lam))
 
+    start = psi if start is None else start
+
     def solve(top):
-        return anderson_fixed_point(sweep, psi[: top + 1], update_tol, max_iter, f"rung {label}")
+        return anderson_fixed_point(sweep, start[: top + 1], update_tol, max_iter, f"rung {label}")
 
     def residual(v):
         return scheme_residual(v, np.diff(v) / dx, c, m, kern, h)
@@ -205,10 +217,12 @@ def policy_rung(
     h: np.ndarray,
     max_iter: int,
     label: str,
+    band: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, float, tuple[np.ndarray, np.ndarray]]:
     """Howard iteration on min(A v - rhs, v - psi) = 0 from the contact set
     `contact` (length n_x), for a kernel with an exponential-mixture
-    recursion.
+    recursion.  band, if given, is a `ConvKernel.rung_band` array of this
+    kernel and lam, whose rate diagonals are rewritten for c.
 
     Each step solves the frozen-policy system exactly, up to the last free
     node (`bordered_banded_solve`), then puts a free node into contact if it
@@ -222,7 +236,7 @@ def policy_rung(
     n = kern.grid.n_x
     a = (m.mu - c) / kern.grid.dx
     b = a + m.r + m.lam
-    ab, bands, stride = kern.rung_band(a, b, m.lam)
+    ab, bands, stride = kern.rung_band(a, b, m.lam, band)
     rhs = np.append(c - h[:n], psi[n])
     border = m.lam * kern.tail[:n]
     v_old = psi
@@ -254,6 +268,8 @@ def solve_rung(
     max_iter: int = 10000,
     rung_label: str = "",
     contact: np.ndarray | None = None,
+    start: np.ndarray | None = None,
+    band: np.ndarray | None = None,
 ) -> ValueSlice:
     """Solve one obstacle problem with the previous rung as obstacle.
 
@@ -262,8 +278,11 @@ def solve_rung(
     the previous rung's contact set).  Picard rungs cut their sweeps above
     the first node of contact, unless the obstacle's own contact set has a
     free node above its first node: no cut holds then, so the rung is
-    solved on the whole domain at once.  update_tol is the Picard stop rule
-    and, on both paths, scales the acceptance tolerance below.  The switch mask is the exact contact set
+    solved on the whole domain at once.  Picard rungs start their sweeps
+    from start (default: the obstacle prev.v); policy rungs ignore it, and
+    rewrite band in place (`policy_rung`) if one is given.
+    update_tol is the Picard stop rule and, on both paths, scales the
+    acceptance tolerance below.  The switch mask is the exact contact set
     v == prev.v.  Raises NoConvergence if the solver does not settle and
     ObstacleViolation if the solved rung is not a supersolution or breaks
     complementarity (a scheme bug, not a data error).
@@ -277,14 +296,14 @@ def solve_rung(
         contact = prev.switch_mask[:n]
     if kern.has_recursion():
         v, iterations, update, (t, residual) = policy_rung(
-            psi, contact, c, m, kern, h, max_iter, label
+            psi, contact, c, m, kern, h, max_iter, label, band
         )
     else:
         first, free = contact_scan(prev.switch_mask)
         if free or first > n:
             contact = None
         v, iterations, update, (t, residual) = picard_rung(
-            psi, c, m, kern, h, update_tol, max_iter, label, contact
+            psi, c, m, kern, h, update_tol, max_iter, label, contact, start
         )
 
     gap = v - psi  # >= 0 bitwise: both solvers end on or above the obstacle
@@ -350,18 +369,26 @@ def solve_ladder(
         final_update_norm=boundary.final_update_norm,
     )
     rates = ladder.rates
+    kern = get_kernel(d, grid)
+    # one band per ladder: each policy rung rewrites only its rate diagonals
+    band = kern.rung_band(0.0, 0.0, m.lam)[0] if kern.has_recursion() else None
     cut = TRUSTED_FRACTION * grid.L
     nodes = np.arange(grid.n_x)
     firsts = []  # first contact node of each solved rung
     for i in range(ladder.n + 1):
         if i:  # row 0 is g; each later row has the previous one as obstacle
-            contact = None
+            contact = start = None
             if len(firsts) >= 2:
-                contact = nodes >= 2 * firsts[-1] - firsts[-2]
+                j = min(max(2 * firsts[-1] - firsts[-2], 0), grid.n_x)
+                contact = nodes >= j
+                if band is None:  # Picard rungs
+                    # 2 v_{i-1} - v_{i-2} >= v_{i-1} bitwise, as the rows are ordered
+                    start = prev.v.copy()
+                    start[:j] = 2.0 * prev.v[:j] - v[i - 2, :j]
             prev = solve_rung(
                 prev, float(rates[i]), m, d, grid,
                 update_tol=update_tol, max_iter=max_iter,
-                rung_label=f"{i}/{ladder.n}", contact=contact,
+                rung_label=f"{i}/{ladder.n}", contact=contact, start=start, band=band,
             )
             first = int(contact_scan(prev.switch_mask)[0])
             firsts.append(first)

@@ -213,6 +213,18 @@ class TestAgainstDenseReference:
         assert np.array_equal(v[:n][contact], psi[:n][contact])
         assert np.max(np.abs(v - ref)) < 1e-11
 
+    @pytest.mark.parametrize("d", [D2, H2], ids=["exponential", "hyperexponential"])
+    def test_rung_band_rewritten_for_a_new_rate(self, d):
+        # a band built for one rate and rewritten for another is bitwise the
+        # band built for the second (the ladder builds one band per ladder)
+        kern = get_kernel(d, Grid(L=12.0, n_x=96))
+        lam = M2.lam
+        ab, bands, stride = kern.rung_band(7.0, 7.0 + M2.r + lam, lam)
+        fresh = kern.rung_band(5.0, 5.0 + M2.r + lam, lam)
+        again = kern.rung_band(5.0, 5.0 + M2.r + lam, lam, ab)
+        assert again[0] is ab
+        assert np.array_equal(ab, fresh[0]) and again[1:] == fresh[1:] == (bands, stride)
+
     def test_rung_band_needs_recursion(self):
         with pytest.raises(ValidationError):
             get_kernel(P2, Grid(L=12.0, n_x=96)).rung_band(1.0, 2.0, 1.0)
@@ -323,10 +335,8 @@ class TestAnderson:
         h = h_eval(M2, P2, grid.nodes)
         psi = base_slice(M2, P2, grid).v
         c = 1.0
-        lstsq = np.linalg.lstsq
-        monkeypatch.setattr(
-            np.linalg, "lstsq", lambda a, b, rcond=None: (-4.0 * lstsq(a, b, rcond=rcond)[0],)
-        )
+        gram_solve = sweep_mod._gram_solve
+        monkeypatch.setattr(sweep_mod, "_gram_solve", lambda a, b: -4.0 * gram_solve(a, b))
         restarts = 0
 
         def watched(G, v, tol, max_iter, label):
@@ -349,6 +359,46 @@ class TestAnderson:
         assert update <= 1e-10
         assert np.max(np.abs(v - ref)) <= 1e-8
         assert sweeps <= 2 * plain_sweeps + 2
+
+    def test_singular_gram_falls_back_to_least_squares(self, monkeypatch):
+        # on a constant start every iterate of this map is constant, so the
+        # residual differences are collinear and the Gram matrix singular:
+        # the LU solve fails and least squares takes over
+        lstsq = np.linalg.lstsq
+        fallbacks = []
+
+        def recorded(a, b, rcond=None):
+            fallbacks.append(a.shape[0])
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recorded)
+
+        def G(v):
+            return 0.5 * np.cos(v)
+
+        v, evaluations, update = sweep_mod.anderson_fixed_point(G, np.zeros(8), 1e-12, 100, "toy")
+        assert fallbacks and min(fallbacks) >= 2
+        assert update <= 1e-12
+        ref = np.zeros(8)
+        for _ in range(200):
+            ref = G(ref)
+        assert np.max(np.abs(v - ref)) <= 1e-12
+        assert evaluations < 20
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sweep_raises_at_once(self, bad, capfd):
+        evaluations = 0
+
+        def G(v):
+            nonlocal evaluations
+            evaluations += 1
+            return 0.5 * v + 1.0 if evaluations < 3 else np.full_like(v, bad)
+
+        with pytest.raises(NoConvergence, match="toy: non-finite update after 3") as exc:
+            sweep_mod.anderson_fixed_point(G, np.zeros(8), 1e-12, 10000, "toy")
+        assert exc.value.iterations == 3 and evaluations == 3
+        assert not np.isfinite(exc.value.update_norm)
+        assert capfd.readouterr().err == ""  # no LAPACK complaint on the way
 
     def test_no_convergence_counts_sweeps(self):
         grid = Grid(L=20.0, n_x=200)
@@ -378,11 +428,13 @@ class TestTruncatedPicard:
     estimated free boundary; the whole-domain solve (the cut forced to n_x)
     is the oracle."""
 
-    @pytest.mark.parametrize(
+    ladders = pytest.mark.parametrize(
         "d, n_x, n",
         [(P2, 1600, 32), (P2, 800, 16), (ShiftedPareto(2.2, 0.6), 800, 16)],
         ids=["pareto3-1600x32", "pareto3-800x16", "pareto2.2-800x16"],
     )
+
+    @ladders
     def test_matches_whole_domain(self, d, n_x, n, monkeypatch):
         grid = Grid(L=20.0, n_x=n_x)
         ladder = RateLadder(n, 1.2, 0.0)
@@ -401,6 +453,33 @@ class TestTruncatedPicard:
         # both stop within rho/(1 - rho) * update_tol of the same fixed point
         rho = M2.lam / (M2.r + M2.lam)
         assert np.max(np.abs(cut.v - full.v)) <= 2 * rho / (1 - rho) * tol
+
+    @ladders
+    def test_warm_start_changes_only_the_path(self, d, n_x, n, monkeypatch):
+        # rungs from the third on start from the rung extrapolated from the
+        # two above; a start from the obstacle reaches the same contact sets
+        # and stops within the same distance of the same fixed point
+        grid = Grid(L=20.0, n_x=n_x)
+        ladder = RateLadder(n, 1.2, 0.0)
+        tol = 1e-10
+        solve_rung = ladder_mod.solve_rung
+        starts = []
+
+        def cold_rung(*args, start=None, **kwargs):
+            starts.append(start)
+            return solve_rung(*args, **kwargs)
+
+        warm = solve_ladder(M2, d, grid, ladder, update_tol=tol)
+        monkeypatch.setattr(ladder_mod, "solve_rung", cold_rung)
+        cold = solve_ladder(M2, d, grid, ladder, update_tol=tol)
+        assert sum(s is not None for s in starts) == n - 2  # rungs 3..n had one
+        assert np.array_equal(warm.masks, cold.masks)
+        assert np.array_equal(extract_boundary(warm).x_star, extract_boundary(cold).x_star)
+        assert np.array_equal(build_rate_map(warm).values, build_rate_map(cold).values)
+        rho = M2.lam / (M2.r + M2.lam)
+        assert np.max(np.abs(warm.v - cold.v)) <= 2 * rho / (1 - rho) * tol
+        assert warm.iterations[0] == cold.iterations[0]  # g keeps its start
+        assert warm.iterations.sum() <= cold.iterations.sum()
 
     def test_cut_below_the_boundary_falls_back(self, monkeypatch):
         # a start set beginning at half the true first contact node forces
