@@ -106,9 +106,10 @@ def solve_g(
             sweep, np.full(n + 1, v_L), update_tol, max_iter, "g solve"
         )
     # forward differences; the Dirichlet node takes the slope the equation implies
+    t = kern.jump(v, m.lam)
     g_prime = np.append(np.diff(v) / dx, 0.0)
-    g_prime[n] = equation_slope(kern.jump(v, m.lam)[n], v[n], m.c_bar, m, h[n])
-    _, res = scheme_residual(v, g_prime, m.c_bar, m, kern, h)
+    g_prime[n] = equation_slope(t[n], v[n], m.c_bar, m, h[n])
+    _, res = scheme_residual(v, g_prime, m.c_bar, m, kern, h, t)
     residual_sup = float(np.max(np.abs(res[:n])))
     if residual_sup > residual_tol:
         raise NoConvergence(

@@ -218,15 +218,23 @@ def get_kernel(dist: ClaimDistribution, grid: Grid) -> ConvKernel:
 
 
 def scheme_residual(
-    v: np.ndarray, v_prime: np.ndarray, c: float, m: ModelParams, kern: ConvKernel, h: np.ndarray
+    v: np.ndarray,
+    v_prime: np.ndarray,
+    c: float,
+    m: ModelParams,
+    kern: ConvKernel,
+    h: np.ndarray,
+    t: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(T v, residual at nodes 0..k-1) for the k slopes in v_prime, with v
-    on all n_x + 1 nodes, h = h_eval on the nodes and c below mu."""
+    on all n_x + 1 nodes, h = h_eval on the nodes and c below mu.  A caller
+    that already holds t = T v passes it, and it is not recomputed."""
     if np.shape(v) != kern.tail.shape:
         raise ValidationError(f"need {kern.tail.size} node values, got shape {np.shape(v)}")
     if not c < m.mu:
         raise ValidationError("rate must stay below mu")
-    t = kern.jump(v, m.lam)
+    if t is None:
+        t = kern.jump(v, m.lam)
     k = v_prime.shape[0]
     return t, -(m.mu - c) * v_prime + (m.r + m.lam) * v[:k] - t[:k] + h[:k] - c
 

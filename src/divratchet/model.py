@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -34,8 +35,14 @@ ArrayLike = Union[float, np.ndarray]
 #: Newton steps allowed per hyperexponential quantile draw
 NEWTON_CAP = 100
 #: elements per slice of a hyperexponential quantile transform; bounds the
-#: Newton work arrays whatever the size of the block
-SAMPLE_SLICE = 1 << 16
+#: Newton work arrays whatever the size of the block.  At 1 << 14 the five
+#: float rows and the index row take 0.75 MB and fit a 2 MiB per-core L2
+#: cache; at 1 << 16 the five rows alone take 2.6 MB and spill out of it.
+SAMPLE_SLICE = 1 << 14
+#: nodes of the tabulated hyperexponential quantile x(E), E = -log1p(-u),
+#: uniform on [0, E_MAX]; E_MAX is E at the largest u the transform keeps
+TABLE_NODES = 257
+E_MAX = -math.log1p(-(1.0 - 1e-16))
 
 
 @dataclass(frozen=True)
@@ -217,40 +224,93 @@ class HyperExponential(ClaimDistribution):
         u = np.asarray(u, float)
         flat = u.ravel()
         x = np.empty(flat.size)
-        work = np.empty((5, min(flat.size, SAMPLE_SLICE)))
+        n = min(flat.size, SAMPLE_SLICE)
+        work, idx = np.empty((5, n)), np.empty(n, np.intp)
         for lo in range(0, flat.size, SAMPLE_SLICE):
-            self._quantile(flat[lo : lo + SAMPLE_SLICE], x[lo : lo + SAMPLE_SLICE], work)
+            self._quantile(flat[lo : lo + SAMPLE_SLICE], x[lo : lo + SAMPLE_SLICE], work, idx)
         return x[0] if u.ndim == 0 else x.reshape(u.shape)
 
-    def _quantile(self, u, x, work):
-        # Newton solves log S(x) = log1p(-u) for the survival
-        # S = sum w_k exp(-x/g_k), evaluated as
-        # -x/g_max + log sum w_k exp(-x (1/g_k - 1/g_max)) so that it
-        # neither underflows nor cancels in the tail.  log S is convex and
-        # decreasing, and S(x) >= w_top exp(-x/g_max) makes
-        # g_max (log w_top - log1p(-u)) a lower bound of the root, so the
-        # iterates rise monotonically from it.  Each element leaves the
-        # active set on its own stopping test.  A largest-mean component
-        # has slope 0, so its term is the constant w_k and needs no exp.
-        # While every element is active the step works on x itself, and
-        # every work array is a row of work.
+    def _quantile(self, u, x, work, idx):
+        # x solves log S(x) = log1p(-u) =: -E for the survival
+        # S = sum w_k exp(-x/g_k), by Newton from a lower bound of the root.
+        # A finite exponential mixture has a decreasing hazard, so
+        # E(x) = -log S(x) is concave and its inverse x(E) is convex: every
+        # tangent of x(E) lies below it.  The start is the larger of the
+        # tangents at the two table nodes around E (`_tangents`), shrunk by
+        # 1e-12 of itself to cover the rounding of the table and of the
+        # tangent.
         target = np.clip(u, 0.0, 1.0 - 1e-16, out=work[0, : u.size])
         np.negative(target, out=target)
         np.log1p(target, out=target)
+        self._tangent_start(target, x, work[1:3, : u.size], idx[: u.size])
+        self._newton(target, x, work[1:])
+
+    def _tangent_start(self, target, x, work, idx):
+        # the start of `_quantile` into x, from target = -E
+        inter, slope = self._tangents
+        e, lo = work
+        # node below E; fmin also sends a NaN to the last interval
+        np.multiply(target, -(TABLE_NODES - 1) / E_MAX, out=e)
+        np.fmin(e, TABLE_NODES - 2, out=e)
+        np.copyto(idx, e, casting="unsafe")  # floor, as E >= 0
+        # inter_j + slope_j E, written with target = -E
+        np.take(slope, idx, out=e)
+        e *= target
+        np.take(inter, idx, out=lo)
+        lo -= e
+        idx += 1
+        np.take(slope, idx, out=e)
+        e *= target
+        np.take(inter, idx, out=x)
+        x -= e
+        np.maximum(x, lo, out=x)
+        x *= 1.0 - 1e-12
+
+    @cached_property
+    def _tangents(self):
+        """(intercept, slope) of the tangents of x(E) at TABLE_NODES
+        uniform nodes on [0, E_MAX]; built on first use."""
+        # the roots are solved in E, not in u = -expm1(-E), which rounds
+        # near u = 1
+        e_nodes = np.linspace(0.0, E_MAX, TABLE_NODES)
+        w, g = self._wg()
+        g_max = g.max()
+        # S(x) >= w_top exp(-x/g_max) makes this a lower bound of the root
+        x = np.maximum(0.0, g_max * (math.log(w[g == g_max].sum()) + e_nodes))
+        self._newton(-e_nodes, x, np.empty((4, x.size)))
+        # dx/dE = S / sum (w_k/g_k) exp(-x/g_k), in the scaled terms
+        terms = w * np.exp(x[:, None] * (1.0 / g_max - 1.0 / g))
+        slope = terms.sum(axis=1) / (terms / g).sum(axis=1)
+        return x - slope * e_nodes, slope
+
+    def _newton(self, target, x, work):
+        # Newton solves log S(x) = target, with log S evaluated as
+        # -x/g_max + log sum w_k exp(-x (1/g_k - 1/g_max)) so that it
+        # neither underflows nor cancels in the tail.  log S is convex and
+        # decreasing, so from a lower bound of the root the iterates rise
+        # monotonically.  Each element leaves the active set on its own
+        # stopping test.  A largest-mean component has slope 0, so its term
+        # is the constant w_k and needs no exp.  While every element is
+        # active the step works on x itself, and every work array is a row
+        # of work.
         g_max = max(self.means)
-        comps = [(wk, gk, 1.0 / g_max - 1.0 / gk) for wk, gk in zip(self.weights, self.means)]
-        w_top = sum(wk for wk, gk in zip(self.weights, self.means) if gk == g_max)
-        np.subtract(math.log(w_top), target, out=x)
-        x *= g_max
-        np.maximum(0.0, x, out=x)
+        (w0, g0, slope0), *rest = [
+            (wk, gk, 1.0 / g_max - 1.0 / gk) for wk, gk in zip(self.weights, self.means)
+        ]
         active = None  # every element
         xa, ta = x, target
         for _ in range(NEWTON_CAP):
             n = xa.size
-            e, s, hs, step = work[1:, :n]
-            s.fill(0.0)
-            hs.fill(0.0)
-            for wk, gk, neg_slope in comps:
+            e, s, hs, step = work[:, :n]
+            if slope0 == 0.0:
+                s.fill(w0)
+                hs.fill(w0 / g0)
+            else:
+                np.multiply(xa, slope0, out=e)
+                np.exp(e, out=e)
+                np.multiply(e, w0, out=s)
+                np.divide(s, g0, out=hs)
+            for wk, gk, neg_slope in rest:
                 if neg_slope == 0.0:
                     s += wk
                     hs += wk / gk
@@ -280,7 +340,7 @@ class HyperExponential(ClaimDistribution):
                 x[active] = xa
                 active = active[more]
             if active.size == 0:
-                return x
+                return
             xa, ta = x[active], target[active]
         raise NoConvergence(
             f"hyperexponential quantile: {xa.size} draws unconverged "

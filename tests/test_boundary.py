@@ -19,8 +19,10 @@ from divratchet import (
     ModelParams,
     NoConvergence,
     ShiftedPareto,
+    h_eval,
 )
 from divratchet.boundary import boundary_residual_report, solve_g
+from divratchet.discretization import ConvKernel, get_kernel, scheme_residual
 from divratchet.ladder import RateLadder
 from divratchet.verify import calibrate_eps_disc
 from sweep_reference import reference_picard_g
@@ -216,6 +218,29 @@ class TestAgainstPlainPicard:
         assert sol.final_update_norm <= 1e-10
         assert np.max(np.abs(sol.g - ref)) <= 1e-8
         assert sol.picard_iterations < plain_sweeps
+
+
+class TestJumpOnce:
+    @pytest.mark.parametrize(
+        "d",
+        [HyperExponential((0.7, 0.3), (0.3, 1.3)), ShiftedPareto(alpha=3.0, theta=1.2)],
+        ids=["hyperexponential", "shifted_pareto"],
+    )
+    def test_converged_g_takes_one_jump(self, d, monkeypatch):
+        # the T g of the slope at L also serves the residual; the residual
+        # is bitwise the one scheme_residual computes on its own
+        m = ModelParams(mu=2.0, lam=2.0, r=0.1, ell=2.0, c_bar=1.2, c_floor=0.0)
+        grid = Grid(L=20.0, n_x=400)
+        calls = []
+        jump = ConvKernel.jump
+        monkeypatch.setattr(ConvKernel, "jump", lambda self, f, lam: calls.append(1) or jump(self, f, lam))
+        sol = solve_g(m, d, grid)
+        sweeps = 0 if get_kernel(d, grid).has_recursion() else sol.picard_iterations
+        assert len(calls) == sweeps + 1
+        monkeypatch.undo()
+        h = h_eval(m, d, grid.nodes)
+        _, res = scheme_residual(sol.g, sol.g_prime, m.c_bar, m, get_kernel(d, grid), h)
+        assert np.array_equal(sol.residual, res)
 
 
 class TestOtherClaimFamilies:

@@ -27,15 +27,12 @@ from divratchet import (
 from divratchet import model
 
 
-def reference_quantile(d, u):
-    """The hyperexponential Newton quantile as it stood before it skipped
-    the exp of largest-mean components and stepped on x in place, kept
-    verbatim as the bitwise oracle of ``HyperExponential._quantile``."""
-    target = np.log1p(-np.clip(u, 0.0, 1.0 - 1e-16))
+def reference_newton(d, target, x):
+    """The hyperexponential Newton iteration from a start x below the root,
+    kept verbatim from before it skipped the exp of largest-mean components
+    and stepped on x in place."""
     g_max = max(d.means)
     comps = [(wk, gk, 1.0 / g_max - 1.0 / gk) for wk, gk in zip(d.weights, d.means)]
-    w_top = sum(wk for wk, gk in zip(d.weights, d.means) if gk == g_max)
-    x = np.maximum(0.0, g_max * (math.log(w_top) - target))
     active = np.arange(x.size)
     for _ in range(model.NEWTON_CAP):
         xa = x[active]
@@ -56,6 +53,68 @@ def reference_quantile(d, u):
         f"after {model.NEWTON_CAP} Newton steps",
         iterations=model.NEWTON_CAP,
     )
+
+
+def top_bound_start(d, target):
+    """g_max (log w_top - target), the lower bound of the root that
+    S(x) >= w_top exp(-x/g_max) gives."""
+    g_max = max(d.means)
+    w_top = sum(wk for wk, gk in zip(d.weights, d.means) if gk == g_max)
+    return np.maximum(0.0, g_max * (math.log(w_top) - target))
+
+
+def top_bound_quantile(d, u):
+    """The hyperexponential quantile as it stood before the tabulated
+    start: Newton from the top-component bound.  The accuracy oracle of
+    ``HyperExponential.sample_from_uniform``."""
+    target = np.log1p(-np.clip(u, 0.0, 1.0 - 1e-16))
+    return reference_newton(d, target, top_bound_start(d, target))
+
+
+def reference_start(d, target):
+    """The larger of the two tangents of x(E) at the table nodes around
+    E = -target, shrunk by 1e-12, kept verbatim as the bitwise oracle of
+    ``HyperExponential._tangent_start``."""
+    w, g = np.asarray(d.weights), np.asarray(d.means)
+    g_max = g.max()
+    e_nodes = np.linspace(0.0, model.E_MAX, model.TABLE_NODES)
+    nodes = reference_newton(
+        d, -e_nodes, np.maximum(0.0, g_max * (math.log(w[g == g_max].sum()) + e_nodes))
+    )
+    terms = w * np.exp(nodes[:, None] * (1.0 / g_max - 1.0 / g))
+    slope = terms.sum(axis=1) / (terms / g).sum(axis=1)
+    inter = nodes - slope * e_nodes
+    i = np.fmin(target * -((model.TABLE_NODES - 1) / model.E_MAX), model.TABLE_NODES - 2).astype(np.intp)
+    lo = inter[i] - slope[i] * target
+    hi = inter[i + 1] - slope[i + 1] * target
+    return np.maximum(hi, lo) * (1.0 - 1e-12)
+
+
+def reference_quantile(d, u):
+    """Newton from the tabulated tangent start, the bitwise oracle of
+    ``HyperExponential.sample_from_uniform``."""
+    target = np.log1p(-np.clip(u, 0.0, 1.0 - 1e-16))
+    return reference_newton(d, target, reference_start(d, target))
+
+
+def tangent_start(d, target):
+    """``HyperExponential._tangent_start`` on fresh work arrays."""
+    x = np.empty(target.size)
+    d._tangent_start(target, x, np.empty((2, target.size)), np.empty(target.size, np.intp))
+    return x
+
+
+#: the five mixtures of the bitwise test plus a stiff one
+MIXTURES = [
+    ((0.7, 0.3), (0.3, 1.3)),  # largest mean last
+    ((0.3, 0.7), (1.3, 0.3)),  # largest mean first
+    ((0.2, 0.5, 0.3), (1.3, 0.4, 1.3)),  # two components share it
+    ((0.25, 0.25, 0.5), (2.0, 2.0, 0.5)),
+    ((0.4, 0.6), (1.0, 1.0)),  # every slope 0
+    ((0.9, 0.1), (0.1, 5.0)),  # stiff: means 50 apart
+]
+#: uniforms in the tail, up to and beyond the clip at 1 - 1e-16
+TAIL_U = [1 - 1e-12, 1 - 1e-15, 1 - 1e-16, 1 - 2**-53, 0.999999, 1.0]
 
 
 def p1_params():
@@ -190,43 +249,76 @@ class TestHyperExponential:
         assert np.array_equal(z, each)
 
     def test_sampling_sliced_block_equals_halves(self):
-        # 1100 x 64 exceeds one SAMPLE_SLICE, and the slice edge falls
-        # inside a row; each half fits in one slice
+        # the block exceeds one SAMPLE_SLICE, and with 63 columns the slice
+        # edge falls inside a row; each half fits in one slice
         d = self.make()
-        u = np.random.default_rng(12).random((1100, 64))
-        assert u.size > model.SAMPLE_SLICE > u[:550].size
+        u = np.random.default_rng(12).random((3 * model.SAMPLE_SLICE // 126, 63))
+        half = u.shape[0] // 2
+        assert u.size > model.SAMPLE_SLICE > u[:half].size
+        assert model.SAMPLE_SLICE % u.shape[1] != 0
         z = d.sample_from_uniform(u)
-        halves = np.concatenate([d.sample_from_uniform(u[:550]), d.sample_from_uniform(u[550:])])
+        halves = np.concatenate([d.sample_from_uniform(u[:half]), d.sample_from_uniform(u[half:])])
         assert np.array_equal(z, halves)
 
-    @pytest.mark.parametrize(
-        "weights, means",
-        [
-            ((0.7, 0.3), (0.3, 1.3)),  # largest mean last
-            ((0.3, 0.7), (1.3, 0.3)),  # largest mean first
-            ((0.2, 0.5, 0.3), (1.3, 0.4, 1.3)),  # two components share it
-            ((0.25, 0.25, 0.5), (2.0, 2.0, 0.5)),
-            ((0.4, 0.6), (1.0, 1.0)),  # every slope 0
-        ],
-    )
+    @pytest.mark.parametrize("weights, means", MIXTURES[:5])
     def test_quantile_bitwise_matches_reference(self, weights, means):
-        # skipping the exp of slope-0 components, stepping on x while every
-        # element is active and reusing work arrays leave every bit; the
-        # block holds tail u up to 1, where the clip acts
+        # the work arrays, the sliced table lookup and the in-place Newton
+        # leave every bit of the frozen copy; the block holds tail u up to
+        # 1, where the clip acts.  The Newton from the top-component bound
+        # agrees within its own stop rule
         d = HyperExponential(weights=weights, means=means)
         u = np.random.default_rng(21).random((64, 2048))
         u[0, :6] = [0.0, 0.5, 1 - 1e-12, 1 - 1e-15, 1 - 1e-16, 1.0]
         u[1, :4] = [1e-300, 1e-17, 1 - 2**-53, 0.999999]
         flat = u.ravel()
-        assert np.array_equal(d.sample_from_uniform(u).ravel(), reference_quantile(d, flat))
+        z = d.sample_from_uniform(u).ravel()
+        assert np.array_equal(z, reference_quantile(d, flat))
         head = u[:2, :8]
         assert np.array_equal(d.sample_from_uniform(head), reference_quantile(d, head.ravel()).reshape(head.shape))
+        old = top_bound_quantile(d, flat)
+        assert np.all(np.abs(z - old) <= 1e-14 * (1.0 + old))
+
+    @pytest.mark.parametrize("weights, means", MIXTURES)
+    def test_tangent_start_below_root(self, weights, means):
+        # x(E) is convex, so a tangent never exceeds the root; the start
+        # may touch it only within rounding.  The roots are solved in E
+        d = HyperExponential(weights=weights, means=means)
+        e = np.linspace(0.0, model.E_MAX, 100_001)
+        target = np.concatenate([-e, np.log1p(-np.clip(TAIL_U, 0.0, 1.0 - 1e-16))])
+        start = tangent_start(d, target)
+        root = reference_newton(d, target, top_bound_start(d, target))
+        assert np.all(start >= 0.0)
+        assert np.all(start <= root * (1.0 + 4 * np.finfo(float).eps))
+        assert np.array_equal(start, reference_start(d, target))
+
+    @pytest.mark.parametrize("weights, means", MIXTURES)
+    def test_sampling_monotone(self, weights, means):
+        d = HyperExponential(weights=weights, means=means)
+        u = np.sort(np.concatenate([np.random.default_rng(22).random(200_000), TAIL_U]))
+        assert np.all(np.diff(d.sample_from_uniform(u)) >= 0.0)
+
+    def test_sampling_nan_passes_through(self):
+        z = self.make().sample_from_uniform(np.array([0.5, np.nan]))
+        assert np.isfinite(z[0]) and np.isnan(z[1])
+
+    def test_newton_cap_five_suffices(self, monkeypatch):
+        # from the tangent start no draw of the benchmark mixture needs a
+        # fifth step; from the top-component bound some need a sixth
+        d = HyperExponential(weights=(0.7, 0.3), means=(0.3, 1.3))
+        d.sample_from_uniform(0.5)  # the table is built under the full cap
+        u = np.random.default_rng(23).random(100_000)
+        monkeypatch.setattr(model, "NEWTON_CAP", 5)
+        d.sample_from_uniform(u)
+        with pytest.raises(NoConvergence):
+            top_bound_quantile(d, u)
 
     def test_sampling_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(model, "NEWTON_CAP", 2)
+        d = self.make()
+        d.sample_from_uniform(0.5)  # the table is built under the full cap
+        monkeypatch.setattr(model, "NEWTON_CAP", 1)
         with pytest.raises(NoConvergence) as exc:
-            self.make().sample_from_uniform(np.linspace(0.1, 0.9, 5))
-        assert exc.value.iterations == 2
+            d.sample_from_uniform(np.linspace(0.1, 0.9, 5))
+        assert exc.value.iterations == 1
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValidationError):
