@@ -20,11 +20,11 @@ from .model import (
     make_distribution,
 )
 from .discretization import Grid, scheme_residual
-from .boundary import BoundarySolution, boundary_residual_report, solve_g
 from .ladder import (
     RateLadder,
     ValueSlice,
     slope_growth_bound,
+    solve_g,
     solve_ladder,
     solve_rung,
 )
@@ -56,7 +56,6 @@ from .cache import read_surface, write_surface
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundarySolution",
     "CacheError",
     "Certificate",
     "CheckResult",
@@ -80,7 +79,6 @@ __all__ = [
     "ValidationError",
     "ValueSlice",
     "ValueSurface",
-    "boundary_residual_report",
     "build_rate_map",
     "calibrate_eps_disc",
     "claims_spec",

@@ -22,12 +22,12 @@ import sys
 
 import numpy as np
 
-from .boundary import boundary_residual_report, solve_g
 from .cache import read_surface, write_surface
 from .config import RunConfig, config_from_mapping, load_config, read_config_mapping
-from .discretization import Grid
+from .discretization import Grid, get_kernel, scheme_residual
 from .errors import DivRatchetError, ValidationError
-from .ladder import RateLadder, solve_ladder
+from .ladder import RateLadder, solve_g, solve_ladder
+from .model import h_eval
 from .surface import ValueSurface, build_rate_map, extract_boundary, rung_index
 from . import simulate as sim
 from .verify import (
@@ -117,7 +117,6 @@ def load_or_solve(cfg: RunConfig, force: bool = False):
         cfg.grid,
         cfg.ladder,
         update_tol=cfg.update_tol,
-        residual_tol=cfg.residual_tol,
         max_iter=cfg.max_iter,
     )
     surface.params_hash = cfg.params_hash
@@ -129,16 +128,12 @@ def load_or_solve(cfg: RunConfig, force: bool = False):
 
 def cmd_boundary(args) -> int:
     cfg = load_config(args.config)
-    sol = solve_g(
-        cfg.model,
-        cfg.claims,
-        cfg.grid,
-        update_tol=cfg.update_tol,
-        residual_tol=cfg.residual_tol,
-        max_iter=cfg.max_iter,
+    m, d, grid = cfg.model, cfg.claims, cfg.grid
+    g = solve_g(m, d, grid, update_tol=cfg.update_tol, max_iter=cfg.max_iter)
+    _, residual = scheme_residual(
+        g.v, g.v_prime, m.c_bar, m, get_kernel(d, grid), h_eval(m, d, grid.nodes)
     )
-    rep = boundary_residual_report(sol, cfg.model, cfg.claims, cfg.grid)
-    rows = np.column_stack((rep["x"], rep["g"], rep["g_prime"], rep["residual"]))
+    rows = np.column_stack((grid.nodes, g.v, g.v_prime, residual))
     _write_rows(args.out, ["x", "g", "g_prime", "residual"], rows)
     return 0
 
@@ -267,6 +262,12 @@ def _calibration_budget(cfg: RunConfig, surface: ValueSurface) -> float:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
+    if args.eps_disc is not None and not 0.0 <= args.eps_disc < math.inf:
+        # an infinite budget would pass every Monte Carlo check, a NaN or
+        # negative one fail them all; rejected before the surface is solved
+        raise ValidationError(
+            f"--eps-disc must be finite and non-negative, got {args.eps_disc!r}"
+        )
     surface, d = load_or_solve(cfg, force=args.force)
     cert = run_invariant_suite(surface, d)
     if not args.skip_mc:
@@ -308,11 +309,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for val in values:
         trial = copy.deepcopy(doc)
-        trial.setdefault(sec, {})
-        if key in ("n_x", "n", "max_iter", "paths", "seed") and float(val).is_integer():
-            trial[sec][key] = int(val)
-        else:
-            trial[sec][key] = val
+        trial.setdefault(sec, {})[key] = val
         cfg = config_from_mapping(trial)
         surface, _ = load_or_solve(cfg)
         curve = extract_boundary(surface)

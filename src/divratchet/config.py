@@ -32,7 +32,7 @@ _KEYS = {
     "model": ("mu", "lam", "r", "ell", "c_bar", "c_floor"),
     "grid": ("L", "n_x"),
     "ladder": ("n",),
-    "solver": ("update_tol", "residual_tol", "max_iter"),
+    "solver": ("update_tol", "max_iter"),
     "simulate": ("paths", "seed", "horizon"),
     "output": ("dir",),
 }
@@ -62,7 +62,6 @@ class RunConfig:
     grid: Grid
     ladder: RateLadder
     update_tol: float = 1e-10
-    residual_tol: float = 1e-8
     max_iter: int = 10000
     paths: int = 100000
     seed: int = 20240901
@@ -72,8 +71,6 @@ class RunConfig:
     def __post_init__(self):
         if not self.update_tol > 0:
             raise ValidationError("solver.update_tol must be positive")
-        if not self.residual_tol > 0:
-            raise ValidationError("solver.residual_tol must be positive")
         if self.max_iter < 1:
             raise ValidationError("solver.max_iter must be at least 1")
         if self.paths < 2:
@@ -209,7 +206,6 @@ def config_from_mapping(doc: dict) -> RunConfig:
         grid=grid,
         ladder=ladder,
         update_tol=_num(ssec, "solver", "update_tol", default=1e-10),
-        residual_tol=_num(ssec, "solver", "residual_tol", default=1e-8),
         max_iter=_num(ssec, "solver", "max_iter", cast=int, default=10000),
         paths=_num(simsec, "simulate", "paths", cast=int, default=100000),
         seed=_num(simsec, "simulate", "seed", cast=int, default=20240901),

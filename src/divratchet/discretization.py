@@ -33,9 +33,9 @@ f_0..f_k (k <= n_x) and returns node values 0..k; the truncated Picard
 rungs of the ladder rely on this.
 
 The same recursion makes the frozen rung operator banded once its states
-are carried as unknowns (`ConvKernel.rung_band`).  The g solve factors the
-whole band once; each step of the ladder's policy iteration factors it
-only up to the rung's last free node.
+are carried as unknowns (`ConvKernel.rung_band`).  Each step of the
+ladder's policy iteration factors it only up to the rung's last free
+node; g, with no contact node, factors the whole band once.
 """
 
 from __future__ import annotations
@@ -243,8 +243,3 @@ def equation_slope(t, v, c: float, m: ModelParams, h):
     """The slope that zeroes the scheme residual of rate c, given t = T v;
     on arrays or single nodes."""
     return ((m.r + m.lam) * v - t + h - c) / (m.mu - c)
-
-
-def second_diff(f: np.ndarray) -> np.ndarray:
-    """Raw centered second differences f_{j+1} - 2 f_j + f_{j-1} (interior)."""
-    return f[2:] - 2.0 * f[1:-1] + f[:-2]

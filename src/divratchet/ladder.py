@@ -2,14 +2,42 @@
 
 Rung i carries the value v_i of the problem whose current dividend rate is
 c_i = c_bar - i*(c_bar - c_floor)/n, with the option to ratchet the rate
-upward.  Each rung solves the variational inequality
+upward.  Rung 0 is g, the value of paying c_bar forever, which solves the
+linear integro-differential boundary problem
+
+    -(mu - c_bar) g' + (r + lam) g - T g + h - c_bar = 0   on (0, L),
+    g(L) = c_bar / r,
+
+discretized with the upwind difference and the product-integration jump
+operator.  Node 0 needs no special casing: T carries the reflected mass
+f(0)(1 - F(x)) and the same difference equation holds there.  `solve_g`
+takes one of two routes, by claim family:
+
+  * exponential mixtures: the single step of `policy_rung` at rate c_bar
+    with an empty contact set and the obstacle -inf below L, i.e. one
+    exact bordered banded solve.
+  * other densities (shifted Pareto): the solve freezes T at the previous
+    iterate and back-substitutes from the Dirichlet node (Picard); the
+    map contracts in sup norm with factor at most lam / (r + lam), so
+    the sweeps are Anderson-mixed (`_sweep.anderson_fixed_point`) and the
+    last plain sweep is returned.
+
+The exact discrete g is non-decreasing and at most c_bar/r (comparison
+principle), but where its slope is below one ulp over dx rounding can
+leave one- and two-ulp decreases near the Dirichlet node.  The banded
+route therefore ends with a monotone projection: clip at c_bar/r, take the
+running maximum and pin g(L) = c_bar/r, so g' >= 0 and g <= c_bar/r hold
+bitwise.  Known envelope, used by the checks:
+
+    (c_bar - lam*ell*gamma)/r <= g <= c_bar/r,   0 <= g' <= ell,   g'' <= 0.
+
+Each later rung solves the variational inequality
 
     min( -(mu - c_i) v' + (r + lam) v - T v + h - c_i ,  v - v_{i-1} ) = 0
 
-with the previous rung as obstacle and v_0 = g (the cap-rate boundary
-solution).  Discretely this is a complementarity system for the same
-upwind/product-integration scheme as the g solve, solved in one of two
-ways depending on the claim family:
+with the previous rung as obstacle.  Discretely this is a complementarity
+system for the same scheme, solved in one of two ways depending on the
+claim family:
 
   * exponential mixtures (exponential, hyperexponential; the kernel has a
     recursion): policy (Howard) iteration.  Each policy step fixes the
@@ -61,7 +89,8 @@ layer re-checks the rung equations from v alone and gates them.
 
 `solve_ladder` writes each solved rung straight into its row of the
 (n+1) x (n_x+1) value, derivative and mask arrays and returns them as the
-`ValueSurface`; `solve_rung` returns one rung as a `ValueSlice`.
+`ValueSurface`; `solve_g` and `solve_rung` return one rung as a
+`ValueSlice`.
 """
 
 from __future__ import annotations
@@ -70,12 +99,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sweep import anderson_fixed_point, bordered_banded_solve, projected_backward_scan
-from .boundary import solve_g
+from ._sweep import (
+    anderson_fixed_point,
+    backward_linear_solve,
+    bordered_banded_solve,
+    projected_backward_scan,
+)
 from .discretization import ConvKernel, Grid, equation_slope, get_kernel, scheme_residual
 from .errors import DomainTooSmall, NoConvergence, ObstacleViolation, ValidationError
 from .model import ClaimDistribution, ModelParams, h_eval
-from .surface import TRUSTED_FRACTION, ValueSurface, contact_scan
+from .surface import DEFAULT_TOLERANCES, TRUSTED_FRACTION, ValueSurface, contact_scan
 
 #: a node leaves the contact set only once its residual is below -POLICY_TOL
 #: times the scale b*max|v| of the rung row.  Rounding leaves a few ulps of
@@ -119,14 +152,17 @@ class RateLadder:
 
 @dataclass
 class ValueSlice:
-    """One rung: value, derivative, and the switch mask (v_i = v_{i-1}).
+    """One rung: value, derivative, and the switch mask (v_i = v_{i-1};
+    all True for g, which has no rung above it).
 
     iterations counts policy steps on exponential-mixture rungs and
     projected sweeps (map evaluations of the Anderson-mixed Picard
     iteration, over both solves when a truncated rung is solved again)
     otherwise; final_update_norm is the sup-norm change of v in
     the last step (for the first policy step, the change from the obstacle;
-    for Picard, the update of the returned sweep).
+    for Picard, the update of the returned sweep).  For g they count the
+    one banded solve, whose final_update_norm is the change the monotone
+    projection made, or the Picard sweeps.
     """
 
     v: np.ndarray
@@ -258,6 +294,78 @@ def policy_rung(
     )
 
 
+def solve_g(
+    m: ModelParams,
+    d: ClaimDistribution,
+    grid: Grid,
+    update_tol: float = 1e-10,
+    max_iter: int = 10000,
+) -> ValueSlice:
+    """Rung 0, the cap-rate value g, by the route of the module docstring.
+
+    Exponential mixtures: one banded solve (`policy_rung`), then the
+    monotone projection; the step's T v serves the residual below unless
+    the projection moved g.  Other densities: Anderson-mixed Picard sweeps
+    from the constant c_bar/r (the value of the cap strategy with no
+    claims, an upper bound) until the sup-norm update of a plain sweep
+    falls below update_tol.  update_tol acts on the Picard route only.
+    v' is the forward difference, with the slope the equation implies at
+    the Dirichlet node.  On both routes the interior scheme residual is
+    then checked against DEFAULT_TOLERANCES["residual"], the bound the
+    certificate's `boundary_residual` reads.  Raises NoConvergence on
+    either failure.
+    """
+    n = grid.n_x
+    dx = grid.dx
+    kern = get_kernel(d, grid)
+    h = h_eval(m, d, grid.nodes)
+    v_L = m.c_bar / m.r
+    t_res = None  # (T v, residual) of the returned v, when a solver holds them
+
+    if kern.has_recursion():
+        psi = np.full(n + 1, -np.inf)
+        psi[n] = v_L
+        raw, iterations, _, t_res = policy_rung(
+            psi, np.zeros(n, dtype=bool), m.c_bar, m, kern, h, max_iter, "g"
+        )
+        v = np.maximum.accumulate(np.minimum(raw, v_L))
+        v[n] = v_L
+        update = float(np.max(np.abs(v - raw)))
+        if update:  # the projection moved g, so the step's T v no longer holds
+            t_res = None
+    else:
+        a = (m.mu - m.c_bar) / dx
+        b = a + m.r + m.lam
+        qt = a / b
+
+        def sweep(v):
+            t = kern.jump(v, m.lam)
+            return backward_linear_solve((t[:n] - h[:n] + m.c_bar) / b, qt, v_L)
+
+        v, iterations, update = anderson_fixed_point(
+            sweep, np.full(n + 1, v_L), update_tol, max_iter, "g solve"
+        )
+    slope = np.diff(v) / dx
+    t, residual = t_res or scheme_residual(v, slope, m.c_bar, m, kern, h)
+    residual_sup = float(np.max(np.abs(residual)))
+    bound = DEFAULT_TOLERANCES["residual"]
+    if residual_sup > bound:
+        raise NoConvergence(
+            f"g solve: updates converged but the scheme residual {residual_sup:.3e} "
+            f"exceeds {bound:.1e}; the grid or tolerances are inconsistent",
+            iterations=iterations,
+            update_norm=update,
+            residual=residual_sup,
+        )
+    return ValueSlice(
+        v=v,
+        v_prime=np.append(slope, equation_slope(t[n], v[n], m.c_bar, m, h[n])),
+        switch_mask=np.ones(n + 1, dtype=bool),
+        iterations=iterations,
+        final_update_norm=update,
+    )
+
+
 def solve_rung(
     prev: ValueSlice,
     c: float,
@@ -338,12 +446,11 @@ def solve_ladder(
     grid: Grid,
     ladder: RateLadder,
     update_tol: float = 1e-10,
-    residual_tol: float = 1e-8,
     max_iter: int = 10000,
 ) -> ValueSurface:
     """Solve every rung from the cap rate down to the floor.
 
-    Rung 0 is the boundary solution g, solved here with the same tolerances.
+    Rung 0 is g (`solve_g`), solved here with the same tolerances.
     Each later rung has its predecessor as obstacle, warm-starts as the
     module docstring describes, and is written into its row of the
     (n+1) x (n_x+1) surface arrays as soon as it is solved.  Raises
@@ -352,22 +459,13 @@ def solve_ladder(
     """
     if ladder.c_bar != m.c_bar or ladder.c_floor != m.c_floor:
         raise ValidationError("ladder rate range must match the model's")
-    boundary = solve_g(
-        m, d, grid, update_tol=update_tol, residual_tol=residual_tol, max_iter=max_iter
-    )
+    prev = solve_g(m, d, grid, update_tol=update_tol, max_iter=max_iter)
     shape = (ladder.n + 1, grid.n_x + 1)
     v = np.empty(shape)
     v_prime = np.empty(shape)
     masks = np.empty(shape, dtype=bool)
     iterations = np.empty(ladder.n + 1, dtype=np.int64)
     update_norms = np.empty(ladder.n + 1)
-    prev = ValueSlice(
-        v=boundary.g,
-        v_prime=boundary.g_prime,
-        switch_mask=np.ones(grid.n_x + 1, dtype=bool),
-        iterations=boundary.picard_iterations,
-        final_update_norm=boundary.final_update_norm,
-    )
     rates = ladder.rates
     kern = get_kernel(d, grid)
     # one band per ladder: each policy rung rewrites only its rate diagonals

@@ -32,6 +32,21 @@ if TYPE_CHECKING:
 #: a switching threshold is trusted only at or below this fraction of L
 TRUSTED_FRACTION = 0.8
 
+#: the bound of each invariant check; every certificate reads this one
+#: table, and `ladder.solve_g` accepts g against its "residual" entry
+DEFAULT_TOLERANCES = {
+    "residual": 1e-8,
+    "envelope": 1e-8,
+    "gradient": 1e-8,
+    "concavity": 1e-8,
+    "dirichlet": 1e-12,
+    "curvature": 1e-6,
+    "u_bound": 1e-6,
+    "u_growth": 1e-6,
+    "complementarity": 1e-8,
+    "boundary_fraction": TRUSTED_FRACTION,
+}
+
 
 def rung_index(rates: np.ndarray, c: float) -> int:
     """Index of the ladder rung enclosing rate c, snapped up to the higher

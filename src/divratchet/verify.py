@@ -30,21 +30,7 @@ from .discretization import Grid, get_kernel, scheme_residual
 from .errors import ValidationError
 from .ladder import RateLadder, slope_growth_bound, solve_ladder
 from .model import ClaimDistribution, ModelParams, h_eval
-from .surface import TRUSTED_FRACTION, ValueSurface, build_rate_map, contact_scan
-
-#: the bound of each invariant check; every certificate reads this one table
-DEFAULT_TOLERANCES = {
-    "residual": 1e-8,
-    "envelope": 1e-8,
-    "gradient": 1e-8,
-    "concavity": 1e-8,
-    "dirichlet": 1e-12,
-    "curvature": 1e-6,
-    "u_bound": 1e-6,
-    "u_growth": 1e-6,
-    "complementarity": 1e-8,
-    "boundary_fraction": TRUSTED_FRACTION,
-}
+from .surface import DEFAULT_TOLERANCES, ValueSurface, build_rate_map, contact_scan
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Bottom-rung solver tests.
+"""Tests of rung 0, the cap-rate value g (`ladder.solve_g`).
 
 The Monte Carlo reference values were produced by an independent per-path
 simulator of the cap-forever strategy (plain Python event loop, 40000 paths,
@@ -21,15 +21,19 @@ from divratchet import (
     ShiftedPareto,
     h_eval,
 )
-from divratchet.boundary import boundary_residual_report, solve_g
-from divratchet.discretization import ConvKernel, get_kernel, scheme_residual
-from divratchet.ladder import RateLadder
-from divratchet.verify import calibrate_eps_disc
+from divratchet import verify
+from divratchet._sweep import bordered_banded_solve
+from divratchet.discretization import ConvKernel, equation_slope, get_kernel, scheme_residual
+from divratchet.ladder import RateLadder, solve_g, solve_ladder
+from divratchet.surface import DEFAULT_TOLERANCES
+from divratchet.verify import calibrate_eps_disc, run_invariant_suite
 from sweep_reference import reference_picard_g
 
 M1 = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
 D1 = Exponential(0.5)
 G1 = Grid(L=30.0, n_x=2000)
+H1 = HyperExponential((0.7, 0.3), (0.3, 1.3))
+P1 = ShiftedPareto(alpha=3.0, theta=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -37,27 +41,34 @@ def sol_fine():
     return solve_g(M1, D1, G1, update_tol=1e-12)
 
 
+def residual_sup(sol, m, d, grid):
+    """Sup of g's scheme residual over the interior nodes, with its stored v'."""
+    h = h_eval(m, d, grid.nodes)
+    _, res = scheme_residual(sol.v, sol.v_prime[:-1], m.c_bar, m, get_kernel(d, grid), h)
+    return float(np.max(np.abs(res)))
+
+
 class TestEnvelope:
     def test_residual(self, sol_fine):
-        assert sol_fine.residual_sup <= 1e-8
+        assert residual_sup(sol_fine, M1, D1, G1) <= 1e-8
 
     def test_value_bounds(self, sol_fine):
-        g = sol_fine.g
+        g = sol_fine.v
         lower = (M1.c_bar - M1.lam * M1.ell * D1.gamma) / M1.r
         assert g.min() >= lower - 1e-9
         assert g.max() <= M1.c_bar / M1.r + 1e-9
 
     def test_gradient_bounds(self, sol_fine):
-        gp = sol_fine.g_prime
+        gp = sol_fine.v_prime
         assert gp.min() >= -1e-9
         assert gp.max() <= M1.ell + 1e-9
 
     def test_concavity(self, sol_fine):
-        g = sol_fine.g
+        g = sol_fine.v
         assert np.max(g[2:] - 2 * g[1:-1] + g[:-2]) <= 1e-8
 
     def test_dirichlet(self, sol_fine):
-        g = sol_fine.g
+        g = sol_fine.v
         assert g[-1] == M1.c_bar / M1.r
         assert abs(g[-2] - M1.c_bar / M1.r) <= 1e-3
 
@@ -67,7 +78,7 @@ class TestEnvelope:
         from divratchet import h_eval
         from divratchet.discretization import get_kernel
 
-        g = sol_fine.g
+        g = sol_fine.v
         t = get_kernel(D1, G1).jump(g, M1.lam)
         h = h_eval(M1, D1, G1.nodes)
         implied = ((M1.r + M1.lam) * g - t + h - M1.c_bar) / (M1.mu - M1.c_bar)
@@ -79,27 +90,27 @@ class TestAgainstSimulation:
     def test_value_at_zero(self, sol_fine):
         # frozen oracle: naive per-path MC, seed 2024031, 40000 paths
         mc, se = 9.498694182489494, 0.004218120073912909
-        assert abs(sol_fine.g[0] - mc) <= 3 * se + 0.015
+        assert abs(sol_fine.v[0] - mc) <= 3 * se + 0.015
 
     def test_value_at_five(self, sol_fine):
         # frozen oracle: naive per-path MC, seed 2024032, 40000 paths
         mc, se = 9.998058683795772, 0.00026113990885941104
         j = int(round(5.0 / G1.dx))
-        assert abs(sol_fine.g[j] - mc) <= 3 * se + 0.002
+        assert abs(sol_fine.v[j] - mc) <= 3 * se + 0.002
 
 
 class TestConvergence:
     def test_first_order_in_dx(self):
         g0 = [
-            solve_g(M1, D1, Grid(L=30.0, n_x=n), update_tol=1e-12).g[0]
+            solve_g(M1, D1, Grid(L=30.0, n_x=n), update_tol=1e-12).v[0]
             for n in (500, 1000, 2000)
         ]
         ratio = (g0[2] - g0[1]) / (g0[1] - g0[0])
         assert 0.3 <= ratio <= 0.7
 
     def test_deterministic(self):
-        a = solve_g(M1, D1, Grid(L=30.0, n_x=500)).g
-        b = solve_g(M1, D1, Grid(L=30.0, n_x=500)).g
+        a = solve_g(M1, D1, Grid(L=30.0, n_x=500)).v
+        b = solve_g(M1, D1, Grid(L=30.0, n_x=500)).v
         assert np.array_equal(a, b)
 
     def test_no_convergence_raises(self):
@@ -149,8 +160,8 @@ class TestExactOracle:
             grid = Grid(L=L, n_x=n_x)
             sol = solve_g(m, Exponential(gamma), grid)
             x = grid.nodes
-            errs.append(float(np.max(np.abs(sol.g - exact(x))[x <= L / 2])))
-            assert abs(sol.g_prime[0] - slope0) <= 0.5 * grid.dx
+            errs.append(float(np.max(np.abs(sol.v - exact(x))[x <= L / 2])))
+            assert abs(sol.v_prime[0] - slope0) <= 0.5 * grid.dx
         assert 1.9 <= errs[0] / errs[1] <= 2.1
         assert 1.9 <= errs[1] / errs[2] <= 2.1
 
@@ -163,7 +174,7 @@ class TestExactOracle:
         for n_x in (1000, 2000, 4000):
             grid = Grid(L=L, n_x=n_x)
             x = grid.nodes
-            err = float(np.max(np.abs(solve_g(m, d, grid).g - exact(x))[x <= L / 2]))
+            err = float(np.max(np.abs(solve_g(m, d, grid).v - exact(x))[x <= L / 2]))
             _, eps_disc = calibrate_eps_disc(m, d, grid, RateLadder(8, m.c_bar, m.c_floor))
             assert err <= eps_disc
 
@@ -188,13 +199,13 @@ class TestBandedG:
         if family == "hyperexponential":
             d = HyperExponential((0.7, 0.3), (0.3, 1.3))
         sol = solve_g(m, d, Grid(L=L, n_x=n_x))
-        g = sol.g
-        assert sol.picard_iterations == 1
+        g = sol.v
+        assert sol.iterations == 1
         assert np.all(np.diff(g) >= 0.0)
         assert g.max() <= m.c_bar / m.r
         assert g[-1] == m.c_bar / m.r
         # measured 2.3e-14 to 3.8e-13; the Picard route stops near 1e-10
-        assert sol.residual_sup <= 1e-11
+        assert residual_sup(sol, m, d, Grid(L=L, n_x=n_x)) <= 1e-11
 
 
 class TestAgainstPlainPicard:
@@ -216,31 +227,51 @@ class TestAgainstPlainPicard:
         sol = solve_g(m, d, grid)
         ref, plain_sweeps = reference_picard_g(m, d, grid)
         assert sol.final_update_norm <= 1e-10
-        assert np.max(np.abs(sol.g - ref)) <= 1e-8
-        assert sol.picard_iterations < plain_sweeps
+        assert np.max(np.abs(sol.v - ref)) <= 1e-8
+        assert sol.iterations < plain_sweeps
 
 
 class TestJumpOnce:
+    @staticmethod
+    def count_jumps(monkeypatch, m, d, grid):
+        """(solve_g's record, the number of T applications it made)."""
+        calls = []
+        jump = ConvKernel.jump
+        monkeypatch.setattr(ConvKernel, "jump", lambda self, f, lam: calls.append(1) or jump(self, f, lam))
+        sol = solve_g(m, d, grid)
+        monkeypatch.undo()
+        return sol, len(calls)
+
+    @staticmethod
+    def assert_slope_at_L(sol, m, d, grid):
+        # v'(L) is the slope the equation implies, bitwise, from T g
+        n = grid.n_x
+        t = get_kernel(d, grid).jump(sol.v, m.lam)
+        h = h_eval(m, d, grid.nodes)
+        assert sol.v_prime[n] == equation_slope(t[n], sol.v[n], m.c_bar, m, h[n])
+
     @pytest.mark.parametrize(
         "d",
         [HyperExponential((0.7, 0.3), (0.3, 1.3)), ShiftedPareto(alpha=3.0, theta=1.2)],
         ids=["hyperexponential", "shifted_pareto"],
     )
     def test_converged_g_takes_one_jump(self, d, monkeypatch):
-        # the T g of the slope at L also serves the residual; the residual
-        # is bitwise the one scheme_residual computes on its own
+        # the T g of the slope at L also serves the residual: the banded
+        # step's own T g when the projection moves nothing, as here
         m = ModelParams(mu=2.0, lam=2.0, r=0.1, ell=2.0, c_bar=1.2, c_floor=0.0)
         grid = Grid(L=20.0, n_x=400)
-        calls = []
-        jump = ConvKernel.jump
-        monkeypatch.setattr(ConvKernel, "jump", lambda self, f, lam: calls.append(1) or jump(self, f, lam))
-        sol = solve_g(m, d, grid)
-        sweeps = 0 if get_kernel(d, grid).has_recursion() else sol.picard_iterations
-        assert len(calls) == sweeps + 1
-        monkeypatch.undo()
-        h = h_eval(m, d, grid.nodes)
-        _, res = scheme_residual(sol.g, sol.g_prime, m.c_bar, m, get_kernel(d, grid), h)
-        assert np.array_equal(sol.residual, res)
+        sol, calls = self.count_jumps(monkeypatch, m, d, grid)
+        sweeps = 0 if get_kernel(d, grid).has_recursion() else sol.iterations
+        assert calls == sweeps + 1
+        self.assert_slope_at_L(sol, m, d, grid)
+
+    def test_projected_g_takes_fresh_jump(self, monkeypatch):
+        # at 2000 nodes the projection moves the acceptance set's g by
+        # 7.6e-14, so the banded step's T no longer holds and T g is redone
+        sol, calls = self.count_jumps(monkeypatch, M1, D1, G1)
+        assert sol.final_update_norm > 0.0
+        assert calls == 2
+        self.assert_slope_at_L(sol, M1, D1, G1)
 
 
 class TestOtherClaimFamilies:
@@ -256,12 +287,12 @@ class TestOtherClaimFamilies:
         m = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
         grid = Grid(L=30.0, n_x=600)
         sol = solve_g(m, d, grid, update_tol=1e-11)
-        g = sol.g
-        assert sol.residual_sup <= 1e-8
+        g = sol.v
+        assert residual_sup(sol, m, d, grid) <= 1e-8
         assert g.min() >= (m.c_bar - m.lam * m.ell * d.gamma) / m.r - 1e-9
         assert g.max() <= m.c_bar / m.r + 1e-9
-        assert sol.g_prime.min() >= -1e-9
-        assert sol.g_prime.max() <= m.ell + 1e-9
+        assert sol.v_prime.min() >= -1e-9
+        assert sol.v_prime.max() <= m.ell + 1e-9
         # heavy tails approach the Dirichlet pin with visible curvature, so
         # the last interior node carries an O(dx^2) kink; 1e-3*dx^2 covers
         # the measured 1.3e-4*dx^2 with headroom
@@ -269,12 +300,82 @@ class TestOtherClaimFamilies:
 
 
 class TestReport:
+    """g's record is rung 0 of the ladder: a `ValueSlice` whose switch mask
+    is all True, as g has no rung above it."""
+
     def test_fields_and_shapes(self, sol_fine):
-        rep = boundary_residual_report(sol_fine, M1, D1, G1)
         n = G1.n_x
-        for key in ("x", "g", "g_prime", "residual"):
-            assert rep[key].shape == (n + 1,)
-        assert rep["residual_sup_interior"] <= 1e-8
-        assert rep["lower_bound"] == 4.0
-        assert rep["upper_bound"] == 10.0
-        assert rep["dirichlet_gap"] <= 1e-3
+        for arr in (sol_fine.v, sol_fine.v_prime, sol_fine.switch_mask):
+            assert arr.shape == (n + 1,)
+        assert sol_fine.switch_mask.all()
+        assert residual_sup(sol_fine, M1, D1, G1) <= 1e-8
+        assert abs(sol_fine.v[n - 1] - M1.c_bar / M1.r) <= 1e-3
+
+    @pytest.mark.parametrize("d", [D1, H1, P1], ids=["exponential", "hyperexponential",
+                                                    "shifted_pareto"])
+    def test_record_is_ladder_row_0(self, d):
+        grid = Grid(L=30.0, n_x=400)
+        sol = solve_g(M1, d, grid)
+        surface = solve_ladder(M1, d, grid, RateLadder(4, M1.c_bar, M1.c_floor))
+        assert sol.switch_mask.all()
+        assert sol.v.tobytes() == surface.v[0].tobytes()
+        assert sol.v_prime.tobytes() == surface.v_prime[0].tobytes()
+        assert sol.iterations == surface.iterations[0]
+        assert np.float64(sol.final_update_norm).tobytes() == surface.update_norms[0].tobytes()
+
+
+def direct_banded_g(m, d, grid):
+    """Frozen copy of the direct banded g route: one `bordered_banded_solve`
+    on the whole band with no contact node, then the monotone projection.
+    Returns (v, v', the projection's sup-norm change)."""
+    n = grid.n_x
+    kern = get_kernel(d, grid)
+    h = h_eval(m, d, grid.nodes)
+    a = (m.mu - m.c_bar) / grid.dx
+    b = a + m.r + m.lam
+    v_L = m.c_bar / m.r
+    ab, bands, stride = kern.rung_band(a, b, m.lam)
+    raw = bordered_banded_solve(
+        ab, bands, stride, np.append(m.c_bar - h[:n], v_L),
+        m.lam * kern.tail[:n], np.zeros(n, dtype=bool), np.full(n, v_L),
+    )
+    v = np.maximum.accumulate(np.minimum(raw, v_L))
+    v[n] = v_L
+    t = kern.jump(v, m.lam)
+    v_prime = np.append(np.diff(v) / grid.dx, equation_slope(t[n], v[n], m.c_bar, m, h[n]))
+    return v, v_prime, float(np.max(np.abs(v - raw)))
+
+
+class TestPolicyStepG:
+    """For exponential mixtures g is the single step of `policy_rung` with
+    an empty contact set and the obstacle -inf below L; the direct banded
+    solve is the oracle, bitwise, with the projection idle (400 nodes) and
+    active (2000 nodes, exponential)."""
+
+    @pytest.mark.parametrize("n_x", [400, 2000])
+    @pytest.mark.parametrize("d", [D1, H1], ids=["exponential", "hyperexponential"])
+    def test_matches_direct_banded_solve(self, d, n_x):
+        grid = Grid(L=30.0, n_x=n_x)
+        sol = solve_g(M1, d, grid)
+        v, v_prime, update = direct_banded_g(M1, d, grid)
+        assert sol.iterations == 1
+        assert sol.v.tobytes() == v.tobytes()
+        assert sol.v_prime.tobytes() == v_prime.tobytes()
+        assert sol.final_update_norm == update
+
+
+class TestResidualBound:
+    """g is accepted against the certificate's own residual bound."""
+
+    @pytest.mark.parametrize("d", [D1, P1], ids=["exponential", "shifted_pareto"])
+    def test_g_and_certificate_read_one_bound(self, d, monkeypatch):
+        grid = Grid(L=30.0, n_x=200)
+        surface = solve_ladder(M1, d, grid, RateLadder(4, M1.c_bar, M1.c_floor))
+        g = solve_g(M1, d, grid)
+        monkeypatch.setitem(DEFAULT_TOLERANCES, "residual", 1e-20)
+        with pytest.raises(NoConvergence) as exc:
+            solve_g(M1, d, grid)
+        # the residual g is accepted on is the interior sup the certificate reads
+        assert exc.value.residual == residual_sup(g, M1, d, grid)
+        assert run_invariant_suite(surface, d).check("boundary_residual").bound == 1e-20
+        assert verify.DEFAULT_TOLERANCES is DEFAULT_TOLERANCES

@@ -12,6 +12,10 @@ import yaml
 from divratchet.cache import read_surface, write_surface
 from divratchet import cli, simulate as sim
 from divratchet.cli import _BLOCK_ROWS, _write_rows, main
+from divratchet.config import load_config
+from divratchet.discretization import get_kernel, scheme_residual
+from divratchet.ladder import solve_g
+from divratchet.model import h_eval
 from divratchet.surface import build_rate_map
 
 MODEL = {"mu": 2.0, "lam": 2.0, "r": 0.1, "ell": 2.0, "c_bar": 1.2, "c_floor": 0.0}
@@ -53,6 +57,17 @@ def test_boundary_csv_contract(tmp_path):
     assert 0.0 < g0 < MODEL["c_bar"] / MODEL["r"]
     gl = float(rows[-1][1])
     assert abs(gl - MODEL["c_bar"] / MODEL["r"]) < 1e-9
+    # the columns are rung 0 of the ladder and the scheme residual of its
+    # v and v', bitwise
+    run = load_config(cfg)
+    m, d, grid = run.model, run.claims, run.grid
+    g = solve_g(m, d, grid)
+    _, res = scheme_residual(
+        g.v, g.v_prime, m.c_bar, m, get_kernel(d, grid), h_eval(m, d, grid.nodes)
+    )
+    cols = np.array(rows[1:], dtype=float).T
+    for col, ref in zip(cols, (grid.nodes, g.v, g.v_prime, res)):
+        assert col.tobytes() == ref.tobytes()
 
 
 def test_boundary_stdout_default(tmp_path, capsys):
@@ -274,6 +289,21 @@ def test_verify_with_mc_passes(tmp_path):
     assert any(n.startswith("mc_dominance") for n in names)
 
 
+@pytest.mark.parametrize("eps", ["inf", "nan", "-0.1"])
+def test_verify_rejects_bad_eps_disc(eps, tmp_path, capsys, monkeypatch):
+    # an infinite budget would pass every Monte Carlo check and a NaN or
+    # negative one fail them all; each exits 1 before the surface is solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the surface was solved")
+
+    monkeypatch.setattr(cli, "load_or_solve", no_solve)
+    cfg = make_cfg(tmp_path)
+    out = tmp_path / "cert.json"
+    assert main(["verify", "--config", cfg, "--eps-disc", eps, "--out", str(out)]) == 1
+    assert "ValidationError: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_flags_corrupted_cache(tmp_path, capsys):
     cfg = make_cfg(tmp_path)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 0
@@ -318,6 +348,17 @@ def test_sweep_combined_csv(tmp_path):
     # a costlier injection makes waiting (switching later) less attractive,
     # so thresholds should not explode; sanity: all inside the domain
     assert all(0.0 <= float(r[2]) <= 16.0 for r in rows[1:])
+
+
+def test_sweep_integer_key(tmp_path):
+    # the config casts ladder.n to int; the first column keeps the value given
+    cfg = make_cfg(tmp_path)
+    out = str(tmp_path / "sweep.csv")
+    assert main(["sweep", "--config", cfg, "--param", "ladder.n",
+                 "--values", "4,8", "--out", out]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 1 + 5 + 9
+    assert [row[0] for row in rows[1:]] == ["4.0"] * 5 + ["8.0"] * 9
 
 
 def test_sweep_bad_param_rejected(tmp_path, capsys):

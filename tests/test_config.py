@@ -106,7 +106,6 @@ def test_hash_changes_with_surface_inputs(tmp_path, key, val):
         ("simulate__seed", 99),
         ("simulate__horizon", 50.0),
         ("output__dir", "elsewhere"),
-        ("solver__residual_tol", 1e-6),
         ("solver__max_iter", 123),
     ],
 )
@@ -196,6 +195,8 @@ def test_unknown_method_rejected(tmp_path):
             {"claims": {"kind": "shifted_pareto", "alpha": 3.0, "theta": 1.2, "gamma": 0.5}},
             "claims.gamma for claims.kind 'shifted_pareto'",
         ),
+        # g is accepted against the certificate's own residual bound
+        ({"solver__residual_tol": 1e-6}, "solver.residual_tol"),
     ],
 )
 def test_unknown_key_rejected(tmp_path, over, name):

@@ -10,10 +10,9 @@ import pytest
 
 import mc_reference
 from divratchet import simulate as sim
-from divratchet.boundary import solve_g
 from divratchet.discretization import Grid
 from divratchet.errors import ValidationError
-from divratchet.ladder import RateLadder, solve_ladder
+from divratchet.ladder import RateLadder, solve_g, solve_ladder
 from divratchet.model import Exponential, HyperExponential, ModelParams, ShiftedPareto
 from divratchet.surface import RateMap, build_rate_map
 from mc_reference import simulate_boundary, simulate_constant, simulate_ratchet
@@ -677,10 +676,10 @@ def test_boundary_estimate_matches_pde_solution():
     sol = solve_g(M1, D1, grid)
     est = sim.estimate_constant_payoff(M1, D1, M1.c_bar, 0.0, 20000, seed=42)
     # grid bias at this resolution is about 0.007; allow that plus noise
-    assert abs(est.mean - sol.g[0]) <= 3 * est.std_error + 0.02
+    assert abs(est.mean - sol.v[0]) <= 3 * est.std_error + 0.02
     j5 = round(5.0 / grid.dx)
     est5 = sim.estimate_constant_payoff(M1, D1, M1.c_bar, 5.0, 20000, seed=43)
-    assert abs(est5.mean - sol.g[j5]) <= 3 * est5.std_error + 0.01
+    assert abs(est5.mean - sol.v[j5]) <= 3 * est5.std_error + 0.01
 
 
 def test_ratchet_estimate_matches_surface(surface2, ratemap2):
