@@ -5,7 +5,6 @@ from .errors import (
     DivRatchetError,
     DomainTooSmall,
     NoConvergence,
-    ObstacleViolation,
     ParseError,
     RateOutOfRange,
     ValidationError,
@@ -68,7 +67,6 @@ __all__ = [
     "HyperExponential",
     "ModelParams",
     "NoConvergence",
-    "ObstacleViolation",
     "ParseError",
     "PayoffEstimate",
     "RateLadder",

@@ -306,11 +306,13 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ValidationError("sweep needs at least one value")
 
-    rows = []
+    cfgs = []  # every value is checked before the first solve
     for val in values:
         trial = copy.deepcopy(doc)
         trial.setdefault(sec, {})[key] = val
-        cfg = config_from_mapping(trial)
+        cfgs.append(config_from_mapping(trial))
+    rows = []
+    for val, cfg in zip(values, cfgs):
         surface, _ = load_or_solve(cfg)
         curve = extract_boundary(surface)
         for r, xs, gz in zip(

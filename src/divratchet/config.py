@@ -127,12 +127,15 @@ def _num(sec: dict, section: str, key: str, cast=float, default=None):
         if default is not None:
             return default
         raise ValidationError(f"{section}.{key} is required")
-    try:
-        return cast(sec[key])
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"{section}.{key} must be a {cast.__name__}, got {sec[key]!r}"
-        ) from None
+    val = sec[key]
+    # bool is an int subclass, and int() would truncate a fractional float
+    if not isinstance(val, bool) and not (cast is int and isinstance(val, float) and val % 1):
+        try:
+            return cast(val)
+        except (TypeError, ValueError):
+            pass
+    kind = "an integer" if cast is int else "a number"
+    raise ValidationError(f"{section}.{key} must be {kind}, got {val!r}")
 
 
 def read_config_mapping(path: str) -> dict:

@@ -9,7 +9,8 @@ slope f', which the solvers take as the upwind difference (f_{j+1} - f_j)/dx:
 
     residual = -(mu - c) f' + (r + lam) f - T f + h - c   (`scheme_residual`).
 
-`equation_slope` is the f' that zeroes it; no other module writes these down.
+`equation_slope` is the f' that zeroes it and `complementarity_defect` the
+breach of min(residual, v - obstacle) = 0; no other module writes these down.
 
 Quadrature is product integration: the claim density is integrated exactly
 over each cell against the piecewise-linear interpolant of f.  This keeps
@@ -224,17 +225,14 @@ def scheme_residual(
     m: ModelParams,
     kern: ConvKernel,
     h: np.ndarray,
-    t: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(T v, residual at nodes 0..k-1) for the k slopes in v_prime, with v
-    on all n_x + 1 nodes, h = h_eval on the nodes and c below mu.  A caller
-    that already holds t = T v passes it, and it is not recomputed."""
+    on all n_x + 1 nodes, h = h_eval on the nodes and c below mu."""
     if np.shape(v) != kern.tail.shape:
         raise ValidationError(f"need {kern.tail.size} node values, got shape {np.shape(v)}")
     if not c < m.mu:
         raise ValidationError("rate must stay below mu")
-    if t is None:
-        t = kern.jump(v, m.lam)
+    t = kern.jump(v, m.lam)
     k = v_prime.shape[0]
     return t, -(m.mu - c) * v_prime + (m.r + m.lam) * v[:k] - t[:k] + h[:k] - c
 
@@ -243,3 +241,10 @@ def equation_slope(t, v, c: float, m: ModelParams, h):
     """The slope that zeroes the scheme residual of rate c, given t = T v;
     on arrays or single nodes."""
     return ((m.r + m.lam) * v - t + h - c) / (m.mu - c)
+
+
+def complementarity_defect(residual: np.ndarray, gap: np.ndarray) -> float:
+    """max |min(residual, gap)| over the residual's nodes: zero exactly when
+    residual >= 0, gap >= 0 and one of them vanishes at each node.  gap is
+    v minus its obstacle (+inf where there is none, so g reads sup|residual|)."""
+    return float(np.max(np.abs(np.minimum(residual, gap[: residual.shape[0]]))))

@@ -14,18 +14,15 @@ class ParseError(DivRatchetError):
 
 
 class NoConvergence(DivRatchetError):
-    """An iteration failed to reach its tolerance within the cap, or produced
-    a non-finite update."""
+    """An iteration failed to reach its tolerance within the cap, produced a
+    non-finite update, or stopped on a rung whose complementarity defect
+    (then in `residual`) exceeds the certificate's bound."""
 
     def __init__(self, message, iterations=None, update_norm=None, residual=None):
         super().__init__(message)
         self.iterations = iterations
         self.update_norm = update_norm
         self.residual = residual
-
-
-class ObstacleViolation(DivRatchetError):
-    """A solved rung breaks its complementarity system: a scheme bug, not a data issue."""
 
 
 class DomainTooSmall(DivRatchetError):

@@ -16,11 +16,10 @@ takes one of two routes, by claim family:
   * exponential mixtures: the single step of `policy_rung` at rate c_bar
     with an empty contact set and the obstacle -inf below L, i.e. one
     exact bordered banded solve.
-  * other densities (shifted Pareto): the solve freezes T at the previous
-    iterate and back-substitutes from the Dirichlet node (Picard); the
-    map contracts in sup norm with factor at most lam / (r + lam), so
-    the sweeps are Anderson-mixed (`_sweep.anderson_fixed_point`) and the
-    last plain sweep is returned.
+  * other densities (shifted Pareto): `picard_rung` at rate c_bar with the
+    same obstacle, from the constant c_bar/r; with nothing to project, each
+    Anderson-mixed sweep is a frozen-T back-substitution from the Dirichlet
+    node, a map that contracts by at most lam / (r + lam) in sup norm.
 
 The exact discrete g is non-decreasing and at most c_bar/r (comparison
 principle), but where its slope is below one ulp over dx rounding can
@@ -83,9 +82,11 @@ v_i == v_{i-1}.  A solved rung satisfies, up to solver error:
     residual >= 0 and residual * (v_i - v_{i-1}) = 0 at every node,
     0 <= (v_i - v_{i-1})/dc <= (ell - 1)/r.
 Both paths hand back T v and the `scheme_residual` (forward-difference v')
-of their v; `solve_rung` checks that residual and takes v' at free nodes
-from `equation_slope`, with no further convolution.  The verification
-layer re-checks the rung equations from v alone and gates them.
+of their v.  Each rung, g included, is accepted only if its
+`complementarity_defect` (gap v_i - v_{i-1}, +inf for g below L) is within
+the certificate's bound for it (`accept_rung`); v' at free nodes is then
+`equation_slope`, with no further convolution.  The verification layer
+re-checks the rung equations from v alone, on the same bounds.
 
 `solve_ladder` writes each solved rung straight into its row of the
 (n+1) x (n_x+1) value, derivative and mask arrays and returns them as the
@@ -105,8 +106,10 @@ from ._sweep import (
     bordered_banded_solve,
     projected_backward_scan,
 )
-from .discretization import ConvKernel, Grid, equation_slope, get_kernel, scheme_residual
-from .errors import DomainTooSmall, NoConvergence, ObstacleViolation, ValidationError
+from .discretization import (
+    ConvKernel, Grid, complementarity_defect, equation_slope, get_kernel, scheme_residual
+)
+from .errors import DomainTooSmall, NoConvergence, ValidationError
 from .model import ClaimDistribution, ModelParams, h_eval
 from .surface import DEFAULT_TOLERANCES, TRUSTED_FRACTION, ValueSurface, contact_scan
 
@@ -178,6 +181,21 @@ def slope_growth_bound(m: ModelParams) -> float:
     return 2.0 * (m.r + m.lam) * (m.ell - 1.0) / (m.r**2 * (m.mu - m.c_bar))
 
 
+def accept_rung(residual, gap, bound: str, label: str, iterations: int, update: float):
+    """Raise NoConvergence unless the rung's `complementarity_defect` is
+    within DEFAULT_TOLERANCES[bound], the bound the certificate reads for it."""
+    defect = complementarity_defect(residual, gap)
+    tol = DEFAULT_TOLERANCES[bound]
+    if not defect <= tol:
+        raise NoConvergence(
+            f"rung {label}: the solver stopped but its complementarity defect "
+            f"{defect:.3e} exceeds {tol:.1e}; tighten solver.update_tol or refine the grid",
+            iterations=iterations,
+            update_norm=update,
+            residual=defect,
+        )
+
+
 def picard_rung(
     psi: np.ndarray,
     c: float,
@@ -192,7 +210,9 @@ def picard_rung(
 ) -> tuple[np.ndarray, int, float, tuple[np.ndarray, np.ndarray]]:
     """Anderson-mixed frozen-T projected sweeps from start (n_x + 1 nodes,
     on or above psi; default the obstacle psi itself) until the sup-norm
-    update of a plain sweep is at most update_tol.
+    update of a plain sweep is at most update_tol.  If psi is -inf below
+    its last node (g), there is nothing to project, and each sweep is the
+    linear back-substitution.
 
     The contact set is an upper interval, so above the free boundary v is
     psi.  Given a start contact set whose first node j is above 0, the
@@ -215,10 +235,14 @@ def picard_rung(
     a = (m.mu - c) / dx
     b = a + m.r + m.lam
     qt = a / b
+    unobstructed = bool(np.isneginf(psi[:n]).all())  # g: nothing to project
 
     def scan(v, t):  # projected sweep on nodes 0..k, v_k = psi_k, given t = T v
         k = v.shape[0] - 1
-        return projected_backward_scan((t[:k] - h[:k] + c) / b, qt, psi[:k], psi[k])
+        alpha = (t[:k] - h[:k] + c) / b
+        if unobstructed:
+            return backward_linear_solve(alpha, qt, psi[k])
+        return projected_backward_scan(alpha, qt, psi[:k], psi[k])
 
     def sweep(v):
         return scan(v, kern.jump(v, m.lam))
@@ -301,30 +325,28 @@ def solve_g(
     update_tol: float = 1e-10,
     max_iter: int = 10000,
 ) -> ValueSlice:
-    """Rung 0, the cap-rate value g, by the route of the module docstring.
+    """Rung 0, the cap-rate value g, by the route of the module docstring:
+    the rung solvers at rate c_bar with the obstacle -inf below L and
+    c_bar/r at L.
 
     Exponential mixtures: one banded solve (`policy_rung`), then the
     monotone projection; the step's T v serves the residual below unless
-    the projection moved g.  Other densities: Anderson-mixed Picard sweeps
-    from the constant c_bar/r (the value of the cap strategy with no
-    claims, an upper bound) until the sup-norm update of a plain sweep
-    falls below update_tol.  update_tol acts on the Picard route only.
-    v' is the forward difference, with the slope the equation implies at
-    the Dirichlet node.  On both routes the interior scheme residual is
-    then checked against DEFAULT_TOLERANCES["residual"], the bound the
-    certificate's `boundary_residual` reads.  Raises NoConvergence on
-    either failure.
+    the projection moved g.  Other densities: `picard_rung` from the
+    constant c_bar/r (the value of the cap strategy with no claims, an
+    upper bound); update_tol acts on this route only.  v' is the forward
+    difference, with the slope the equation implies at the Dirichlet
+    node.  g is accepted by `accept_rung` against
+    DEFAULT_TOLERANCES["residual"], the bound the certificate's
+    `boundary_residual` reads; raises NoConvergence otherwise.
     """
     n = grid.n_x
-    dx = grid.dx
     kern = get_kernel(d, grid)
     h = h_eval(m, d, grid.nodes)
     v_L = m.c_bar / m.r
-    t_res = None  # (T v, residual) of the returned v, when a solver holds them
+    psi = np.full(n + 1, -np.inf)
+    psi[n] = v_L
 
     if kern.has_recursion():
-        psi = np.full(n + 1, -np.inf)
-        psi[n] = v_L
         raw, iterations, _, t_res = policy_rung(
             psi, np.zeros(n, dtype=bool), m.c_bar, m, kern, h, max_iter, "g"
         )
@@ -334,29 +356,12 @@ def solve_g(
         if update:  # the projection moved g, so the step's T v no longer holds
             t_res = None
     else:
-        a = (m.mu - m.c_bar) / dx
-        b = a + m.r + m.lam
-        qt = a / b
-
-        def sweep(v):
-            t = kern.jump(v, m.lam)
-            return backward_linear_solve((t[:n] - h[:n] + m.c_bar) / b, qt, v_L)
-
-        v, iterations, update = anderson_fixed_point(
-            sweep, np.full(n + 1, v_L), update_tol, max_iter, "g solve"
+        v, iterations, update, t_res = picard_rung(
+            psi, m.c_bar, m, kern, h, update_tol, max_iter, "g", start=np.full(n + 1, v_L)
         )
-    slope = np.diff(v) / dx
+    slope = np.diff(v) / grid.dx
     t, residual = t_res or scheme_residual(v, slope, m.c_bar, m, kern, h)
-    residual_sup = float(np.max(np.abs(residual)))
-    bound = DEFAULT_TOLERANCES["residual"]
-    if residual_sup > bound:
-        raise NoConvergence(
-            f"g solve: updates converged but the scheme residual {residual_sup:.3e} "
-            f"exceeds {bound:.1e}; the grid or tolerances are inconsistent",
-            iterations=iterations,
-            update_norm=update,
-            residual=residual_sup,
-        )
+    accept_rung(residual, v - psi, "residual", "g", iterations, update)
     return ValueSlice(
         v=v,
         v_prime=np.append(slope, equation_slope(t[n], v[n], m.c_bar, m, h[n])),
@@ -370,8 +375,8 @@ def solve_rung(
     prev: ValueSlice,
     c: float,
     m: ModelParams,
-    d: ClaimDistribution,
-    grid: Grid,
+    kern: ConvKernel,
+    h: np.ndarray,
     update_tol: float = 1e-10,
     max_iter: int = 10000,
     rung_label: str = "",
@@ -379,7 +384,8 @@ def solve_rung(
     start: np.ndarray | None = None,
     band: np.ndarray | None = None,
 ) -> ValueSlice:
-    """Solve one obstacle problem with the previous rung as obstacle.
+    """Solve one obstacle problem with the previous rung as obstacle, on the
+    kernel kern of the claims and grid and h = h_eval on its nodes.
 
     Claims go through `policy_rung` (exponential mixtures) or `picard_rung`
     (others), both warm-started from the length-n_x mask contact (default:
@@ -389,15 +395,12 @@ def solve_rung(
     solved on the whole domain at once.  Picard rungs start their sweeps
     from start (default: the obstacle prev.v); policy rungs ignore it, and
     rewrite band in place (`policy_rung`) if one is given.
-    update_tol is the Picard stop rule and, on both paths, scales the
-    acceptance tolerance below.  The switch mask is the exact contact set
-    v == prev.v.  Raises NoConvergence if the solver does not settle and
-    ObstacleViolation if the solved rung is not a supersolution or breaks
-    complementarity (a scheme bug, not a data error).
+    update_tol is the Picard stop rule only.  The switch mask is the exact
+    contact set v == prev.v.  Raises NoConvergence if the solver does not
+    settle, or if the rung's complementarity defect exceeds
+    DEFAULT_TOLERANCES["complementarity"] (`accept_rung`).
     """
-    n = grid.n_x
-    kern = get_kernel(d, grid)
-    h = h_eval(m, d, grid.nodes)
+    n = kern.grid.n_x
     psi = prev.v
     label = rung_label or str(c)
     if contact is None:
@@ -415,21 +418,8 @@ def solve_rung(
         )
 
     gap = v - psi  # >= 0 bitwise: both solvers end on or above the obstacle
+    accept_rung(residual, gap, "complementarity", label, iterations, update)
     mask = gap == 0.0
-
-    tol_c = max(1e-9, 1e2 * update_tol) * max(1.0, float(np.max(np.abs(v))))
-    if residual.min() < -tol_c:
-        raise ObstacleViolation(
-            f"rung {label}: scheme residual {residual.min():.3e} "
-            f"negative beyond {tol_c:.1e}; not a supersolution"
-        )
-    slack = np.minimum(residual, gap[:n])
-    if np.max(np.abs(slack)) > tol_c:
-        raise ObstacleViolation(
-            f"rung {label}: complementarity defect "
-            f"{np.max(np.abs(slack)):.3e} beyond {tol_c:.1e}"
-        )
-
     v_prime = np.where(mask, prev.v_prime, equation_slope(t, v, c, m, h))
     return ValueSlice(
         v=v,
@@ -468,6 +458,7 @@ def solve_ladder(
     update_norms = np.empty(ladder.n + 1)
     rates = ladder.rates
     kern = get_kernel(d, grid)
+    h = h_eval(m, d, grid.nodes)
     # one band per ladder: each policy rung rewrites only its rate diagonals
     band = kern.rung_band(0.0, 0.0, m.lam)[0] if kern.has_recursion() else None
     cut = TRUSTED_FRACTION * grid.L
@@ -484,7 +475,7 @@ def solve_ladder(
                     start = prev.v.copy()
                     start[:j] = 2.0 * prev.v[:j] - v[i - 2, :j]
             prev = solve_rung(
-                prev, float(rates[i]), m, d, grid,
+                prev, float(rates[i]), m, kern, h,
                 update_tol=update_tol, max_iter=max_iter,
                 rung_label=f"{i}/{ladder.n}", contact=contact, start=start, band=band,
             )

@@ -13,7 +13,8 @@ included) produces a failing certificate instead of a crash.
 The equation checks take `discretization.scheme_residual`.
 `complementarity` reads each rung's v only, through its forward difference:
 the stored v' of a free node is the slope that zeroes the residual, so a
-residual taken with it would hold for any v.  Stored rung slopes are
+residual taken with it would hold for any v; its measure is the solvers'
+own, `discretization.complementarity_defect`.  Stored rung slopes are
 checked by the gradient window and `threshold_collapse` alone.
 `boundary_residual` reads the stored g', the forward difference of g.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import simulate as sim
-from .discretization import Grid, get_kernel, scheme_residual
+from .discretization import Grid, complementarity_defect, get_kernel, scheme_residual
 from .errors import ValidationError
 from .ladder import RateLadder, slope_growth_bound, solve_ladder
 from .model import ClaimDistribution, ModelParams, h_eval
@@ -208,11 +209,11 @@ def run_invariant_suite(surface: ValueSurface, d: ClaimDistribution) -> Certific
     )
 
     # complementarity: on every node either the equation of the forward
-    # difference of v holds or the obstacle binds
+    # difference of v holds or the obstacle binds, and the rung is a supersolution
     comp = 0.0
     for i in range(1, ladder.n + 1):
         _, res_i = scheme_residual(v[i], np.diff(v[i]) / dx, rates[i], m, kern, h)
-        comp = max(comp, float(np.max(np.minimum(np.abs(res_i), gaps[i - 1, :-1]))))
+        comp = max(comp, complementarity_defect(res_i, gaps[i - 1]))
     add(
         "complementarity",
         "min(equation residual, obstacle gap) vanishes on interior nodes",

@@ -117,13 +117,14 @@ def test_criterion_02_ladder_estimates(solved):
     env_hi = float(np.max(v - upper))
     # complementarity of each rung's obstacle problem against its
     # predecessor, with the forward difference of v as the slope (the stored
-    # v' of a free node is the slope that zeroes the residual)
+    # v' of a free node is the slope that zeroes the residual), the residual's
+    # sign kept: a contact node must be a supersolution
     kern, h = get_kernel(D, GRID), h_eval(M, D, GRID.nodes)
     comp = 0.0
     for i in range(1, LADDER.n + 1):
         _, res = scheme_residual(v[i], np.diff(v[i]) / dx, float(rates[i]), M, kern, h)
         gap = v[i] - v[i - 1]
-        comp = max(comp, float(np.max(np.minimum(np.abs(res), gap[:GRID.n_x]))))
+        comp = max(comp, float(np.max(np.abs(np.minimum(res, gap[:GRID.n_x])))))
     u = np.diff(v, axis=0) / dc
     u_lo = float(np.max(-u)) if u.size else 0.0
     u_hi = float(np.max(u - (M.ell - 1.0) / M.r)) if u.size else 0.0

@@ -361,6 +361,19 @@ def test_sweep_integer_key(tmp_path):
     assert [row[0] for row in rows[1:]] == ["4.0"] * 5 + ["8.0"] * 9
 
 
+def test_sweep_fractional_integer_key_rejected_before_solving(tmp_path, capsys, monkeypatch):
+    # int() would truncate 4.5 to 4, and the rows would be labelled 4.5
+    solves = []
+    monkeypatch.setattr(cli, "load_or_solve", lambda cfg: solves.append(cfg))
+    cfg = make_cfg(tmp_path)
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--config", cfg, "--param", "ladder.n",
+               "--values", "4,4.5", "--out", str(out)])
+    assert rc == 1
+    assert "ValidationError: ladder.n must be an integer, got 4.5" in capsys.readouterr().err
+    assert solves == [] and not out.exists()
+
+
 def test_sweep_bad_param_rejected(tmp_path, capsys):
     cfg = make_cfg(tmp_path)
     rc = main(["sweep", "--config", cfg, "--param", "nonsense",

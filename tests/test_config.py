@@ -166,6 +166,31 @@ def test_bad_type_names_the_field(tmp_path):
         load_config(write_cfg(tmp_path, base_doc(grid__n_x="lots")))
 
 
+@pytest.mark.parametrize(
+    "key,val",
+    [
+        ("grid__n_x", 200.9),
+        ("ladder__n", 4.5),
+        ("simulate__seed", 7.9),
+        ("simulate__paths", 100.5),
+        ("solver__max_iter", 10.2),
+        ("ladder__n", True),
+        ("simulate__seed", False),
+        ("simulate__seed", float("inf")),
+    ],
+)
+def test_integer_key_rejects_what_int_would_truncate(tmp_path, key, val):
+    name = key.replace("__", ".")
+    with pytest.raises(ValidationError, match=f"{name} must be an integer, got {val!r}"):
+        load_config(write_cfg(tmp_path, base_doc(**{key: val})))
+
+
+def test_integer_key_accepts_integral_float_and_string(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, base_doc(grid__n_x=2000.0, ladder__n="256")))
+    assert type(cfg.grid.n_x) is int and cfg.grid.n_x == 2000
+    assert type(cfg.ladder.n) is int and cfg.ladder.n == 256
+
+
 def test_model_validation_propagates(tmp_path):
     with pytest.raises(ValidationError, match="ell must exceed 1"):
         load_config(write_cfg(tmp_path, base_doc(model__ell=0.9)))

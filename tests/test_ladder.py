@@ -26,11 +26,13 @@ from divratchet import (
     h_eval,
 )
 from divratchet._sweep import bordered_banded_solve
-from divratchet.discretization import get_kernel, scheme_residual
-from divratchet.surface import build_rate_map, extract_boundary
+from divratchet.discretization import complementarity_defect, get_kernel, scheme_residual
+from divratchet.surface import DEFAULT_TOLERANCES, build_rate_map, extract_boundary
+from divratchet.verify import run_invariant_suite
 from divratchet.ladder import (
     PICARD_MARGIN,
     RateLadder,
+    accept_rung,
     picard_rung,
     policy_rung,
     slope_growth_bound,
@@ -143,7 +145,9 @@ class TestAgainstDenseReference:
         grid = Grid(L=12.0, n_x=96)
         prev = solve_g(M2, D2, grid, update_tol=1e-13)
         for c in (1.0, 0.8, 0.6):
-            s = solve_rung(prev, c, M2, D2, grid, update_tol=1e-13)
+            s = solve_rung(
+                prev, c, M2, get_kernel(D2, grid), h_eval(M2, D2, grid.nodes), update_tol=1e-13
+            )
             ref = howard_reference(M2, D2, grid, c, prev.v, prev.v[-1])
             assert np.max(np.abs(s.v - ref)) < 1e-9
             prev = s
@@ -154,7 +158,7 @@ class TestAgainstDenseReference:
         prev = base_slice(M2, d, grid)
         assert get_kernel(d, grid).has_recursion()
         for c in (1.0, 0.8, 0.6):
-            s = solve_rung(prev, c, M2, d, grid)
+            s = solve_rung(prev, c, M2, get_kernel(d, grid), h_eval(M2, d, grid.nodes))
             ref = howard_reference(M2, d, grid, c, prev.v, prev.v[-1])
             assert np.max(np.abs(s.v - ref)) < 1e-11
             assert s.iterations <= 10  # policy steps, not sweeps
@@ -166,7 +170,9 @@ class TestAgainstDenseReference:
         prev = base_slice(M2, P2, grid)
         assert not get_kernel(P2, grid).has_recursion()
         for c in (1.0, 0.8, 0.6):
-            s = solve_rung(prev, c, M2, P2, grid, update_tol=1e-13)
+            s = solve_rung(
+                prev, c, M2, get_kernel(P2, grid), h_eval(M2, P2, grid.nodes), update_tol=1e-13
+            )
             ref = howard_reference(M2, P2, grid, c, prev.v, prev.v[-1])
             assert np.max(np.abs(s.v - ref)) < 1e-9
             prev = s
@@ -403,7 +409,7 @@ def record_solve_lengths(monkeypatch):
     orig = ladder_mod.anderson_fixed_point
 
     def recorded(G, v, *args):
-        if args[-1].startswith("rung "):  # not g's solve, which shares the name
+        if args[-1] != "rung g":  # not g's solve, which goes through picard_rung too
             lengths.append(v.shape[0])
         return orig(G, v, *args)
 
@@ -654,3 +660,31 @@ class TestWarmStart:
         _, surface = readme_ladder
         assert int(surface.iterations[1:].sum()) <= 120
 
+
+class TestComplementarityBound:
+    """Every rung is accepted on the complementarity defect the certificate
+    measures, against the certificate's own bound."""
+
+    @pytest.mark.parametrize("d", [D2, P2], ids=["exponential", "shifted_pareto"])
+    def test_rungs_and_certificate_read_one_bound(self, d, monkeypatch):
+        grid = Grid(L=20.0, n_x=200)
+        ladder = RateLadder(4, M2.c_bar, M2.c_floor)
+        surface = solve_ladder(M2, d, grid, ladder)
+        _, res = scheme_residual(
+            surface.v[1], np.diff(surface.v[1]) / grid.dx, float(surface.rates[1]),
+            M2, get_kernel(d, grid), h_eval(M2, d, grid.nodes),
+        )
+        defect = complementarity_defect(res, surface.v[1] - surface.v[0])
+        assert 0.0 < defect <= DEFAULT_TOLERANCES["complementarity"]
+        monkeypatch.setitem(DEFAULT_TOLERANCES, "complementarity", 1e-20)
+        with pytest.raises(NoConvergence, match="rung 1/") as exc:
+            solve_ladder(M2, d, grid, ladder)
+        assert exc.value.residual == defect
+        assert run_invariant_suite(surface, d).check("complementarity").bound == 1e-20
+
+    def test_nan_defect_is_not_accepted(self):
+        # a NaN compares false with every bound, so a `defect > bound` test
+        # would let a NaN rung through
+        with pytest.raises(NoConvergence, match="rung g: .* defect nan") as exc:
+            accept_rung(np.array([0.0, np.nan]), np.full(3, np.inf), "residual", "g", 1, 0.0)
+        assert np.isnan(exc.value.residual)

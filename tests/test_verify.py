@@ -11,7 +11,7 @@ from divratchet.discretization import Grid, equation_slope, get_kernel
 from divratchet import simulate as sim
 from divratchet.errors import RateOutOfRange, ValidationError
 from divratchet.ladder import RateLadder, solve_ladder
-from divratchet.model import Exponential, ModelParams, h_eval
+from divratchet.model import Exponential, ModelParams, ShiftedPareto, h_eval
 from divratchet.surface import ValueSurface
 from divratchet.verify import (
     CheckResult,
@@ -152,6 +152,21 @@ class TestInvariantSuite:
         cert = run_invariant_suite(rebuild(surface, k, v=v, v_prime=vp), D2)
         assert [ch.name for ch in cert.checks if not ch.passed] == ["complementarity"]
         assert cert.check("complementarity").observed > 10 * bump
+
+    @pytest.mark.parametrize(
+        "d", [D2, ShiftedPareto(3.0, 1.2)], ids=["exponential", "shifted_pareto"]
+    )
+    def test_floor_rung_pinned_to_obstacle_flagged(self, solved, d):
+        # the floor rung copied from the rung above is in contact everywhere,
+        # where its equation is not a supersolution: only the signed defect
+        # of complementarity sees it (min(|residual|, gap) reads 0 there)
+        surface = solved if d is D2 else solve_ladder(M2, d, solved.grid, solved.ladder)
+        k = surface.ladder.n
+        mask = np.ones_like(surface.masks[k])
+        floor = rebuild(surface, k, v=surface.v[k - 1], v_prime=surface.v_prime[k - 1], mask=mask)
+        cert = run_invariant_suite(floor, d)
+        assert [ch.name for ch in cert.checks if not ch.passed] == ["complementarity"]
+        assert cert.check("complementarity").observed > 1e-3
 
     @pytest.mark.parametrize("frac", [0.9, 1.01], ids=["late-threshold", "no-contact"])
     def test_untrusted_threshold_fails_without_raising(self, solved, frac):
