@@ -29,11 +29,11 @@ from .ladder import (
 )
 from .surface import (
     FreeBoundaryCurve,
-    RateMap,
     ValueSurface,
     build_rate_map,
     equivalent_max_rate,
     extract_boundary,
+    ratchet_thresholds,
 )
 from .simulate import (
     PayoffEstimate,
@@ -70,7 +70,6 @@ __all__ = [
     "ParseError",
     "PayoffEstimate",
     "RateLadder",
-    "RateMap",
     "RateOutOfRange",
     "RunConfig",
     "ShiftedPareto",
@@ -91,6 +90,7 @@ __all__ = [
     "load_config",
     "make_distribution",
     "mc_cross_check",
+    "ratchet_thresholds",
     "read_surface",
     "run_invariant_suite",
     "scheme_residual",

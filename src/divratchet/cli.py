@@ -28,7 +28,13 @@ from .discretization import Grid, get_kernel, scheme_residual
 from .errors import DivRatchetError, ValidationError
 from .ladder import RateLadder, solve_g, solve_ladder
 from .model import h_eval
-from .surface import ValueSurface, build_rate_map, extract_boundary, rung_index
+from .surface import (
+    ValueSurface,
+    build_rate_map,
+    extract_boundary,
+    ratchet_thresholds,
+    rung_index,
+)
 from . import simulate as sim
 from .verify import (
     Certificate,
@@ -175,8 +181,8 @@ def cmd_boundary_curve(args) -> int:
 def cmd_rate_map(args) -> int:
     cfg = load_config(args.config)
     surface, _ = load_or_solve(cfg, force=args.force)
-    rm = build_rate_map(surface)
-    _write_rows(args.out, _rate_header(surface), _surface_csv_rows(surface, rm.values))
+    rows = _surface_csv_rows(surface, build_rate_map(surface))
+    _write_rows(args.out, _rate_header(surface), rows)
     return 0
 
 
@@ -211,9 +217,9 @@ def cmd_simulate(args) -> int:
     if kind == "ratchet":
         rung_index(cfg.ladder.rates, c0)  # RateOutOfRange outside the window
         surface, d = load_or_solve(cfg, force=args.force)
-        rm = build_rate_map(surface)
         est, payoffs = sim.estimate_ratchet_payoff(
-            m, d, rm, x0, c0, cfg.paths, seed, horizon=cfg.horizon, return_payoffs=True
+            m, d, ratchet_thresholds(surface), x0, c0, cfg.paths, seed,
+            horizon=cfg.horizon, return_payoffs=True,
         )
     else:
         c = m.c_bar if kind == "boundary" else rate

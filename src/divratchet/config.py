@@ -69,8 +69,8 @@ class RunConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        if not self.update_tol > 0:
-            raise ValidationError("solver.update_tol must be positive")
+        if not 0 < self.update_tol < math.inf:
+            raise ValidationError("solver.update_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValidationError("solver.max_iter must be at least 1")
         if self.paths < 2:

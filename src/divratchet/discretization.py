@@ -59,8 +59,8 @@ class Grid:
     n_x: int
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValidationError("grid.L must be positive")
+        if not 0 < self.L < np.inf:
+            raise ValidationError("grid.L must be positive and finite")
         if not (isinstance(self.n_x, (int, np.integer)) and self.n_x >= 64):
             raise ValidationError("grid.n_x must be an integer >= 64")
 

@@ -324,20 +324,22 @@ def solve_g(
     grid: Grid,
     update_tol: float = 1e-10,
     max_iter: int = 10000,
+    band: np.ndarray | None = None,
 ) -> ValueSlice:
     """Rung 0, the cap-rate value g, by the route of the module docstring:
     the rung solvers at rate c_bar with the obstacle -inf below L and
     c_bar/r at L.
 
-    Exponential mixtures: one banded solve (`policy_rung`), then the
-    monotone projection; the step's T v serves the residual below unless
-    the projection moved g.  Other densities: `picard_rung` from the
-    constant c_bar/r (the value of the cap strategy with no claims, an
-    upper bound); update_tol acts on this route only.  v' is the forward
-    difference, with the slope the equation implies at the Dirichlet
-    node.  g is accepted by `accept_rung` against
-    DEFAULT_TOLERANCES["residual"], the bound the certificate's
-    `boundary_residual` reads; raises NoConvergence otherwise.
+    Exponential mixtures: one banded solve (`policy_rung`, which rewrites
+    band in place if one is given), then the monotone projection; the
+    step's T v serves the residual below unless the projection moved g.
+    Other densities: `picard_rung` from the constant c_bar/r (the value of
+    the cap strategy with no claims, an upper bound); update_tol acts on
+    this route only.  v' is the forward difference, with the slope the
+    equation implies at the Dirichlet node.  g is accepted by
+    `accept_rung` against DEFAULT_TOLERANCES["residual"], the bound the
+    certificate's `boundary_residual` reads; raises NoConvergence
+    otherwise.
     """
     n = grid.n_x
     kern = get_kernel(d, grid)
@@ -348,7 +350,7 @@ def solve_g(
 
     if kern.has_recursion():
         raw, iterations, _, t_res = policy_rung(
-            psi, np.zeros(n, dtype=bool), m.c_bar, m, kern, h, max_iter, "g"
+            psi, np.zeros(n, dtype=bool), m.c_bar, m, kern, h, max_iter, "g", band
         )
         v = np.maximum.accumulate(np.minimum(raw, v_L))
         v[n] = v_L
@@ -449,7 +451,12 @@ def solve_ladder(
     """
     if ladder.c_bar != m.c_bar or ladder.c_floor != m.c_floor:
         raise ValidationError("ladder rate range must match the model's")
-    prev = solve_g(m, d, grid, update_tol=update_tol, max_iter=max_iter)
+    kern = get_kernel(d, grid)
+    h = h_eval(m, d, grid.nodes)
+    # one band per ladder, g's included: each policy rung rewrites only its
+    # rate diagonals
+    band = kern.rung_band(0.0, 0.0, m.lam)[0] if kern.has_recursion() else None
+    prev = solve_g(m, d, grid, update_tol=update_tol, max_iter=max_iter, band=band)
     shape = (ladder.n + 1, grid.n_x + 1)
     v = np.empty(shape)
     v_prime = np.empty(shape)
@@ -457,10 +464,6 @@ def solve_ladder(
     iterations = np.empty(ladder.n + 1, dtype=np.int64)
     update_norms = np.empty(ladder.n + 1)
     rates = ladder.rates
-    kern = get_kernel(d, grid)
-    h = h_eval(m, d, grid.nodes)
-    # one band per ladder: each policy rung rewrites only its rate diagonals
-    band = kern.rung_band(0.0, 0.0, m.lam)[0] if kern.has_recursion() else None
     cut = TRUSTED_FRACTION * grid.L
     nodes = np.arange(grid.n_x)
     firsts = []  # first contact node of each solved rung

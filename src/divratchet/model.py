@@ -47,11 +47,11 @@ E_MAX = -math.log1p(-(1.0 - 1e-16))
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Economic constants of the control problem.
+    """Economic constants of the control problem, all finite.
 
     Attributes:
         mu: premium income rate, mu > 0.
-        lam: Poisson claim intensity, lam > 0 (config key "lambda").
+        lam: Poisson claim intensity, lam > 0.
         r: discount rate, r > 0.
         ell: cost per unit of injected capital, ell > 1.
         c_bar: maximal dividend rate, 0 < c_bar < mu.
@@ -68,18 +68,18 @@ class ModelParams:
     c_floor: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValidationError("mu must be positive")
-        if not self.lam > 0:
-            raise ValidationError("lambda must be positive")
-        if not self.r > 0:
-            raise ValidationError("r must be positive")
-        if not self.ell > 1:
-            raise ValidationError("ell must exceed 1")
+        if not 0 < self.mu < math.inf:
+            raise ValidationError("mu must be positive and finite")
+        if not 0 < self.lam < math.inf:
+            raise ValidationError("lam (lambda) must be positive and finite")
+        if not 0 < self.r < math.inf:
+            raise ValidationError("r must be positive and finite")
+        if not 1 < self.ell < math.inf:
+            raise ValidationError("ell must exceed 1 and be finite")
         if not 0 < self.c_bar < self.mu:
             raise ValidationError("c_bar must lie strictly between 0 and mu")
-        if not self.c_floor < self.c_bar:
-            raise ValidationError("c_floor must lie strictly below c_bar")
+        if not -math.inf < self.c_floor < self.c_bar:
+            raise ValidationError("c_floor must be finite and lie strictly below c_bar")
 
 
 class ClaimDistribution:
@@ -362,10 +362,10 @@ class ShiftedPareto(ClaimDistribution):
     kind: str = field(default="shifted_pareto", init=False)
 
     def __post_init__(self):
-        if not self.alpha > 1:
-            raise ValidationError("pareto alpha must exceed 1 (finite mean)")
-        if not self.theta > 0:
-            raise ValidationError("pareto theta must be positive")
+        if not 1 < self.alpha < math.inf:
+            raise ValidationError("pareto alpha must be finite and exceed 1 (finite mean)")
+        if not 0 < self.theta < math.inf:
+            raise ValidationError("pareto theta must be positive and finite")
 
     @property
     def gamma(self) -> float:

@@ -22,26 +22,27 @@ and they are all compared on common random numbers.  A block is drawn for
 the paths that some strategy has not finished from some start point; one
 that has finished a path adds exactly 0 to it.
 
-The ratcheting strategy is the feedback read off a solved surface: the
-dividend rate is the equivalent maximum rate of the running maximum (a
-right-continuous step function per node cell).  While the surplus sits on
-its running maximum ("frontier"), cell crossings happen at precomputed
-clock times; while below it ("recovery"), the rate is frozen until the
-maximum is reached again.  Both phases are exact.
+The ratcheting strategy is the feedback read off a solved surface's n
+switching thresholds: the dividend rate is that of the rate run the
+running maximum lies in, at most n + 1 runs from any start rung, the last
+(at c_bar) without a right edge.  While the surplus sits on its running
+maximum ("frontier"), run changes happen at precomputed clock times; while
+below it ("recovery"), the rate is frozen until the maximum is reached
+again.  Both phases are exact.
 
 One driver serves every strategy and start point.  It prepares each claim
 block once, not once per claim column, strategy or start point.  A
 strategy's state is stacked as (start points, n) arrays, so each per-claim
 numpy call serves every start point while the block's claim columns
 broadcast across them; the ratchet's start points each read their own
-frontier schedule, stacked into one table.  A block is stored claim-major,
+rate runs, stacked into one table.  A block is stored claim-major,
 (2, K, n) for its n live paths, so every claim column is contiguous; its
 interarrival slot is turned in place into the waits, and its sizes are
 transformed for the live rows only.  The ratchet reads the block first.
 It carries e^{-rt} and the frontier state of its running maximum (clock,
 dividend prefix and rate).  A frontier run moves that clock on by its
 duration, and one schedule lookup at the new clock gives the new maximum,
-prefix and rate, all from the cell the clock lies in; the clock is never
+prefix and rate, all from the run the clock lies in; the clock is never
 derived from the maximum again.  The ratchet parks a path at its horizon:
 clock T, rate 0 and no claims, so the path's later columns add exactly 0.
 The constant rates then build the claim clocks by column adds in the
@@ -66,7 +67,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import ClaimDistribution, ModelParams
-from .surface import RateMap, rung_index
+from .ladder import RateLadder
+from .surface import frontier_runs, rung_index
 
 #: paths per canonical draw chunk; part of the byte-stability contract
 CHUNK_PATHS = 16384
@@ -115,13 +117,15 @@ def _estimate(payoffs: np.ndarray, horizon: float, m: ModelParams) -> PayoffEsti
 
 
 class FrontierSchedule:
-    """Precomputed growth schedule of the surplus along its running maximum,
-    for one node-rate table or a (points, n_x + 1) stack of them.
+    """Growth schedule of the surplus along its running maximum under the
+    threshold strategy of x_star (the thresholds of rungs 1..n), from each
+    start rate of c0s.
 
-    With node rates rho_j (constant on [x_j, x_{j+1})), the frontier clock
-    tau(x) is the time for the maximum to grow from 0 to x, and DP(tau) the
-    clock-discounted dividend integral int_0^tau e^{-r s} rho(pos(s)) ds.
-    A frontier run from position x over duration D then contributes
+    From the rung of c0 the maximum meets the rate runs of frontier_runs,
+    at most n + 1.  The frontier clock tau(x) is the time for the maximum
+    to grow from 0 to x, and DP(tau) the clock-discounted dividend integral
+    int_0^tau e^{-r s} rho(pos(s)) ds; both are closed forms per run.  A
+    frontier run from position x over duration D then contributes
     e^{-r (t_enter - tau(x))} * (DP(tau(x) + D) - DP(tau(x))) discounted
     dividends at absolute entry time t_enter, and ends at clock
     tau(x) + D.  A caller that carries the clock thus needs one lookup per
@@ -129,134 +133,68 @@ class FrontierSchedule:
     clock() and rate_at() map a position to the clock and rate once, at
     the start.
 
-    A stack serves several start points at once: its lookups take at, the
-    select() of the entries, and read each entry's own point's tables.
+    The start points' runs are stacked in one table.  A lookup takes at,
+    the select() of its entries, and reads each entry's own point's runs;
+    without it every entry reads the first point's.
     """
 
-    def __init__(self, m: ModelParams, rho: np.ndarray, grid):
+    def __init__(self, m: ModelParams, x_star, c0s):
+        x_star = np.asarray(x_star, float)
+        if x_star.ndim != 1 or not x_star.size or not np.all(x_star >= 0.0):
+            raise ValidationError("thresholds must be a non-empty vector of surplus levels >= 0")
+        rates = RateLadder(n=x_star.size, c_bar=m.c_bar, c_floor=m.c_floor).rates
         self.m = m
-        self.grid = grid
-        self.rho = np.asarray(rho, float)
-        if self.rho.ndim not in (1, 2) or self.rho.shape[-1] != grid.n_x + 1:
-            raise ValidationError("rate table must have one rate per node")
-        if self.rho.max() > m.c_bar + 1e-12:
-            raise ValidationError("rate table exceeds the cap")
-        rows = self.rho.reshape(-1, grid.n_x + 1)
-        self.n_points = rows.shape[0]
-        zero = np.zeros((self.n_points, 1))
-        drift = m.mu - rows[:, :-1]
-        t_cross = np.concatenate([zero, np.cumsum(grid.dx / drift, axis=1)], axis=1)
-        e_cross = np.exp(-m.r * t_cross)
-        seg = rows[:, :-1] * (e_cross[:, :-1] - e_cross[:, 1:]) / m.r
-        dp_node = np.concatenate([zero, np.cumsum(seg, axis=1)], axis=1)
-        self.t_cross = t_cross.reshape(self.rho.shape)
-        self.dp_node = dp_node.reshape(self.rho.shape)
-        ends = (
-            t_cross[:, -1],
-            dp_node[:, -1],
-            np.array([math.exp(-m.r * t) for t in t_cross[:, -1]]),
-        )
-        # per point; one table keeps them as floats
-        if self.n_points == 1:
-            ends = [float(a[0]) for a in ends]
-        self.t_end, self.dp_end, self.e_end = ends
-        self.cap_drift = m.mu - m.c_bar
-        self._t_next = list(t_cross[:, 1:])
-        # per-cell tables of the cells [x_j, x_{j+1}), j < n_x, one block of
-        # n_x + 1 entries per point whose last entry repeats cell n_x - 1, so
-        # take(mode="clip") within one table clamps the cell index as the
-        # lookups need, and a point's block is reached by adding its offset
-        self.stride = grid.n_x + 1
-
-        def cells(a):
-            return np.concatenate([a[:, :-1], a[:, -2:-1]], axis=1).reshape(-1)
-
-        # stacked as one (6, cells) table, so a lookup is one take: each
-        # cell's left node, crossing clock, rate, drift, dividend prefix
-        # and e^{-rt} at its crossing
-        self.cells = np.stack([
-            cells(np.tile(np.arange(grid.n_x + 1) * grid.dx, (self.n_points, 1))),
-            cells(t_cross),
-            cells(rows),
-            cells(np.concatenate([drift, zero], axis=1)),
-            cells(dp_node),
-            cells(e_cross),
-        ])
-        self.node_rho = rows.reshape(-1)
-        self._cuts = np.arange(self.n_points + 1)
+        self._edges, self._t_next, runs = [], [], []
+        for c0 in c0s:
+            left, rho = frontier_runs(rates, x_star, rung_index(rates, c0))
+            drift = m.mu - rho
+            t = np.concatenate(([0.0], np.cumsum(np.diff(left) / drift[:-1])))
+            e = np.exp(-m.r * t)
+            dp = np.concatenate(([0.0], np.cumsum(rho[:-1] * (e[:-1] - e[1:]) / m.r)))
+            self._edges.append(left[1:])
+            self._t_next.append(t[1:])
+            runs.append(np.stack([left, t, rho, drift, dp, e]))
+        # each run's left edge, entry clock, rate, drift, dividend prefix and
+        # e^{-rt} at entry, one block of columns per point, so a lookup is
+        # one take
+        self.runs = np.concatenate(runs, axis=1)
+        self._offsets = np.cumsum([0] + [r.shape[1] for r in runs[:-1]])
+        self._points = np.arange(len(runs) + 1)
 
     def select(self, flat, width):
         """Lookup selection of entries of a (points, width) array, given by
-        their ascending flat indices: each entry's point, its table offset
-        and the bounds of each point's run.  None for one table."""
-        if self.n_points == 1:
+        their ascending flat indices: the bounds of each point's entries.
+        None for one point."""
+        if len(self._edges) == 1:
             return None
-        pt = flat // width
-        return pt, pt * self.stride, pt.searchsorted(self._cuts)
+        return flat.searchsorted(self._points * width)
 
-    # Each lookup evaluates the beyond-L (beyond-t_end) branch only when
-    # some entry lies there; entries inside get the same bits either way.
-    # With a selection the positions must be >= 0, so a cell index only
-    # overshoots its point's block where the beyond branch replaces it.
+    def _find(self, tables, v, at):
+        """Each entry's run: the count of its point's table entries <= it,
+        plus the offset of the point's block."""
+        if at is None:  # the first point's block, at offset 0
+            return tables[0].searchsorted(v, side="right")
+        j = np.empty(v.shape, np.int64)
+        for table, off, lo, hi in zip(tables, self._offsets, at[:-1], at[1:]):
+            np.add(table.searchsorted(v[lo:hi], side="right"), off, out=j[lo:hi])
+        return j
 
     def rate_at(self, x, at=None):
         """Rate while the running maximum sits at x (right-continuous)."""
-        x = np.asarray(x, float)
-        j = (x / self.grid.dx).astype(np.int64)
-        if at is not None:
-            j += at[1]
-        rate = self.node_rho.take(j, mode="clip")
-        over = x >= self.grid.L
-        return np.where(over, self.m.c_bar, rate) if np.count_nonzero(over) else rate
+        return self.runs[2].take(self._find(self._edges, x, at))
 
     def clock(self, x, at=None):
-        x = np.asarray(x, float)
-        # truncation, not floor: the clip sends every negative index to 0
-        j = (x / self.grid.dx).astype(np.int64)
-        if at is not None:
-            j += at[1]
-        x_j, t_j, _, drift_j, _, _ = self.cells.take(j, axis=1, mode="clip")
-        tau = t_j + (x - x_j) / drift_j
-        over = x >= self.grid.L
-        if np.count_nonzero(over):
-            t_end = self.t_end if at is None else self.t_end.take(at[0])
-            tau = np.where(over, t_end + (x - self.grid.L) / self.cap_drift, tau)
-        return tau
+        x_j, t_j, _, drift_j = self.runs[:4].take(self._find(self._edges, x, at), axis=1)
+        return t_j + (x - x_j) / drift_j
 
     def at_clock(self, tau, at=None):
         """Position, clock-discounted dividend prefix and rate at clock tau,
-        all read from the one cell whose crossing clock is the last <= tau
-        (the cap beyond t_end)."""
-        tau = np.asarray(tau, float)
-        if at is None:
-            j = self._t_next[0].searchsorted(tau, side="right")
-        else:
-            _, off, cuts = at
-            j = np.empty(tau.shape, np.int64)
-            for t_next, lo, hi in zip(self._t_next, cuts[:-1], cuts[1:]):
-                j[lo:hi] = t_next.searchsorted(tau[lo:hi], side="right")
-            j += off
-        e_tau = np.exp(-self.m.r * tau)
-        x_j, t_j, rate, drift_j, dp_j, e_j = self.cells.take(j, axis=1, mode="clip")
+        all read from the one run whose entry clock is the last <= tau."""
+        j = self._find(self._t_next, tau, at)
+        x_j, t_j, rate, drift_j, dp_j, e_j = self.runs.take(j, axis=1)
         pos = x_j + (tau - t_j) * drift_j
-        dp = dp_j + rate * (e_j - e_tau) / self.m.r
-        t_end = self.t_end if at is None else self.t_end.take(at[0])
-        over = tau >= t_end
-        if np.count_nonzero(over):
-            pos = np.where(over, self.grid.L + (tau - t_end) * self.cap_drift, pos)
-            dp_end, e_end = self.dp_end, self.e_end
-            if at is not None:
-                dp_end, e_end = dp_end.take(at[0]), e_end.take(at[0])
-            dp_out = dp_end + self.m.c_bar * (e_end - e_tau) / self.m.r
-            dp = np.where(over, dp_out, dp)
-            rate = np.where(over, self.m.c_bar, rate)
+        dp = dp_j + rate * (e_j - np.exp(-self.m.r * tau)) / self.m.r
         return pos, dp, rate
-
-
-def _ratchet_row(rate_map: RateMap, c0: float) -> np.ndarray:
-    """Node-rate table for initial rate c0: the map's row at the enclosing
-    rung (rates snap up, keeping the strategy admissible)."""
-    return rate_map.values[rung_index(rate_map.rates, c0)]
 
 
 class _ClaimBlocks:
@@ -555,21 +493,22 @@ def estimate_strategies(
     n_paths: int,
     seed: int,
     horizon: float | None = None,
-    rate_map: RateMap | None = None,
+    thresholds=None,
     ratchets=(),
     constants=(),
 ):
     """Batch estimates of several strategies and start points on one claim
-    stream: the ratcheting feedback strategy of rate_map from each (x0, c0)
-    of ratchets, then the constant-rate strategy of each (x0, c) of
+    stream: the ratcheting feedback strategy of thresholds (x*_1..x*_n, as
+    `surface.ratchet_thresholds` gives them) from each (x0, c0) of
+    ratchets, then the constant-rate strategy of each (x0, c) of
     constants, in that order.  Returns the estimates and the
     (strategies, n_paths) payoffs; each row's payoffs are those of its own
     one-point estimator at the same seed."""
     ratchets, constants = list(ratchets), list(constants)
     if not ratchets and not constants:
         raise ValidationError("no strategy: give ratchet or constant-rate start points")
-    if ratchets and rate_map is None:
-        raise ValidationError("the ratchet strategy needs a rate map")
+    if ratchets and thresholds is None:
+        raise ValidationError("the ratchet strategy needs its thresholds")
     # a non-finite start or rate gives a nan or infinite payoff
     if not all(map(math.isfinite, (v for s in ratchets + constants for v in s))):
         raise ValidationError("start points and rates must be finite")
@@ -583,10 +522,7 @@ def estimate_strategies(
     # no path ever reaches a nan or inf horizon, so the loop would not end
     if not 0 < T < math.inf:
         raise ValidationError(f"horizon must be finite and positive, got {horizon!r}")
-    sched = None
-    if ratchets:
-        rows = np.stack([_ratchet_row(rate_map, c0) for _, c0 in ratchets])
-        sched = FrontierSchedule(m, rows, rate_map.grid)
+    sched = FrontierSchedule(m, thresholds, [c0 for _, c0 in ratchets]) if ratchets else None
     payoffs = _batch_payoffs(
         m, d, n_paths, seed, T, sched, [x0 for x0, _ in ratchets], constants
     )
@@ -613,7 +549,7 @@ def estimate_constant_payoff(
 def estimate_ratchet_payoff(
     m: ModelParams,
     d: ClaimDistribution,
-    rate_map: RateMap,
+    thresholds,
     x0: float,
     c0: float,
     n_paths: int,
@@ -621,8 +557,9 @@ def estimate_ratchet_payoff(
     horizon: float | None = None,
     return_payoffs: bool = False,
 ):
-    """Batch estimate of the ratcheting feedback strategy value at (x0, c0)."""
+    """Batch estimate of the value at (x0, c0) of the ratcheting feedback
+    strategy of thresholds (x*_1..x*_n)."""
     (est,), payoffs = estimate_strategies(
-        m, d, n_paths, seed, horizon, rate_map, ratchets=[(x0, c0)]
+        m, d, n_paths, seed, horizon, thresholds, ratchets=[(x0, c0)]
     )
     return (est, payoffs[0]) if return_payoffs else est

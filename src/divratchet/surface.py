@@ -10,9 +10,12 @@ row by row by the ladder solve.  Three consumers:
   * extract_boundary: per rung, the first node where the rung equals its
     predecessor - the switching threshold x*(c_i).  Everything to the
     right must also be in contact (the switch region is an upper set).
-  * equivalent_max_rate: the highest ladder rate whose value the point
-    (x, c_i) already attains, found by chaining contact masks upward; this
-    is the feedback control the ratcheting simulation executes.
+  * the ratchet strategy: the thresholds x*_i of rungs 1..n
+    (ratchet_thresholds) and the rate runs they give the running maximum
+    from a start rung (frontier_runs); equivalent_max_rate reads one of
+    them.  build_rate_map chains the contact masks upward instead, for the
+    rate-map table and the certificate checks on it; where every mask is
+    up-closed the two agree.
 """
 
 from __future__ import annotations
@@ -73,16 +76,6 @@ class FreeBoundaryCurve:
     x_star: np.ndarray
     up_closure_violations: np.ndarray
     gradient_at_zero: np.ndarray
-
-
-@dataclass
-class RateMap:
-    """Equivalent maximum rate on the lattice: values[i, j] is the highest
-    ladder rate whose rung value coincides with rung i's at node j."""
-
-    rates: np.ndarray
-    grid: Grid
-    values: np.ndarray
 
 
 class ValueSurface:
@@ -196,9 +189,12 @@ def extract_boundary(surface: ValueSurface) -> FreeBoundaryCurve:
     )
 
 
-def build_rate_map(surface: ValueSurface) -> RateMap:
-    """Chain contact masks upward: node j at rung i maps to rung i - k where
-    k is the length of the run of contacts directly above."""
+def build_rate_map(surface: ValueSurface) -> np.ndarray:
+    """Equivalent maximum rate on the lattice, (n+1) x (n_x+1): entry
+    [i, j] is the highest ladder rate whose rung value coincides with rung
+    i's at node j.  Chains contact masks upward: node j at rung i maps to
+    rung i - k where k is the length of the run of contacts directly
+    above."""
     masks = surface.masks
     n_r = surface.ladder.n
     n_nodes = surface.grid.n_x + 1
@@ -208,19 +204,40 @@ def build_rate_map(surface: ValueSurface) -> RateMap:
     for i in range(1, n_r + 1):
         run = np.where(masks[i], run + 1, 0)
         out[i] = surface.rates[i - run]
-    return RateMap(rates=surface.rates.copy(), grid=surface.grid, values=out)
+    return out
+
+
+def ratchet_thresholds(surface: ValueSurface) -> np.ndarray:
+    """x*_i = (first contact node) dx of rungs 1..n, (n_x + 1) dx for a rung
+    without contact: the threshold vector of the ratchet strategy."""
+    return contact_scan(surface.masks[1:])[0] * surface.grid.dx
+
+
+def frontier_runs(rates: np.ndarray, x_star: np.ndarray, i: int):
+    """The rate runs the running maximum meets from start rung i under the
+    thresholds x_star of rungs 1..n: their left edges (the first is 0) and
+    rates.
+
+    The rate is c_k for the largest k <= i with maximum < x*_k, and c_0 =
+    c_bar past them all: c_k holds on [R_(k+1), R_k), R_k the largest of
+    x*_k, ..., x*_i (R_(i+1) = 0), so the maximum enters c_(k-1) where that
+    running maximum rises.  Runs of no length are left out; the last, at
+    c_bar, has no right edge.
+    """
+    reach = np.maximum.accumulate(x_star[:i][::-1])  # R_i, ..., R_1
+    left = np.concatenate(([0.0], reach))
+    keep = left < np.append(reach, np.inf)
+    return left[keep], rates[i::-1][keep]
 
 
 def equivalent_max_rate(surface: ValueSurface, x: float, c: float) -> float:
-    """Highest rate whose rung value matches the current one at x.
+    """The ratchet's rate while its running maximum sits at x, from rate c.
 
     The rate argument snaps up to the enclosing rung (ratcheting must not
-    round the floor down); x snaps to its node cell, making the map
-    right-continuous in x.  Beyond the largest threshold the answer is the
-    cap rate.
+    round the floor down); the rate switches up at each threshold x
+    reaches, making the map right-continuous in x.  Beyond the largest
+    threshold the answer is the cap rate.
     """
-    i = rung_index(surface.rates, c)
-    if x >= surface.grid.L:
-        return float(surface.rates[0])
-    j = int(np.clip(np.floor(x / surface.grid.dx), 0, surface.grid.n_x))
-    return float(build_rate_map(surface).values[i, j])
+    rates = surface.rates
+    left, run_rates = frontier_runs(rates, ratchet_thresholds(surface), rung_index(rates, c))
+    return float(run_rates[left[1:].searchsorted(x, side="right")])

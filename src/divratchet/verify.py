@@ -31,7 +31,13 @@ from .discretization import Grid, complementarity_defect, get_kernel, scheme_res
 from .errors import ValidationError
 from .ladder import RateLadder, slope_growth_bound, solve_ladder
 from .model import ClaimDistribution, ModelParams, h_eval
-from .surface import DEFAULT_TOLERANCES, ValueSurface, build_rate_map, contact_scan
+from .surface import (
+    DEFAULT_TOLERANCES,
+    ValueSurface,
+    build_rate_map,
+    contact_scan,
+    ratchet_thresholds,
+)
 
 
 @dataclass
@@ -256,7 +262,7 @@ def run_invariant_suite(surface: ValueSurface, d: ClaimDistribution) -> Certific
 
     # equivalent-rate table consistency
     rm = build_rate_map(surface)
-    dd = np.diff(rm.values, axis=1)
+    dd = np.diff(rm, axis=1)
     add(
         "rate_map_monotone",
         "equivalent maximum rate non-decreasing in surplus",
@@ -264,8 +270,8 @@ def run_invariant_suite(surface: ValueSurface, d: ClaimDistribution) -> Certific
         np.max(-dd) if dd.size else -np.inf,
     )
     range_slack = max(
-        float(np.max(rates[:, None] - rm.values)),
-        float(np.max(rm.values - m.c_bar)),
+        float(np.max(rates[:, None] - rm)),
+        float(np.max(rm - m.c_bar)),
     )
     add(
         "rate_map_range",
@@ -344,7 +350,7 @@ def mc_cross_check(
     rates = [min(0.5 * (c0 + m.c_bar), m.c_bar) for _, c0 in points]
     starts = [(x0, c) for (x0, _), c in zip(points, rates)]
     ests, _ = sim.estimate_strategies(
-        m, d, n_paths, seed, horizon, build_rate_map(surface), points, starts
+        m, d, n_paths, seed, horizon, ratchet_thresholds(surface), points, starts
     )
     checks = []
     for k, ((x0, c0), c, est, est_c) in enumerate(zip(points, rates, ests, ests[len(points) :])):

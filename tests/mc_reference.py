@@ -5,9 +5,10 @@ tested against.
   single-path event loops with a full event log (``PathRecord``).  They
   draw from Philox seeded with SeedSequence(seed, spawn_key=(path_index,)),
   one independent stream per path index, two uniforms per claim in the
-  order (interarrival, size), and they snap exactly onto node crossings
-  rather than evaluating the frontier schedule, so they are an independent
-  accounting of the same strategy.
+  order (interarrival, size), and the ratchet snaps exactly onto the
+  thresholds, reading its rate off them directly rather than evaluating
+  the frontier schedule, so they are an independent accounting of the same
+  strategy.
 * ``reference_batch_ratchet`` is the masked batch ratchet loop that steps
   every path of a chunk on every claim column, dead or alive.  It carries
   the frontier clock and rate of the running maximum as state, as the
@@ -17,9 +18,6 @@ tested against.
   steps every path of a chunk on every claim column and transforms each
   column's waits and discount factors on its own.  The package's engine
   must reproduce its payoffs bitwise.
-* ``reference_rate_at`` / ``reference_clock`` / ``reference_at_clock`` are
-  the frontier schedule lookups that evaluate both branches for every
-  entry and select with ``np.where``.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ import numpy as np
 from divratchet import simulate as sim
 from divratchet.errors import ValidationError
 from divratchet.model import ClaimDistribution, ModelParams
-from divratchet.simulate import FrontierSchedule, _ratchet_row, default_horizon
-from divratchet.surface import RateMap
+from divratchet.simulate import default_horizon
+from divratchet.surface import rung_index
 
 
 @dataclass
@@ -169,20 +167,32 @@ def simulate_boundary(
 def simulate_ratchet(
     m: ModelParams,
     d: ClaimDistribution,
-    rate_map: RateMap,
+    thresholds,
     x0: float,
     c0: float,
     seed: int,
     horizon: float | None = None,
     path_index: int = 0,
 ) -> PathRecord:
-    """One path of the ratcheting feedback strategy from (x0, c0).
+    """One path of the ratcheting feedback strategy of thresholds
+    (x*_1..x*_n) from (x0, c0).
 
-    The dividend rate is the rate table evaluated at the running maximum;
-    rate changes happen exactly at node crossings while on the frontier.
+    From the rung i of c0 the dividend rate is c_k for the largest k <= i
+    whose threshold x*_k the running maximum has not reached, c_0 = c_bar
+    if none; rate changes happen exactly at the thresholds while on the
+    frontier.
     """
     T = default_horizon(m.r) if horizon is None else float(horizon)
-    sched = FrontierSchedule(m, _ratchet_row(rate_map, c0), rate_map.grid)
+    x_star = np.asarray(thresholds, float)
+    rates = np.linspace(m.c_bar, m.c_floor, x_star.size + 1)
+    i0 = rung_index(rates, c0)
+
+    def rung_at(y):
+        k = i0
+        while k > 0 and y >= x_star[k - 1]:
+            k -= 1
+        return k
+
     rng = _path_rng(seed, path_index)
     ev = _Events()
     t = 0.0
@@ -191,38 +201,28 @@ def simulate_ratchet(
     x = x0
     if x < 0.0:
         cost += m.ell * (-x)
-        ev.add(0.0, "injection", x, 0.0, float(sched.rate_at(0.0)), inj=-x)
+        ev.add(0.0, "injection", x, 0.0, float(rates[rung_at(0.0)]), inj=-x)
         x = 0.0
     mx = x
-    cur_rate = float(sched.rate_at(mx))
+    cur_rate = float(rates[rung_at(mx)])
     ev.add(0.0, "start", x, x, cur_rate)
-    dx = rate_map.grid.dx
-    L = rate_map.grid.L
     while True:
         u = rng.random(2)
         w = -math.log1p(-u[0]) / m.lam
         dur_total = min(w, T - t)
-        # deterministic evolution across recovery and node crossings; each
-        # iteration either exhausts the duration or snaps exactly onto its
-        # target (the running maximum or the next node), so progress is
-        # guaranteed even when the increment would underflow
+        # deterministic evolution across recovery and threshold crossings;
+        # each iteration either exhausts the duration or snaps exactly onto
+        # its target (the running maximum, or the threshold at which rung_at
+        # steps down), so progress is guaranteed even when the increment
+        # would underflow
         remaining = dur_total
         while remaining > 0.0:
+            k = rung_at(mx)
+            rate = float(rates[k])
             if x < mx:
-                rate = float(sched.rate_at(mx))
                 target = mx
-            elif x >= L:
-                rate = m.c_bar
-                target = math.inf
             else:
-                j = int(x / dx)
-                target = (j + 1) * dx
-                if target <= x:
-                    # x sits on a node whose quotient rounded down; the
-                    # cell ahead is the right one, else target == x stalls
-                    j += 1
-                    target = (j + 1) * dx
-                rate = float(sched.rho[min(j, sched.rho.size - 1)])
+                target = x_star[k - 1] if k else math.inf
             if rate != cur_rate:
                 ev.add(t, "ratchet", x, x, rate)
                 cur_rate = rate
@@ -270,7 +270,8 @@ def reference_batch_ratchet(m, d, sched, x0, n_paths, seed, T):
         mx = x.copy()
         # the frontier clock and rate of the running maximum, carried as the
         # engine carries them: read off mx at the start, then the clock
-        # moves on by each frontier run and the rate is that of its cell
+        # moves on by each frontier run and the rate is that of the rate run
+        # it ends in
         tau = sched.clock(mx)
         rate_m = sched.rate_at(mx)
         div = np.zeros(p)
@@ -358,42 +359,3 @@ def reference_batch_constant(m, d, c_const, x0, n_paths, seed, T):
         out[done : done + p] = div - cost
         done += p
     return out
-
-
-def reference_rate_at(sched, x):
-    x = np.asarray(x, float)
-    j = np.minimum(np.maximum((x / sched.grid.dx).astype(np.int64), 0), sched.grid.n_x)
-    return np.where(x >= sched.grid.L, sched.m.c_bar, sched.rho[j])
-
-
-def reference_clock(sched, x):
-    x = np.asarray(x, float)
-    j = np.minimum(
-        np.maximum(np.floor(x / sched.grid.dx).astype(np.int64), 0), sched.grid.n_x - 1
-    )
-    inside = sched.t_cross[j] + (x - j * sched.grid.dx) / (sched.m.mu - sched.rho[j])
-    beyond = sched.t_end + (x - sched.grid.L) / sched.cap_drift
-    return np.where(x >= sched.grid.L, beyond, inside)
-
-
-def reference_at_clock(sched, tau):
-    tau = np.asarray(tau, float)
-    j = np.minimum(
-        np.maximum(np.searchsorted(sched.t_cross, tau, side="right") - 1, 0),
-        sched.grid.n_x - 1,
-    )
-    over = tau >= sched.t_end
-    e_tau = np.exp(-sched.m.r * tau)
-    pos_in = j * sched.grid.dx + (tau - sched.t_cross[j]) * (sched.m.mu - sched.rho[j])
-    dp_in = sched.dp_node[j] + sched.rho[j] * (
-        np.exp(-sched.m.r * sched.t_cross[j]) - e_tau
-    ) / sched.m.r
-    pos_out = sched.grid.L + (tau - sched.t_end) * sched.cap_drift
-    dp_out = sched.dp_end + sched.m.c_bar * (
-        math.exp(-sched.m.r * sched.t_end) - e_tau
-    ) / sched.m.r
-    return (
-        np.where(over, pos_out, pos_in),
-        np.where(over, dp_out, dp_in),
-        np.where(over, sched.m.c_bar, sched.rho[j]),
-    )

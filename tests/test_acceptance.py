@@ -20,11 +20,11 @@ from divratchet import (
     Grid,
     ModelParams,
     RateLadder,
-    build_rate_map,
     estimate_constant_payoff,
     estimate_strategies,
     extract_boundary,
     h_eval,
+    ratchet_thresholds,
     run_invariant_suite,
     scheme_residual,
     solve_g,
@@ -77,9 +77,9 @@ def eps_disc(solved, fine_surface):
 
 
 @pytest.fixture(scope="module")
-def rate_map(solved):
+def thresholds(solved):
     surface, _ = solved
-    return build_rate_map(surface)
+    return ratchet_thresholds(surface)
 
 
 def test_criterion_01_boundary_solution(boundary):
@@ -217,7 +217,7 @@ def test_criterion_06_mc_boundary(solved, eps_disc):
     assert ok, line
 
 
-def test_criterion_07_mc_optimality(solved, rate_map, eps_disc):
+def test_criterion_07_mc_optimality(solved, thresholds, eps_disc):
     # one pass on the claim stream of SEED: the feedback strategy from each
     # point and two constant rates per point, on common random numbers
     surface, _ = solved
@@ -226,7 +226,7 @@ def test_criterion_07_mc_optimality(solved, rate_map, eps_disc):
     points = [(0.0, 0.0), (1.0, 0.5), (3.0, 0.2)]
     rates = [(0.5 * (c0 + M.c_bar), M.c_bar) for _, c0 in points]
     constants = [(x0, c) for (x0, _), rs in zip(points, rates) for c in rs]
-    ests, _ = estimate_strategies(M, D, PATHS, SEED, None, rate_map, points, constants)
+    ests, _ = estimate_strategies(M, D, PATHS, SEED, None, thresholds, points, constants)
     est_cs = iter(ests[len(points):])
     for (x0, c0), est, rs in zip(points, ests, rates):
         v = surface.value_at(x0, c0)
@@ -244,7 +244,7 @@ def test_criterion_07_mc_optimality(solved, rate_map, eps_disc):
     assert ok, line
 
 
-def test_criterion_08_negative_extension(solved, rate_map):
+def test_criterion_08_negative_extension(solved, thresholds):
     surface, _ = solved
     exact = all(
         surface.value_at(-1.0, float(c)) == surface.value_at(0.0, float(c)) - M.ell
@@ -252,8 +252,8 @@ def test_criterion_08_negative_extension(solved, rate_map):
     )
     worst = 0.0
     for k in range(10):
-        a = simulate_ratchet(M, D, rate_map, -1.0, 0.5, SEED, path_index=k)
-        b = simulate_ratchet(M, D, rate_map, 0.0, 0.5, SEED, path_index=k)
+        a = simulate_ratchet(M, D, thresholds, -1.0, 0.5, SEED, path_index=k)
+        b = simulate_ratchet(M, D, thresholds, 0.0, 0.5, SEED, path_index=k)
         worst = max(worst, abs(a.payoff - (b.payoff - M.ell)))
     ok = exact and worst <= 1e-12
     line = report(8, "negative-surplus extension", ok,

@@ -374,6 +374,42 @@ def test_sweep_fractional_integer_key_rejected_before_solving(tmp_path, capsys, 
     assert solves == [] and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, val",
+    [
+        ("grid.L", float("inf")),
+        ("model.mu", float("inf")),
+        ("model.lam", float("inf")),
+        ("model.r", float("inf")),
+        ("model.ell", float("inf")),
+        ("model.c_floor", float("-inf")),
+        ("solver.update_tol", float("inf")),
+        ("claims.alpha", float("inf")),
+        ("claims.theta", float("inf")),
+    ],
+)
+def test_non_finite_config_value_rejected_before_solving(key, val, tmp_path, capsys, monkeypatch):
+    # each loaded, and the solve then failed with NoConvergence or returned
+    # NaN values: the typed error names the key instead
+    solves = []
+    monkeypatch.setattr(cli, "load_or_solve", lambda *a, **k: solves.append(a))
+    monkeypatch.setattr(cli, "solve_g", lambda *a, **k: solves.append(a))
+    path = make_cfg(tmp_path)
+    doc = yaml.safe_load(open(path))
+    if key.startswith("claims."):
+        doc["claims"] = {"kind": "shifted_pareto", "alpha": 3.0, "theta": 1.2}
+    sec, fld = key.split(".")
+    doc[sec][fld] = val
+    with open(path, "w") as fh:
+        yaml.safe_dump(doc, fh)
+    out = tmp_path / "surface.csv"
+    for cmd in ("solve", "boundary"):
+        assert main([cmd, "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValidationError: ") and fld in err, err
+    assert solves == [] and not out.exists()
+
+
 def test_sweep_bad_param_rejected(tmp_path, capsys):
     cfg = make_cfg(tmp_path)
     rc = main(["sweep", "--config", cfg, "--param", "nonsense",
@@ -515,5 +551,5 @@ def test_repr_rows_match_formatted_rows(tmp_path):
     # gives runs of equal cells along the rows
     v, rm = tables[grids["solve"]][:, 1:], tables[grids["rate-map"]][:, 1:]
     assert np.array_equal(v.view(np.int64), surface.v.T.view(np.int64))
-    assert np.array_equal(rm.view(np.int64), build_rate_map(surface).values.T.view(np.int64))
+    assert np.array_equal(rm.view(np.int64), build_rate_map(surface).T.view(np.int64))
     assert (v[:, 1:] == v[:, :-1]).any(axis=1).sum() > 10

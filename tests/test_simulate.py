@@ -14,7 +14,7 @@ from divratchet.discretization import Grid
 from divratchet.errors import ValidationError
 from divratchet.ladder import RateLadder, solve_g, solve_ladder
 from divratchet.model import Exponential, HyperExponential, ModelParams, ShiftedPareto
-from divratchet.surface import RateMap, build_rate_map
+from divratchet.surface import build_rate_map, equivalent_max_rate, ratchet_thresholds
 from mc_reference import simulate_boundary, simulate_constant, simulate_ratchet
 
 M1 = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
@@ -34,28 +34,39 @@ def surface2():
 
 
 @pytest.fixture(scope="module")
-def ratemap2(surface2):
-    return build_rate_map(surface2)
-
-
-@pytest.fixture(scope="module")
-def ratemap_h():
+def surface_h():
     grid = Grid(L=20.0, n_x=400)
     ladder = RateLadder(c_bar=M2.c_bar, c_floor=M2.c_floor, n=32)
-    return build_rate_map(solve_ladder(M2, DH, grid, ladder))
+    return solve_ladder(M2, DH, grid, ladder)
 
 
 @pytest.fixture(scope="module")
-def ratemap_p():
+def surface_p():
     grid = Grid(L=20.0, n_x=400)
     ladder = RateLadder(c_bar=M2.c_bar, c_floor=M2.c_floor, n=16)
-    return build_rate_map(solve_ladder(M2, DP, grid, ladder))
+    return solve_ladder(M2, DP, grid, ladder)
 
 
-def constant_rate_map(grid, rates, row):
-    """RateMap whose every row is the same node-rate table."""
-    values = np.tile(np.asarray(row, float), (rates.size, 1))
-    return RateMap(rates=np.asarray(rates, float), grid=grid, values=values)
+@pytest.fixture(scope="module")
+def surface_readme():
+    grid = Grid(L=20.0, n_x=800)
+    ladder = RateLadder(c_bar=M2.c_bar, c_floor=M2.c_floor, n=32)
+    return solve_ladder(M2, D2, grid, ladder)
+
+
+@pytest.fixture(scope="module")
+def x_star2(surface2):
+    return ratchet_thresholds(surface2)
+
+
+@pytest.fixture(scope="module")
+def x_star_h(surface_h):
+    return ratchet_thresholds(surface_h)
+
+
+@pytest.fixture(scope="module")
+def x_star_p(surface_p):
+    return ratchet_thresholds(surface_p)
 
 
 def test_default_horizon_value():
@@ -119,8 +130,8 @@ def test_path_record_event_log_consistency():
     assert all(rec.surplus_after[i] == 0.0 for i in inj)
 
 
-def test_cumulative_injections_monotone_and_localized(ratemap2):
-    rec = simulate_ratchet(M2, D2, ratemap2, -1.0, 0.0, seed=23)
+def test_cumulative_injections_monotone_and_localized(x_star2):
+    rec = simulate_ratchet(M2, D2, x_star2, -1.0, 0.0, seed=23)
     d = rec.cumulative_injections
     assert np.all(np.diff(d) >= 0)
     jumps = np.flatnonzero(np.diff(np.concatenate([[0.0], d])) > 0)
@@ -146,18 +157,22 @@ def test_constant_rate_above_cap_rejected():
         sim.estimate_constant_payoff(M1, D1, M1.c_bar + 0.1, 0.0, 100, seed=1)
 
 
-def test_estimator_needs_two_paths(ratemap2):
+def test_estimator_needs_two_paths(x_star2):
     with pytest.raises(ValidationError):
         sim.estimate_constant_payoff(M1, D1, M1.c_bar, 0.0, 1, seed=1)
     with pytest.raises(ValidationError):
-        sim.estimate_ratchet_payoff(M2, D2, ratemap2, 0.0, 0.0, 1, seed=1)
+        sim.estimate_ratchet_payoff(M2, D2, x_star2, 0.0, 0.0, 1, seed=1)
 
 
-def test_shared_stream_needs_a_strategy(ratemap2):
+def test_shared_stream_needs_a_strategy(x_star2):
     with pytest.raises(ValidationError):
         sim.estimate_strategies(M2, D2, 100, seed=1)
     with pytest.raises(ValidationError):
         sim.estimate_strategies(M2, D2, 100, seed=1, ratchets=[(0.0, 0.0)])
+    # thresholds that are no vector of surplus levels >= 0
+    for bad in ([], x_star2[None], np.append(x_star2[1:], np.nan), np.append(x_star2[1:], -1.0)):
+        with pytest.raises(ValidationError, match="thresholds"):
+            sim.estimate_strategies(M2, D2, 100, 1, None, bad, [(0.0, 0.0)])
 
 
 def _no_loop(*args, **kwargs):
@@ -165,24 +180,24 @@ def _no_loop(*args, **kwargs):
 
 
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, -5.0, 0.0])
-def test_horizon_must_be_finite_and_positive(horizon, ratemap2, monkeypatch):
+def test_horizon_must_be_finite_and_positive(horizon, x_star2, monkeypatch):
     # no path parks or leaves under a nan or inf horizon, so the estimate
     # would never return, and a negative one gave a mean with SE 0: each
     # is a typed error before any path is stepped
     monkeypatch.setattr(sim, "_batch_payoffs", _no_loop)
-    for kw in (dict(rate_map=ratemap2, ratchets=[(0.0, 0.0)]), dict(constants=[(0.0, 0.6)])):
+    for kw in (dict(thresholds=x_star2, ratchets=[(0.0, 0.0)]), dict(constants=[(0.0, 0.6)])):
         with pytest.raises(ValidationError, match="horizon"):
             sim.estimate_strategies(M2, D2, 100, 1, horizon, **kw)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_start_points_and_rates_must_be_finite(bad, ratemap2, monkeypatch):
+def test_start_points_and_rates_must_be_finite(bad, x_star2, monkeypatch):
     # a nan start gave a nan estimate; an infinite start or rate never
     # reaches its horizon in finite arithmetic
     monkeypatch.setattr(sim, "_batch_payoffs", _no_loop)
     for kw in (
-        dict(rate_map=ratemap2, ratchets=[(bad, 0.0)]),
-        dict(rate_map=ratemap2, ratchets=[(0.0, 0.0), (1.0, bad)]),
+        dict(thresholds=x_star2, ratchets=[(bad, 0.0)]),
+        dict(thresholds=x_star2, ratchets=[(0.0, 0.0), (1.0, bad)]),
         dict(constants=[(bad, 0.6)]),
         dict(constants=[(0.0, bad)]),
     ):
@@ -190,29 +205,29 @@ def test_start_points_and_rates_must_be_finite(bad, ratemap2, monkeypatch):
             sim.estimate_strategies(M2, D2, 100, 1, **kw)
 
 
-def test_seed_must_be_non_negative(ratemap2, monkeypatch):
+def test_seed_must_be_non_negative(x_star2, monkeypatch):
     # numpy's SeedSequence raised a bare ValueError from inside the loop;
     # the check comes before the ratchet's schedule is built
     monkeypatch.setattr(sim, "_batch_payoffs", _no_loop)
     monkeypatch.setattr(sim, "FrontierSchedule", _no_loop)
-    for kw in (dict(rate_map=ratemap2, ratchets=[(0.0, 0.0)]), dict(constants=[(0.0, 0.6)])):
+    for kw in (dict(thresholds=x_star2, ratchets=[(0.0, 0.0)]), dict(constants=[(0.0, 0.6)])):
         with pytest.raises(ValidationError, match="seed"):
             sim.estimate_strategies(M2, D2, 100, -1, **kw)
 
 
-def test_initial_rate_outside_ladder_rejected(ratemap2):
+def test_initial_rate_outside_ladder_rejected(x_star2):
     with pytest.raises(ValidationError):
-        simulate_ratchet(M2, D2, ratemap2, 0.0, M2.c_bar + 0.05, seed=1)
+        simulate_ratchet(M2, D2, x_star2, 0.0, M2.c_bar + 0.05, seed=1)
     with pytest.raises(ValidationError):
-        sim.estimate_ratchet_payoff(M2, D2, ratemap2, 0.0, -0.1, 100, seed=1)
+        sim.estimate_ratchet_payoff(M2, D2, x_star2, 0.0, -0.1, 100, seed=1)
 
 
-def test_deterministic_same_seed(ratemap2):
-    a = sim.estimate_ratchet_payoff(M2, D2, ratemap2, 1.0, 0.6, 500, seed=9)
-    b = sim.estimate_ratchet_payoff(M2, D2, ratemap2, 1.0, 0.6, 500, seed=9)
+def test_deterministic_same_seed(x_star2):
+    a = sim.estimate_ratchet_payoff(M2, D2, x_star2, 1.0, 0.6, 500, seed=9)
+    b = sim.estimate_ratchet_payoff(M2, D2, x_star2, 1.0, 0.6, 500, seed=9)
     assert a.mean == b.mean and a.std_error == b.std_error
-    ra = simulate_ratchet(M2, D2, ratemap2, 1.0, 0.6, seed=9)
-    rb = simulate_ratchet(M2, D2, ratemap2, 1.0, 0.6, seed=9)
+    ra = simulate_ratchet(M2, D2, x_star2, 1.0, 0.6, seed=9)
+    rb = simulate_ratchet(M2, D2, x_star2, 1.0, 0.6, seed=9)
     assert ra.payoff == rb.payoff
     assert np.array_equal(ra.times, rb.times)
 
@@ -230,48 +245,45 @@ def test_payoff_never_exceeds_perpetuity_bound():
         assert rec.payoff <= cap + 1e-9
 
 
-def test_injection_shift_identity_single_paths(ratemap2):
-    r0 = simulate_ratchet(M2, D2, ratemap2, 0.0, 0.0, seed=5)
-    ra = simulate_ratchet(M2, D2, ratemap2, -2.0, 0.0, seed=5)
+def test_injection_shift_identity_single_paths(x_star2):
+    r0 = simulate_ratchet(M2, D2, x_star2, 0.0, 0.0, seed=5)
+    ra = simulate_ratchet(M2, D2, x_star2, -2.0, 0.0, seed=5)
     assert abs(ra.payoff - (r0.payoff - M2.ell * 2.0)) <= 1e-12
     c0 = simulate_constant(M1, D1, 1.0, 0.0, seed=5)
     ca = simulate_constant(M1, D1, 1.0, -3.0, seed=5)
     assert abs(ca.payoff - (c0.payoff - M1.ell * 3.0)) <= 1e-12
 
 
-def test_injection_shift_identity_batch(ratemap2):
+def test_injection_shift_identity_batch(x_star2):
     _, p0 = sim.estimate_ratchet_payoff(
-        M2, D2, ratemap2, 0.0, 0.4, 300, seed=21, return_payoffs=True
+        M2, D2, x_star2, 0.0, 0.4, 300, seed=21, return_payoffs=True
     )
     _, pa = sim.estimate_ratchet_payoff(
-        M2, D2, ratemap2, -1.5, 0.4, 300, seed=21, return_payoffs=True
+        M2, D2, x_star2, -1.5, 0.4, 300, seed=21, return_payoffs=True
     )
     assert np.max(np.abs(pa - (p0 - M2.ell * 1.5))) <= 1e-12
 
 
-def test_cap_start_reproduces_fixed_rate_strategy(ratemap2):
+def test_cap_start_reproduces_fixed_rate_strategy(x_star2):
     # c0 = c_bar pins the whole rate table at the cap; the ratchet machinery
     # must then agree pathwise with the plain fixed-rate simulator
     _, pb = sim.estimate_constant_payoff(
         M2, D2, M2.c_bar, 1.0, 800, seed=11, return_payoffs=True
     )
     _, pr = sim.estimate_ratchet_payoff(
-        M2, D2, ratemap2, 1.0, M2.c_bar, 800, seed=11, return_payoffs=True
+        M2, D2, x_star2, 1.0, M2.c_bar, 800, seed=11, return_payoffs=True
     )
     assert np.max(np.abs(pb - pr)) <= 1e-9
 
 
 def test_flat_rate_table_matches_constant_simulator():
-    # a rate table frozen at one rate exercises recovery and frontier phases
-    # against the independent fixed-rate implementation, claims included;
-    # L exceeds the deterministic drift bound x0 + mu*T, because beyond the
-    # domain the ratchet simulator switches to the cap rate by design
-    grid = Grid(L=200.0, n_x=320)
-    rates = np.linspace(M2.c_bar, 0.0, 5)
-    rm = constant_rate_map(grid, rates, np.full(grid.n_x + 1, 0.6))
+    # a ratchet that never switches from 0.6 exercises recovery and
+    # frontier phases against the independent fixed-rate implementation,
+    # claims included: its thresholds exceed the drift bound x0 + mu*T
+    x_star = np.full(4, 200.0)  # rates 1.2, 0.9, 0.6, 0.3, 0
     for i in range(4):
         a = simulate_ratchet(
-            M2, D2, rm, 1.0, 0.6, seed=31, horizon=80.0, path_index=i
+            M2, D2, x_star, 1.0, 0.6, seed=31, horizon=80.0, path_index=i
         )
         b = simulate_constant(
             M2, D2, 0.6, 1.0, seed=31, horizon=80.0, path_index=i
@@ -279,62 +291,58 @@ def test_flat_rate_table_matches_constant_simulator():
         assert abs(a.payoff - b.payoff) <= 1e-9
 
 
-def test_start_beyond_domain_pays_cap(ratemap2):
+def test_start_beyond_domain_pays_cap(x_star2):
     _, pb = sim.estimate_constant_payoff(
         M2, D2, M2.c_bar, 25.0, 200, seed=13, return_payoffs=True
     )
     _, pr = sim.estimate_ratchet_payoff(
-        M2, D2, ratemap2, 25.0, 0.3, 200, seed=13, return_payoffs=True
+        M2, D2, x_star2, 25.0, 0.3, 200, seed=13, return_payoffs=True
     )
     assert np.max(np.abs(pb - pr)) <= 1e-9
 
 
-def test_single_path_matches_batch_on_shared_stream(ratemap2, monkeypatch):
+def test_single_path_matches_batch_on_shared_stream(x_star2, monkeypatch):
     # same draws, two independent accounting implementations (event loop
     # with node snapping vs vectorized schedule evaluation)
     monkeypatch.setattr(mc_reference, "_path_rng", lambda seed, idx: sim._batch_rng(seed))
-    sched = sim.FrontierSchedule(
-        M2, sim._ratchet_row(ratemap2, 0.0), ratemap2.grid
-    )
+    sched = sim.FrontierSchedule(M2, x_star2, [0.0])
     T = sim.default_horizon(M2.r)
     for s in range(1, 6):
-        single = simulate_ratchet(M2, D2, ratemap2, 0.0, 0.0, seed=s)
+        single = simulate_ratchet(M2, D2, x_star2, 0.0, 0.0, seed=s)
         batch = sim._batch_payoffs(M2, D2, 1, s, T, sched, (0.0,))[0]
         assert abs(single.payoff - batch[0]) <= 1e-11
 
 
-def test_single_path_matches_batch_on_shared_stream_hyperexp(ratemap_h, monkeypatch):
+def test_single_path_matches_batch_on_shared_stream_hyperexp(x_star_h, monkeypatch):
     # as above with hyperexponential claims: the batch engine transforms a
     # whole claim block at once, the single path one size per claim
     monkeypatch.setattr(mc_reference, "_path_rng", lambda seed, idx: sim._batch_rng(seed))
-    sched = sim.FrontierSchedule(
-        M2, sim._ratchet_row(ratemap_h, 0.0), ratemap_h.grid
-    )
+    sched = sim.FrontierSchedule(M2, x_star_h, [0.0])
     T = sim.default_horizon(M2.r)
     for s in range(1, 6):
-        single = simulate_ratchet(M2, DH, ratemap_h, 0.0, 0.0, seed=s)
+        single = simulate_ratchet(M2, DH, x_star_h, 0.0, 0.0, seed=s)
         batch = sim._batch_payoffs(M2, DH, 1, s, T, sched, (0.0,))[0]
         assert abs(single.payoff - batch[0]) <= 1e-11
 
 
 @pytest.mark.parametrize("horizon", [5.0, None], ids=["short", "default"])
 @pytest.mark.parametrize(
-    "claims, rate_map",
-    [(D2, "ratemap2"), (DH, "ratemap_h"), (DP, "ratemap_p")],
+    "claims, thresholds",
+    [(D2, "x_star2"), (DH, "x_star_h"), (DP, "x_star_p")],
     ids=["exponential", "hyperexponential", "shifted_pareto"],
 )
-def test_batch_ratchet_bitwise_matches_reference(claims, rate_map, horizon, request, monkeypatch):
+def test_batch_ratchet_bitwise_matches_reference(claims, thresholds, horizon, request, monkeypatch):
     # the live-path engine with carried frontier state against the masked
     # loop that steps every path on every column: same bits, over partial
     # and multiple chunks, starts below zero and beyond L, and a horizon
     # that every path reaches within the first claim block; the integer
     # start must not make the carried running maximum an integer array
     monkeypatch.setattr(sim, "CHUNK_PATHS", 300)
-    rm = request.getfixturevalue(rate_map)
+    x_star = request.getfixturevalue(thresholds)
     T = sim.default_horizon(M2.r) if horizon is None else horizon
     for x0 in (-1.0, 0, 3.0, 25.0):
         for c0 in (0.0, 0.5):
-            sched = sim.FrontierSchedule(M2, sim._ratchet_row(rm, c0), rm.grid)
+            sched = sim.FrontierSchedule(M2, x_star, [c0])
             new = sim._batch_payoffs(M2, claims, 1000, 7, T, sched, (x0,))[0]
             ref = mc_reference.reference_batch_ratchet(M2, claims, sched, x0, 1000, 7, T)
             assert np.array_equal(new, ref), (x0, c0)
@@ -360,22 +368,22 @@ def test_batch_constant_bitwise_matches_reference(claims, horizon, monkeypatch):
 
 @pytest.mark.parametrize("horizon", [5.0, None], ids=["short", "default"])
 @pytest.mark.parametrize(
-    "claims, rate_map",
-    [(D2, "ratemap2"), (DH, "ratemap_h"), (DP, "ratemap_p")],
+    "claims, thresholds",
+    [(D2, "x_star2"), (DH, "x_star_h"), (DP, "x_star_p")],
     ids=["exponential", "hyperexponential", "shifted_pareto"],
 )
-def test_shared_stream_matches_standalone_estimators(claims, rate_map, horizon, request, monkeypatch):
+def test_shared_stream_matches_standalone_estimators(claims, thresholds, horizon, request, monkeypatch):
     # the ratchet strategy and three constant rates on one claim stream:
     # each keeps the payoff bits and estimate of its own estimator at the
     # same seed, over partial and multiple chunks and an integer start
     monkeypatch.setattr(sim, "CHUNK_PATHS", 300)
-    rm = request.getfixturevalue(rate_map)
+    x_star = request.getfixturevalue(thresholds)
     rates = (0.0, 0.6, M2.c_bar)
     for x0, c0 in ((-1.0, 0.0), (0, 0.5), (3.0, 0.0), (25.0, 0.5)):
         ests, pays = sim.estimate_strategies(
-            M2, claims, 1000, 7, horizon, rm, [(x0, c0)], [(x0, c) for c in rates]
+            M2, claims, 1000, 7, horizon, x_star, [(x0, c0)], [(x0, c) for c in rates]
         )
-        alone = [sim.estimate_ratchet_payoff(M2, claims, rm, x0, c0, 1000, 7, horizon, True)]
+        alone = [sim.estimate_ratchet_payoff(M2, claims, x_star, x0, c0, 1000, 7, horizon, True)]
         for c in rates:
             alone.append(sim.estimate_constant_payoff(M2, claims, c, x0, 1000, 7, horizon, True))
         assert len(ests) == pays.shape[0] == len(alone)
@@ -386,12 +394,12 @@ def test_shared_stream_matches_standalone_estimators(claims, rate_map, horizon, 
 
 @pytest.mark.parametrize("horizon", [5.0, None], ids=["short", "default"])
 @pytest.mark.parametrize(
-    "claims, rate_map",
-    [(D2, "ratemap2"), (DH, "ratemap_h"), (DP, "ratemap_p")],
+    "claims, thresholds",
+    [(D2, "x_star2"), (DH, "x_star_h"), (DP, "x_star_p")],
     ids=["exponential", "hyperexponential", "shifted_pareto"],
 )
 def test_several_start_points_match_one_point_estimators(
-    claims, rate_map, horizon, request, monkeypatch
+    claims, thresholds, horizon, request, monkeypatch
 ):
     # one pass over several start points: ratchet rows from below zero, the
     # integer 0 and beyond L, at the cap, at 0 and between rungs, and
@@ -399,14 +407,14 @@ def test_several_start_points_match_one_point_estimators(
     # and estimate of its own one-point estimator at the same seed, over
     # partial and multiple chunks
     monkeypatch.setattr(sim, "CHUNK_PATHS", 300)
-    rm = request.getfixturevalue(rate_map)
+    x_star = request.getfixturevalue(thresholds)
     between = 0.5
-    assert not np.any(rm.rates == between)
+    assert not np.any(np.linspace(M2.c_bar, M2.c_floor, x_star.size + 1) == between)
     ratchets = [(-1.0, 0.0), (0, M2.c_bar), (25.0, between), (3.0, between)]
     constants = [(-1.0, 0.6), (0, M2.c_bar), (3.0, 0.0), (25.0, 0.6)]
-    ests, pays = sim.estimate_strategies(M2, claims, 1000, 7, horizon, rm, ratchets, constants)
+    ests, pays = sim.estimate_strategies(M2, claims, 1000, 7, horizon, x_star, ratchets, constants)
     alone = [
-        sim.estimate_ratchet_payoff(M2, claims, rm, x0, c0, 1000, 7, horizon, True)
+        sim.estimate_ratchet_payoff(M2, claims, x_star, x0, c0, 1000, 7, horizon, True)
         for x0, c0 in ratchets
     ] + [
         sim.estimate_constant_payoff(M2, claims, c, x0, 1000, 7, horizon, True)
@@ -429,7 +437,7 @@ def test_several_start_points_match_one_point_estimators(
     ],
     ids=["block-edge-clock-first", "block-edge", "ratchet-first", "clock-first", "clock-misses-T"],
 )
-def test_shared_stream_horizon_at_a_claim(path, k, ulps, ratchet_first, misses, ratemap2, monkeypatch):
+def test_shared_stream_horizon_at_a_claim(path, k, ulps, ratchet_first, misses, x_star2, monkeypatch):
     # the horizon is the clock of one path's claim k (claim 63 ends the
     # first block), moved up by some ulps.  The ratchet's horizon test
     # w_k >= T - t_(k-1) and the clock test t_(k-1) + w_k >= T round
@@ -453,8 +461,7 @@ def test_shared_stream_horizon_at_a_claim(path, k, ulps, ratchet_first, misses, 
     if ratchet_first is not None:
         assert (w[-1] >= T - t, t + w[-1] >= T) == (ratchet_first, not ratchet_first)
     assert (np.exp(-M2.r * (t + (T - t))) != np.exp(-M2.r * T)) == misses
-    rows = [sim._ratchet_row(ratemap2, c0) for c0 in (0.0, 0.5)]
-    sched = sim.FrontierSchedule(M2, rows[0], ratemap2.grid)
+    sched = sim.FrontierSchedule(M2, x_star2, [0.0])
     refs = {}
     for x0 in (0.0, 3.0):
         ref = [mc_reference.reference_batch_ratchet(M2, D2, sched, x0, 600, 7, T)]
@@ -465,14 +472,14 @@ def test_shared_stream_horizon_at_a_claim(path, k, ulps, ratchet_first, misses, 
             assert np.array_equal(p, r), x0
         assert np.array_equal(sim._batch_payoffs(M2, D2, 600, 7, T, sched, (x0,))[0], ref[0]), x0
         refs[x0] = ref
-    sched1 = sim.FrontierSchedule(M2, rows[1], ratemap2.grid)
+    sched1 = sim.FrontierSchedule(M2, x_star2, [0.5])
     ref = [
         refs[0.0][0],
         mc_reference.reference_batch_ratchet(M2, D2, sched1, 3.0, 600, 7, T),
         refs[0.0][1],
         refs[3.0][2],
     ]
-    stacked = sim.FrontierSchedule(M2, np.stack(rows), ratemap2.grid)
+    stacked = sim.FrontierSchedule(M2, x_star2, [0.0, 0.5])
     pays = sim._batch_payoffs(
         M2, D2, 600, 7, T, stacked, (0.0, 3.0), ((0.0, 0.6), (3.0, M2.c_bar))
     )
@@ -492,46 +499,67 @@ def test_shared_stream_horizon_at_a_claim(path, k, ulps, ratchet_first, misses, 
 
 
 @pytest.mark.parametrize(
-    "claims, rate_map",
-    [(D2, "ratemap2"), (DH, "ratemap_h"), (DP, "ratemap_p")],
+    "claims, thresholds",
+    [(D2, "x_star2"), (DH, "x_star_h"), (DP, "x_star_p")],
     ids=["exponential", "hyperexponential", "shifted_pareto"],
 )
-def test_carried_frontier_state_tracks_running_maximum(claims, rate_map, request, monkeypatch):
+def test_carried_frontier_state_tracks_running_maximum(claims, thresholds, request, monkeypatch):
     # the ratchet carries its frontier clock, moved on by each frontier run,
-    # and the rate of the cell that clock lies in, instead of reading both
-    # off the running maximum again.  After every claim column (one-column
-    # blocks), on every unparked row of a pass from four start points, the
-    # clock stays within 1 ulp of clock(mx): the clock is never re-derived,
-    # so the error does not grow.  The rate equals rate_at(mx) except where
-    # mx lies within 4 ulps of a node, where the two lookups may round to
-    # neighbouring cells; no such row occurs at this seed
+    # and reads the running maximum and its rate off that clock instead of
+    # reading the clock off the maximum.  After every claim column
+    # (one-column blocks), on every unparked row of a pass from four start
+    # points whose frontier has moved since the start, mx and the rate are
+    # exactly what at_clock gives for the carried clock, read from the row's
+    # own point's schedule alone
     monkeypatch.setattr(sim, "CLAIM_BLOCK", 1)
-    rm = request.getfixturevalue(rate_map)
+    x_star = request.getfixturevalue(thresholds)
     x0s = (-1.0, 0.0, 3.0, 25.0)
-    rows = np.stack([sim._ratchet_row(rm, c0) for c0 in (0.0, 0.0, 0.5, M2.c_bar)])
+    c0s = (0.0, 0.0, 0.5, M2.c_bar)
     T = sim.default_horizon(M2.r)
-    ratchet = sim._Ratchet(M2, sim.FrontierSchedule(M2, rows, rm.grid), x0s, T)
-    alone = [sim.FrontierSchedule(M2, row, rm.grid) for row in rows]
+    ratchet = sim._Ratchet(M2, sim.FrontierSchedule(M2, x_star, c0s), x0s, T)
+    alone = [sim.FrontierSchedule(M2, x_star, [c0]) for c0 in c0s]
     blocks = sim._ClaimBlocks(sim._batch_rng(7), 500)
     live = np.arange(500)
     state = np.zeros((ratchet.n_rows, live.size))
     ratchet.start(state)
-    checked = near_node = 0
+    tau_start = sim._rows(state, 9, len(x0s))[3].copy()
+    checked = 0
     while live.size:
         block, sizes = blocks.next(claims, M2.lam, live)
         gone = ratchet.step(block, sizes, state)
         t, _, mx, tau, _, rate = sim._rows(state, 9, len(x0s))[:6]
-        for sched, on, mx_i, tau_i, rate_i in zip(alone, t < T, mx, tau, rate):
-            mx_i, tau_i, rate_i = mx_i[on], tau_i[on], rate_i[on]
-            clock = sched.clock(mx_i)
-            assert np.all(np.abs(tau_i - clock) <= np.spacing(clock))
-            node = np.round(mx_i / rm.grid.dx) * rm.grid.dx
-            near = np.abs(mx_i - node) <= 4 * np.spacing(node)
-            assert np.array_equal(rate_i[~near], sched.rate_at(mx_i[~near]))
-            checked += mx_i.size
-            near_node += np.count_nonzero(near)
+        moved = (tau != tau_start) & (t < T)
+        for sched, on, mx_i, tau_i, rate_i in zip(alone, moved, mx, tau, rate):
+            pos, _, rate1 = sched.at_clock(tau_i[on])
+            assert np.array_equal(mx_i[on], pos)
+            assert np.array_equal(rate_i[on], rate1)
+            checked += np.count_nonzero(on)
         live, state = live[~gone], state.compress(~gone, axis=1)
-    assert checked > 10**5 and near_node == 0
+        tau_start = tau_start[:, ~gone]
+    assert checked > 10**5
+
+
+@pytest.mark.parametrize(
+    "surface", ["surface2", "surface_h", "surface_p", "surface_readme"],
+    ids=["exponential", "hyperexponential", "shifted_pareto", "readme"],
+)
+def test_threshold_rule_is_the_rate_map(surface, request):
+    # the strategy built from the thresholds alone pays, from every start
+    # rung and at every node, the rate the mask-chained rate map gives;
+    # beyond L (x0 = 25) it pays the cap
+    s = request.getfixturevalue(surface)
+    rm = build_rate_map(s)
+    rungs, nodes = rm.shape
+    sched = sim.FrontierSchedule(M2, ratchet_thresholds(s), s.rates)
+    x = np.tile(s.grid.nodes, rungs)
+    got = sched.rate_at(x, sched.select(np.arange(x.size), nodes)).reshape(rungs, nodes)
+    assert np.array_equal(got.view(np.int64), rm.view(np.int64))
+    beyond = sched.rate_at(np.full(rungs, 25.0), sched.select(np.arange(rungs), 1))
+    assert np.all(beyond == M2.c_bar)
+    for i, c in enumerate(s.rates.tolist()):
+        eq = np.array([equivalent_max_rate(s, xj, c) for xj in s.grid.nodes.tolist()])
+        assert np.array_equal(eq.view(np.int64), rm[i].view(np.int64))
+        assert equivalent_max_rate(s, 25.0, c) == M2.c_bar
 
 
 def test_integer_start_matches_float_start():
@@ -546,36 +574,6 @@ def test_integer_start_matches_float_start():
             ),
         ):
             assert np.array_equal(est(x0)[1], est(float(x0))[1]), x0
-
-
-@pytest.mark.parametrize("rate_map", ["ratemap2", "ratemap_p"])
-def test_schedule_lookups_match_where_forms(rate_map, request):
-    # the lookups evaluate the beyond-L / beyond-t_end branch only when some
-    # entry is there; on arrays wholly inside, on arrays that mix both sides
-    # (nodes, the edges themselves) and on scalar floats they must give the
-    # bits of the forms that evaluate both branches and select
-    rm = request.getfixturevalue(rate_map)
-    sched = sim.FrontierSchedule(M2, sim._ratchet_row(rm, 0.0), rm.grid)
-    rng = np.random.default_rng(5)
-    L, t_end = rm.grid.L, sched.t_end
-    x_in = np.concatenate([rng.uniform(0.0, L, 400), rm.grid.nodes[:-1], [-0.01, -2.5]])
-    x_mixed = np.concatenate([x_in, [L, np.nextafter(L, 0.0), L + 1e-9, 1.5 * L, 40.0]])
-    tau_in = np.concatenate([rng.uniform(0.0, t_end, 400), sched.t_cross[:-1], [-0.01, -3.0]])
-    tau_mixed = np.concatenate(
-        [tau_in, [t_end, np.nextafter(t_end, 0.0), t_end + 1e-9, 2.0 * t_end]]
-    )
-    for x in (x_in, x_mixed):
-        assert np.array_equal(sched.rate_at(x), mc_reference.reference_rate_at(sched, x))
-        assert np.array_equal(sched.clock(x), mc_reference.reference_clock(sched, x))
-    for tau in (tau_in, tau_mixed):
-        for new, ref in zip(sched.at_clock(tau), mc_reference.reference_at_clock(sched, tau)):
-            assert np.array_equal(new, ref)
-    for v in (0.0, 0.3 * L, float(rm.grid.nodes[7]), L, 25.0):
-        assert float(sched.rate_at(v)) == float(mc_reference.reference_rate_at(sched, v))
-        assert float(sched.clock(v)) == float(mc_reference.reference_clock(sched, v))
-    for v in (0.0, 0.5 * t_end, t_end, 2.0 * t_end):
-        for new, ref in zip(sched.at_clock(v), mc_reference.reference_at_clock(sched, v)):
-            assert float(new) == float(ref)
 
 
 @pytest.mark.parametrize(
@@ -593,7 +591,7 @@ def test_schedule_lookups_match_where_forms(rate_map, request):
         "two-point-exponential",
     ],
 )
-def test_full_chunk_peak_memory(engine, claims, bound_mib, ratemap2):
+def test_full_chunk_peak_memory(engine, claims, bound_mib, x_star2):
     # tracemalloc peak of one estimate over a full 16,384-path chunk and
     # two claim blocks.  The one-point bounds are the peaks of the
     # per-column engines, which held the last block while drawing the next;
@@ -607,10 +605,10 @@ def test_full_chunk_peak_memory(engine, claims, bound_mib, ratemap2):
         if engine == "constant":
             sim.estimate_constant_payoff(M2, claims, 0.6, 0.0, n, seed=1, horizon=40.0)
         elif engine == "ratchet":
-            sim.estimate_ratchet_payoff(M2, claims, ratemap2, 0.0, 0.0, n, seed=1, horizon=40.0)
+            sim.estimate_ratchet_payoff(M2, claims, x_star2, 0.0, 0.0, n, seed=1, horizon=40.0)
         else:
             sim.estimate_strategies(
-                M2, claims, n, 1, 40.0, ratemap2,
+                M2, claims, n, 1, 40.0, x_star2,
                 [(0.0, 0.0), (2.0, 0.6)], [(0.0, 0.6), (2.0, M2.c_bar)],
             )
         peak = tracemalloc.get_traced_memory()[1]
@@ -619,8 +617,8 @@ def test_full_chunk_peak_memory(engine, claims, bound_mib, ratemap2):
     assert peak <= bound_mib * 2**20, peak / 2**20
 
 
-def test_ratchet_rate_never_decreases_along_path(ratemap2):
-    rec = simulate_ratchet(M2, D2, ratemap2, 0.0, 0.0, seed=5)
+def test_ratchet_rate_never_decreases_along_path(x_star2):
+    rec = simulate_ratchet(M2, D2, x_star2, 0.0, 0.0, seed=5)
     rates = rec.rate_after
     assert np.all(np.diff(rates) >= -1e-15)
     assert rates[0] >= 0.0
@@ -631,14 +629,14 @@ def test_deterministic_growth_matches_hand_integration():
     # no claims: the surplus climbs a known step-rate profile; dividends are
     # hand-integrated segment by segment and double-checked by Riemann sum
     m = ModelParams(mu=2.0, lam=1e-8, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
-    grid = Grid(L=4.0, n_x=160)
-    x = grid.nodes
-    row = np.where(x < 1.0, 0.2, np.where(x < 2.2, 0.55, np.where(x < 3.1, 0.9, 1.0)))
-    rates = np.linspace(1.0, 0.0, 21)
-    rm = constant_rate_map(grid, rates, row)
+    # rates 1, 0.95, ..., 0: from 0.2 (rung 16) the thresholds of rungs
+    # 16, 9 and 2 give 0.2 below 1.0, 0.55 below 2.2, 0.9 below 3.1 and
+    # the cap above; the other rungs' thresholds lie behind
+    x_star = np.zeros(20)
+    x_star[[15, 8, 1]] = 1.0, 2.2, 3.1
     T = 40.0
     x0 = 0.3
-    rec = simulate_ratchet(m, D1, rm, x0, 0.2, seed=3, horizon=T)
+    rec = simulate_ratchet(m, D1, x_star, x0, 0.2, seed=3, horizon=T)
     assert "claim" not in rec.kinds and "injection" not in rec.kinds
 
     t1 = (1.0 - x0) / (m.mu - 0.2)
@@ -665,7 +663,7 @@ def test_deterministic_growth_matches_hand_integration():
 
     # batch accounting reproduces the same deterministic value
     est, pays = sim.estimate_ratchet_payoff(
-        m, D1, rm, x0, 0.2, 8, seed=3, horizon=T, return_payoffs=True
+        m, D1, x_star, x0, 0.2, 8, seed=3, horizon=T, return_payoffs=True
     )
     assert np.max(np.abs(pays - hand)) <= 1e-10
     assert est.std_error <= 1e-12
@@ -682,18 +680,18 @@ def test_boundary_estimate_matches_pde_solution():
     assert abs(est5.mean - sol.v[j5]) <= 3 * est5.std_error + 0.01
 
 
-def test_ratchet_estimate_matches_surface(surface2, ratemap2):
+def test_ratchet_estimate_matches_surface(surface2, x_star2):
     # dual route: fixed-point PDE value vs sample paths of the feedback
     # strategy; coarse grid, so allow a first-order discretization margin
     for x0, c0, seed in [(0.0, 0.0, 99), (3.0, 0.6, 100)]:
         est = sim.estimate_ratchet_payoff(
-            M2, D2, ratemap2, x0, c0, 8000, seed=seed
+            M2, D2, x_star2, x0, c0, 8000, seed=seed
         )
         v = surface2.value_at(x0, c0)
         assert abs(est.mean - v) <= 3 * est.std_error + 0.2
 
 
-def test_constant_strategies_never_beat_surface(surface2, ratemap2):
+def test_constant_strategies_never_beat_surface(surface2, x_star2):
     # any fixed rate in [c0, cap] is one admissible strategy, so its value
     # sits below the optimal surface up to noise and discretization error
     v = surface2.value_at(1.0, 0.0)

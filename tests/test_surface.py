@@ -74,17 +74,17 @@ class TestRateMapOracle:
         masks = pattern_masks(3, n_nodes, {1: 1, 2: 2, 3: 1})
         surf = synthetic_surface(masks, (3, 0.9, 0.0))
         rm = build_rate_map(surf)
-        np.testing.assert_allclose(rm.values[0][:4], [0.9, 0.9, 0.9, 0.9])
-        np.testing.assert_allclose(rm.values[1][:4], [0.6, 0.9, 0.9, 0.9])
-        np.testing.assert_allclose(rm.values[2][:4], [0.3, 0.3, 0.9, 0.9])
+        np.testing.assert_allclose(rm[0][:4], [0.9, 0.9, 0.9, 0.9])
+        np.testing.assert_allclose(rm[1][:4], [0.6, 0.9, 0.9, 0.9])
+        np.testing.assert_allclose(rm[2][:4], [0.3, 0.3, 0.9, 0.9])
         # node 1 chains only one rung up: the broken link at rung 2 stops it
-        np.testing.assert_allclose(rm.values[3][:4], [0.0, 0.3, 0.9, 0.9])
+        np.testing.assert_allclose(rm[3][:4], [0.0, 0.3, 0.9, 0.9])
 
     def test_full_contact_maps_to_cap(self):
         masks = [np.ones(65, bool)] * 4
         surf = synthetic_surface(masks, (3, 0.9, 0.0))
         rm = build_rate_map(surf)
-        assert np.all(rm.values == 0.9)
+        assert np.all(rm == 0.9)
 
 
 class TestValueInterpolation:
@@ -180,11 +180,11 @@ class TestEquivalentRate:
     def test_never_below_own_rate(self, surf2):
         rm = build_rate_map(surf2)
         for i in range(surf2.ladder.n + 1):
-            assert np.all(rm.values[i] >= surf2.rates[i] - 1e-12)
+            assert np.all(rm[i] >= surf2.rates[i] - 1e-12)
 
     def test_monotone_in_x(self, surf2):
         rm = build_rate_map(surf2)
-        assert np.all(np.diff(rm.values, axis=1) >= 0.0)
+        assert np.all(np.diff(rm, axis=1) >= 0.0)
 
     def test_rate_snaps_up(self, surf2):
         # a rate strictly inside a rung interval must use the rung above
@@ -192,22 +192,22 @@ class TestEquivalentRate:
         dc = surf2.ladder.dc
         c_mid = float(surf2.rates[3]) - 0.5 * dc
         got = equivalent_max_rate(surf2, 0.0, c_mid)
-        assert got == rm.values[3, 0]
+        assert got == rm[3, 0]
 
     def test_right_continuous_in_x(self, surf2):
         rm = build_rate_map(surf2)
         j = 150
         at_node = equivalent_max_rate(surf2, j * G2.dx, 0.0)
         just_left = equivalent_max_rate(surf2, j * G2.dx - 1e-9, 0.0)
-        assert at_node == rm.values[64, j]
-        assert just_left == rm.values[64, j - 1]
+        assert at_node == rm[64, j]
+        assert just_left == rm[64, j - 1]
 
     def test_matches_lattice(self, surf2):
         rm = build_rate_map(surf2)
         for i, j in [(5, 0), (20, 77), (64, 400)]:
             c = float(surf2.rates[i])
             x = j * G2.dx
-            assert equivalent_max_rate(surf2, x, c) == rm.values[i, j]
+            assert equivalent_max_rate(surf2, x, c) == rm[i, j]
 
 
 def test_wrong_array_shapes_rejected():

@@ -172,16 +172,20 @@ class TestInvariantSuite:
     def test_untrusted_threshold_fails_without_raising(self, solved, frac):
         # extract_boundary raises DomainTooSmall here; the certificate
         # reports the threshold instead (a rung without contact reads its
-        # row length, (n_x + 1) dx)
+        # row length, (n_x + 1) dx), and the Monte Carlo check runs the
+        # ratchet of those thresholds
         surface, k = solved, 5
         grid = surface.grid
         mask = surface.masks[k] & (grid.nodes >= frac * grid.L)
-        cert = run_invariant_suite(rebuild(surface, k, mask=mask), D2)
+        bad = rebuild(surface, k, mask=mask)
+        cert = run_invariant_suite(bad, D2)
         check = cert.check("boundary_inside_domain")
         assert not check.passed
         first = int(np.argmax(mask)) if mask.any() else grid.n_x + 1
         assert check.observed == first * grid.dx / grid.L
         assert check.observed == pytest.approx(min(frac, 1 + 1 / grid.n_x), abs=1e-12)
+        mc = mc_cross_check(bad, D2, [(0.0, 0.0)], 200, seed=3, eps_disc=0.3)
+        assert len(mc.checks) == 2
 
     def test_boundary_residual_violation_flagged(self, solved):
         # one cap-rung slope off by 1e-6 leaves (mu - c_bar) * 1e-6 of
