@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .cache import read_surface, write_surface
-from .config import RunConfig, config_from_mapping, load_config, read_config_mapping
+from .config import RunConfig, _section, config_from_mapping, load_config, read_config_mapping
 from .discretization import Grid, get_kernel, scheme_residual
 from .errors import DivRatchetError, ValidationError
 from .ladder import RateLadder, solve_g, solve_ladder
@@ -315,7 +315,8 @@ def cmd_sweep(args) -> int:
     cfgs = []  # every value is checked before the first solve
     for val in values:
         trial = copy.deepcopy(doc)
-        trial.setdefault(sec, {})[key] = val
+        # an empty section is {}, any other non-mapping fails as in solve
+        trial[sec] = {**_section(trial, sec, required=False), key: val}
         cfgs.append(config_from_mapping(trial))
     rows = []
     for val, cfg in zip(values, cfgs):

@@ -109,9 +109,9 @@ from ._sweep import (
 from .discretization import (
     ConvKernel, Grid, complementarity_defect, equation_slope, get_kernel, scheme_residual
 )
-from .errors import DomainTooSmall, NoConvergence, ValidationError
+from .errors import NoConvergence, ValidationError
 from .model import ClaimDistribution, ModelParams, h_eval
-from .surface import DEFAULT_TOLERANCES, TRUSTED_FRACTION, ValueSurface, contact_scan
+from .surface import DEFAULT_TOLERANCES, ValueSurface, contact_scan, require_trusted
 
 #: a node leaves the contact set only once its residual is below -POLICY_TOL
 #: times the scale b*max|v| of the rung row.  Rounding leaves a few ulps of
@@ -446,8 +446,8 @@ def solve_ladder(
     Each later rung has its predecessor as obstacle, warm-starts as the
     module docstring describes, and is written into its row of the
     (n+1) x (n_x+1) surface arrays as soon as it is solved.  Raises
-    DomainTooSmall if any rung's contact set only begins beyond 0.8 L,
-    since then the free boundary is not resolved inside the domain.
+    DomainTooSmall at the first rung whose threshold `require_trusted`
+    rejects.
     """
     if ladder.c_bar != m.c_bar or ladder.c_floor != m.c_floor:
         raise ValidationError("ladder rate range must match the model's")
@@ -464,7 +464,6 @@ def solve_ladder(
     iterations = np.empty(ladder.n + 1, dtype=np.int64)
     update_norms = np.empty(ladder.n + 1)
     rates = ladder.rates
-    cut = TRUSTED_FRACTION * grid.L
     nodes = np.arange(grid.n_x)
     firsts = []  # first contact node of each solved rung
     for i in range(ladder.n + 1):
@@ -484,11 +483,7 @@ def solve_ladder(
             )
             first = int(contact_scan(prev.switch_mask)[0])
             firsts.append(first)
-            if first * grid.dx > cut:
-                raise DomainTooSmall(
-                    f"rung {i} (rate {rates[i]:.6g}): no switch node at or below "
-                    f"{TRUSTED_FRACTION} L = {cut:.6g}; enlarge the domain"
-                )
+            require_trusted(i, rates[i], first * grid.dx, grid.L)
         v[i] = prev.v
         v_prime[i] = prev.v_prime
         masks[i] = prev.switch_mask

@@ -379,9 +379,8 @@ class _Constant:
         The claim clocks go into the size slot of the block, which then
         holds their discount factors; from each path's horizon column on
         the factor is e^{-rT} and the claim size 0, so that column adds the
-        dividend up to T and later columns add exactly 0.  A single
-        strategy scales the waits and interval discounts in place; several
-        scale each claim column for all of them at once.
+        dividend up to T and later columns add exactly 0.  Each claim
+        column is scaled for all the strategies at once.
         """
         m, T = self.m, self.T
         t, e = band[:2]
@@ -414,21 +413,12 @@ class _Constant:
         short = np.empty_like(x)
         # dividends c (e_{k-1} - e_k) / r of each claim interval and the
         # surplus steps (mu - c) w_k
-        one = len(self.x0s) == 1
-        if one:
-            np.multiply(drop, self.rates, out=drop)
-            drop /= m.r
-            np.multiply(w, m.mu - self.rates, out=w)
-        else:
-            rates = self.rates[:, None]
-            gain, step, drift = np.empty_like(x), np.empty_like(x), m.mu - rates
+        rates = _column(self.rates, x)
+        gain, step, drift = np.empty_like(x), np.empty_like(x), m.mu - rates
         for k in range(n_cols):
-            if one:
-                gain, step = drop[k], w[k]
-            else:
-                np.multiply(drop[k], rates, out=gain)
-                gain /= m.r
-                np.multiply(w[k], drift, out=step)
+            np.multiply(drop[k], rates, out=gain)
+            gain /= m.r
+            np.multiply(w[k], drift, out=step)
             div += gain
             x += step
             np.subtract(sizes[k], x, out=short)

@@ -7,15 +7,14 @@ row by row by the ladder solve.  Three consumers:
   * value_at(x, c): bilinear interpolation on the lattice, extended by
     v(0, c) + ell*x for x < 0 (injection linearity) and by c_bar/r for
     x > L (the Dirichlet far field).
-  * extract_boundary: per rung, the first node where the rung equals its
-    predecessor - the switching threshold x*(c_i).  Everything to the
-    right must also be in contact (the switch region is an upper set).
-  * the ratchet strategy: the thresholds x*_i of rungs 1..n
-    (ratchet_thresholds) and the rate runs they give the running maximum
-    from a start rung (frontier_runs); equivalent_max_rate reads one of
-    them.  build_rate_map chains the contact masks upward instead, for the
-    rate-map table and the certificate checks on it; where every mask is
-    up-closed the two agree.
+  * the switching thresholds x*_i of rungs 1..n, each the first node
+    where the rung equals its predecessor, read off the masks in one
+    place (ratchet_thresholds) and trusted up to 0.8 L (require_trusted).
+    extract_boundary reports them per rung; the switch region of a rung
+    must be an upper set, and its holes are counted.
+  * the ratchet strategy: the rate runs the thresholds give the running
+    maximum from a start rung (frontier_runs).  equivalent_max_rate reads
+    one of them, and build_rate_map tabulates them on the lattice.
 """
 
 from __future__ import annotations
@@ -164,53 +163,52 @@ def contact_scan(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, size - first - contacts
 
 
-def extract_boundary(surface: ValueSurface) -> FreeBoundaryCurve:
-    """Per-rung switching threshold: first contact node times dx.
-
-    Raises DomainTooSmall when a rung's contact set only starts beyond
-    0.8 L (the threshold is then not trusted).
-    """
-    grid = surface.grid
-    first, free = contact_scan(surface.masks)
-    x_star = first * grid.dx
-    cut = TRUSTED_FRACTION * grid.L
-    i = int(np.argmax(x_star[1:] > cut)) + 1
-    if x_star[i] > cut:
+def require_trusted(i: int, rate: float, x_star: float, L: float) -> None:
+    """The trust rule of a switching threshold: raise DomainTooSmall when
+    rung i's threshold x_star lies beyond TRUSTED_FRACTION L, since then
+    the free boundary is not resolved inside the domain."""
+    cut = TRUSTED_FRACTION * L
+    if x_star > cut:
         raise DomainTooSmall(
-            f"rung {i} (rate {surface.rates[i]:.6g}): no contact node at or "
-            f"below {TRUSTED_FRACTION} L = {cut:.6g}"
+            f"rung {i} (rate {rate:.6g}): no switch node at or below "
+            f"{TRUSTED_FRACTION} L = {cut:.6g}; enlarge the domain"
         )
-    x_star[0] = x_star[1]
+
+
+def ratchet_thresholds(surface: ValueSurface) -> np.ndarray:
+    """x*_i = (first contact node) dx of rungs 1..n, (n_x + 1) dx for a rung
+    without contact: the threshold vector of the ratchet strategy, and the
+    one place x* is read off the masks."""
+    return contact_scan(surface.masks[1:])[0] * surface.grid.dx
+
+
+def extract_boundary(surface: ValueSurface) -> FreeBoundaryCurve:
+    """Per-rung switching threshold: the ratchet thresholds, with rung 0
+    given rung 1's.  Raises DomainTooSmall at the first rung the trust
+    rule rejects."""
+    x_star = ratchet_thresholds(surface)
+    for i, x in enumerate(x_star.tolist(), 1):
+        require_trusted(i, surface.rates[i], x, surface.grid.L)
     return FreeBoundaryCurve(
         rates=surface.rates.copy(),
-        x_star=x_star,
-        up_closure_violations=free,
+        x_star=np.concatenate((x_star[:1], x_star)),
+        up_closure_violations=contact_scan(surface.masks)[1],
         gradient_at_zero=surface.v_prime[:, 0].copy(),
     )
 
 
 def build_rate_map(surface: ValueSurface) -> np.ndarray:
     """Equivalent maximum rate on the lattice, (n+1) x (n_x+1): entry
-    [i, j] is the highest ladder rate whose rung value coincides with rung
-    i's at node j.  Chains contact masks upward: node j at rung i maps to
-    rung i - k where k is the length of the run of contacts directly
-    above."""
-    masks = surface.masks
-    n_r = surface.ladder.n
-    n_nodes = surface.grid.n_x + 1
-    run = np.zeros(n_nodes, dtype=np.int64)
-    out = np.empty((n_r + 1, n_nodes))
-    out[0] = surface.rates[0]
-    for i in range(1, n_r + 1):
-        run = np.where(masks[i], run + 1, 0)
-        out[i] = surface.rates[i - run]
+    [i, j] is the ratchet's rate from rung i while its running maximum
+    sits at node j, read off the frontier runs of the thresholds."""
+    rates = surface.rates
+    x_star = ratchet_thresholds(surface)
+    nodes = surface.grid.nodes  # j dx, bitwise the x*_i of contact nodes
+    out = np.empty((rates.size, nodes.size))
+    for i in range(rates.size):
+        left, run_rates = frontier_runs(rates, x_star, i)
+        out[i] = run_rates[left[1:].searchsorted(nodes, side="right")]
     return out
-
-
-def ratchet_thresholds(surface: ValueSurface) -> np.ndarray:
-    """x*_i = (first contact node) dx of rungs 1..n, (n_x + 1) dx for a rung
-    without contact: the threshold vector of the ratchet strategy."""
-    return contact_scan(surface.masks[1:])[0] * surface.grid.dx
 
 
 def frontier_runs(rates: np.ndarray, x_star: np.ndarray, i: int):

@@ -17,6 +17,12 @@ residual taken with it would hold for any v; its measure is the solvers'
 own, `discretization.complementarity_defect`.  Stored rung slopes are
 checked by the gradient window and `threshold_collapse` alone.
 `boundary_residual` reads the stored g', the forward difference of g.
+
+No check repeats another.  The rate map is the rate runs of the
+thresholds, so it lies between each rung's rate and the cap and rises in
+x by construction, and `mask_up_closed` counts every mask entry that the
+thresholds do not describe.  A rate-direction slope has the sign of its
+obstacle gap, which `obstacle_order` checks.
 """
 
 from __future__ import annotations
@@ -31,13 +37,7 @@ from .discretization import Grid, complementarity_defect, get_kernel, scheme_res
 from .errors import ValidationError
 from .ladder import RateLadder, slope_growth_bound, solve_ladder
 from .model import ClaimDistribution, ModelParams, h_eval
-from .surface import (
-    DEFAULT_TOLERANCES,
-    ValueSurface,
-    build_rate_map,
-    contact_scan,
-    ratchet_thresholds,
-)
+from .surface import DEFAULT_TOLERANCES, ValueSurface, contact_scan, ratchet_thresholds
 
 
 @dataclass
@@ -193,13 +193,7 @@ def run_invariant_suite(surface: ValueSurface, d: ClaimDistribution) -> Certific
         0.0,
         np.max(-gaps) if gaps.size else -np.inf,
     )
-    u = gaps / dc  # relaxing the floor rate adds value: u >= 0
-    add(
-        "rate_slope_nonnegative",
-        "value non-decreasing as the rate floor relaxes downward",
-        0.0,
-        np.max(-u) if u.size else -np.inf,
-    )
+    u = gaps / dc
     add(
         "rate_slope_upper",
         "rate-direction slope at most (ell - 1)/r",
@@ -228,18 +222,16 @@ def run_invariant_suite(surface: ValueSurface, d: ClaimDistribution) -> Certific
     )
 
     # switch masks: once switching is optimal it stays optimal for larger x
-    first, free = contact_scan(surface.masks[1:])
     add(
         "mask_up_closed",
         "contact region of each rung is an upper interval in surplus",
         0.0,
-        np.sum(free),
+        np.sum(contact_scan(surface.masks[1:])[1]),
     )
 
-    # switching thresholds of rungs 1..n, (n_x + 1) dx for a rung without
-    # contact: inside the trusted domain, and zero for lower rates once
-    # the gradient at zero drops to 1
-    x_star = first * dx
+    # switching thresholds: inside the trusted domain, and zero for lower
+    # rates once the gradient at zero drops to 1
+    x_star = ratchet_thresholds(surface)
     add(
         "boundary_inside_domain",
         "largest switching threshold within the trusted fraction of L",
@@ -258,26 +250,6 @@ def run_invariant_suite(surface: ValueSurface, d: ClaimDistribution) -> Certific
         "gradient at zero at most 1 forces zero thresholds at all lower rates",
         0.0,
         prop,
-    )
-
-    # equivalent-rate table consistency
-    rm = build_rate_map(surface)
-    dd = np.diff(rm, axis=1)
-    add(
-        "rate_map_monotone",
-        "equivalent maximum rate non-decreasing in surplus",
-        0.0,
-        np.max(-dd) if dd.size else -np.inf,
-    )
-    range_slack = max(
-        float(np.max(rates[:, None] - rm)),
-        float(np.max(rm - m.c_bar)),
-    )
-    add(
-        "rate_map_range",
-        "equivalent maximum rate between the rung's own rate and the cap",
-        0.0,
-        range_slack,
     )
 
     return Certificate(checks=checks)

@@ -16,7 +16,7 @@ from divratchet.config import load_config
 from divratchet.discretization import get_kernel, scheme_residual
 from divratchet.ladder import solve_g
 from divratchet.model import h_eval
-from divratchet.surface import build_rate_map
+from rate_map_reference import chained_rate_map
 
 MODEL = {"mu": 2.0, "lam": 2.0, "r": 0.1, "ell": 2.0, "c_bar": 1.2, "c_floor": 0.0}
 
@@ -426,6 +426,37 @@ def test_sweep_unknown_key_rejected(tmp_path, capsys):
     assert "ValidationError: unknown config key solver.method" in capsys.readouterr().err
 
 
+def test_sweep_empty_section_is_a_mapping(tmp_path):
+    # `solver:` left empty loads as None; solve reads it as no keys given
+    path = make_cfg(tmp_path, ladder__n=4)
+    doc = yaml.safe_load(open(path))
+    doc["solver"] = None
+    with open(path, "w") as fh:
+        yaml.safe_dump(doc, fh)
+    out = str(tmp_path / "sweep.csv")
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "s.csv")]) == 0
+    assert main(["sweep", "--config", path, "--param", "solver.update_tol",
+                 "--values", "1e-10", "--out", out]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 1 + 5 and rows[1][0] == "1e-10"
+
+
+def test_sweep_non_mapping_section_rejected_before_solving(tmp_path, capsys, monkeypatch):
+    solves = []
+    monkeypatch.setattr(cli, "load_or_solve", lambda cfg: solves.append(cfg))
+    path = make_cfg(tmp_path)
+    doc = yaml.safe_load(open(path))
+    doc["ladder"] = 4
+    with open(path, "w") as fh:
+        yaml.safe_dump(doc, fh)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", path, "--param", "ladder.n",
+                 "--values", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError: config section 'ladder' must be a mapping"), err
+    assert solves == [] and not out.exists()
+
+
 def test_verify_certificate_byte_identical(tmp_path):
     cfg = make_cfg(tmp_path)
     o1, o2 = str(tmp_path / "c1.json"), str(tmp_path / "c2.json")
@@ -551,5 +582,5 @@ def test_repr_rows_match_formatted_rows(tmp_path):
     # gives runs of equal cells along the rows
     v, rm = tables[grids["solve"]][:, 1:], tables[grids["rate-map"]][:, 1:]
     assert np.array_equal(v.view(np.int64), surface.v.T.view(np.int64))
-    assert np.array_equal(rm.view(np.int64), build_rate_map(surface).T.view(np.int64))
+    assert np.array_equal(rm.view(np.int64), chained_rate_map(surface).T.view(np.int64))
     assert (v[:, 1:] == v[:, :-1]).any(axis=1).sum() > 10

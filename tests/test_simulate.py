@@ -16,6 +16,7 @@ from divratchet.ladder import RateLadder, solve_g, solve_ladder
 from divratchet.model import Exponential, HyperExponential, ModelParams, ShiftedPareto
 from divratchet.surface import build_rate_map, equivalent_max_rate, ratchet_thresholds
 from mc_reference import simulate_boundary, simulate_constant, simulate_ratchet
+from rate_map_reference import chained_rate_map
 
 M1 = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
 D1 = Exponential(gamma_mean=0.5)
@@ -545,10 +546,11 @@ def test_carried_frontier_state_tracks_running_maximum(claims, thresholds, reque
 )
 def test_threshold_rule_is_the_rate_map(surface, request):
     # the strategy built from the thresholds alone pays, from every start
-    # rung and at every node, the rate the mask-chained rate map gives;
-    # beyond L (x0 = 25) it pays the cap
+    # rung and at every node, the rate the mask-chained rate map gives, and
+    # so does the rate-map table; beyond L (x0 = 25) it pays the cap
     s = request.getfixturevalue(surface)
-    rm = build_rate_map(s)
+    rm = chained_rate_map(s)
+    assert np.array_equal(build_rate_map(s).view(np.int64), rm.view(np.int64))
     rungs, nodes = rm.shape
     sched = sim.FrontierSchedule(M2, ratchet_thresholds(s), s.rates)
     x = np.tile(s.grid.nodes, rungs)

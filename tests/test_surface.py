@@ -1,6 +1,7 @@
 """Surface assembly, interpolation, boundary extraction, rate map.
 
-The rate-map chaining rule is oracle-tested on a hand-worked mask pattern:
+The rate map (the threshold rule) and its mask-chained oracle are tested
+on a hand-worked mask pattern:
 with rates (0.9, 0.6, 0.3, 0.0) and contact masks
 
     rung 1: node0 off, nodes 1.. on
@@ -10,6 +11,8 @@ with rates (0.9, 0.6, 0.3, 0.0) and contact masks
 node 1 at rung 3 chains one step (rung 3 contacts rung 2 there) but rung 2
 does not contact rung 1, so the reachable rate is 0.3, not 0.9.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from divratchet.surface import (
     equivalent_max_rate,
     extract_boundary,
 )
+from rate_map_reference import chained_rate_map
 
 M2 = ModelParams(mu=2.0, lam=2.0, r=0.1, ell=2.0, c_bar=1.2, c_floor=0.0)
 D2 = Exponential(0.6)
@@ -69,22 +73,38 @@ def pattern_masks(n_rungs, n_nodes, first_true):
 
 
 class TestRateMapOracle:
+    # both the threshold rule of build_rate_map and the mask chain
+    rules = (build_rate_map, chained_rate_map)
+
     def test_hand_worked_chain(self):
         n_nodes = 65
         masks = pattern_masks(3, n_nodes, {1: 1, 2: 2, 3: 1})
         surf = synthetic_surface(masks, (3, 0.9, 0.0))
-        rm = build_rate_map(surf)
-        np.testing.assert_allclose(rm[0][:4], [0.9, 0.9, 0.9, 0.9])
-        np.testing.assert_allclose(rm[1][:4], [0.6, 0.9, 0.9, 0.9])
-        np.testing.assert_allclose(rm[2][:4], [0.3, 0.3, 0.9, 0.9])
-        # node 1 chains only one rung up: the broken link at rung 2 stops it
-        np.testing.assert_allclose(rm[3][:4], [0.0, 0.3, 0.9, 0.9])
+        for rule in self.rules:
+            rm = rule(surf)
+            np.testing.assert_allclose(rm[0][:4], [0.9, 0.9, 0.9, 0.9])
+            np.testing.assert_allclose(rm[1][:4], [0.6, 0.9, 0.9, 0.9])
+            np.testing.assert_allclose(rm[2][:4], [0.3, 0.3, 0.9, 0.9])
+            # node 1 chains only one rung up: the broken link at rung 2 stops it
+            np.testing.assert_allclose(rm[3][:4], [0.0, 0.3, 0.9, 0.9])
 
     def test_full_contact_maps_to_cap(self):
         masks = [np.ones(65, bool)] * 4
         surf = synthetic_surface(masks, (3, 0.9, 0.0))
-        rm = build_rate_map(surf)
-        assert np.all(rm == 0.9)
+        for rule in self.rules:
+            assert np.all(rule(surf) == 0.9)
+
+
+def test_rules_part_only_at_a_mask_hole():
+    # a hole right of rung 2's threshold breaks the chain there, while the
+    # threshold rule has already ratcheted past it
+    masks = pattern_masks(3, 65, {1: 1, 2: 2, 3: 1})
+    masks[2][5] = False
+    surf = synthetic_surface(masks, (3, 0.9, 0.0))
+    rm, chain = build_rate_map(surf), chained_rate_map(surf)
+    assert contact_scan(np.asarray(masks[1:]))[1].sum() == 1
+    assert np.argwhere(rm != chain).tolist() == [[2, 5], [3, 5]]
+    assert rm[2, 5] == rm[3, 5] == 0.9
 
 
 class TestValueInterpolation:
@@ -148,7 +168,9 @@ class TestBoundaryExtraction:
     def test_domain_too_small(self):
         masks = pattern_masks(1, 65, {1: 60})  # first contact at 0.94 L
         surf = synthetic_surface(masks, (1, 0.9, 0.0))
-        with pytest.raises(DomainTooSmall):
+        # the message of solve_ladder's trust rule, which is the same rule
+        msg = "rung 1 (rate 0): no switch node at or below 0.8 L = 6.4; enlarge the domain"
+        with pytest.raises(DomainTooSmall, match=re.escape(msg)):
             extract_boundary(surf)
 
     def test_contact_scan(self):

@@ -19,6 +19,7 @@ from divratchet.verify import (
     mc_cross_check,
     run_invariant_suite,
 )
+from rate_map_reference import chained_rate_map
 
 M2 = ModelParams(mu=2.0, lam=2.0, r=0.1, ell=2.0, c_bar=1.2, c_floor=0.0)
 D2 = Exponential(gamma_mean=0.6)
@@ -68,7 +69,7 @@ class TestInvariantSuite:
             "rate_slope_upper",
             "mask_up_closed",
             "complementarity",
-            "rate_map_monotone",
+            "boundary_inside_domain",
             "threshold_collapse",
         } <= names
 
@@ -260,3 +261,56 @@ class TestMcCrossCheck:
         monkeypatch.setattr(sim, "_batch_payoffs", no_loop)
         with pytest.raises(RateOutOfRange):
             mc_cross_check(solved, D2, [(0.0, 0.0), (1.0, c0)], 400, seed=5, eps_disc=0.3)
+
+
+def removed_checks_fail(surface):
+    """Whether the rate-map range, rate-map monotonicity or rate-slope sign
+    check, which the certificate no longer runs, would fail the surface:
+    each as it read the mask-chained rate map and the obstacle gaps."""
+    rm, rates = chained_rate_map(surface), surface.rates
+    gaps = np.diff(surface.v, axis=0)
+    return (
+        np.max(rates[:, None] - rm) > 0.0
+        or np.max(rm - surface.m.c_bar) > 0.0
+        or np.max(-np.diff(rm, axis=1)) > 0.0
+        or np.max(-gaps / surface.ladder.dc) > 0.0
+    )
+
+
+def test_mutants_of_the_removed_checks_fail_the_certificate():
+    # mask holes, random mask rows, contact sets shifted round the row and
+    # rungs dipped below their obstacle: each fails mask_up_closed or
+    # obstacle_order, so no mutant that a removed check would flag passes
+    grid = Grid(L=20.0, n_x=200)
+    surface = solve_ladder(M2, D2, grid, RateLadder(c_bar=M2.c_bar, c_floor=M2.c_floor, n=8))
+    assert run_invariant_suite(surface, D2).passed and not removed_checks_fail(surface)
+    rng = np.random.default_rng(5)
+    n, nodes = surface.ladder.n, grid.n_x + 1
+
+    def mutant(kind):
+        k = int(rng.integers(1, n + 1))
+        mask, v = surface.masks[k].copy(), surface.v[k].copy()
+        first = int(np.argmax(mask))
+        if kind == "hole":
+            mask[rng.choice(np.arange(first + 1, nodes), size=int(rng.integers(1, 4)))] = False
+        elif kind == "random":
+            mask = rng.random(nodes) < rng.uniform(0.2, 0.8)
+        elif kind == "shift":
+            mask = np.roll(mask, int(rng.choice([-1, 1]) * rng.integers(1, 40)))
+        else:
+            lo = int(rng.integers(0, nodes - 10))
+            hi = lo + int(rng.integers(1, 10))
+            v[lo:hi] = surface.v[k - 1, lo:hi] - rng.uniform(1e-9, 1e-2)
+        return rebuild(surface, k, v=v, mask=mask)
+
+    flagged = 0
+    for kind in ("hole", "random", "shift", "dip"):
+        for _ in range(75):
+            bad = mutant(kind)
+            cert = run_invariant_suite(bad, D2)
+            caught = {"mask_up_closed", "obstacle_order"} & {
+                c.name for c in cert.checks if not c.passed
+            }
+            assert caught, kind
+            flagged += removed_checks_fail(bad)
+    assert flagged > 100, flagged
