@@ -31,7 +31,6 @@ from .surface import (
     FreeBoundaryCurve,
     ValueSurface,
     build_rate_map,
-    equivalent_max_rate,
     extract_boundary,
     ratchet_thresholds,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "claims_spec",
     "config_from_mapping",
     "default_horizon",
-    "equivalent_max_rate",
     "estimate_constant_payoff",
     "estimate_ratchet_payoff",
     "estimate_strategies",

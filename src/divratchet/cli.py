@@ -6,7 +6,8 @@ sweep.  Every run starts from a YAML config (--config); results go to
 exactly, with a fixed "\n" terminator so repeated runs are byte-identical;
 the grid tables format that text once per run of bitwise-equal cells along
 a row, since a contact region repeats one value across its rungs.  Progress
-and cache notices go to stderr only.
+and cache notices go to stderr only.  verify prices its discretization
+budget from the solved surface unless --eps-disc gives it.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import numpy as np
 
 from .cache import read_surface, write_surface
 from .config import RunConfig, _section, config_from_mapping, load_config, read_config_mapping
-from .discretization import Grid, get_kernel, scheme_residual
+from .discretization import get_kernel, scheme_residual
 from .errors import DivRatchetError, ValidationError
-from .ladder import RateLadder, solve_g, solve_ladder
+from .ladder import solve_g, solve_ladder
 from .model import h_eval
 from .surface import (
     ValueSurface,
@@ -218,13 +219,12 @@ def cmd_simulate(args) -> int:
         rung_index(cfg.ladder.rates, c0)  # RateOutOfRange outside the window
         surface, d = load_or_solve(cfg, force=args.force)
         est, payoffs = sim.estimate_ratchet_payoff(
-            m, d, ratchet_thresholds(surface), x0, c0, cfg.paths, seed,
-            horizon=cfg.horizon, return_payoffs=True,
+            m, d, ratchet_thresholds(surface), x0, c0, cfg.paths, seed, horizon=cfg.horizon
         )
     else:
         c = m.c_bar if kind == "boundary" else rate
         est, payoffs = sim.estimate_constant_payoff(
-            m, d, c, x0, cfg.paths, seed, horizon=cfg.horizon, return_payoffs=True
+            m, d, c, x0, cfg.paths, seed, horizon=cfg.horizon
         )
 
     doc = {
@@ -244,28 +244,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _calibration_budget(cfg: RunConfig, surface: ValueSurface) -> float:
-    """eps_disc at the config resolution from a half-resolution pair.
-
-    The pair (n_x/2, n/2) -> (n_x, n) takes the config surface as its fine
-    member when both sizes are even; kappa then prices the config step
-    dx + dc.  When the grid floor blocks halving, the config surface is the
-    coarse member of a pair refined upward.
-    """
-    g, lad = cfg.grid, cfg.ladder
-    kw = dict(update_tol=cfg.update_tol)
-    if g.n_x >= 128 and lad.n >= 2:
-        coarse_grid = Grid(L=g.L, n_x=g.n_x // 2)
-        coarse_ladder = RateLadder(c_bar=lad.c_bar, c_floor=lad.c_floor, n=lad.n // 2)
-        if g.n_x % 2 == 0 and lad.n % 2 == 0:
-            kw["fine_v"] = surface.v
-    else:
-        coarse_grid, coarse_ladder = g, lad
-        kw["coarse_v"] = surface.v
-    kappa, _ = calibrate_eps_disc(cfg.model, cfg.claims, coarse_grid, coarse_ladder, **kw)
-    return kappa * (g.dx + lad.dc)
-
-
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     if args.eps_disc is not None and not 0.0 <= args.eps_disc < math.inf:
@@ -277,7 +255,9 @@ def cmd_verify(args) -> int:
     surface, d = load_or_solve(cfg, force=args.force)
     cert = run_invariant_suite(surface, d)
     if not args.skip_mc:
-        eps = args.eps_disc if args.eps_disc is not None else _calibration_budget(cfg, surface)
+        eps = args.eps_disc
+        if eps is None:
+            _, eps = calibrate_eps_disc(surface, d, cfg.update_tol)
         m = cfg.model
         points = [
             (0.0, m.c_floor),

@@ -79,6 +79,8 @@ class RunConfig:
             raise ValidationError("simulate.seed must be non-negative")
         if self.horizon is not None and not 0 < self.horizon < math.inf:
             raise ValidationError("simulate.horizon must be finite and positive when set")
+        if not isinstance(self.out_dir, str):
+            raise ValidationError(f"output.dir must be a string, got {self.out_dir!r}")
         if self.ladder.c_bar != self.model.c_bar or self.ladder.c_floor != self.model.c_floor:
             raise ValidationError("ladder endpoints must match the model's rate window")
 
@@ -213,5 +215,5 @@ def config_from_mapping(doc: dict) -> RunConfig:
         paths=_num(simsec, "simulate", "paths", cast=int, default=100000),
         seed=_num(simsec, "simulate", "seed", cast=int, default=20240901),
         horizon=horizon,
-        out_dir=str(osec.get("dir", ".")),
+        out_dir="." if osec.get("dir") is None else osec["dir"],
     )

@@ -527,13 +527,12 @@ def estimate_constant_payoff(
     n_paths: int,
     seed: int,
     horizon: float | None = None,
-    return_payoffs: bool = False,
 ):
-    """Batch estimate of the fixed-rate strategy value at x0."""
-    (est,), payoffs = estimate_strategies(
+    """Batch estimate of the fixed-rate strategy value at x0, and its payoffs."""
+    (est,), (payoffs,) = estimate_strategies(
         m, d, n_paths, seed, horizon, constants=[(x0, c_const)]
     )
-    return (est, payoffs[0]) if return_payoffs else est
+    return est, payoffs
 
 
 def estimate_ratchet_payoff(
@@ -545,11 +544,10 @@ def estimate_ratchet_payoff(
     n_paths: int,
     seed: int,
     horizon: float | None = None,
-    return_payoffs: bool = False,
 ):
     """Batch estimate of the value at (x0, c0) of the ratcheting feedback
-    strategy of thresholds (x*_1..x*_n)."""
-    (est,), payoffs = estimate_strategies(
+    strategy of thresholds (x*_1..x*_n), and its per-path payoffs."""
+    (est,), (payoffs,) = estimate_strategies(
         m, d, n_paths, seed, horizon, thresholds, ratchets=[(x0, c0)]
     )
-    return (est, payoffs[0]) if return_payoffs else est
+    return est, payoffs

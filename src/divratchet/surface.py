@@ -13,8 +13,8 @@ row by row by the ladder solve.  Three consumers:
     extract_boundary reports them per rung; the switch region of a rung
     must be an upper set, and its holes are counted.
   * the ratchet strategy: the rate runs the thresholds give the running
-    maximum from a start rung (frontier_runs).  equivalent_max_rate reads
-    one of them, and build_rate_map tabulates them on the lattice.
+    maximum from a start rung (frontier_runs), which build_rate_map
+    tabulates on the lattice and simulate.FrontierSchedule steps along.
 """
 
 from __future__ import annotations
@@ -227,15 +227,3 @@ def frontier_runs(rates: np.ndarray, x_star: np.ndarray, i: int):
     keep = left < np.append(reach, np.inf)
     return left[keep], rates[i::-1][keep]
 
-
-def equivalent_max_rate(surface: ValueSurface, x: float, c: float) -> float:
-    """The ratchet's rate while its running maximum sits at x, from rate c.
-
-    The rate argument snaps up to the enclosing rung (ratcheting must not
-    round the floor down); the rate switches up at each threshold x
-    reaches, making the map right-continuous in x.  Beyond the largest
-    threshold the answer is the cap rate.
-    """
-    rates = surface.rates
-    left, run_rates = frontier_runs(rates, ratchet_thresholds(surface), rung_index(rates, c))
-    return float(run_rates[left[1:].searchsorted(x, side="right")])

@@ -2,7 +2,8 @@
 Monte Carlo comparison through an independent route.  The Monte Carlo
 checks of every point come from one pass on one claim stream, so the
 feedback strategy and the constant rates of all points are compared on
-common random numbers.
+common random numbers, within a discretization budget that
+`calibrate_eps_disc` prices from the surface and its refinement pair.
 
 Every invariant the solver is supposed to enforce is re-measured here from
 the stored arrays (never from solver-internal state) and reported as a
@@ -36,7 +37,7 @@ from . import simulate as sim
 from .discretization import Grid, complementarity_defect, get_kernel, scheme_residual
 from .errors import ValidationError
 from .ladder import RateLadder, slope_growth_bound, solve_ladder
-from .model import ClaimDistribution, ModelParams, h_eval
+from .model import ClaimDistribution, h_eval
 from .surface import DEFAULT_TOLERANCES, ValueSurface, contact_scan, ratchet_thresholds
 
 
@@ -256,40 +257,31 @@ def run_invariant_suite(surface: ValueSurface, d: ClaimDistribution) -> Certific
 
 
 def calibrate_eps_disc(
-    m: ModelParams,
-    d: ClaimDistribution,
-    grid: Grid,
-    ladder: RateLadder,
-    update_tol: float = 1e-10,
-    coarse_v: np.ndarray | None = None,
-    fine_v: np.ndarray | None = None,
+    surface: ValueSurface, d: ClaimDistribution, update_tol: float = 1e-10
 ) -> tuple[float, float]:
-    """Measure the discretization budget eps = kappa*(dx + dc) from one
-    refinement pair (n_x, n) -> (2 n_x, 2 n).
+    """Measure the discretization budget eps = kappa*(dx + dc) of a solved
+    surface from one refinement pair (n_x, n) -> (2 n_x, 2 n), whose coarse
+    member halves the surface when n_x >= 128 and n >= 2 and is the
+    surface's size otherwise.  A member of the surface's size is the
+    surface itself, so one ladder is solved (two for an odd n_x or n).
 
-    kappa is set to three times the observed sup value change per unit of
-    (dx + dc), so the budget covers the remaining bias of the coarse grid
-    with the standard geometric-series headroom of a first-order scheme.
-    coarse_v / fine_v pass in the value array of a pair member that is
-    already solved (at (n_x, n) or (2 n_x, 2 n)); only the other member
-    is then solved here.
+    kappa is three times the observed sup value change per unit of the
+    coarse dx + dc, the standard geometric-series headroom of a first-order
+    scheme; eps prices the surface's own dx + dc.
     """
-    fine_grid = Grid(L=grid.L, n_x=2 * grid.n_x)
-    fine_ladder = RateLadder(
-        c_bar=ladder.c_bar, c_floor=ladder.c_floor, n=2 * ladder.n
-    )
+    grid, ladder = surface.grid, surface.ladder
+    k = 2 if grid.n_x >= 128 and ladder.n >= 2 else 1
 
-    def values(g, lad, given):
-        if given is not None:
-            return given
-        return solve_ladder(m, d, g, lad, update_tol=update_tol).v
+    def member(s):
+        g = Grid(L=grid.L, n_x=s * (grid.n_x // k))
+        lad = RateLadder(n=s * (ladder.n // k), c_bar=ladder.c_bar, c_floor=ladder.c_floor)
+        own = (g.n_x, lad.n) == (grid.n_x, ladder.n)
+        v = surface.v if own else solve_ladder(surface.m, d, g, lad, update_tol=update_tol).v
+        return v, g.dx + lad.dc
 
-    vc = values(grid, ladder, coarse_v)
-    vf = values(fine_grid, fine_ladder, fine_v)
-    diff = np.max(np.abs(vc - vf[::2, ::2]))
-    step = grid.dx + ladder.dc
-    kappa = 3.0 * diff / step
-    return kappa, kappa * step
+    (vc, step), (vf, _) = member(1), member(2)
+    kappa = 3.0 * np.max(np.abs(vc - vf[::2, ::2])) / step
+    return kappa, kappa * (grid.dx + ladder.dc)
 
 
 def mc_cross_check(

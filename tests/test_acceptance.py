@@ -203,7 +203,7 @@ def test_criterion_06_mc_boundary(solved, eps_disc):
     ok = True
     details = []
     for x0 in (0.0, 1.0, 5.0):
-        est = estimate_constant_payoff(M, D, M.c_bar, x0, PATHS, SEED)
+        est, _ = estimate_constant_payoff(M, D, M.c_bar, x0, PATHS, SEED)
         g_x = surface.value_at(x0, M.c_bar)
         diff = abs(est.mean - g_x)
         budget = 3.0 * est.std_error + eps_disc + est.tail_bound

@@ -167,15 +167,16 @@ class TestExactOracle:
 
     @SETS
     def test_eps_disc_covers_rung0_error(self, m, gamma, L):
-        # the refinement budget of verify must cover the true error of g,
-        # the bottom rung of every ladder, at each size
+        # the refinement budget verify prices for a solved ladder must cover
+        # the true error of g, its bottom rung, at each size
         exact, _ = self.exact_g(m, gamma)
         d = Exponential(gamma)
         for n_x in (1000, 2000, 4000):
             grid = Grid(L=L, n_x=n_x)
+            surface = solve_ladder(m, d, grid, RateLadder(8, m.c_bar, m.c_floor))
             x = grid.nodes
-            err = float(np.max(np.abs(solve_g(m, d, grid).v - exact(x))[x <= L / 2]))
-            _, eps_disc = calibrate_eps_disc(m, d, grid, RateLadder(8, m.c_bar, m.c_floor))
+            err = float(np.max(np.abs(surface.v[0] - exact(x))[x <= L / 2]))
+            _, eps_disc = calibrate_eps_disc(surface, d)
             assert err <= eps_disc
 
 

@@ -465,42 +465,30 @@ def test_verify_certificate_byte_identical(tmp_path):
     assert open(o1, "rb").read() == open(o2, "rb").read()
 
 
-@pytest.mark.parametrize(
-    "n_x, n, solves",
-    [(200, 8, 1), (100, 4, 1), (201, 8, 2)],
-    ids=["halved", "fallback", "odd-grid"],
-)
-def test_calibration_reuses_config_surface(tmp_path, monkeypatch, n_x, n, solves):
-    # the config-size surface is one member of the refinement pair (fine when
-    # the config halves evenly, coarse when the grid floor blocks halving);
-    # the budget equals the one from solving both members
-    import divratchet.verify as verify
-    from divratchet.cli import _calibration_budget, load_or_solve
-    from divratchet.config import load_config
-    from divratchet.discretization import Grid
-    from divratchet.ladder import RateLadder
+def test_output_dir_null_caches_in_the_working_directory(tmp_path, monkeypatch):
+    # `dir:` left empty loads as None; solve used to cache into ./None
+    path = make_cfg(tmp_path, ladder__n=4)
+    doc = yaml.safe_load(open(path))
+    doc["output"] = {"dir": None}
+    with open(path, "w") as fh:
+        yaml.safe_dump(doc, fh)
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "s.csv")]) == 0
+    assert not (tmp_path / "None").exists()
+    assert len(list(tmp_path.glob("surface-*.bin"))) == 1
 
-    cfg = load_config(make_cfg(tmp_path, grid__n_x=n_x, ladder__n=n))
-    surface, _ = load_or_solve(cfg)
-    calls = []
-    real = verify.solve_ladder
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(verify, "solve_ladder", counting)
-    eps = _calibration_budget(cfg, surface)
-    assert len(calls) == solves
-    monkeypatch.setattr(verify, "solve_ladder", real)
-
-    g, lad = cfg.grid, cfg.ladder
-    if n_x >= 128:
-        g, lad = Grid(L=g.L, n_x=g.n_x // 2), RateLadder(lad.n // 2, lad.c_bar, lad.c_floor)
-    kappa, _ = verify.calibrate_eps_disc(
-        cfg.model, cfg.claims, g, lad, update_tol=cfg.update_tol
-    )
-    assert eps == kappa * (cfg.grid.dx + cfg.ladder.dc)
+def test_output_dir_non_string_rejected_before_solving(tmp_path, capsys, monkeypatch):
+    solves = []
+    monkeypatch.setattr(cli, "load_or_solve", lambda *a, **k: solves.append(a))
+    monkeypatch.chdir(tmp_path)
+    path = make_cfg(tmp_path, output__dir=["x", "y"])
+    out = tmp_path / "s.csv"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError: output.dir must be a string, got ['x', 'y']"), err
+    assert solves == [] and not out.exists()
+    assert not (tmp_path / "['x', 'y']").exists()
 
 
 def _formatted_csv(header, rows):

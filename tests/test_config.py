@@ -70,6 +70,30 @@ def test_optional_sections_respected(tmp_path):
     assert cfg.out_dir == "out"
 
 
+def test_output_dir_null_is_the_default(tmp_path):
+    # `dir:` left empty loads as None and must not name a directory "None"
+    cfg = load_config(write_cfg(tmp_path, base_doc(output={"dir": None})))
+    assert cfg.out_dir == "."
+
+
+@pytest.mark.parametrize("val", [["x", "y"], 5, {"a": "b"}, True])
+def test_output_dir_must_be_a_string(tmp_path, val):
+    with pytest.raises(ValidationError, match=r"output\.dir must be a string, got "):
+        load_config(write_cfg(tmp_path, base_doc(output={"dir": val})))
+
+
+def test_run_config_rejects_non_string_out_dir():
+    m = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
+    with pytest.raises(ValidationError, match="output.dir must be a string, got None"):
+        RunConfig(
+            model=m,
+            claims=Exponential(gamma_mean=0.5),
+            grid=Grid(L=10.0, n_x=100),
+            ladder=RateLadder(c_bar=1.0, c_floor=0.0, n=16),
+            out_dir=None,
+        )
+
+
 def test_hash_stable_across_reload(tmp_path):
     path = write_cfg(tmp_path, base_doc())
     h1 = load_config(path).params_hash

@@ -26,12 +26,13 @@ from divratchet import (
     ValidationError,
 )
 from divratchet.ladder import RateLadder, solve_ladder
+from divratchet.simulate import FrontierSchedule
 from divratchet.surface import (
     ValueSurface,
     build_rate_map,
     contact_scan,
-    equivalent_max_rate,
     extract_boundary,
+    ratchet_thresholds,
 )
 from rate_map_reference import chained_rate_map
 
@@ -140,7 +141,7 @@ class TestValueInterpolation:
         with pytest.raises(RateOutOfRange):
             surf2.value_at(1.0, -0.1)
         with pytest.raises(RateOutOfRange):
-            equivalent_max_rate(surf2, 1.0, 1.3)
+            FrontierSchedule(M2, ratchet_thresholds(surf2), [1.3])
 
     def test_monotone_in_c_downward(self, surf2):
         # lower current rate = more options: value nondecreasing as c drops
@@ -192,12 +193,18 @@ class TestBoundaryExtraction:
         assert fb.gradient_at_zero.shape == (65,)
 
 
+def schedule_rate(surface, x, c):
+    """The ratchet's rate while its running maximum sits at x, from rate c:
+    the simulator's lookup of the thresholds' rate runs."""
+    return float(FrontierSchedule(surface.m, ratchet_thresholds(surface), [c]).rate_at(x))
+
+
 class TestEquivalentRate:
     def test_beyond_thresholds_is_cap(self, surf2):
         fb = extract_boundary(surf2)
         x = fb.x_star.max() + G2.dx
         for c in (0.0, 0.6, 1.2):
-            assert equivalent_max_rate(surf2, x, c) == M2.c_bar
+            assert schedule_rate(surf2, x, c) == M2.c_bar
 
     def test_never_below_own_rate(self, surf2):
         rm = build_rate_map(surf2)
@@ -213,14 +220,14 @@ class TestEquivalentRate:
         rm = build_rate_map(surf2)
         dc = surf2.ladder.dc
         c_mid = float(surf2.rates[3]) - 0.5 * dc
-        got = equivalent_max_rate(surf2, 0.0, c_mid)
+        got = schedule_rate(surf2, 0.0, c_mid)
         assert got == rm[3, 0]
 
     def test_right_continuous_in_x(self, surf2):
         rm = build_rate_map(surf2)
         j = 150
-        at_node = equivalent_max_rate(surf2, j * G2.dx, 0.0)
-        just_left = equivalent_max_rate(surf2, j * G2.dx - 1e-9, 0.0)
+        at_node = schedule_rate(surf2, j * G2.dx, 0.0)
+        just_left = schedule_rate(surf2, j * G2.dx - 1e-9, 0.0)
         assert at_node == rm[64, j]
         assert just_left == rm[64, j - 1]
 
@@ -229,7 +236,7 @@ class TestEquivalentRate:
         for i, j in [(5, 0), (20, 77), (64, 400)]:
             c = float(surf2.rates[i])
             x = j * G2.dx
-            assert equivalent_max_rate(surf2, x, c) == rm[i, j]
+            assert schedule_rate(surf2, x, c) == rm[i, j]
 
 
 def test_wrong_array_shapes_rejected():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from divratchet.discretization import Grid, equation_slope, get_kernel
-from divratchet import simulate as sim
+from divratchet import simulate as sim, verify
 from divratchet.errors import RateOutOfRange, ValidationError
 from divratchet.ladder import RateLadder, solve_ladder
 from divratchet.model import Exponential, ModelParams, ShiftedPareto, h_eval
@@ -199,16 +199,52 @@ class TestInvariantSuite:
         assert not cert.check("boundary_residual").passed
 
 
+def solve_at(n_x, n):
+    return solve_ladder(
+        M2, D2, Grid(L=20.0, n_x=n_x), RateLadder(c_bar=M2.c_bar, c_floor=M2.c_floor, n=n)
+    )
+
+
 class TestCalibration:
     def test_eps_disc_scales_with_step(self):
-        grid = Grid(L=20.0, n_x=200)
-        ladder = RateLadder(c_bar=M2.c_bar, c_floor=M2.c_floor, n=8)
-        kappa, eps = calibrate_eps_disc(M2, D2, grid, ladder)
+        surface = solve_at(200, 8)
+        kappa, eps = calibrate_eps_disc(surface, D2)
         assert kappa > 0
-        assert eps == pytest.approx(kappa * (grid.dx + ladder.dc), rel=1e-12)
+        assert eps == pytest.approx(kappa * (surface.grid.dx + surface.ladder.dc), rel=1e-12)
         # a first-order scheme at this resolution moves by a visible but
         # small amount relative to the value scale c_bar/r = 12
         assert 1e-4 < eps < 2.0
+
+
+@pytest.mark.parametrize(
+    "n_x, n, solves",
+    [(200, 8, 1), (100, 4, 1), (201, 8, 2), (200, 5, 2), (200, 1, 1)],
+    ids=["halved", "fallback", "odd-grid", "odd-ladder", "one-rung"],
+)
+def test_calibration_reuses_config_surface(monkeypatch, n_x, n, solves):
+    # the surface is the pair member of its own size (fine when it halves
+    # evenly, coarse when the grid floor or a one-rung ladder blocks
+    # halving), so only the other member is solved; an odd size is neither
+    # member.  The budget equals the one from solving both members
+    surface = solve_at(n_x, n)
+    calls = []
+    real = verify.solve_ladder
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "solve_ladder", counting)
+    kappa, eps = calibrate_eps_disc(surface, D2)
+    assert len(calls) == solves
+    monkeypatch.undo()
+
+    cx, cn = (n_x // 2, n // 2) if n_x >= 128 and n >= 2 else (n_x, n)
+    coarse, fine = solve_at(cx, cn), solve_at(2 * cx, 2 * cn)
+    diff = np.max(np.abs(coarse.v - fine.v[::2, ::2]))
+    expect = 3.0 * diff / (coarse.grid.dx + coarse.ladder.dc)
+    assert kappa == expect
+    assert eps == expect * (surface.grid.dx + surface.ladder.dc)
 
 
 class TestMcCrossCheck:
