@@ -2,60 +2,57 @@
 
 Layout (all little-endian): magic "DRVS", u32 version, u32 header length,
 a canonical JSON header (model, claims, grid, ladder, params hash), then
-raw arrays in fixed order: rates, values, derivatives, switch masks,
-iteration counts, final update norms.  Floats travel as raw f64 bytes, so
-a write/read cycle reproduces every surface array bit-exactly.
+raw arrays in fixed order: rates, values, iteration counts, final update
+norms (the surface reads its masks and slopes off the values).  Floats
+travel as raw f64 bytes, so a write/read cycle is bit-exact.  A file is
+written beside its path and moved into place, so a failed write leaves no
+truncated cache.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import struct
 
 import numpy as np
 
-from .config import claims_spec
+from .config import SURFACE_FORMAT, claims_spec
 from .discretization import Grid
-from .errors import CacheError
+from .errors import CacheError, ValidationError
 from .ladder import RateLadder
 from .model import ClaimDistribution, ModelParams, make_distribution
 from .surface import ValueSurface
 
 MAGIC = b"DRVS"
-VERSION = 1
+VERSION = SURFACE_FORMAT
 
 
-def write_surface(path: str, surface: ValueSurface, d: ClaimDistribution) -> None:
-    """Serialize a solved surface (with its claim distribution) to path."""
-    m = surface.m
-    grid = surface.grid
-    ladder = surface.ladder
-    kind, params = claims_spec(d)
+def write_surface(path: str, surface: ValueSurface) -> None:
+    """Serialize a solved surface, its claim distribution included, to path."""
+    kind, params = claims_spec(surface.claims)
     header = {
-        "model": {
-            "mu": m.mu,
-            "lam": m.lam,
-            "r": m.r,
-            "ell": m.ell,
-            "c_bar": m.c_bar,
-            "c_floor": m.c_floor,
-        },
+        "model": dataclasses.asdict(surface.m),
         "claims": {"kind": kind, "params": params},
-        "grid": {"L": grid.L, "n_x": grid.n_x},
-        "ladder": {"n": ladder.n},
+        "grid": {"L": surface.grid.L, "n_x": surface.grid.n_x},
+        "ladder": {"n": surface.ladder.n},
         "params_hash": surface.params_hash,
     }
     hdr = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(hdr)))
-        fh.write(hdr)
-        fh.write(np.ascontiguousarray(surface.rates, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(surface.v, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(surface.v_prime, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(surface.masks, dtype=np.uint8).tobytes())
-        fh.write(np.ascontiguousarray(surface.iterations, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(surface.update_norms, dtype="<f8").tobytes())
+    arrays = ((surface.rates, "<f8"), (surface.v, "<f8"),
+              (surface.iterations, "<i8"), (surface.update_norms, "<f8"))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<II", VERSION, len(hdr)) + hdr)
+            for arr, dtype in arrays:
+                fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _take(buf: memoryview, offset: int, count: int, dtype) -> tuple[np.ndarray, int]:
@@ -67,7 +64,7 @@ def _take(buf: memoryview, offset: int, count: int, dtype) -> tuple[np.ndarray, 
 
 
 def read_surface(path: str) -> tuple[ValueSurface, ClaimDistribution]:
-    """Load a surface written by write_surface; bit-exact round trip."""
+    """(surface, its claims) from a file of write_surface; bit-exact."""
     try:
         with open(path, "rb") as fh:
             raw = bytearray(fh.read())  # writable, like the arrays viewing it
@@ -91,7 +88,7 @@ def read_surface(path: str) -> tuple[ValueSurface, ClaimDistribution]:
             c_bar=model.c_bar, c_floor=model.c_floor, n=int(header["ladder"]["n"])
         )
         params_hash = str(header.get("params_hash", ""))
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
+    except (KeyError, TypeError, ValueError, ValidationError) as e:
         raise CacheError(f"cache header malformed: {e}") from None
 
     n_rows = ladder.n + 1
@@ -100,8 +97,6 @@ def read_surface(path: str) -> tuple[ValueSurface, ClaimDistribution]:
     off = 12 + hdr_len
     rates, off = _take(buf, off, n_rows, "<f8")
     v, off = _take(buf, off, n_rows * n_nodes, "<f8")
-    vp, off = _take(buf, off, n_rows * n_nodes, "<f8")
-    masks, off = _take(buf, off, n_rows * n_nodes, np.uint8)
     iters, off = _take(buf, off, n_rows, "<i8")
     norms, off = _take(buf, off, n_rows, "<f8")
     if off != len(raw):
@@ -109,10 +104,5 @@ def read_surface(path: str) -> tuple[ValueSurface, ClaimDistribution]:
     if not np.array_equal(rates, ladder.rates):
         raise CacheError("cache rates disagree with the ladder header")
 
-    shape = (n_rows, n_nodes)
-    surface = ValueSurface(
-        model, grid, ladder,
-        v.reshape(shape), vp.reshape(shape), masks.reshape(shape).astype(bool),
-        iters, norms, params_hash=params_hash,
-    )
-    return surface, claims
+    v = v.reshape(n_rows, n_nodes)
+    return ValueSurface(model, claims, grid, ladder, v, iters, norms, params_hash), claims

@@ -32,6 +32,7 @@ from .model import h_eval
 from .surface import (
     ValueSurface,
     build_rate_map,
+    cap_slope,
     extract_boundary,
     ratchet_thresholds,
     rung_index,
@@ -113,10 +114,10 @@ def load_or_solve(cfg: RunConfig, force: bool = False):
     """Surface for the config, from the cache when the hash matches."""
     path = cache_path(cfg)
     if not force and os.path.exists(path):
-        surface, d = read_surface(path)
+        surface, _ = read_surface(path)
         if surface.params_hash == cfg.params_hash:
             print(f"cache hit: {path}", file=sys.stderr)
-            return surface, d
+            return surface
         print(f"cache stale (hash mismatch), re-solving: {path}", file=sys.stderr)
     surface = solve_ladder(
         cfg.model,
@@ -129,18 +130,18 @@ def load_or_solve(cfg: RunConfig, force: bool = False):
     surface.params_hash = cfg.params_hash
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
-    write_surface(path, surface, cfg.claims)
-    return surface, cfg.claims
+    write_surface(path, surface)
+    return surface
 
 
 def cmd_boundary(args) -> int:
     cfg = load_config(args.config)
     m, d, grid = cfg.model, cfg.claims, cfg.grid
     g = solve_g(m, d, grid, update_tol=cfg.update_tol, max_iter=cfg.max_iter)
-    _, residual = scheme_residual(
-        g.v, g.v_prime, m.c_bar, m, get_kernel(d, grid), h_eval(m, d, grid.nodes)
-    )
-    rows = np.column_stack((grid.nodes, g.v, g.v_prime, residual))
+    kern, h = get_kernel(d, grid), h_eval(m, d, grid.nodes)
+    g_prime, _ = cap_slope(g.v, m, kern, h)
+    _, residual = scheme_residual(g.v, g_prime, m.c_bar, m, kern, h)
+    rows = np.column_stack((grid.nodes, g.v, g_prime, residual))
     _write_rows(args.out, ["x", "g", "g_prime", "residual"], rows)
     return 0
 
@@ -156,14 +157,14 @@ def _rate_header(surface: ValueSurface) -> list:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    surface, _ = load_or_solve(cfg, force=args.force)
+    surface = load_or_solve(cfg, force=args.force)
     _write_rows(args.out, _rate_header(surface), _surface_csv_rows(surface, surface.v))
     return 0
 
 
 def cmd_boundary_curve(args) -> int:
     cfg = load_config(args.config)
-    surface, _ = load_or_solve(cfg, force=args.force)
+    surface = load_or_solve(cfg, force=args.force)
     curve = extract_boundary(surface)
     rows = zip(
         curve.rates.tolist(),
@@ -181,7 +182,7 @@ def cmd_boundary_curve(args) -> int:
 
 def cmd_rate_map(args) -> int:
     cfg = load_config(args.config)
-    surface, _ = load_or_solve(cfg, force=args.force)
+    surface = load_or_solve(cfg, force=args.force)
     rows = _surface_csv_rows(surface, build_rate_map(surface))
     _write_rows(args.out, _rate_header(surface), rows)
     return 0
@@ -217,7 +218,7 @@ def cmd_simulate(args) -> int:
 
     if kind == "ratchet":
         rung_index(cfg.ladder.rates, c0)  # RateOutOfRange outside the window
-        surface, d = load_or_solve(cfg, force=args.force)
+        surface = load_or_solve(cfg, force=args.force)
         est, payoffs = sim.estimate_ratchet_payoff(
             m, d, ratchet_thresholds(surface), x0, c0, cfg.paths, seed, horizon=cfg.horizon
         )
@@ -252,21 +253,18 @@ def cmd_verify(args) -> int:
         raise ValidationError(
             f"--eps-disc must be finite and non-negative, got {args.eps_disc!r}"
         )
-    surface, d = load_or_solve(cfg, force=args.force)
-    cert = run_invariant_suite(surface, d)
+    surface = load_or_solve(cfg, force=args.force)
+    cert = run_invariant_suite(surface)
     if not args.skip_mc:
         eps = args.eps_disc
         if eps is None:
-            _, eps = calibrate_eps_disc(surface, d, cfg.update_tol)
+            _, eps = calibrate_eps_disc(surface, cfg.update_tol)
         m = cfg.model
         points = [
             (0.0, m.c_floor),
             (0.1 * cfg.grid.L, 0.5 * (m.c_floor + m.c_bar)),
         ]
-        mc = mc_cross_check(
-            surface, d, points, cfg.paths, cfg.seed, eps,
-            horizon=cfg.horizon,
-        )
+        mc = mc_cross_check(surface, points, cfg.paths, cfg.seed, eps, horizon=cfg.horizon)
         cert = Certificate(checks=cert.checks + mc.checks)
     _write_text(args.out, cert.to_json())
     return 0 if cert.passed else 1
@@ -300,7 +298,7 @@ def cmd_sweep(args) -> int:
         cfgs.append(config_from_mapping(trial))
     rows = []
     for val, cfg in zip(values, cfgs):
-        surface, _ = load_or_solve(cfg)
+        surface = load_or_solve(cfg)
         curve = extract_boundary(surface)
         for r, xs, gz in zip(
             curve.rates.tolist(), curve.x_star.tolist(), curve.gradient_at_zero.tolist()

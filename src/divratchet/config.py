@@ -3,7 +3,9 @@
 The params hash covers every numeric input that changes solver output
 (model, claims, grid, ladder, solver update tolerance) and
 deliberately excludes seed, path count, horizon, and output paths, which
-affect only simulation estimates, never the cached surface.
+affect only simulation estimates, never the cached surface.  It is salted
+with SURFACE_FORMAT, the version of the cache layout, so a cache of
+another layout is never looked up.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
@@ -24,8 +26,13 @@ from .model import (
     HyperExponential,
     ModelParams,
     ShiftedPareto,
+    as_number,
     make_distribution,
 )
+
+#: the format of a stored surface: the cache layout version and the salt of
+#: the params hash, so a format change also renames every cache file
+SURFACE_FORMAT = 2
 
 #: the keys each config section reads; the claims keys follow claims.kind
 _KEYS = {
@@ -89,7 +96,7 @@ class RunConfig:
         """sha256 over the canonical little-endian packing of all numeric
         fields that determine the solved surface."""
         m = self.model
-        buf = bytearray(b"divratchet-surface-v1")
+        buf = bytearray(f"divratchet-surface-v{SURFACE_FORMAT}".encode())
         buf += struct.pack(
             "<6d", m.mu, m.lam, m.r, m.ell, m.c_bar, m.c_floor
         )
@@ -129,15 +136,7 @@ def _num(sec: dict, section: str, key: str, cast=float, default=None):
         if default is not None:
             return default
         raise ValidationError(f"{section}.{key} is required")
-    val = sec[key]
-    # bool is an int subclass, and int() would truncate a fractional float
-    if not isinstance(val, bool) and not (cast is int and isinstance(val, float) and val % 1):
-        try:
-            return cast(val)
-        except (TypeError, ValueError):
-            pass
-    kind = "an integer" if cast is int else "a number"
-    raise ValidationError(f"{section}.{key} must be {kind}, got {val!r}")
+    return as_number(sec[key], f"{section}.{key}", cast)
 
 
 def read_config_mapping(path: str) -> dict:

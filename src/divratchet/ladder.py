@@ -81,17 +81,16 @@ v_i == v_{i-1}.  A solved rung satisfies, up to solver error:
     v_i >= v_{i-1}                          (bitwise),
     residual >= 0 and residual * (v_i - v_{i-1}) = 0 at every node,
     0 <= (v_i - v_{i-1})/dc <= (ell - 1)/r.
-Both paths hand back T v and the `scheme_residual` (forward-difference v')
-of their v.  Each rung, g included, is accepted only if its
+Both paths hand back the `scheme_residual` (forward-difference v') of
+their v.  Each rung, g included, is accepted only if its
 `complementarity_defect` (gap v_i - v_{i-1}, +inf for g below L) is within
-the certificate's bound for it (`accept_rung`); v' at free nodes is then
-`equation_slope`, with no further convolution.  The verification layer
+the certificate's bound for it (`accept_rung`).  The verification layer
 re-checks the rung equations from v alone, on the same bounds.
 
 `solve_ladder` writes each solved rung straight into its row of the
-(n+1) x (n_x+1) value, derivative and mask arrays and returns them as the
-`ValueSurface`; `solve_g` and `solve_rung` return one rung as a
-`ValueSlice`.
+(n+1) x (n_x+1) value array and returns it as the `ValueSurface`, which
+reads the masks and slopes off v; `solve_g` and `solve_rung` return one
+rung as a `ValueSlice`.
 """
 
 from __future__ import annotations
@@ -107,7 +106,7 @@ from ._sweep import (
     projected_backward_scan,
 )
 from .discretization import (
-    ConvKernel, Grid, complementarity_defect, equation_slope, get_kernel, scheme_residual
+    ConvKernel, Grid, complementarity_defect, get_kernel, scheme_residual
 )
 from .errors import NoConvergence, ValidationError
 from .model import ClaimDistribution, ModelParams, h_eval
@@ -155,8 +154,8 @@ class RateLadder:
 
 @dataclass
 class ValueSlice:
-    """One rung: value, derivative, and the switch mask (v_i = v_{i-1};
-    all True for g, which has no rung above it).
+    """One rung: value and the switch mask (v_i = v_{i-1}; all True for g,
+    which has no rung above it).
 
     iterations counts policy steps on exponential-mixture rungs and
     projected sweeps (map evaluations of the Anderson-mixed Picard
@@ -169,7 +168,6 @@ class ValueSlice:
     """
 
     v: np.ndarray
-    v_prime: np.ndarray
     switch_mask: np.ndarray
     iterations: int = 0
     final_update_norm: float = 0.0
@@ -207,7 +205,7 @@ def picard_rung(
     label: str,
     contact: np.ndarray | None = None,
     start: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, float, tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, int, float, np.ndarray]:
     """Anderson-mixed frozen-T projected sweeps from start (n_x + 1 nodes,
     on or above psi; default the obstacle psi itself) until the sup-norm
     update of a plain sweep is at most update_tol.  If psi is -inf below
@@ -220,15 +218,15 @@ def picard_rung(
     v_top = psi_top as the Dirichlet value; T is causal (S_0..S_top read
     only v_0..v_top), so the convolution takes the prefix alone.  The
     result, extended by psi above top, is kept if one full-domain sweep of
-    it, from the T v of its residual, leaves every node from top on at psi.
+    it, from the T v its residual takes, leaves every node from top on at psi.
     Otherwise the rung is solved again on all n_x + 1 nodes from start,
     as it is at once when contact is None, empty or starts at node 0 (as
     g's does).
 
-    Returns (v, sweeps, final update, (T v, residual)) as `policy_rung`
-    does, v being the last plain sweep and sweeps the map evaluations of
-    every solve made (the acceptance sweep not counted); raises
-    NoConvergence after max_iter sweeps of one solve.
+    Returns (v, sweeps, final update, residual) as `policy_rung` does, v
+    being the last plain sweep and sweeps the map evaluations of every
+    solve made (the acceptance sweep not counted); raises NoConvergence
+    after max_iter sweeps of one solve.
     """
     n = kern.grid.n_x
     dx = kern.grid.dx
@@ -261,11 +259,11 @@ def picard_rung(
     if 0 < first and top < n:
         v, sweeps, update = solve(top)
         v = np.concatenate((v, psi[top + 1 :]))
-        t_res = residual(v)
-        if np.array_equal(scan(v, t_res[0])[top:], psi[top:]):
-            return v, sweeps, update, t_res
+        t, res = residual(v)
+        if np.array_equal(scan(v, t)[top:], psi[top:]):
+            return v, sweeps, update, res
     v, more, update = solve(n)
-    return v, sweeps + more, update, residual(v)
+    return v, sweeps + more, update, residual(v)[1]
 
 
 def policy_rung(
@@ -278,7 +276,7 @@ def policy_rung(
     max_iter: int,
     label: str,
     band: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, float, tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, int, float, np.ndarray]:
     """Howard iteration on min(A v - rhs, v - psi) = 0 from the contact set
     `contact` (length n_x), for a kernel with an exponential-mixture
     recursion.  band, if given, is a `ConvKernel.rung_band` array of this
@@ -288,8 +286,8 @@ def policy_rung(
     node (`bordered_banded_solve`), then puts a free node into contact if it
     dips below psi and frees a contact node if its residual is negative.
     Once the contact set repeats, returns (v, policy steps, final update,
-    (T v, residual)), the last pair being `scheme_residual` of that step's v
-    with its forward difference.
+    residual), the last being the `scheme_residual` of that step's v with
+    its forward difference.
     v >= psi holds bitwise then: no free node lies below psi, and contact
     nodes and v_n equal psi.  Raises NoConvergence after max_iter steps.
     """
@@ -304,11 +302,11 @@ def policy_rung(
     for iterations in range(1, max_iter + 1):
         v = bordered_banded_solve(ab, bands, stride, rhs, border, contact, psi[:n])
         update = float(np.max(np.abs(v - v_old)))
-        t, res = scheme_residual(v, np.diff(v) / kern.grid.dx, c, m, kern, h)
+        _, res = scheme_residual(v, np.diff(v) / kern.grid.dx, c, m, kern, h)
         tol = POLICY_TOL * b * float(np.max(np.abs(v)))
         new = np.where(contact, res >= -tol, v[:n] < psi[:n])
         if np.array_equal(new, contact):
-            return v, iterations, update, (t, res)
+            return v, iterations, update, res
         contact = new
         v_old = v
     raise NoConvergence(
@@ -332,11 +330,10 @@ def solve_g(
 
     Exponential mixtures: one banded solve (`policy_rung`, which rewrites
     band in place if one is given), then the monotone projection; the
-    step's T v serves the residual below unless the projection moved g.
+    step's residual serves below unless the projection moved g.
     Other densities: `picard_rung` from the constant c_bar/r (the value of
     the cap strategy with no claims, an upper bound); update_tol acts on
-    this route only.  v' is the forward difference, with the slope the
-    equation implies at the Dirichlet node.  g is accepted by
+    this route only.  g is accepted by
     `accept_rung` against DEFAULT_TOLERANCES["residual"], the bound the
     certificate's `boundary_residual` reads; raises NoConvergence
     otherwise.
@@ -349,24 +346,21 @@ def solve_g(
     psi[n] = v_L
 
     if kern.has_recursion():
-        raw, iterations, _, t_res = policy_rung(
+        raw, iterations, _, residual = policy_rung(
             psi, np.zeros(n, dtype=bool), m.c_bar, m, kern, h, max_iter, "g", band
         )
         v = np.maximum.accumulate(np.minimum(raw, v_L))
         v[n] = v_L
         update = float(np.max(np.abs(v - raw)))
-        if update:  # the projection moved g, so the step's T v no longer holds
-            t_res = None
+        if update:  # the projection moved g, so the step's residual no longer holds
+            residual = scheme_residual(v, np.diff(v) / grid.dx, m.c_bar, m, kern, h)[1]
     else:
-        v, iterations, update, t_res = picard_rung(
+        v, iterations, update, residual = picard_rung(
             psi, m.c_bar, m, kern, h, update_tol, max_iter, "g", start=np.full(n + 1, v_L)
         )
-    slope = np.diff(v) / grid.dx
-    t, residual = t_res or scheme_residual(v, slope, m.c_bar, m, kern, h)
     accept_rung(residual, v - psi, "residual", "g", iterations, update)
     return ValueSlice(
         v=v,
-        v_prime=np.append(slope, equation_slope(t[n], v[n], m.c_bar, m, h[n])),
         switch_mask=np.ones(n + 1, dtype=bool),
         iterations=iterations,
         final_update_norm=update,
@@ -408,25 +402,22 @@ def solve_rung(
     if contact is None:
         contact = prev.switch_mask[:n]
     if kern.has_recursion():
-        v, iterations, update, (t, residual) = policy_rung(
+        v, iterations, update, residual = policy_rung(
             psi, contact, c, m, kern, h, max_iter, label, band
         )
     else:
         first, free = contact_scan(prev.switch_mask)
         if free or first > n:
             contact = None
-        v, iterations, update, (t, residual) = picard_rung(
+        v, iterations, update, residual = picard_rung(
             psi, c, m, kern, h, update_tol, max_iter, label, contact, start
         )
 
     gap = v - psi  # >= 0 bitwise: both solvers end on or above the obstacle
     accept_rung(residual, gap, "complementarity", label, iterations, update)
-    mask = gap == 0.0
-    v_prime = np.where(mask, prev.v_prime, equation_slope(t, v, c, m, h))
     return ValueSlice(
         v=v,
-        v_prime=v_prime,
-        switch_mask=mask,
+        switch_mask=gap == 0.0,
         iterations=iterations,
         final_update_norm=update,
     )
@@ -445,7 +436,7 @@ def solve_ladder(
     Rung 0 is g (`solve_g`), solved here with the same tolerances.
     Each later rung has its predecessor as obstacle, warm-starts as the
     module docstring describes, and is written into its row of the
-    (n+1) x (n_x+1) surface arrays as soon as it is solved.  Raises
+    (n+1) x (n_x+1) value array as soon as it is solved.  Raises
     DomainTooSmall at the first rung whose threshold `require_trusted`
     rejects.
     """
@@ -457,10 +448,7 @@ def solve_ladder(
     # rate diagonals
     band = kern.rung_band(0.0, 0.0, m.lam)[0] if kern.has_recursion() else None
     prev = solve_g(m, d, grid, update_tol=update_tol, max_iter=max_iter, band=band)
-    shape = (ladder.n + 1, grid.n_x + 1)
-    v = np.empty(shape)
-    v_prime = np.empty(shape)
-    masks = np.empty(shape, dtype=bool)
+    v = np.empty((ladder.n + 1, grid.n_x + 1))
     iterations = np.empty(ladder.n + 1, dtype=np.int64)
     update_norms = np.empty(ladder.n + 1)
     rates = ladder.rates
@@ -485,8 +473,6 @@ def solve_ladder(
             firsts.append(first)
             require_trusted(i, rates[i], first * grid.dx, grid.L)
         v[i] = prev.v
-        v_prime[i] = prev.v_prime
-        masks[i] = prev.switch_mask
         iterations[i] = prev.iterations
         update_norms[i] = prev.final_update_norm
-    return ValueSurface.from_solution(m, grid, ladder, v, v_prime, masks, iterations, update_norms)
+    return ValueSurface.from_solution(m, d, grid, ladder, v, iterations, update_norms)

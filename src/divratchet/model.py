@@ -405,23 +405,43 @@ def h_eval(m: ModelParams, d: ClaimDistribution, x: ArrayLike) -> ArrayLike:
     return m.lam * m.ell * d.tail_mean(x)
 
 
+def as_number(val, name: str, cast=float):
+    """val as cast (float or int), or ValidationError naming it: a bool is
+    no number, and int() must not truncate a fractional float."""
+    if not isinstance(val, bool) and not (cast is int and isinstance(val, float) and val % 1):
+        try:
+            return cast(val)
+        except (TypeError, ValueError):
+            pass
+    kind = "an integer" if cast is int else "a number"
+    raise ValidationError(f"{name} must be {kind}, got {val!r}")
+
+
 def make_distribution(kind: str, params: dict) -> ClaimDistribution:
     """Build a ClaimDistribution from config-style (kind, params).
 
     Kinds: "exponential" {gamma}, "hyperexponential" {weights, means},
-    "shifted_pareto" {alpha, theta}.
+    "shifted_pareto" {alpha, theta}.  Each value passes `as_number`; weights
+    and means are lists (never a string) of such values.
     """
     kind = str(kind).lower()
+
+    def num(key):
+        return as_number(params[key], f"claims.{key}")
+
+    def nums(key):
+        val = params[key]
+        if not isinstance(val, (list, tuple)):
+            raise ValidationError(f"claims.{key} must be a list of numbers, got {val!r}")
+        return tuple(as_number(x, f"claims.{key}[{i}]") for i, x in enumerate(val))
+
     try:
         if kind == "exponential":
-            return Exponential(gamma_mean=float(params["gamma"]))
+            return Exponential(gamma_mean=num("gamma"))
         if kind == "hyperexponential":
-            return HyperExponential(
-                weights=tuple(float(w) for w in params["weights"]),
-                means=tuple(float(g) for g in params["means"]),
-            )
+            return HyperExponential(weights=nums("weights"), means=nums("means"))
         if kind == "shifted_pareto":
-            return ShiftedPareto(alpha=float(params["alpha"]), theta=float(params["theta"]))
+            return ShiftedPareto(alpha=num("alpha"), theta=num("theta"))
     except KeyError as e:
         raise ValidationError(f"claims.params missing key {e.args[0]!r} for kind {kind!r}") from None
     raise ValidationError(

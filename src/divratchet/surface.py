@@ -1,8 +1,11 @@
 """Assembled value surface and the feedback objects read off from it.
 
-The surface holds the solved ladder as (n+1) x (n_x+1) arrays over
-(rate, x): values, derivatives and switch masks, one row per rung, filled
-row by row by the ladder solve.  Three consumers:
+The surface is the solved problem: its inputs (model, claims, grid,
+ladder) and the (n+1) x (n_x+1) value array over (rate, x), one row per
+rung.  This module alone reads the rest off v: the switch masks (rung i is
+in contact where v_i == v_{i-1}) and the slopes (g's forward difference,
+then each rung's obstacle slope on contact and its equation's elsewhere).
+Three consumers:
 
   * value_at(x, c): bilinear interpolation on the lattice, extended by
     v(0, c) + ell*x for x < 0 (injection linearity) and by c_bar/r for
@@ -24,9 +27,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .discretization import Grid
+from .discretization import ConvKernel, Grid, equation_slope, get_kernel, scheme_residual
 from .errors import DomainTooSmall, RateOutOfRange, ValidationError
-from .model import ModelParams
+from .model import ClaimDistribution, ModelParams, h_eval
 
 if TYPE_CHECKING:
     from .ladder import RateLadder
@@ -78,41 +81,61 @@ class FreeBoundaryCurve:
 
 
 class ValueSurface:
-    """Value function lattice with metadata for caching and simulation.
-
-    v, v_prime and masks have one row per rung (rate c_i) and one column
-    per grid node; iterations and update_norms hold one entry per rung.
+    """The solved problem: its inputs and its value array v, one row per
+    rung (rate c_i) and one column per grid node, with one iteration count
+    and final update norm per rung.  masks and slopes() are read off v on
+    every call, so they follow any change to it.
     """
 
     def __init__(
         self,
         m: ModelParams,
+        claims: ClaimDistribution,
         grid: Grid,
         ladder: RateLadder,
         v: np.ndarray,
-        v_prime: np.ndarray,
-        masks: np.ndarray,
         iterations: np.ndarray,
         update_norms: np.ndarray,
         params_hash: str = "",
     ):
-        rows, nodes = ladder.n + 1, grid.n_x + 1
-        shapes = [a.shape for a in (v, v_prime, masks, iterations, update_norms)]
-        if shapes != [(rows, nodes)] * 3 + [(rows,)] * 2:
-            raise ValidationError(
-                f"surface arrays need shapes ({rows}, {nodes}) x 3 and ({rows},) x 2, "
-                f"got {shapes}"
-            )
+        want = [(ladder.n + 1, grid.n_x + 1), (ladder.n + 1,), (ladder.n + 1,)]
+        shapes = [v.shape, iterations.shape, update_norms.shape]
+        if shapes != want:
+            raise ValidationError(f"surface arrays need shapes {want}, got {shapes}")
         self.m = m
+        self.claims = claims
         self.grid = grid
         self.ladder = ladder
         self.rates = ladder.rates
         self.v = v
-        self.v_prime = v_prime
-        self.masks = masks
         self.iterations = iterations
         self.update_norms = update_norms
         self.params_hash = params_hash
+
+    @property
+    def masks(self) -> np.ndarray:
+        """Read-only switch masks: row 0 all True, row i True where v_i ==
+        v_{i-1} (for finite floats, the solvers' own gap v_i - v_{i-1} == 0)."""
+        out = np.ones(self.v.shape, dtype=bool)
+        np.equal(self.v[1:], self.v[:-1], out=out[1:])
+        out.flags.writeable = False
+        return out
+
+    def slopes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(v', residual): v' on every node of every rung, and residual[i]
+        the `scheme_residual` of row i's forward difference on nodes
+        0..n_x-1; T v is taken once per rung."""
+        m, d, grid = self.m, self.claims, self.grid
+        kern, h = get_kernel(d, grid), h_eval(m, d, grid.nodes)
+        masks = self.masks
+        vp = np.empty_like(self.v)
+        residual = np.empty((self.v.shape[0], grid.n_x))
+        vp[0], residual[0] = cap_slope(self.v[0], m, kern, h)
+        for i in range(1, self.v.shape[0]):
+            v, c = self.v[i], float(self.rates[i])
+            t, residual[i] = scheme_residual(v, np.diff(v) / grid.dx, c, m, kern, h)
+            vp[i] = np.where(masks[i], vp[i - 1], equation_slope(t, v, c, m, h))
+        return vp, residual
 
     @classmethod
     def from_solution(cls, *args, **kwargs) -> "ValueSurface":
@@ -154,6 +177,15 @@ class ValueSurface:
         return float((1.0 - s) * row[j] + s * row[j + 1])
 
 
+def cap_slope(g: np.ndarray, m: ModelParams, kern: ConvKernel, h: np.ndarray):
+    """(g', residual) of a cap-rate row g: g' is the forward difference,
+    with the slope that zeroes the equation at L, and residual the
+    `scheme_residual` of the forward difference on nodes 0..n_x-1."""
+    slope = np.diff(g) / kern.grid.dx
+    t, residual = scheme_residual(g, slope, m.c_bar, m, kern, h)
+    return np.append(slope, equation_slope(t[-1], g[-1], m.c_bar, m, h[-1])), residual
+
+
 def contact_scan(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per mask row (the last axis): the first contact node, or the row
     length if the row has none, and the count of free nodes above it."""
@@ -193,7 +225,7 @@ def extract_boundary(surface: ValueSurface) -> FreeBoundaryCurve:
         rates=surface.rates.copy(),
         x_star=np.concatenate((x_star[:1], x_star)),
         up_closure_violations=contact_scan(surface.masks)[1],
-        gradient_at_zero=surface.v_prime[:, 0].copy(),
+        gradient_at_zero=surface.slopes()[0][:, 0],
     )
 
 

@@ -6,18 +6,17 @@ common random numbers, within a discretization budget that
 `calibrate_eps_disc` prices from the surface and its refinement pair.
 
 Every invariant the solver is supposed to enforce is re-measured here from
-the stored arrays (never from solver-internal state) and reported as a
+the surface's values (never from solver-internal state) and reported as a
 named check with its bound, the observed value, and the margin.  Failures
 are data, not exceptions, so a corrupted surface (a rung without contact
 included) produces a failing certificate instead of a crash.
 
-The equation checks take `discretization.scheme_residual`.
-`complementarity` reads each rung's v only, through its forward difference:
-the stored v' of a free node is the slope that zeroes the residual, so a
-residual taken with it would hold for any v; its measure is the solvers'
-own, `discretization.complementarity_defect`.  Stored rung slopes are
-checked by the gradient window and `threshold_collapse` alone.
-`boundary_residual` reads the stored g', the forward difference of g.
+The equation checks read `ValueSurface.slopes`: `boundary_residual` the
+residual of g's forward difference, `complementarity` each later rung's.
+A free node's v' is the slope that zeroes the residual, so a residual
+taken with it would hold for any v; the measure is the solvers' own,
+`discretization.complementarity_defect`.  The slopes v' are checked by the
+gradient window and `threshold_collapse` alone.
 
 No check repeats another.  The rate map is the rate runs of the
 thresholds, so it lies between each rung's rate and the cap and rises in
@@ -29,15 +28,14 @@ obstacle gap, which `obstacle_order` checks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import simulate as sim
-from .discretization import Grid, complementarity_defect, get_kernel, scheme_residual
+from .discretization import Grid, complementarity_defect
 from .errors import ValidationError
 from .ladder import RateLadder, slope_growth_bound, solve_ladder
-from .model import ClaimDistribution, h_eval
 from .surface import DEFAULT_TOLERANCES, ValueSurface, contact_scan, ratchet_thresholds
 
 
@@ -77,62 +75,40 @@ class Certificate:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "description": c.description,
-                    "bound": c.bound,
-                    "observed": c.observed,
-                    "margin": c.margin,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
+        checks = [{**asdict(c), "margin": c.margin, "passed": c.passed} for c in self.checks]
+        return {"passed": self.passed, "checks": checks}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def run_invariant_suite(surface: ValueSurface, d: ClaimDistribution) -> Certificate:
+def run_invariant_suite(surface: ValueSurface) -> Certificate:
     """Re-measure every structural invariant of a solved surface, each
     against its bound in DEFAULT_TOLERANCES.
 
-    The checks read only the surface arrays and the claim distribution, so
-    corrupted data cannot hide behind stale solver state.
+    The checks read only the surface's values and inputs, so corrupted data
+    cannot hide behind stale solver state.
     """
     tol = DEFAULT_TOLERANCES
     m = surface.m
     grid = surface.grid
-    ladder = surface.ladder
     dx = grid.dx
-    dc = ladder.dc
+    dc = surface.ladder.dc
     v = surface.v
-    vp = surface.v_prime
+    vp, residual = surface.slopes()
     rates = surface.rates
-    kern, h = get_kernel(d, grid), h_eval(m, d, grid.nodes)
-    mean_claim = float(d.tail_mean(0.0))
+    mean_claim = float(surface.claims.tail_mean(0.0))
     checks = []
 
     def add(name, description, bound, observed):
-        checks.append(
-            CheckResult(
-                name=name,
-                description=description,
-                bound=float(bound),
-                observed=float(observed),
-            )
-        )
+        checks.append(CheckResult(name, description, float(bound), float(observed)))
 
     # cap-rate equation residual on interior nodes
-    _, res = scheme_residual(v[0], vp[0, :-1], m.c_bar, m, kern, h)
     add(
         "boundary_residual",
         "cap-rate integro-differential equation residual, sup over interior",
         tol["residual"],
-        np.max(np.abs(res)),
+        np.max(np.abs(residual[0])),
     )
     add(
         "boundary_dirichlet",
@@ -212,9 +188,8 @@ def run_invariant_suite(surface: ValueSurface, d: ClaimDistribution) -> Certific
     # complementarity: on every node either the equation of the forward
     # difference of v holds or the obstacle binds, and the rung is a supersolution
     comp = 0.0
-    for i in range(1, ladder.n + 1):
-        _, res_i = scheme_residual(v[i], np.diff(v[i]) / dx, rates[i], m, kern, h)
-        comp = max(comp, complementarity_defect(res_i, gaps[i - 1]))
+    for res_i, gap in zip(residual[1:], gaps):
+        comp = max(comp, complementarity_defect(res_i, gap))
     add(
         "complementarity",
         "min(equation residual, obstacle gap) vanishes on interior nodes",
@@ -256,9 +231,7 @@ def run_invariant_suite(surface: ValueSurface, d: ClaimDistribution) -> Certific
     return Certificate(checks=checks)
 
 
-def calibrate_eps_disc(
-    surface: ValueSurface, d: ClaimDistribution, update_tol: float = 1e-10
-) -> tuple[float, float]:
+def calibrate_eps_disc(surface: ValueSurface, update_tol: float = 1e-10) -> tuple[float, float]:
     """Measure the discretization budget eps = kappa*(dx + dc) of a solved
     surface from one refinement pair (n_x, n) -> (2 n_x, 2 n), whose coarse
     member halves the surface when n_x >= 128 and n >= 2 and is the
@@ -276,7 +249,9 @@ def calibrate_eps_disc(
         g = Grid(L=grid.L, n_x=s * (grid.n_x // k))
         lad = RateLadder(n=s * (ladder.n // k), c_bar=ladder.c_bar, c_floor=ladder.c_floor)
         own = (g.n_x, lad.n) == (grid.n_x, ladder.n)
-        v = surface.v if own else solve_ladder(surface.m, d, g, lad, update_tol=update_tol).v
+        v = surface.v if own else solve_ladder(
+            surface.m, surface.claims, g, lad, update_tol=update_tol
+        ).v
         return v, g.dx + lad.dc
 
     (vc, step), (vf, _) = member(1), member(2)
@@ -286,7 +261,6 @@ def calibrate_eps_disc(
 
 def mc_cross_check(
     surface: ValueSurface,
-    d: ClaimDistribution,
     points: list,
     n_paths: int,
     seed: int,
@@ -314,7 +288,7 @@ def mc_cross_check(
     rates = [min(0.5 * (c0 + m.c_bar), m.c_bar) for _, c0 in points]
     starts = [(x0, c) for (x0, _), c in zip(points, rates)]
     ests, _ = sim.estimate_strategies(
-        m, d, n_paths, seed, horizon, ratchet_thresholds(surface), points, starts
+        m, surface.claims, n_paths, seed, horizon, ratchet_thresholds(surface), points, starts
     )
     checks = []
     for k, ((x0, c0), c, est, est_c) in enumerate(zip(points, rates, ests, ests[len(points) :])):

@@ -1,11 +1,14 @@
-"""Full-band frozen-policy solve that the package's rung solve is tested
-against.
+"""References that the package's ladder is tested against.
 
 ``reference_bordered_banded_solve`` factors the banded system over all
 n_x + 1 nodes, contact rows included as identity rows v_j = psi_j, and
 recovers v_0 from the border column.  `_sweep.bordered_banded_solve`
 solves only the nodes up to the last free one and must return the same
 bits.
+
+``chained_slopes`` is v' as the rung solves once chained it, from each
+rung's own switch mask; `ValueSurface.slopes` reads the same v' off v
+alone and must return the same bits.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import numpy as np
 from scipy.linalg import LinAlgError
 
 from divratchet._sweep import _GBSV
+from divratchet.discretization import equation_slope, get_kernel
+from divratchet.model import h_eval
 
 
 def reference_bordered_banded_solve(ab, bands, stride, rhs, border, contact, psi):
@@ -37,3 +42,19 @@ def reference_bordered_banded_solve(ab, bands, stride, rhs, border, contact, psi
     v = x[::stride, 0] + theta * x[::stride, 1]
     v[:n][contact] = psi[contact]
     return v
+
+
+def chained_slopes(m, d, grid, rates, slices):
+    """v' of the ladder whose rungs, g first, are the `ValueSlice`s slices:
+    g's forward difference with the slope that zeroes its equation at L,
+    then rung by rung the previous rung's v' on the rung's switch mask and
+    the slope that zeroes the rung's equation elsewhere."""
+    kern, h = get_kernel(d, grid), h_eval(m, d, grid.nodes)
+    n = grid.n_x
+    g = slices[0].v
+    t = kern.jump(g, m.lam)
+    rows = [np.append(np.diff(g) / grid.dx, equation_slope(t[n], g[n], m.c_bar, m, h[n]))]
+    for c, rung in zip(rates[1:].tolist(), slices[1:]):
+        slope = equation_slope(kern.jump(rung.v, m.lam), rung.v, c, m, h)
+        rows.append(np.where(rung.switch_mask, rows[-1], slope))
+    return np.array(rows)

@@ -23,9 +23,9 @@ from divratchet import (
 )
 from divratchet import verify
 from divratchet._sweep import anderson_fixed_point, backward_linear_solve, bordered_banded_solve
-from divratchet.discretization import ConvKernel, equation_slope, get_kernel, scheme_residual
+from divratchet.discretization import ConvKernel, get_kernel, scheme_residual
 from divratchet.ladder import RateLadder, solve_g, solve_ladder
-from divratchet.surface import DEFAULT_TOLERANCES
+from divratchet.surface import DEFAULT_TOLERANCES, cap_slope
 from divratchet.verify import calibrate_eps_disc, run_invariant_suite
 from sweep_reference import reference_picard_g
 
@@ -42,10 +42,16 @@ def sol_fine():
 
 
 def residual_sup(sol, m, d, grid):
-    """Sup of g's scheme residual over the interior nodes, with its stored v'."""
+    """Sup of g's scheme residual over the interior nodes, with its forward
+    difference."""
     h = h_eval(m, d, grid.nodes)
-    _, res = scheme_residual(sol.v, sol.v_prime[:-1], m.c_bar, m, get_kernel(d, grid), h)
+    _, res = scheme_residual(sol.v, np.diff(sol.v) / grid.dx, m.c_bar, m, get_kernel(d, grid), h)
     return float(np.max(np.abs(res)))
+
+
+def g_slope(sol, m, d, grid):
+    """g' on every node, as the surface reads row 0 (`cap_slope`)."""
+    return cap_slope(sol.v, m, get_kernel(d, grid), h_eval(m, d, grid.nodes))[0]
 
 
 class TestEnvelope:
@@ -59,7 +65,7 @@ class TestEnvelope:
         assert g.max() <= M1.c_bar / M1.r + 1e-9
 
     def test_gradient_bounds(self, sol_fine):
-        gp = sol_fine.v_prime
+        gp = g_slope(sol_fine, M1, D1, G1)
         assert gp.min() >= -1e-9
         assert gp.max() <= M1.ell + 1e-9
 
@@ -161,7 +167,7 @@ class TestExactOracle:
             sol = solve_g(m, Exponential(gamma), grid)
             x = grid.nodes
             errs.append(float(np.max(np.abs(sol.v - exact(x))[x <= L / 2])))
-            assert abs(sol.v_prime[0] - slope0) <= 0.5 * grid.dx
+            assert abs((sol.v[1] - sol.v[0]) / grid.dx - slope0) <= 0.5 * grid.dx
         assert 1.9 <= errs[0] / errs[1] <= 2.1
         assert 1.9 <= errs[1] / errs[2] <= 2.1
 
@@ -176,7 +182,7 @@ class TestExactOracle:
             surface = solve_ladder(m, d, grid, RateLadder(8, m.c_bar, m.c_floor))
             x = grid.nodes
             err = float(np.max(np.abs(surface.v[0] - exact(x))[x <= L / 2]))
-            _, eps_disc = calibrate_eps_disc(surface, d)
+            _, eps_disc = calibrate_eps_disc(surface)
             assert err <= eps_disc
 
 
@@ -243,36 +249,27 @@ class TestJumpOnce:
         monkeypatch.undo()
         return sol, len(calls)
 
-    @staticmethod
-    def assert_slope_at_L(sol, m, d, grid):
-        # v'(L) is the slope the equation implies, bitwise, from T g
-        n = grid.n_x
-        t = get_kernel(d, grid).jump(sol.v, m.lam)
-        h = h_eval(m, d, grid.nodes)
-        assert sol.v_prime[n] == equation_slope(t[n], sol.v[n], m.c_bar, m, h[n])
-
     @pytest.mark.parametrize(
         "d",
         [HyperExponential((0.7, 0.3), (0.3, 1.3)), ShiftedPareto(alpha=3.0, theta=1.2)],
         ids=["hyperexponential", "shifted_pareto"],
     )
     def test_converged_g_takes_one_jump(self, d, monkeypatch):
-        # the T g of the slope at L also serves the residual: the banded
-        # step's own T g when the projection moves nothing, as here
+        # the residual g is accepted on takes one T g: the banded step's
+        # own when the projection moves nothing, as here
         m = ModelParams(mu=2.0, lam=2.0, r=0.1, ell=2.0, c_bar=1.2, c_floor=0.0)
         grid = Grid(L=20.0, n_x=400)
         sol, calls = self.count_jumps(monkeypatch, m, d, grid)
         sweeps = 0 if get_kernel(d, grid).has_recursion() else sol.iterations
         assert calls == sweeps + 1
-        self.assert_slope_at_L(sol, m, d, grid)
 
     def test_projected_g_takes_fresh_jump(self, monkeypatch):
         # at 2000 nodes the projection moves the acceptance set's g by
-        # 7.6e-14, so the banded step's T no longer holds and T g is redone
+        # 7.6e-14, so the banded step's residual no longer holds and T g is
+        # redone
         sol, calls = self.count_jumps(monkeypatch, M1, D1, G1)
         assert sol.final_update_norm > 0.0
         assert calls == 2
-        self.assert_slope_at_L(sol, M1, D1, G1)
 
 
 class TestOtherClaimFamilies:
@@ -292,8 +289,9 @@ class TestOtherClaimFamilies:
         assert residual_sup(sol, m, d, grid) <= 1e-8
         assert g.min() >= (m.c_bar - m.lam * m.ell * d.gamma) / m.r - 1e-9
         assert g.max() <= m.c_bar / m.r + 1e-9
-        assert sol.v_prime.min() >= -1e-9
-        assert sol.v_prime.max() <= m.ell + 1e-9
+        gp = g_slope(sol, m, d, grid)
+        assert gp.min() >= -1e-9
+        assert gp.max() <= m.ell + 1e-9
         # heavy tails approach the Dirichlet pin with visible curvature, so
         # the last interior node carries an O(dx^2) kink; 1e-3*dx^2 covers
         # the measured 1.3e-4*dx^2 with headroom
@@ -306,7 +304,7 @@ class TestReport:
 
     def test_fields_and_shapes(self, sol_fine):
         n = G1.n_x
-        for arr in (sol_fine.v, sol_fine.v_prime, sol_fine.switch_mask):
+        for arr in (sol_fine.v, sol_fine.switch_mask):
             assert arr.shape == (n + 1,)
         assert sol_fine.switch_mask.all()
         assert residual_sup(sol_fine, M1, D1, G1) <= 1e-8
@@ -320,7 +318,8 @@ class TestReport:
         surface = solve_ladder(M1, d, grid, RateLadder(4, M1.c_bar, M1.c_floor))
         assert sol.switch_mask.all()
         assert sol.v.tobytes() == surface.v[0].tobytes()
-        assert sol.v_prime.tobytes() == surface.v_prime[0].tobytes()
+        assert surface.masks[0].all()
+        assert g_slope(sol, M1, d, grid).tobytes() == surface.slopes()[0][0].tobytes()
         assert sol.iterations == surface.iterations[0]
         assert np.float64(sol.final_update_norm).tobytes() == surface.update_norms[0].tobytes()
 
@@ -328,7 +327,7 @@ class TestReport:
 def direct_banded_g(m, d, grid):
     """Frozen copy of the direct banded g route: one `bordered_banded_solve`
     on the whole band with no contact node, then the monotone projection.
-    Returns (v, v', the projection's sup-norm change)."""
+    Returns (v, the projection's sup-norm change)."""
     n = grid.n_x
     kern = get_kernel(d, grid)
     h = h_eval(m, d, grid.nodes)
@@ -342,9 +341,7 @@ def direct_banded_g(m, d, grid):
     )
     v = np.maximum.accumulate(np.minimum(raw, v_L))
     v[n] = v_L
-    t = kern.jump(v, m.lam)
-    v_prime = np.append(np.diff(v) / grid.dx, equation_slope(t[n], v[n], m.c_bar, m, h[n]))
-    return v, v_prime, float(np.max(np.abs(v - raw)))
+    return v, float(np.max(np.abs(v - raw)))
 
 
 class TestPolicyStepG:
@@ -358,17 +355,16 @@ class TestPolicyStepG:
     def test_matches_direct_banded_solve(self, d, n_x):
         grid = Grid(L=30.0, n_x=n_x)
         sol = solve_g(M1, d, grid)
-        v, v_prime, update = direct_banded_g(M1, d, grid)
+        v, update = direct_banded_g(M1, d, grid)
         assert sol.iterations == 1
         assert sol.v.tobytes() == v.tobytes()
-        assert sol.v_prime.tobytes() == v_prime.tobytes()
         assert sol.final_update_norm == update
 
 
 def anderson_picard_g(m, d, grid, update_tol=1e-10, max_iter=10000):
     """Frozen copy of the unprojected g route for densities without a
     recursion: Anderson-mixed frozen-T back-substitutions from c_bar/r.
-    Returns (v, v', map evaluations, final update)."""
+    Returns (v, map evaluations, final update)."""
     n = grid.n_x
     kern = get_kernel(d, grid)
     h = h_eval(m, d, grid.nodes)
@@ -380,12 +376,7 @@ def anderson_picard_g(m, d, grid, update_tol=1e-10, max_iter=10000):
         t = kern.jump(v, m.lam)
         return backward_linear_solve((t[:n] - h[:n] + m.c_bar) / b, a / b, v_L)
 
-    v, iterations, update = anderson_fixed_point(
-        sweep, np.full(n + 1, v_L), update_tol, max_iter, "g"
-    )
-    t = kern.jump(v, m.lam)
-    v_prime = np.append(np.diff(v) / grid.dx, equation_slope(t[n], v[n], m.c_bar, m, h[n]))
-    return v, v_prime, iterations, update
+    return anderson_fixed_point(sweep, np.full(n + 1, v_L), update_tol, max_iter, "g")
 
 
 class TestPicardRungG:
@@ -397,9 +388,8 @@ class TestPicardRungG:
     def test_matches_anderson_picard(self, n_x):
         grid = Grid(L=30.0, n_x=n_x)
         sol = solve_g(M1, P1, grid)
-        v, v_prime, iterations, update = anderson_picard_g(M1, P1, grid)
+        v, iterations, update = anderson_picard_g(M1, P1, grid)
         assert sol.v.tobytes() == v.tobytes()
-        assert sol.v_prime.tobytes() == v_prime.tobytes()
         assert sol.iterations == iterations
         assert sol.final_update_norm == update
 
@@ -417,5 +407,5 @@ class TestResidualBound:
             solve_g(M1, d, grid)
         # the residual g is accepted on is the interior sup the certificate reads
         assert exc.value.residual == residual_sup(g, M1, d, grid)
-        assert run_invariant_suite(surface, d).check("boundary_residual").bound == 1e-20
+        assert run_invariant_suite(surface).check("boundary_residual").bound == 1e-20
         assert verify.DEFAULT_TOLERANCES is DEFAULT_TOLERANCES

@@ -4,17 +4,19 @@ import csv
 import io
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 import yaml
 
-from divratchet.cache import read_surface, write_surface
-from divratchet import cli, simulate as sim
+from divratchet import cache as cache_module
+from divratchet.cache import MAGIC, read_surface, write_surface
+from divratchet import cli, config, simulate as sim
 from divratchet.cli import _BLOCK_ROWS, _write_rows, main
 from divratchet.config import load_config
 from divratchet.discretization import get_kernel, scheme_residual
-from divratchet.ladder import solve_g
+from divratchet.ladder import solve_g, solve_ladder
 from divratchet.model import h_eval
 from rate_map_reference import chained_rate_map
 
@@ -57,16 +59,15 @@ def test_boundary_csv_contract(tmp_path):
     assert 0.0 < g0 < MODEL["c_bar"] / MODEL["r"]
     gl = float(rows[-1][1])
     assert abs(gl - MODEL["c_bar"] / MODEL["r"]) < 1e-9
-    # the columns are rung 0 of the ladder and the scheme residual of its
-    # v and v', bitwise
+    # the columns are rung 0 of the ladder, its slope as the surface reads
+    # it and the scheme residual of the two, bitwise
     run = load_config(cfg)
     m, d, grid = run.model, run.claims, run.grid
     g = solve_g(m, d, grid)
-    _, res = scheme_residual(
-        g.v, g.v_prime, m.c_bar, m, get_kernel(d, grid), h_eval(m, d, grid.nodes)
-    )
+    gp = solve_ladder(m, d, grid, run.ladder).slopes()[0][0]
+    _, res = scheme_residual(g.v, gp, m.c_bar, m, get_kernel(d, grid), h_eval(m, d, grid.nodes))
     cols = np.array(rows[1:], dtype=float).T
-    for col, ref in zip(cols, (grid.nodes, g.v, g.v_prime, res)):
+    for col, ref in zip(cols, (grid.nodes, g.v, gp, res)):
         assert col.tobytes() == ref.tobytes()
 
 
@@ -308,16 +309,84 @@ def test_verify_flags_corrupted_cache(tmp_path, capsys):
     cfg = make_cfg(tmp_path)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 0
     cache = list((tmp_path / "out").glob("surface-*.bin"))[0]
-    surface, d = read_surface(str(cache))
+    surface, _ = read_surface(str(cache))
     # break the obstacle ordering on one interior stretch of rung 4
     surface.v[4, 60:80] -= 0.05
-    write_surface(str(cache), surface, d)
+    write_surface(str(cache), surface)
     out = str(tmp_path / "cert.json")
     rc = main(["verify", "--config", cfg, "--skip-mc", "--out", out])
     assert rc == 1
     cert = json.loads(open(out).read())
     failed = {c["name"] for c in cert["checks"] if not c["passed"]}
     assert "obstacle_order" in failed
+
+
+@pytest.mark.parametrize(
+    "claims,key",
+    [
+        ({"kind": "exponential", "gamma": "abc"}, "gamma"),
+        ({"kind": "exponential", "gamma": [1]}, "gamma"),
+        ({"kind": "exponential", "gamma": True}, "gamma"),
+        ({"kind": "shifted_pareto", "alpha": None, "theta": 1.2}, "alpha"),
+        ({"kind": "hyperexponential", "weights": 0.5, "means": [0.6]}, "weights"),
+        ({"kind": "hyperexponential", "weights": [0.5, 0.5], "means": "12"}, "means"),
+    ],
+    ids=["string", "list", "bool", "null", "scalar-weights", "digit-string-means"],
+)
+def test_bad_claims_value_rejected_before_solving(claims, key, tmp_path, capsys, monkeypatch):
+    # each printed a traceback or loaded a wrong distribution
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the surface was solved")
+
+    monkeypatch.setattr(cli, "solve_ladder", no_solve)
+    doc = yaml.safe_load(open(make_cfg(tmp_path)))
+    doc["claims"] = claims
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "v.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"ValidationError: claims.{key} must be ")
+
+
+def test_failed_cache_write_blocks_no_later_command(tmp_path, monkeypatch):
+    # a solve that dies while writing its cache leaves no file behind, so
+    # the next command solves again instead of failing on a truncated cache
+    cfg = make_cfg(tmp_path)
+    calls = []
+    real = np.ascontiguousarray
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cache_module.np, "ascontiguousarray", failing)
+    with pytest.raises(KeyboardInterrupt):
+        main(["solve", "--config", cfg, "--out", str(tmp_path / "v.csv")])
+    monkeypatch.undo()
+    assert os.listdir(tmp_path / "out") == []
+    for cmd in ("rate-map", "boundary-curve", "solve"):
+        assert main([cmd, "--config", cfg, "--out", str(tmp_path / f"{cmd}.csv")]) == 0
+    assert len(list((tmp_path / "out").iterdir())) == 1
+
+
+def test_cache_of_the_previous_format_is_not_read(tmp_path, capsys, monkeypatch):
+    # an out_dir filled before the format change holds version-1 files
+    # under the version-1 names; the format salts the hash, so they are
+    # never looked up and every command runs
+    cfg = make_cfg(tmp_path)
+    monkeypatch.setattr(config, "SURFACE_FORMAT", 1)
+    old = cli.cache_path(load_config(cfg))
+    monkeypatch.undo()
+    os.makedirs(os.path.dirname(old))
+    with open(old, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<II", 1, 2) + b"{}")
+    assert cli.cache_path(load_config(cfg)) != old
+    for cmd in ("rate-map", "boundary-curve", "solve"):
+        assert main([cmd, "--config", cfg, "--out", str(tmp_path / f"{cmd}.csv")]) == 0
+    assert main(["verify", "--config", cfg, "--skip-mc", "--out", str(tmp_path / "c.json")]) == 0
+    assert "cache hit" in capsys.readouterr().err
+    assert open(old, "rb").read() == MAGIC + struct.pack("<II", 1, 2) + b"{}"
 
 
 def test_error_names_module_error(tmp_path, capsys):

@@ -1,8 +1,11 @@
 """YAML run-config loading, validation messages, and the params hash."""
 
+import re
+
 import pytest
 import yaml
 
+from divratchet import config
 from divratchet.config import RunConfig, claims_spec, load_config
 from divratchet.discretization import Grid
 from divratchet.errors import ParseError, ValidationError
@@ -123,6 +126,17 @@ def test_hash_changes_with_surface_inputs(tmp_path, key, val):
     assert other != base
 
 
+def test_hash_changes_with_the_surface_format(tmp_path, monkeypatch):
+    # the format salts the hash, so a cache of another layout has another
+    # file name; format 1 (v, v', masks) gave this hash for the base config
+    cfg = load_config(write_cfg(tmp_path, base_doc()))
+    now = cfg.params_hash
+    monkeypatch.setattr(config, "SURFACE_FORMAT", 1)
+    old = cfg.params_hash
+    assert old == "4a30e10ed37e885672d6752992e7680eb9cd8ba6da1160f8c63c5eb575065762"
+    assert now != old
+
+
 @pytest.mark.parametrize(
     "key,val",
     [
@@ -218,6 +232,41 @@ def test_integer_key_accepts_integral_float_and_string(tmp_path):
 def test_model_validation_propagates(tmp_path):
     with pytest.raises(ValidationError, match="ell must exceed 1"):
         load_config(write_cfg(tmp_path, base_doc(model__ell=0.9)))
+
+
+@pytest.mark.parametrize(
+    "claims,message",
+    [
+        ({"kind": "exponential", "gamma": "abc"}, "claims.gamma must be a number, got 'abc'"),
+        ({"kind": "exponential", "gamma": [1]}, "claims.gamma must be a number, got [1]"),
+        ({"kind": "exponential", "gamma": True}, "claims.gamma must be a number, got True"),
+        ({"kind": "shifted_pareto", "alpha": None, "theta": 1.2},
+         "claims.alpha must be a number, got None"),
+        ({"kind": "hyperexponential", "weights": 0.5, "means": [0.3]},
+         "claims.weights must be a list of numbers, got 0.5"),
+        ({"kind": "hyperexponential", "weights": [1.0], "means": "abc"},
+         "claims.means must be a list of numbers, got 'abc'"),
+        ({"kind": "hyperexponential", "weights": [0.5, 0.5], "means": "12"},
+         "claims.means must be a list of numbers, got '12'"),
+        ({"kind": "hyperexponential", "weights": [0.5, 0.5], "means": [1.0, False]},
+         "claims.means[1] must be a number, got False"),
+    ],
+    ids=["string", "list", "bool", "null", "scalar-weights", "string-means",
+         "digit-string-means", "bool-mean"],
+)
+def test_claims_values_are_checked_like_model_values(tmp_path, claims, message):
+    # each was a raw TypeError or ValueError, or loaded silently ("12" as
+    # means (1.0, 2.0), True as 1.0)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_config(write_cfg(tmp_path, base_doc(claims=claims)))
+
+
+def test_claims_accept_what_model_values_accept(tmp_path):
+    doc = base_doc(claims={"kind": "hyperexponential", "weights": [1, "0"], "means": ["0.5", 2]})
+    with pytest.raises(ValidationError, match="mixture weights must be positive"):
+        load_config(write_cfg(tmp_path, doc))
+    doc = base_doc(claims={"kind": "exponential", "gamma": "0.5"})
+    assert load_config(write_cfg(tmp_path, doc)).claims == Exponential(0.5)
 
 
 def test_missing_claims_kind(tmp_path):

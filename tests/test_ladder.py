@@ -40,7 +40,7 @@ from divratchet.ladder import (
     solve_ladder,
     solve_rung,
 )
-from ladder_reference import reference_bordered_banded_solve
+from ladder_reference import chained_slopes, reference_bordered_banded_solve
 from sweep_reference import reference_picard_rung
 
 M1 = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
@@ -319,7 +319,7 @@ class TestCutSolve:
         cut = solve_ladder(M2, D2, grid, ladder)
         monkeypatch.setattr(ladder_mod, "bordered_banded_solve", reference_bordered_banded_solve)
         full = solve_ladder(M2, D2, grid, ladder)
-        for name in ("v", "v_prime", "masks", "iterations"):
+        for name in ("v", "iterations"):
             assert np.array_equal(getattr(cut, name), getattr(full, name)), name
 
 
@@ -544,11 +544,11 @@ class TestTruncatedPicard:
         for start, full_grid_calls in [(first, 1), (first // 2, None), (None, None)]:
             contact = None if start is None else np.arange(n) >= start
             lengths.clear()
-            v, _, _, (t, res) = picard_rung(psi, c, M2, kern, h, 1e-10, 10000, "x", contact)
+            v, _, _, res = picard_rung(psi, c, M2, kern, h, 1e-10, 10000, "x", contact)
             if full_grid_calls is not None:
                 assert lengths.count(n + 1) == full_grid_calls
-            t_ref, res_ref = scheme_residual(v, np.diff(v) / grid.dx, c, M2, kern, h)
-            assert np.array_equal(t, t_ref) and np.array_equal(res, res_ref)
+            _, res_ref = scheme_residual(v, np.diff(v) / grid.dx, c, M2, kern, h)
+            assert np.array_equal(res, res_ref)
 
     def test_pocketed_obstacle_is_not_cut(self, monkeypatch):
         # lam = 3, ell = 1.5 on L = 20 leaves a free pocket below the pin at
@@ -660,19 +660,18 @@ class TestWarmStart:
                 assert np.array_equal(v, surface.v[i])
 
     def test_returned_residual_is_that_of_v(self, readme_ladder):
-        # solve_rung takes (T v, residual) from the last policy step
-        # instead of recomputing it; the converged v needs no projection
+        # solve_rung takes the residual from the last policy step instead
+        # of recomputing it; the converged v needs no projection
         grid, surface = readme_ladder
         n = grid.n_x
         kern = get_kernel(D2, grid)
         h = h_eval(M2, D2, grid.nodes)
         for i in range(1, surface.ladder.n + 1):
             psi, c = surface.v[i - 1], float(surface.rates[i])
-            v, _, _, (t, res) = policy_rung(
+            v, _, _, res = policy_rung(
                 psi, surface.masks[i - 1][:n], c, M2, kern, h, 200, "test",
             )
-            t_ref, res_ref = scheme_residual(v, np.diff(v) / grid.dx, c, M2, kern, h)
-            assert np.array_equal(t, t_ref)
+            _, res_ref = scheme_residual(v, np.diff(v) / grid.dx, c, M2, kern, h)
             assert np.array_equal(res, res_ref)
             assert np.array_equal(np.maximum(v, psi), v)
             assert np.array_equal(v, surface.v[i])
@@ -702,7 +701,7 @@ class TestComplementarityBound:
         with pytest.raises(NoConvergence, match="rung 1/") as exc:
             solve_ladder(M2, d, grid, ladder)
         assert exc.value.residual == defect
-        assert run_invariant_suite(surface, d).check("complementarity").bound == 1e-20
+        assert run_invariant_suite(surface).check("complementarity").bound == 1e-20
 
     def test_nan_defect_is_not_accepted(self):
         # a NaN compares false with every bound, so a `defect > bound` test
@@ -710,3 +709,38 @@ class TestComplementarityBound:
         with pytest.raises(NoConvergence, match="rung g: .* defect nan") as exc:
             accept_rung(np.array([0.0, np.nan]), np.full(3, np.inf), "residual", "g", 1, 0.0)
         assert np.isnan(exc.value.residual)
+
+
+@pytest.mark.parametrize(
+    "d,n_x,n",
+    [(D2, 800, 32), (H2, 800, 16), (P2, 800, 16)],
+    ids=["exponential", "hyperexponential", "shifted_pareto"],
+)
+def test_surface_reads_the_solvers_masks_and_slopes(d, n_x, n, monkeypatch):
+    # the surface stores v alone: its masks are each solve_rung's switch
+    # mask and its slopes the v' the rung solves chained, bitwise
+    slices, sizes = [], []
+    real_g, real_rung = ladder_mod.solve_g, ladder_mod.solve_rung
+    real_fixed_point = ladder_mod.anderson_fixed_point
+
+    def fixed_point(sweep, start, *args):
+        sizes.append(start.shape[0])
+        return real_fixed_point(sweep, start, *args)
+
+    def recorded(solve):
+        return lambda *a, **k: slices.append(solve(*a, **k)) or slices[-1]
+
+    monkeypatch.setattr(ladder_mod, "solve_g", recorded(real_g))
+    monkeypatch.setattr(ladder_mod, "solve_rung", recorded(real_rung))
+    monkeypatch.setattr(ladder_mod, "anderson_fixed_point", fixed_point)
+    grid = Grid(L=20.0, n_x=n_x)
+    surface = solve_ladder(M2, d, grid, RateLadder(n, M2.c_bar, M2.c_floor))
+    monkeypatch.undo()
+    assert len(slices) == n + 1
+    # the Picard rungs take the truncated solve: some run on fewer nodes
+    assert (min(sizes) < n_x + 1) if d is P2 else not sizes
+    for i, rung in enumerate(slices):
+        assert np.array_equal(surface.masks[i], rung.switch_mask), i
+    assert 0.0 < surface.masks[1:].mean() < 1.0
+    ref = chained_slopes(M2, d, grid, surface.rates, slices)
+    assert surface.slopes()[0].tobytes() == ref.tobytes()

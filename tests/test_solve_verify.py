@@ -57,6 +57,6 @@ def test_solved_surface_passes_invariants(kind, n_x, n):
     for mask in surface.masks:  # switch regions are upper sets in x
         assert mask[int(np.argmax(mask)):].all()
 
-    cert = run_invariant_suite(surface, d)
+    cert = run_invariant_suite(surface)
     failed = {c.name: (c.observed, c.bound) for c in cert.checks if not c.passed}
     assert not failed

@@ -12,6 +12,7 @@ node 1 at rung 3 chains one step (rung 3 contacts rung 2 there) but rung 2
 does not contact rung 1, so the reachable rate is 0.3, not 0.9.
 """
 
+import copy
 import re
 
 import numpy as np
@@ -25,7 +26,9 @@ from divratchet import (
     RateOutOfRange,
     ValidationError,
 )
+from divratchet.discretization import get_kernel, scheme_residual
 from divratchet.ladder import RateLadder, solve_ladder
+from divratchet.model import h_eval
 from divratchet.simulate import FrontierSchedule
 from divratchet.surface import (
     ValueSurface,
@@ -47,20 +50,33 @@ def surf2():
     return solve_ladder(M2, D2, G2, lad, update_tol=1e-11)
 
 
+def values_from_masks(masks):
+    """Value rows whose contact sets are the given mask rows (row 0 all
+    True): row i repeats row i - 1 where its mask holds and lies 1 above it
+    elsewhere."""
+    masks = np.asarray(masks, bool)
+    values = np.zeros(masks.shape)
+    for i in range(1, masks.shape[0]):
+        values[i] = np.where(masks[i], values[i - 1], values[i - 1] + 1.0)
+    return values
+
+
 def synthetic_surface(masks, rates_spec, values=None, m=None, grid=None):
-    """Assemble a ValueSurface from raw mask/value rows (structure tests)."""
+    """Assemble a ValueSurface (structure tests) from value rows, or from
+    mask rows through `values_from_masks`."""
     n_rungs, c_bar, c_floor = rates_spec
     m = m or ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.5, c_bar=c_bar, c_floor=c_floor)
     grid = grid or Grid(L=8.0, n_x=64)
     lad = RateLadder(n_rungs, c_bar, c_floor)
-    shape = (n_rungs + 1, grid.n_x + 1)
     if values is None:
-        values = np.arange(n_rungs + 1.0)[:, None] + np.zeros(shape)
-    return ValueSurface(
-        m, grid, lad,
-        np.asarray(values, float), np.zeros(shape), np.asarray(masks, bool),
+        values = values_from_masks(masks)
+    surf = ValueSurface(
+        m, D2, grid, lad, np.asarray(values, float),
         np.zeros(n_rungs + 1, dtype=np.int64), np.zeros(n_rungs + 1),
     )
+    if masks is not None:
+        assert np.array_equal(surf.masks, masks)
+    return surf
 
 
 def pattern_masks(n_rungs, n_nodes, first_true):
@@ -114,8 +130,7 @@ class TestValueInterpolation:
         lad_rates = (4, 1.0, 0.0)
         lad = RateLadder(*lad_rates)
         rows = [2.0 + 3.0 * grid.nodes - 5.0 * r for r in lad.rates]
-        masks = [np.ones(65, bool)] * 5
-        surf = synthetic_surface(masks, lad_rates, values=rows, grid=grid)
+        surf = synthetic_surface(None, lad_rates, values=rows, grid=grid)
         for x, c in [(0.0, 1.0), (1.23, 0.4), (7.9, 0.77), (3.3333, 0.0)]:
             assert surf.value_at(x, c) == pytest.approx(2.0 + 3.0 * x - 5.0 * c, abs=1e-12)
 
@@ -245,10 +260,39 @@ def test_wrong_array_shapes_rejected():
     good = np.zeros((4, 65))
     steps, norms = np.zeros(4, dtype=np.int64), np.zeros(4)
     m = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.5, c_bar=0.9, c_floor=0.0)
-    ValueSurface(m, grid, lad, good, good, good.astype(bool), steps, norms)
-    with pytest.raises(ValidationError):
-        ValueSurface(m, grid, lad, np.zeros((3, 65)), good, good.astype(bool), steps, norms)
-    with pytest.raises(ValidationError):
-        ValueSurface(m, grid, lad, good, np.zeros((4, 64)), good.astype(bool), steps, norms)
-    with pytest.raises(ValidationError):
-        ValueSurface(m, grid, lad, good, good, good.astype(bool), steps[:3], norms)
+    ValueSurface(m, D2, grid, lad, good, steps, norms)
+    for bad in (
+        (np.zeros((3, 65)), steps, norms),
+        (np.zeros((4, 64)), steps, norms),
+        (good, steps[:3], norms),
+        (good, steps, norms[:3]),
+    ):
+        with pytest.raises(ValidationError):
+            ValueSurface(m, D2, grid, lad, *bad)
+
+
+class TestReadOffValues:
+    def test_masks_follow_the_values(self, surf2):
+        # no stored copy: a deep-copied surface whose v is edited reads its
+        # new contact sets, and the masks cannot be written
+        bad = copy.deepcopy(surf2)
+        first = int(np.argmax(bad.masks[20]))
+        bad.v[20, first + 5] += 1e-9
+        assert not bad.masks[20, first + 5] and surf2.masks[20, first + 5]
+        with pytest.raises(ValueError):
+            bad.masks[20, first + 5] = True
+
+    def test_slopes_rule(self, surf2):
+        # row 0 is the forward difference with the equation's slope at L;
+        # a contact node repeats the row above, and a free node zeroes its
+        # equation residual
+        vp, residual = surf2.slopes()
+        assert vp.shape == surf2.v.shape and residual.shape == (65, G2.n_x)
+        assert np.array_equal(vp[0, :-1], np.diff(surf2.v[0]) / G2.dx)
+        masks = surf2.masks
+        kern, h = get_kernel(D2, G2), h_eval(M2, D2, G2.nodes)
+        for i in (1, 20, 64):
+            assert np.array_equal(vp[i][masks[i]], vp[i - 1][masks[i]])
+            _, res = scheme_residual(surf2.v[i], vp[i], float(surf2.rates[i]), M2, kern, h)
+            assert not masks[i].all() and np.max(np.abs(res[~masks[i]])) <= 1e-12
+

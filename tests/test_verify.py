@@ -7,12 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from divratchet.discretization import Grid, equation_slope, get_kernel
+from divratchet.discretization import Grid
 from divratchet import simulate as sim, verify
 from divratchet.errors import RateOutOfRange, ValidationError
 from divratchet.ladder import RateLadder, solve_ladder
-from divratchet.model import Exponential, ModelParams, ShiftedPareto, h_eval
-from divratchet.surface import ValueSurface
+from divratchet.model import Exponential, ModelParams, ShiftedPareto
+from divratchet.surface import ValueSurface, ratchet_thresholds
 from divratchet.verify import (
     CheckResult,
     calibrate_eps_disc,
@@ -32,16 +32,22 @@ def solved():
     return solve_ladder(M2, D2, grid, ladder)
 
 
-def rebuild(surface, k, v=None, v_prime=None, mask=None):
-    """Copy of the surface with rung k's arrays replaced."""
-    arrays = [surface.v.copy(), surface.v_prime.copy(), surface.masks.copy()]
-    for a, row in zip(arrays, (v, v_prime, mask)):
-        if row is not None:
-            a[k] = row
+def rebuild(surface, k, v):
+    """Copy of the surface with rung k's values replaced; its masks and
+    slopes are read off the new values."""
+    values = surface.v.copy()
+    values[k] = v
     return ValueSurface(
-        surface.m, surface.grid, surface.ladder, *arrays,
+        surface.m, surface.claims, surface.grid, surface.ladder, values,
         surface.iterations, surface.update_norms,
     )
+
+
+def contact_row(surface, k, mask, lift=1e-9):
+    """Rung k's values with contact set mask: its obstacle where mask holds;
+    elsewhere its own value, lifted by lift where that touched the obstacle."""
+    v, psi = surface.v[k], surface.v[k - 1]
+    return np.where(mask, psi, np.where(v == psi, psi + lift, v))
 
 
 class TestCheckResult:
@@ -59,7 +65,7 @@ class TestCheckResult:
 class TestInvariantSuite:
     def test_clean_solve_passes_every_check(self, solved):
         surface = solved
-        cert = run_invariant_suite(surface, D2)
+        cert = run_invariant_suite(surface)
         failed = [c.name for c in cert.checks if not c.passed]
         assert cert.passed, f"failed: {failed}"
         names = {c.name for c in cert.checks}
@@ -75,8 +81,8 @@ class TestInvariantSuite:
 
     def test_json_roundtrip_and_determinism(self, solved):
         surface = solved
-        a = run_invariant_suite(surface, D2).to_json()
-        b = run_invariant_suite(surface, D2).to_json()
+        a = run_invariant_suite(surface).to_json()
+        b = run_invariant_suite(surface).to_json()
         assert a == b
         doc = json.loads(a)
         assert doc["passed"] is True
@@ -84,7 +90,7 @@ class TestInvariantSuite:
 
     def test_check_lookup(self, solved):
         surface = solved
-        cert = run_invariant_suite(surface, D2)
+        cert = run_invariant_suite(surface)
         assert cert.check("obstacle_order").passed
         with pytest.raises(KeyError):
             cert.check("no_such_check")
@@ -94,7 +100,7 @@ class TestInvariantSuite:
         k = 10
         v = surface.v[k].copy()
         v[40:60] -= 0.05  # dip below the rung above
-        cert = run_invariant_suite(rebuild(surface, k, v=v), D2)
+        cert = run_invariant_suite(rebuild(surface, k, v))
         assert not cert.passed
         assert not cert.check("obstacle_order").passed
 
@@ -103,7 +109,7 @@ class TestInvariantSuite:
         k = 10
         bump = 2.0 * (M2.ell - 1.0) / M2.r * surface.ladder.dc
         v = surface.v[k] + bump
-        cert = run_invariant_suite(rebuild(surface, k, v=v), D2)
+        cert = run_invariant_suite(rebuild(surface, k, v))
         assert not cert.passed
         assert not cert.check("rate_slope_upper").passed
 
@@ -114,43 +120,51 @@ class TestInvariantSuite:
         first = int(np.argmax(mask))
         assert mask[first:].all(), "fixture rung should have a clean contact tail"
         mask[first + 5] = False
-        cert = run_invariant_suite(rebuild(surface, k, mask=mask), D2)
+        cert = run_invariant_suite(rebuild(surface, k, contact_row(surface, k, mask)))
         assert not cert.passed
         assert not cert.check("mask_up_closed").passed
 
-    def test_threshold_collapse_violation_flagged(self, solved):
-        surface = solved
-        # claim a gradient at zero of at most 1 on a high rung while lower
-        # rungs keep strictly positive thresholds
-        vp = surface.v_prime[1].copy()
-        vp[0] = 0.9
-        cert = run_invariant_suite(rebuild(surface, 1, v_prime=vp), D2)
+    def test_threshold_collapse_violation_flagged(self):
+        # g'(0) < 1 on this model, so every rung equals g and every
+        # threshold is 0; lifting a lower rung off its obstacle near zero
+        # gives it a positive threshold below a gradient at zero of at most 1
+        m = ModelParams(mu=2.0, lam=1.0, r=0.1, ell=1.2, c_bar=1.0, c_floor=0.0)
+        d = Exponential(gamma_mean=0.5)
+        surface = solve_ladder(m, d, Grid(L=30.0, n_x=200), RateLadder(8, m.c_bar, m.c_floor))
+        assert run_invariant_suite(surface).check("threshold_collapse").passed
+        assert surface.slopes()[0][0, 0] <= 1.0 and not ratchet_thresholds(surface).any()
+        k = 6
+        v = surface.v[k].copy()
+        v[:5] += 1e-6
+        cert = run_invariant_suite(rebuild(surface, k, v))
+        assert ratchet_thresholds(rebuild(surface, k, v))[k - 1] == 5 * surface.grid.dx
         assert not cert.check("threshold_collapse").passed
 
     def test_gradient_violation_flagged(self, solved):
-        surface = solved
-        vp = surface.v_prime[5].copy()
-        vp[100] = M2.ell + 0.5
-        cert = run_invariant_suite(rebuild(surface, 5, v_prime=vp), D2)
+        # a free node of rung 5 raised by 1 takes the slope that zeroes its
+        # equation there far above ell
+        surface, k, j = solved, 5, 50
+        assert not surface.masks[k, j]
+        v = surface.v[k].copy()
+        v[j] += 1.0
+        bad = rebuild(surface, k, v)
+        assert bad.slopes()[0][k, j] > M2.ell + 0.5
+        cert = run_invariant_suite(bad)
         assert not cert.check("gradient_injection_cap").passed
 
     @pytest.mark.parametrize("bump", [1e-4, 1e-5])
     def test_complementarity_reads_the_values(self, solved, bump):
-        # raise one free node of rung 5 and re-derive its slopes as
-        # solve_rung does: the stored v' then zeroes the equation residual
-        # at every free node, so only the residual of the forward difference
-        # of v sees the bump (a slope change of bump/dx)
+        # raise one free node of rung 5: its v' is the slope that zeroes
+        # the equation residual at every free node, so only the residual
+        # of the forward difference of v sees the bump (a slope change of
+        # bump/dx)
         surface, k = solved, 5
-        grid, c = surface.grid, float(surface.rates[k])
         mask = surface.masks[k]
         j = int(np.argmax(mask)) // 2
         assert not mask[j]
         v = surface.v[k].copy()
         v[j] += bump
-        kern, h = get_kernel(D2, grid), h_eval(M2, D2, grid.nodes)
-        slope = equation_slope(kern.jump(v, M2.lam), v, c, M2, h)
-        vp = np.where(mask, surface.v_prime[k - 1], slope)
-        cert = run_invariant_suite(rebuild(surface, k, v=v, v_prime=vp), D2)
+        cert = run_invariant_suite(rebuild(surface, k, v))
         assert [ch.name for ch in cert.checks if not ch.passed] == ["complementarity"]
         assert cert.check("complementarity").observed > 10 * bump
 
@@ -163,9 +177,9 @@ class TestInvariantSuite:
         # of complementarity sees it (min(|residual|, gap) reads 0 there)
         surface = solved if d is D2 else solve_ladder(M2, d, solved.grid, solved.ladder)
         k = surface.ladder.n
-        mask = np.ones_like(surface.masks[k])
-        floor = rebuild(surface, k, v=surface.v[k - 1], v_prime=surface.v_prime[k - 1], mask=mask)
-        cert = run_invariant_suite(floor, d)
+        floor = rebuild(surface, k, surface.v[k - 1])
+        assert floor.masks[k].all()
+        cert = run_invariant_suite(floor)
         assert [ch.name for ch in cert.checks if not ch.passed] == ["complementarity"]
         assert cert.check("complementarity").observed > 1e-3
 
@@ -178,24 +192,26 @@ class TestInvariantSuite:
         surface, k = solved, 5
         grid = surface.grid
         mask = surface.masks[k] & (grid.nodes >= frac * grid.L)
-        bad = rebuild(surface, k, mask=mask)
-        cert = run_invariant_suite(bad, D2)
+        bad = rebuild(surface, k, contact_row(surface, k, mask))
+        cert = run_invariant_suite(bad)
         check = cert.check("boundary_inside_domain")
         assert not check.passed
         first = int(np.argmax(mask)) if mask.any() else grid.n_x + 1
         assert check.observed == first * grid.dx / grid.L
         assert check.observed == pytest.approx(min(frac, 1 + 1 / grid.n_x), abs=1e-12)
-        mc = mc_cross_check(bad, D2, [(0.0, 0.0)], 200, seed=3, eps_disc=0.3)
+        mc = mc_cross_check(bad, [(0.0, 0.0)], 200, seed=3, eps_disc=0.3)
         assert len(mc.checks) == 2
 
     def test_boundary_residual_violation_flagged(self, solved):
-        # one cap-rung slope off by 1e-6 leaves (mu - c_bar) * 1e-6 of
-        # equation residual there, far beyond the 1e-8 of DEFAULT_TOLERANCES
-        surface = solved
-        assert run_invariant_suite(surface, D2).check("boundary_residual").passed
-        vp = surface.v_prime[0].copy()
-        vp[100] += 1e-6
-        cert = run_invariant_suite(rebuild(surface, 0, v_prime=vp), D2)
+        # g raised by 1e-6 dx at one node below rung 1's threshold moves two
+        # forward differences by 1e-6, which leaves about (mu - c_bar) * 1e-6
+        # of equation residual, far beyond the 1e-8 of DEFAULT_TOLERANCES
+        surface, j = solved, 100
+        assert run_invariant_suite(surface).check("boundary_residual").passed
+        assert not surface.masks[1, j]
+        v = surface.v[0].copy()
+        v[j] += 1e-6 * surface.grid.dx
+        cert = run_invariant_suite(rebuild(surface, 0, v))
         assert not cert.check("boundary_residual").passed
 
 
@@ -208,7 +224,7 @@ def solve_at(n_x, n):
 class TestCalibration:
     def test_eps_disc_scales_with_step(self):
         surface = solve_at(200, 8)
-        kappa, eps = calibrate_eps_disc(surface, D2)
+        kappa, eps = calibrate_eps_disc(surface)
         assert kappa > 0
         assert eps == pytest.approx(kappa * (surface.grid.dx + surface.ladder.dc), rel=1e-12)
         # a first-order scheme at this resolution moves by a visible but
@@ -235,7 +251,7 @@ def test_calibration_reuses_config_surface(monkeypatch, n_x, n, solves):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(verify, "solve_ladder", counting)
-    kappa, eps = calibrate_eps_disc(surface, D2)
+    kappa, eps = calibrate_eps_disc(surface)
     assert len(calls) == solves
     monkeypatch.undo()
 
@@ -250,9 +266,7 @@ def test_calibration_reuses_config_surface(monkeypatch, n_x, n, solves):
 class TestMcCrossCheck:
     def test_agreement_and_dominance_pass(self, solved):
         surface = solved
-        cert = mc_cross_check(
-            surface, D2, [(0.0, 0.0), (3.0, 0.6)], 4000, seed=7, eps_disc=0.25
-        )
+        cert = mc_cross_check(surface, [(0.0, 0.0), (3.0, 0.6)], 4000, seed=7, eps_disc=0.25)
         failed = [c.name for c in cert.checks if not c.passed]
         assert cert.passed, f"failed: {failed}"
         names = [c.name for c in cert.checks]
@@ -264,8 +278,8 @@ class TestMcCrossCheck:
         # at the same seed, the second re-indexed as point 1
         surface = solved
         points = [(0.0, 0.0), (3.0, 0.6)]
-        both = mc_cross_check(surface, D2, points, 500, seed=3, eps_disc=0.3)
-        one = [mc_cross_check(surface, D2, [pt], 500, seed=3, eps_disc=0.3) for pt in points]
+        both = mc_cross_check(surface, points, 500, seed=3, eps_disc=0.3)
+        one = [mc_cross_check(surface, [pt], 500, seed=3, eps_disc=0.3) for pt in points]
         expect = one[0].checks + [
             CheckResult(
                 name=c.name.replace("_0", "_1", 1),
@@ -279,14 +293,14 @@ class TestMcCrossCheck:
 
     def test_certificate_deterministic_for_fixed_seed(self, solved):
         surface = solved
-        a = mc_cross_check(surface, D2, [(1.0, 0.3)], 500, seed=3, eps_disc=0.3)
-        b = mc_cross_check(surface, D2, [(1.0, 0.3)], 500, seed=3, eps_disc=0.3)
+        a = mc_cross_check(surface, [(1.0, 0.3)], 500, seed=3, eps_disc=0.3)
+        b = mc_cross_check(surface, [(1.0, 0.3)], 500, seed=3, eps_disc=0.3)
         assert a.to_json() == b.to_json()
 
     def test_path_minimum_enforced(self, solved):
         surface = solved
         with pytest.raises(ValidationError):
-            mc_cross_check(surface, D2, [(0.0, 0.0)], 1, seed=3, eps_disc=0.3)
+            mc_cross_check(surface, [(0.0, 0.0)], 1, seed=3, eps_disc=0.3)
 
     @pytest.mark.parametrize("c0", [M2.c_bar + 0.1, M2.c_floor - 0.1], ids=["above-cap", "below-floor"])
     def test_start_rate_outside_window_raises(self, solved, c0, monkeypatch):
@@ -296,7 +310,7 @@ class TestMcCrossCheck:
 
         monkeypatch.setattr(sim, "_batch_payoffs", no_loop)
         with pytest.raises(RateOutOfRange):
-            mc_cross_check(solved, D2, [(0.0, 0.0), (1.0, c0)], 400, seed=5, eps_disc=0.3)
+            mc_cross_check(solved, [(0.0, 0.0), (1.0, c0)], 400, seed=5, eps_disc=0.3)
 
 
 def removed_checks_fail(surface):
@@ -319,7 +333,7 @@ def test_mutants_of_the_removed_checks_fail_the_certificate():
     # obstacle_order, so no mutant that a removed check would flag passes
     grid = Grid(L=20.0, n_x=200)
     surface = solve_ladder(M2, D2, grid, RateLadder(c_bar=M2.c_bar, c_floor=M2.c_floor, n=8))
-    assert run_invariant_suite(surface, D2).passed and not removed_checks_fail(surface)
+    assert run_invariant_suite(surface).passed and not removed_checks_fail(surface)
     rng = np.random.default_rng(5)
     n, nodes = surface.ladder.n, grid.n_x + 1
 
@@ -337,13 +351,14 @@ def test_mutants_of_the_removed_checks_fail_the_certificate():
             lo = int(rng.integers(0, nodes - 10))
             hi = lo + int(rng.integers(1, 10))
             v[lo:hi] = surface.v[k - 1, lo:hi] - rng.uniform(1e-9, 1e-2)
-        return rebuild(surface, k, v=v, mask=mask)
+            return rebuild(surface, k, v)
+        return rebuild(surface, k, contact_row(surface, k, mask))
 
     flagged = 0
     for kind in ("hole", "random", "shift", "dip"):
         for _ in range(75):
             bad = mutant(kind)
-            cert = run_invariant_suite(bad, D2)
+            cert = run_invariant_suite(bad)
             caught = {"mask_up_closed", "obstacle_order"} & {
                 c.name for c in cert.checks if not c.passed
             }
