@@ -119,14 +119,7 @@ def load_or_solve(cfg: RunConfig, force: bool = False):
             print(f"cache hit: {path}", file=sys.stderr)
             return surface
         print(f"cache stale (hash mismatch), re-solving: {path}", file=sys.stderr)
-    surface = solve_ladder(
-        cfg.model,
-        cfg.claims,
-        cfg.grid,
-        cfg.ladder,
-        update_tol=cfg.update_tol,
-        max_iter=cfg.max_iter,
-    )
+    surface = solve_ladder(cfg.model, cfg.claims, cfg.grid, cfg.ladder, update_tol=cfg.update_tol)
     surface.params_hash = cfg.params_hash
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -137,7 +130,7 @@ def load_or_solve(cfg: RunConfig, force: bool = False):
 def cmd_boundary(args) -> int:
     cfg = load_config(args.config)
     m, d, grid = cfg.model, cfg.claims, cfg.grid
-    g = solve_g(m, d, grid, update_tol=cfg.update_tol, max_iter=cfg.max_iter)
+    g = solve_g(m, d, grid, update_tol=cfg.update_tol)
     kern, h = get_kernel(d, grid), h_eval(m, d, grid.nodes)
     g_prime, _ = cap_slope(g.v, m, kern, h)
     _, residual = scheme_residual(g.v, g_prime, m.c_bar, m, kern, h)

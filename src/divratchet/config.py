@@ -39,7 +39,7 @@ _KEYS = {
     "model": ("mu", "lam", "r", "ell", "c_bar", "c_floor"),
     "grid": ("L", "n_x"),
     "ladder": ("n",),
-    "solver": ("update_tol", "max_iter"),
+    "solver": ("update_tol",),
     "simulate": ("paths", "seed", "horizon"),
     "output": ("dir",),
 }
@@ -69,7 +69,6 @@ class RunConfig:
     grid: Grid
     ladder: RateLadder
     update_tol: float = 1e-10
-    max_iter: int = 10000
     paths: int = 100000
     seed: int = 20240901
     horizon: float | None = None
@@ -78,8 +77,6 @@ class RunConfig:
     def __post_init__(self):
         if not 0 < self.update_tol < math.inf:
             raise ValidationError("solver.update_tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValidationError("solver.max_iter must be at least 1")
         if self.paths < 2:
             raise ValidationError("simulate.paths must be at least 2")
         if self.seed < 0:
@@ -210,7 +207,6 @@ def config_from_mapping(doc: dict) -> RunConfig:
         grid=grid,
         ladder=ladder,
         update_tol=_num(ssec, "solver", "update_tol", default=1e-10),
-        max_iter=_num(ssec, "solver", "max_iter", cast=int, default=10000),
         paths=_num(simsec, "simulate", "paths", cast=int, default=100000),
         seed=_num(simsec, "simulate", "seed", cast=int, default=20240901),
         horizon=horizon,

@@ -43,40 +43,45 @@ claim family:
     contact set, solves the linear rung system exactly as one bordered
     banded solve over the nodes up to the last free one (above it v is the
     obstacle), and moves nodes in or out of contact where the obstacle or
-    the equation is violated.  `solve_ladder` warm-starts rungs 1 and 2
-    from the previous rung's contact set, and every later rung from the
-    upper interval whose first node is extrapolated linearly from the
-    thresholds of the two rungs before it; the threshold moves almost
-    evenly with the rate, so the start is within a few nodes of the answer
-    and the rung settles in one to four steps (rungs 1 and 2 take four to
-    eight).  The converged contact set fixes v, so the start changes the
-    step count, never v.
+    the equation is violated.  The converged contact set fixes v, so the
+    start contact set changes the step count, never v.
   * other densities (shifted Pareto): frozen-T Picard iteration, each stage
     solved exactly by the O(n_x) projected backward sweep, which is valid
     because the contact set is an upper interval in x (waiting is optimal
     below the free boundary, switching above it).  A plain sweep contracts
     only by lam/(r + lam), so the sweeps are Anderson-mixed; the rung stops
-    on the sup-norm update of a plain sweep and returns that sweep.  Rungs
-    1 and 2 start from their obstacle.  Every later rung starts from the
-    value 2 v_{i-1} - v_{i-2} extrapolated from the two rungs above it,
-    and on the obstacle over the contact interval extrapolated from their
-    thresholds: 373 sweeps instead of 436 at 1600 x 32, and v moves only
-    within the stop rule's distance of the fixed point.  (Extrapolated
-    from g, or on nodes where the rung is in contact, the start lies above
-    the fixed point; there the mixed steps fail, and a rung can take
-    several times its cold sweeps.)  From rung 2 on, the sweeps run only
-    up to a cut node a margin above the first node of the warm-start
-    contact set (above it v is the obstacle, and T is causal, so the
-    convolution needs only the nodes up to the cut).  The result stands if
-    a full-domain sweep of it keeps every node from the cut on at the
-    obstacle; otherwise the rung is solved again on the whole domain, from
-    the same start.  Rung 1, and every rung whose obstacle has a free node
-    above its own first contact node, is solved on the whole domain.
+    on the sup-norm update of a plain sweep and returns that sweep.  Given
+    the first node of a start contact set, the sweeps run only up to a cut
+    node a margin above it (above it v is the obstacle, and T is causal,
+    so the convolution needs only the nodes up to the cut).  The result
+    stands if a full-domain sweep of it keeps every node from the cut on
+    at the obstacle; otherwise the rung is solved again on the whole
+    domain, from the same start.
+
+`solve_ladder` alone chooses each rung's start; the rung solvers take the
+obstacle row, a start contact set and, for Picard rungs, start values.
+Rungs 1 and 2 start from the contact set of the rung above (for rung 1,
+g's: every node).  Every later rung starts from the upper interval whose
+first node is extrapolated linearly from the thresholds of the two rungs
+above it; the threshold moves almost evenly with the rate, so the start is
+within a few nodes of the answer and a policy rung settles in one to four
+steps (rungs 1 and 2 take four to eight).  Picard rungs from the third on
+also start from the value 2 v_{i-1} - v_{i-2} extrapolated from the two
+rungs above, on the obstacle over that interval: 373 sweeps instead of 436
+at 1600 x 32, and v moves only within the stop rule's distance of the
+fixed point.  (Extrapolated from g, or on nodes where the rung is in
+contact, the start lies above the fixed point; there the mixed steps fail,
+and a rung can take several times its cold sweeps.)  A Picard rung whose
+obstacle has a free node above its own first contact node (a pocket) is
+given no start contact set, as no cut holds then, and is solved on the
+whole domain at once; so is rung 1.  Rung 2 keeps rung 1's exact contact
+set, pockets included: an interval start from rung 1's threshold leaves v
+unchanged but takes several times the policy steps on pocketed models.
 
 Both paths end on or above the obstacle bitwise: the projected sweep takes
 max(., v_{i-1}) at every node, and policy iteration stops only when no
 free node lies below v_{i-1} while contact nodes equal it.  So the
-obstacle order holds bitwise, and the switch mask is the exact contact set
+obstacle order holds bitwise, and the contact set is exactly
 v_i == v_{i-1}.  A solved rung satisfies, up to solver error:
     v_i >= v_{i-1}                          (bitwise),
     residual >= 0 and residual * (v_i - v_{i-1}) = 0 at every node,
@@ -125,6 +130,9 @@ POLICY_TOL = 1e-13
 #: margin covers every ladder with n >= 8 there (n = 4 rungs may be solved
 #: twice); its fixed part covers small j and the rounding at the boundary.
 PICARD_MARGIN = 8
+#: the most policy steps, or Picard map evaluations, that one solve makes
+#: before it raises NoConvergence
+MAX_ITER = 10000
 
 
 @dataclass(frozen=True)
@@ -154,8 +162,8 @@ class RateLadder:
 
 @dataclass
 class ValueSlice:
-    """One rung: value and the switch mask (v_i = v_{i-1}; all True for g,
-    which has no rung above it).
+    """One rung's values v.  Its contact set is v == psi, psi its obstacle
+    (the row above; g has no rung above it and is in contact everywhere).
 
     iterations counts policy steps on exponential-mixture rungs and
     projected sweeps (map evaluations of the Anderson-mixed Picard
@@ -168,7 +176,6 @@ class ValueSlice:
     """
 
     v: np.ndarray
-    switch_mask: np.ndarray
     iterations: int = 0
     final_update_norm: float = 0.0
 
@@ -201,9 +208,8 @@ def picard_rung(
     kern: ConvKernel,
     h: np.ndarray,
     update_tol: float,
-    max_iter: int,
     label: str,
-    contact: np.ndarray | None = None,
+    first: int = 0,
     start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, float, np.ndarray]:
     """Anderson-mixed frozen-T projected sweeps from start (n_x + 1 nodes,
@@ -213,20 +219,20 @@ def picard_rung(
     linear back-substitution.
 
     The contact set is an upper interval, so above the free boundary v is
-    psi.  Given a start contact set whose first node j is above 0, the
-    sweeps run on nodes 0..top only, top = j + j // 4 + PICARD_MARGIN, with
-    v_top = psi_top as the Dirichlet value; T is causal (S_0..S_top read
-    only v_0..v_top), so the convolution takes the prefix alone.  The
-    result, extended by psi above top, is kept if one full-domain sweep of
-    it, from the T v its residual takes, leaves every node from top on at psi.
-    Otherwise the rung is solved again on all n_x + 1 nodes from start,
-    as it is at once when contact is None, empty or starts at node 0 (as
-    g's does).
+    psi.  Given the first node `first` > 0 of the start contact set that
+    `solve_ladder` chose, the sweeps run on nodes 0..top only, top = first
+    + first // 4 + PICARD_MARGIN, with v_top = psi_top as the Dirichlet
+    value; T is causal (S_0..S_top read only v_0..v_top), so the
+    convolution takes the prefix alone.  The result, extended by psi above
+    top, is kept if one full-domain sweep of it, from the T v its residual
+    takes, leaves every node from top on at psi.  Otherwise the rung is
+    solved again on all n_x + 1 nodes from start, as it is at once when
+    first is 0 (the whole domain) or top reaches n_x.
 
     Returns (v, sweeps, final update, residual) as `policy_rung` does, v
     being the last plain sweep and sweeps the map evaluations of every
     solve made (the acceptance sweep not counted); raises NoConvergence
-    after max_iter sweeps of one solve.
+    after MAX_ITER sweeps of one solve.
     """
     n = kern.grid.n_x
     dx = kern.grid.dx
@@ -248,12 +254,11 @@ def picard_rung(
     start = psi if start is None else start
 
     def solve(top):
-        return anderson_fixed_point(sweep, start[: top + 1], update_tol, max_iter, f"rung {label}")
+        return anderson_fixed_point(sweep, start[: top + 1], update_tol, MAX_ITER, f"rung {label}")
 
     def residual(v):
         return scheme_residual(v, np.diff(v) / dx, c, m, kern, h)
 
-    first = 0 if contact is None else int(contact_scan(contact)[0])
     top = first + first // 4 + PICARD_MARGIN
     sweeps = 0
     if 0 < first and top < n:
@@ -273,7 +278,6 @@ def policy_rung(
     m: ModelParams,
     kern: ConvKernel,
     h: np.ndarray,
-    max_iter: int,
     label: str,
     band: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, float, np.ndarray]:
@@ -289,7 +293,7 @@ def policy_rung(
     residual), the last being the `scheme_residual` of that step's v with
     its forward difference.
     v >= psi holds bitwise then: no free node lies below psi, and contact
-    nodes and v_n equal psi.  Raises NoConvergence after max_iter steps.
+    nodes and v_n equal psi.  Raises NoConvergence after MAX_ITER steps.
     """
     n = kern.grid.n_x
     a = (m.mu - c) / kern.grid.dx
@@ -299,7 +303,7 @@ def policy_rung(
     border = m.lam * kern.tail[:n]
     v_old = psi
     update = np.inf
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         v = bordered_banded_solve(ab, bands, stride, rhs, border, contact, psi[:n])
         update = float(np.max(np.abs(v - v_old)))
         _, res = scheme_residual(v, np.diff(v) / kern.grid.dx, c, m, kern, h)
@@ -310,8 +314,8 @@ def policy_rung(
         contact = new
         v_old = v
     raise NoConvergence(
-        f"rung {label}: contact set still changing after {max_iter} policy steps",
-        iterations=max_iter,
+        f"rung {label}: contact set still changing after {MAX_ITER} policy steps",
+        iterations=MAX_ITER,
         update_norm=update,
     )
 
@@ -321,7 +325,6 @@ def solve_g(
     d: ClaimDistribution,
     grid: Grid,
     update_tol: float = 1e-10,
-    max_iter: int = 10000,
     band: np.ndarray | None = None,
 ) -> ValueSlice:
     """Rung 0, the cap-rate value g, by the route of the module docstring:
@@ -347,7 +350,7 @@ def solve_g(
 
     if kern.has_recursion():
         raw, iterations, _, residual = policy_rung(
-            psi, np.zeros(n, dtype=bool), m.c_bar, m, kern, h, max_iter, "g", band
+            psi, np.zeros(n, dtype=bool), m.c_bar, m, kern, h, "g", band
         )
         v = np.maximum.accumulate(np.minimum(raw, v_L))
         v[n] = v_L
@@ -356,71 +359,49 @@ def solve_g(
             residual = scheme_residual(v, np.diff(v) / grid.dx, m.c_bar, m, kern, h)[1]
     else:
         v, iterations, update, residual = picard_rung(
-            psi, m.c_bar, m, kern, h, update_tol, max_iter, "g", start=np.full(n + 1, v_L)
+            psi, m.c_bar, m, kern, h, update_tol, "g", start=np.full(n + 1, v_L)
         )
     accept_rung(residual, v - psi, "residual", "g", iterations, update)
-    return ValueSlice(
-        v=v,
-        switch_mask=np.ones(n + 1, dtype=bool),
-        iterations=iterations,
-        final_update_norm=update,
-    )
+    return ValueSlice(v, iterations, update)
 
 
 def solve_rung(
-    prev: ValueSlice,
+    psi: np.ndarray,
     c: float,
     m: ModelParams,
     kern: ConvKernel,
     h: np.ndarray,
     update_tol: float = 1e-10,
-    max_iter: int = 10000,
     rung_label: str = "",
     contact: np.ndarray | None = None,
     start: np.ndarray | None = None,
     band: np.ndarray | None = None,
 ) -> ValueSlice:
-    """Solve one obstacle problem with the previous rung as obstacle, on the
-    kernel kern of the claims and grid and h = h_eval on its nodes.
+    """Solve one obstacle problem at rate c, obstacle psi (the row above),
+    on the kernel kern of the claims and grid and h = h_eval on its nodes.
 
-    Claims go through `policy_rung` (exponential mixtures) or `picard_rung`
-    (others), both warm-started from the length-n_x mask contact (default:
-    the previous rung's contact set).  Picard rungs cut their sweeps above
-    the first node of contact, unless the obstacle's own contact set has a
-    free node above its first node: no cut holds then, so the rung is
-    solved on the whole domain at once.  Picard rungs start their sweeps
-    from start (default: the obstacle prev.v); policy rungs ignore it, and
-    rewrite band in place (`policy_rung`) if one is given.
-    update_tol is the Picard stop rule only.  The switch mask is the exact
-    contact set v == prev.v.  Raises NoConvergence if the solver does not
-    settle, or if the rung's complementarity defect exceeds
+    Claims go through `policy_rung` (exponential mixtures, which rewrites
+    band in place if one is given) or `picard_rung` (others, cut above the
+    first node of contact and swept from start, default psi), both from
+    the length-n_x start contact set contact: default every node, g's
+    contact set, which makes a Picard rung sweep the whole domain.
+    `solve_ladder` chooses contact and start (module docstring).
+    update_tol is the Picard stop rule only.  Raises NoConvergence if the
+    solver does not settle, or if the rung's complementarity defect exceeds
     DEFAULT_TOLERANCES["complementarity"] (`accept_rung`).
     """
-    n = kern.grid.n_x
-    psi = prev.v
     label = rung_label or str(c)
     if contact is None:
-        contact = prev.switch_mask[:n]
+        contact = np.ones(kern.grid.n_x, dtype=bool)
     if kern.has_recursion():
-        v, iterations, update, residual = policy_rung(
-            psi, contact, c, m, kern, h, max_iter, label, band
-        )
+        v, iterations, update, residual = policy_rung(psi, contact, c, m, kern, h, label, band)
     else:
-        first, free = contact_scan(prev.switch_mask)
-        if free or first > n:
-            contact = None
         v, iterations, update, residual = picard_rung(
-            psi, c, m, kern, h, update_tol, max_iter, label, contact, start
+            psi, c, m, kern, h, update_tol, label, int(contact_scan(contact)[0]), start
         )
-
-    gap = v - psi  # >= 0 bitwise: both solvers end on or above the obstacle
-    accept_rung(residual, gap, "complementarity", label, iterations, update)
-    return ValueSlice(
-        v=v,
-        switch_mask=gap == 0.0,
-        iterations=iterations,
-        final_update_norm=update,
-    )
+    # v >= psi bitwise: both solvers end on or above the obstacle
+    accept_rung(residual, v - psi, "complementarity", label, iterations, update)
+    return ValueSlice(v, iterations, update)
 
 
 def solve_ladder(
@@ -429,16 +410,16 @@ def solve_ladder(
     grid: Grid,
     ladder: RateLadder,
     update_tol: float = 1e-10,
-    max_iter: int = 10000,
 ) -> ValueSurface:
     """Solve every rung from the cap rate down to the floor.
 
-    Rung 0 is g (`solve_g`), solved here with the same tolerances.
-    Each later rung has its predecessor as obstacle, warm-starts as the
-    module docstring describes, and is written into its row of the
-    (n+1) x (n_x+1) value array as soon as it is solved.  Raises
-    DomainTooSmall at the first rung whose threshold `require_trusted`
-    rejects.
+    Rung 0 is g (`solve_g`), solved here with the same tolerance.  Each
+    later rung has its predecessor as obstacle, starts as the module
+    docstring describes (this loop applies that rule, from the contact set
+    v_i == v_{i-1} of the rung above and the thresholds of the two rungs
+    above), and is written into its row of the (n+1) x (n_x+1) value array
+    as soon as it is solved.  Raises DomainTooSmall at the first rung
+    whose threshold `require_trusted` rejects.
     """
     if ladder.c_bar != m.c_bar or ladder.c_floor != m.c_floor:
         raise ValidationError("ladder rate range must match the model's")
@@ -447,32 +428,35 @@ def solve_ladder(
     # one band per ladder, g's included: each policy rung rewrites only its
     # rate diagonals
     band = kern.rung_band(0.0, 0.0, m.lam)[0] if kern.has_recursion() else None
-    prev = solve_g(m, d, grid, update_tol=update_tol, max_iter=max_iter, band=band)
+    g = solve_g(m, d, grid, update_tol=update_tol, band=band)
     v = np.empty((ladder.n + 1, grid.n_x + 1))
     iterations = np.empty(ladder.n + 1, dtype=np.int64)
     update_norms = np.empty(ladder.n + 1)
+    v[0], iterations[0], update_norms[0] = g.v, g.iterations, g.final_update_norm
     rates = ladder.rates
     nodes = np.arange(grid.n_x)
+    mask = np.ones(grid.n_x + 1, dtype=bool)  # contact set of the rung above: g's is every node
+    pocket = False  # a free node above that set's first contact node
     firsts = []  # first contact node of each solved rung
-    for i in range(ladder.n + 1):
-        if i:  # row 0 is g; each later row has the previous one as obstacle
-            contact = start = None
-            if len(firsts) >= 2:
-                j = min(max(2 * firsts[-1] - firsts[-2], 0), grid.n_x)
-                contact = nodes >= j
-                if band is None:  # Picard rungs
-                    # 2 v_{i-1} - v_{i-2} >= v_{i-1} bitwise, as the rows are ordered
-                    start = prev.v.copy()
-                    start[:j] = 2.0 * prev.v[:j] - v[i - 2, :j]
-            prev = solve_rung(
-                prev, float(rates[i]), m, kern, h,
-                update_tol=update_tol, max_iter=max_iter,
-                rung_label=f"{i}/{ladder.n}", contact=contact, start=start, band=band,
-            )
-            first = int(contact_scan(prev.switch_mask)[0])
-            firsts.append(first)
-            require_trusted(i, rates[i], first * grid.dx, grid.L)
-        v[i] = prev.v
-        iterations[i] = prev.iterations
-        update_norms[i] = prev.final_update_norm
+    for i in range(1, ladder.n + 1):
+        psi, contact, start = v[i - 1], mask[:-1], None
+        if i >= 3:
+            j = min(max(2 * firsts[-1] - firsts[-2], 0), grid.n_x)
+            contact = nodes >= j
+            if band is None:  # Picard rungs
+                # 2 v_{i-1} - v_{i-2} >= v_{i-1} bitwise, as the rows are ordered
+                start = psi.copy()
+                start[:j] = 2.0 * psi[:j] - v[i - 2, :j]
+        if band is None and pocket:
+            contact = None  # no cut holds below a pocket: sweep the whole domain
+        rung = solve_rung(
+            psi, float(rates[i]), m, kern, h, update_tol=update_tol,
+            rung_label=f"{i}/{ladder.n}", contact=contact, start=start, band=band,
+        )
+        v[i], iterations[i], update_norms[i] = rung.v, rung.iterations, rung.final_update_norm
+        mask = rung.v == psi
+        first, free = (int(k) for k in contact_scan(mask))
+        pocket = free > 0
+        firsts.append(first)
+        require_trusted(i, rates[i], first * grid.dx, grid.L)
     return ValueSurface.from_solution(m, d, grid, ladder, v, iterations, update_norms)

@@ -143,28 +143,20 @@ class ValueSurface:
         through here.  Takes the constructor's arguments."""
         return cls(*args, **kwargs)
 
-    def _rate_index(self, c: float) -> tuple[int, float]:
-        lad = self.ladder
-        i = min(rung_index(self.rates, c), lad.n - 1)
-        t = float(np.clip((lad.c_bar - c) / lad.dc - i, 0.0, 1.0))
-        return i, t
-
-    def row_at_rate(self, c: float) -> np.ndarray:
-        """Value row at rate c, linear in c between neighboring rungs."""
-        i, t = self._rate_index(c)
-        if t == 0.0:
-            return self.v[i]
-        if t == 1.0:
-            return self.v[i + 1]
-        return (1.0 - t) * self.v[i] + t * self.v[i + 1]
-
     def value_at(self, x: float, c: float) -> float:
-        """Interpolated value; exact at lattice points.
+        """Interpolated value, linear in c between neighboring rungs and in
+        x between nodes; exact at lattice points.
 
         x < 0 extends linearly with slope ell (mandatory injection),
         x > L returns the far-field level c_bar/r.
         """
-        row = self.row_at_rate(c)
+        lad = self.ladder
+        i = min(rung_index(self.rates, c), lad.n - 1)
+        t = float(np.clip((lad.c_bar - c) / lad.dc - i, 0.0, 1.0))
+        if t in (0.0, 1.0):  # a rung's own rate
+            row = self.v[i + int(t)]
+        else:
+            row = (1.0 - t) * self.v[i] + t * self.v[i + 1]
         if x < 0.0:
             return float(row[0] + self.m.ell * x)
         if x >= self.grid.L:

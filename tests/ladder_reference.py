@@ -47,14 +47,15 @@ def reference_bordered_banded_solve(ab, bands, stride, rhs, border, contact, psi
 def chained_slopes(m, d, grid, rates, slices):
     """v' of the ladder whose rungs, g first, are the `ValueSlice`s slices:
     g's forward difference with the slope that zeroes its equation at L,
-    then rung by rung the previous rung's v' on the rung's switch mask and
-    the slope that zeroes the rung's equation elsewhere."""
+    then rung by rung the previous rung's v' on the rung's contact set
+    (v == the previous rung's v) and the slope that zeroes the rung's
+    equation elsewhere."""
     kern, h = get_kernel(d, grid), h_eval(m, d, grid.nodes)
     n = grid.n_x
     g = slices[0].v
     t = kern.jump(g, m.lam)
     rows = [np.append(np.diff(g) / grid.dx, equation_slope(t[n], g[n], m.c_bar, m, h[n]))]
-    for c, rung in zip(rates[1:].tolist(), slices[1:]):
+    for c, psi, rung in zip(rates[1:].tolist(), slices, slices[1:]):
         slope = equation_slope(kern.jump(rung.v, m.lam), rung.v, c, m, h)
-        rows.append(np.where(rung.switch_mask, rows[-1], slope))
+        rows.append(np.where(rung.v == psi.v, rows[-1], slope))
     return np.array(rows)

@@ -21,7 +21,7 @@ from divratchet import (
     ShiftedPareto,
     h_eval,
 )
-from divratchet import verify
+from divratchet import ladder, verify
 from divratchet._sweep import anderson_fixed_point, backward_linear_solve, bordered_banded_solve
 from divratchet.discretization import ConvKernel, get_kernel, scheme_residual
 from divratchet.ladder import RateLadder, solve_g, solve_ladder
@@ -119,10 +119,11 @@ class TestConvergence:
         b = solve_g(M1, D1, Grid(L=30.0, n_x=500)).v
         assert np.array_equal(a, b)
 
-    def test_no_convergence_raises(self):
+    def test_no_convergence_raises(self, monkeypatch):
         # only the Picard route (densities without a recursion) iterates
+        monkeypatch.setattr(ladder, "MAX_ITER", 2)
         with pytest.raises(NoConvergence) as exc:
-            solve_g(M1, ShiftedPareto(alpha=3.0, theta=1.0), Grid(L=30.0, n_x=500), max_iter=2)
+            solve_g(M1, ShiftedPareto(alpha=3.0, theta=1.0), Grid(L=30.0, n_x=500))
         assert exc.value.iterations == 2
         assert exc.value.update_norm is not None
 
@@ -299,14 +300,12 @@ class TestOtherClaimFamilies:
 
 
 class TestReport:
-    """g's record is rung 0 of the ladder: a `ValueSlice` whose switch mask
-    is all True, as g has no rung above it."""
+    """g's record is rung 0 of the ladder: a `ValueSlice`, whose row of the
+    surface's masks is all True, as g has no rung above it."""
 
     def test_fields_and_shapes(self, sol_fine):
         n = G1.n_x
-        for arr in (sol_fine.v, sol_fine.switch_mask):
-            assert arr.shape == (n + 1,)
-        assert sol_fine.switch_mask.all()
+        assert sol_fine.v.shape == (n + 1,)
         assert residual_sup(sol_fine, M1, D1, G1) <= 1e-8
         assert abs(sol_fine.v[n - 1] - M1.c_bar / M1.r) <= 1e-3
 
@@ -316,7 +315,6 @@ class TestReport:
         grid = Grid(L=30.0, n_x=400)
         sol = solve_g(M1, d, grid)
         surface = solve_ladder(M1, d, grid, RateLadder(4, M1.c_bar, M1.c_floor))
-        assert sol.switch_mask.all()
         assert sol.v.tobytes() == surface.v[0].tobytes()
         assert surface.masks[0].all()
         assert g_slope(sol, M1, d, grid).tobytes() == surface.slopes()[0][0].tobytes()

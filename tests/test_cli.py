@@ -495,6 +495,24 @@ def test_sweep_unknown_key_rejected(tmp_path, capsys):
     assert "ValidationError: unknown config key solver.method" in capsys.readouterr().err
 
 
+def test_solver_max_iter_rejected_before_solving(tmp_path, capsys, monkeypatch):
+    # every solve is capped at ladder.MAX_ITER steps: the key is unknown to
+    # solve and to a sweep over it, and neither command solves anything
+    solves = []
+    monkeypatch.setattr(cli, "load_or_solve", lambda *a, **k: solves.append(a))
+    out, swept = tmp_path / "surface.csv", tmp_path / "sweep.csv"
+    path = make_cfg(tmp_path, solver__max_iter=50)
+    assert main(["solve", "--config", path, "--force", "--out", str(out)]) == 1
+    want = "ValidationError: unknown config key solver.max_iter"
+    assert capsys.readouterr().err.startswith(want)
+    path = make_cfg(tmp_path)
+    rc = main(["sweep", "--config", path, "--param", "solver.max_iter",
+               "--values", "50,100", "--out", str(swept)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(want)
+    assert solves == [] and not out.exists() and not swept.exists()
+
+
 def test_sweep_empty_section_is_a_mapping(tmp_path):
     # `solver:` left empty loads as None; solve reads it as no keys given
     path = make_cfg(tmp_path, ladder__n=4)

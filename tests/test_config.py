@@ -53,7 +53,6 @@ def test_load_minimal_config(tmp_path):
     assert cfg.ladder.n == 256
     # defaults fill in the optional sections
     assert cfg.update_tol == 1e-10
-    assert cfg.max_iter == 10000
     assert cfg.paths == 100000
     assert cfg.horizon is None
     assert cfg.out_dir == "."
@@ -61,12 +60,11 @@ def test_load_minimal_config(tmp_path):
 
 def test_optional_sections_respected(tmp_path):
     doc = base_doc()
-    doc["solver"] = {"update_tol": 1e-12, "max_iter": 500}
+    doc["solver"] = {"update_tol": 1e-12}
     doc["simulate"] = {"paths": 5000, "seed": 7, "horizon": 100.0}
     doc["output"] = {"dir": "out"}
     cfg = load_config(write_cfg(tmp_path, doc))
     assert cfg.update_tol == 1e-12
-    assert cfg.max_iter == 500
     assert cfg.paths == 5000
     assert cfg.seed == 7
     assert cfg.horizon == 100.0
@@ -144,7 +142,6 @@ def test_hash_changes_with_the_surface_format(tmp_path, monkeypatch):
         ("simulate__seed", 99),
         ("simulate__horizon", 50.0),
         ("output__dir", "elsewhere"),
-        ("solver__max_iter", 123),
     ],
 )
 def test_hash_ignores_simulation_only_fields(tmp_path, key, val):
@@ -211,7 +208,6 @@ def test_bad_type_names_the_field(tmp_path):
         ("ladder__n", 4.5),
         ("simulate__seed", 7.9),
         ("simulate__paths", 100.5),
-        ("solver__max_iter", 10.2),
         ("ladder__n", True),
         ("simulate__seed", False),
         ("simulate__seed", float("inf")),
@@ -295,6 +291,8 @@ def test_unknown_method_rejected(tmp_path):
         ),
         # g is accepted against the certificate's own residual bound
         ({"solver__residual_tol": 1e-6}, "solver.residual_tol"),
+        # every solve is capped at ladder.MAX_ITER steps
+        ({"solver__max_iter": 500}, "solver.max_iter"),
     ],
 )
 def test_unknown_key_rejected(tmp_path, over, name):

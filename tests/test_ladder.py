@@ -27,7 +27,9 @@ from divratchet import (
 )
 from divratchet._sweep import bordered_banded_solve
 from divratchet.discretization import complementarity_defect, get_kernel, scheme_residual
-from divratchet.surface import DEFAULT_TOLERANCES, build_rate_map, extract_boundary
+from divratchet.surface import (
+    DEFAULT_TOLERANCES, build_rate_map, contact_scan, extract_boundary
+)
 from divratchet.verify import run_invariant_suite
 from divratchet.ladder import (
     PICARD_MARGIN,
@@ -146,7 +148,7 @@ class TestAgainstDenseReference:
         prev = solve_g(M2, D2, grid, update_tol=1e-13)
         for c in (1.0, 0.8, 0.6):
             s = solve_rung(
-                prev, c, M2, get_kernel(D2, grid), h_eval(M2, D2, grid.nodes), update_tol=1e-13
+                prev.v, c, M2, get_kernel(D2, grid), h_eval(M2, D2, grid.nodes), update_tol=1e-13
             )
             ref = howard_reference(M2, D2, grid, c, prev.v, prev.v[-1])
             assert np.max(np.abs(s.v - ref)) < 1e-9
@@ -158,7 +160,7 @@ class TestAgainstDenseReference:
         prev = base_slice(M2, d, grid)
         assert get_kernel(d, grid).has_recursion()
         for c in (1.0, 0.8, 0.6):
-            s = solve_rung(prev, c, M2, get_kernel(d, grid), h_eval(M2, d, grid.nodes))
+            s = solve_rung(prev.v, c, M2, get_kernel(d, grid), h_eval(M2, d, grid.nodes))
             ref = howard_reference(M2, d, grid, c, prev.v, prev.v[-1])
             assert np.max(np.abs(s.v - ref)) < 1e-11
             assert s.iterations <= 10  # policy steps, not sweeps
@@ -171,7 +173,7 @@ class TestAgainstDenseReference:
         assert not get_kernel(P2, grid).has_recursion()
         for c in (1.0, 0.8, 0.6):
             s = solve_rung(
-                prev, c, M2, get_kernel(P2, grid), h_eval(M2, P2, grid.nodes), update_tol=1e-13
+                prev.v, c, M2, get_kernel(P2, grid), h_eval(M2, P2, grid.nodes), update_tol=1e-13
             )
             ref = howard_reference(M2, P2, grid, c, prev.v, prev.v[-1])
             assert np.max(np.abs(s.v - ref)) < 1e-9
@@ -254,7 +256,7 @@ class TestAgainstDenseReference:
         h = h_eval(M2, D2, grid.nodes)
         for i in range(1, 33):
             v, sweeps, _, _ = picard_rung(
-                surface.v[i - 1], float(surface.rates[i]), M2, kern, h, 1e-10, 10000, "test",
+                surface.v[i - 1], float(surface.rates[i]), M2, kern, h, 1e-10, "test",
             )
             assert np.max(np.abs(v - surface.v[i])) < 1e-8
             assert sweeps > surface.iterations[i]
@@ -333,7 +335,7 @@ class TestAnderson:
         h = h_eval(M2, P2, grid.nodes)
         psi = base_slice(M2, P2, grid).v
         for i, c in enumerate(RateLadder(16, 1.2, 0.0).rates[1:], 1):
-            v, sweeps, update, _ = picard_rung(psi, float(c), M2, kern, h, 1e-10, 10000, str(i))
+            v, sweeps, update, _ = picard_rung(psi, float(c), M2, kern, h, 1e-10, str(i))
             ref, plain_sweeps = reference_picard_rung(psi, float(c), M2, P2, grid)
             assert update <= 1e-10
             assert np.max(np.abs(v - ref)) <= 1e-8
@@ -368,7 +370,7 @@ class TestAnderson:
             return sweep_mod.anderson_fixed_point(recorded, v, tol, max_iter, label)
 
         monkeypatch.setattr(ladder_mod, "anderson_fixed_point", watched)
-        v, sweeps, update, _ = picard_rung(psi, c, M2, kern, h, 1e-10, 10000, "forced")
+        v, sweeps, update, _ = picard_rung(psi, c, M2, kern, h, 1e-10, "forced")
         ref, plain_sweeps = reference_picard_rung(psi, c, M2, P2, grid)
         assert restarts >= 1
         assert update <= 1e-10
@@ -415,13 +417,14 @@ class TestAnderson:
         assert not np.isfinite(exc.value.update_norm)
         assert capfd.readouterr().err == ""  # no LAPACK complaint on the way
 
-    def test_no_convergence_counts_sweeps(self):
+    def test_no_convergence_counts_sweeps(self, monkeypatch):
         grid = Grid(L=20.0, n_x=200)
         kern = get_kernel(P2, grid)
         h = h_eval(M2, P2, grid.nodes)
         psi = base_slice(M2, P2, grid).v
+        monkeypatch.setattr(ladder_mod, "MAX_ITER", 3)
         with pytest.raises(NoConvergence, match="rung x: .* after 3 map evaluations") as exc:
-            picard_rung(psi, 1.0, M2, kern, h, 1e-10, 3, "x")
+            picard_rung(psi, 1.0, M2, kern, h, 1e-10, "x")
         assert exc.value.iterations == 3
 
 
@@ -513,11 +516,10 @@ class TestTruncatedPicard:
             j = first // 2
             top = j + j // 4 + PICARD_MARGIN
             assert top < first
-            contact = np.arange(n) >= j
             lengths.clear()
-            v, sweeps, update, _ = picard_rung(psi, c, M2, kern, h, 1e-10, 10000, "x", contact)
+            v, sweeps, update, _ = picard_rung(psi, c, M2, kern, h, 1e-10, "x", first=j)
             assert lengths[0] == top + 1 and lengths[1] == n + 1
-            full_v, full_sweeps, full_update, _ = picard_rung(psi, c, M2, kern, h, 1e-10, 10000, "x")
+            full_v, full_sweeps, full_update, _ = picard_rung(psi, c, M2, kern, h, 1e-10, "x")
             assert np.array_equal(v, full_v)
             assert update == full_update
             assert sweeps > full_sweeps  # the rejected solve is counted
@@ -541,10 +543,9 @@ class TestTruncatedPicard:
         monkeypatch.setattr(discretization.ConvKernel, "convolve", recorded)
         psi, c = surface.v[7], float(surface.rates[8])
         first = int(np.argmax(surface.masks[8]))
-        for start, full_grid_calls in [(first, 1), (first // 2, None), (None, None)]:
-            contact = None if start is None else np.arange(n) >= start
+        for start, full_grid_calls in [(first, 1), (first // 2, None), (0, None)]:
             lengths.clear()
-            v, _, _, res = picard_rung(psi, c, M2, kern, h, 1e-10, 10000, "x", contact)
+            v, _, _, res = picard_rung(psi, c, M2, kern, h, 1e-10, "x", first=start)
             if full_grid_calls is not None:
                 assert lengths.count(n + 1) == full_grid_calls
             _, res_ref = scheme_residual(v, np.diff(v) / grid.dx, c, M2, kern, h)
@@ -625,12 +626,13 @@ class TestFailureModes:
         with pytest.raises(DomainTooSmall, match="rung"):
             solve_ladder(M2, D2, Grid(L=5.0, n_x=200), RateLadder(16, 1.2, 0.0))
 
-    def test_rung_no_convergence_labels_rung(self):
-        # g of exponential claims is one banded solve, so max_iter=1 stops
+    def test_rung_no_convergence_labels_rung(self, monkeypatch):
+        # g of exponential claims is one banded solve, so MAX_ITER = 1 stops
         # the first rung
         grid = Grid(L=20.0, n_x=400)
+        monkeypatch.setattr(ladder_mod, "MAX_ITER", 1)
         with pytest.raises(NoConvergence, match="rung 1/"):
-            solve_ladder(M2, D2, grid, RateLadder(8, 1.2, 0.0), max_iter=1)
+            solve_ladder(M2, D2, grid, RateLadder(8, 1.2, 0.0))
 
 
 class TestWarmStart:
@@ -655,7 +657,7 @@ class TestWarmStart:
                 starts.append(np.arange(n) >= 2 * firsts[i - 1] - firsts[i - 2])
             for contact in starts:
                 v, _, _, _ = policy_rung(
-                    surface.v[i - 1], contact, float(surface.rates[i]), M2, kern, h, 200, "test",
+                    surface.v[i - 1], contact, float(surface.rates[i]), M2, kern, h, "test",
                 )
                 assert np.array_equal(v, surface.v[i])
 
@@ -669,7 +671,7 @@ class TestWarmStart:
         for i in range(1, surface.ladder.n + 1):
             psi, c = surface.v[i - 1], float(surface.rates[i])
             v, _, _, res = policy_rung(
-                psi, surface.masks[i - 1][:n], c, M2, kern, h, 200, "test",
+                psi, surface.masks[i - 1][:n], c, M2, kern, h, "test",
             )
             _, res_ref = scheme_residual(v, np.diff(v) / grid.dx, c, M2, kern, h)
             assert np.array_equal(res, res_ref)
@@ -680,6 +682,65 @@ class TestWarmStart:
         # 202 steps from the previous contact set; 112 measured
         _, surface = readme_ladder
         assert int(surface.iterations[1:].sum()) <= 120
+
+
+#: lam = 3 leaves a free pocket below the pin at L on every rung (r = 0.1,
+#: L = 20); with ell = 1.05 under H2 claims every rung's first contact
+#: node is node 0, with free nodes above it
+POCKET = ModelParams(mu=2.0, lam=3.0, r=0.1, ell=1.5, c_bar=1.2, c_floor=0.0)
+POCKET_LOW_ELL = ModelParams(mu=2.0, lam=3.0, r=0.1, ell=1.05, c_bar=1.2, c_floor=0.0)
+
+
+def record_contacts(monkeypatch):
+    """The start contact set (None for none) that solve_ladder hands each
+    solve_rung call."""
+    contacts = []
+    real = ladder_mod.solve_rung
+
+    def recorded(*args, contact=None, **kwargs):
+        contacts.append(None if contact is None else contact.copy())
+        return real(*args, contact=contact, **kwargs)
+
+    monkeypatch.setattr(ladder_mod, "solve_rung", recorded)
+    return contacts
+
+
+class TestWarmStartRule:
+    """`solve_ladder` alone chooses each rung's start, on pocketed ladders."""
+
+    @pytest.mark.parametrize("d", [D2, P2], ids=["exponential", "shifted_pareto"])
+    def test_contact_handed_to_each_rung(self, d, monkeypatch):
+        # rung 1 starts from g's contact set (every node), rung 2 from rung
+        # 1's exact contact set, later rungs from the extrapolated interval;
+        # a Picard rung below a pocket gets None (the whole domain)
+        grid, n = Grid(L=20.0, n_x=400), 8
+        contacts = record_contacts(monkeypatch)
+        surface = solve_ladder(POCKET, d, grid, RateLadder(n, 1.2, 0.0))
+        monkeypatch.undo()
+        firsts, free = contact_scan(surface.masks)
+        assert (free[1:] > 0).all()  # every rung has a pocket
+        nodes = np.arange(grid.n_x)
+        picard = d is P2
+        assert len(contacts) == n
+        for i, contact in enumerate(contacts, 1):
+            if picard and free[i - 1]:
+                assert contact is None, i
+                continue
+            if i == 1:
+                want = np.ones(grid.n_x, dtype=bool)
+            elif i == 2:
+                want = surface.masks[1][:-1]
+            else:
+                want = nodes >= min(max(2 * firsts[i - 1] - firsts[i - 2], 0), grid.n_x)
+            assert np.array_equal(contact, want), i
+        assert picard or not contacts[1][firsts[1]:].all()  # the pocket is kept
+
+    def test_rung_2_policy_steps_pinned(self):
+        # rung 1's exact contact set, pocket included, settles rung 2 in 3
+        # policy steps; the interval from rung 1's threshold takes 28
+        grid = Grid(L=20.0, n_x=1000)
+        surface = solve_ladder(POCKET_LOW_ELL, H2, grid, RateLadder(32, 1.2, 0.0))
+        assert surface.iterations[2] == 3
 
 
 class TestComplementarityBound:
@@ -717,8 +778,8 @@ class TestComplementarityBound:
     ids=["exponential", "hyperexponential", "shifted_pareto"],
 )
 def test_surface_reads_the_solvers_masks_and_slopes(d, n_x, n, monkeypatch):
-    # the surface stores v alone: its masks are each solve_rung's switch
-    # mask and its slopes the v' the rung solves chained, bitwise
+    # the surface stores v alone: its masks are each solve_rung's contact
+    # set v == psi and its slopes the v' the rung solves chained, bitwise
     slices, sizes = [], []
     real_g, real_rung = ladder_mod.solve_g, ladder_mod.solve_rung
     real_fixed_point = ladder_mod.anderson_fixed_point
@@ -739,8 +800,9 @@ def test_surface_reads_the_solvers_masks_and_slopes(d, n_x, n, monkeypatch):
     assert len(slices) == n + 1
     # the Picard rungs take the truncated solve: some run on fewer nodes
     assert (min(sizes) < n_x + 1) if d is P2 else not sizes
-    for i, rung in enumerate(slices):
-        assert np.array_equal(surface.masks[i], rung.switch_mask), i
+    assert surface.masks[0].all()  # g is in contact everywhere
+    for i, (psi, rung) in enumerate(zip(slices, slices[1:]), 1):
+        assert np.array_equal(surface.masks[i], rung.v == psi.v), i
     assert 0.0 < surface.masks[1:].mean() < 1.0
     ref = chained_slopes(M2, d, grid, surface.rates, slices)
     assert surface.slopes()[0].tobytes() == ref.tobytes()
