@@ -348,7 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c0", type=float, default=None, help="initial rate (ratchet)")
     sp.add_argument("--paths", type=int, default=None, help="path count override")
     sp.add_argument("--seed", type=int, default=None, help="seed override")
-    sp.add_argument("--horizon", type=float, default=None, help="horizon override")
+    sp.add_argument(
+        "--horizon", type=float, default=None,
+        help="horizon override (default: simulate.horizon, else ceil(6 ln 10 / r), "
+        "139 at r = 0.1)",
+    )
     sp.add_argument("--per-path", default=None, help="also write per-path payoff CSV here")
     sp.set_defaults(func=cmd_simulate)
 

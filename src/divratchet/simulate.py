@@ -4,7 +4,12 @@ All dynamics between claims are deterministic (drift mu - C), so paths are
 advanced event-by-event with closed-form discounted dividends per
 constant-rate segment: c * (e^{-r t0} - e^{-r t1}) / r.  No time stepping,
 hence no integration bias; the only errors are statistical and the finite
-horizon, whose contribution is bounded by (c_bar/r) e^{-r T}.
+horizon T.  After T a path pays dividends at rate at most c_bar and
+injection costs at expected rate at most ell lam E[Z] (a shortfall never
+exceeds its claim), so the payoff lost by the cut, the dividends minus the
+costs after T, lies within max(c_bar, ell lam E[Z]) e^{-r T} / r in
+expectation.  The default T is the smallest integer at which that bound is
+1e-6 of its value at T = 0.
 
 Randomness contract: every claim event consumes two uniforms, in order
 (interarrival, size); interarrivals map through -log(1-u)/lam, sizes
@@ -79,13 +84,18 @@ DRAW_SLAB = 256
 
 
 def default_horizon(r: float) -> float:
-    """Smallest integer horizon with discount factor below 1e-10."""
-    return float(math.ceil(10.0 * math.log(10.0) / r))
+    """Smallest integer horizon T with e^{-r T} <= 1e-6, that is
+    ceil(6 ln 10 / r): there tail_bound is at most 1e-6 of
+    max(c_bar, ell lam E[Z]) / r, whatever the model and claims."""
+    return float(math.ceil(6.0 * math.log(10.0) / r))
 
 
-def tail_bound(m: ModelParams, horizon: float) -> float:
-    """Upper bound on discounted payoff beyond the horizon."""
-    return (m.c_bar / m.r) * math.exp(-m.r * horizon)
+def tail_bound(m: ModelParams, d: ClaimDistribution, horizon: float) -> float:
+    """Bound on the expected discounted payoff beyond the horizon, either
+    way: max(c_bar, ell lam E[Z]) e^{-r T} / r.  The dividends after T are
+    at most c_bar e^{-r T} / r and the expected injection costs after T at
+    most ell lam E[Z] e^{-r T} / r; the payoff is their difference."""
+    return max(m.c_bar, m.ell * m.lam * d.gamma) * math.exp(-m.r * horizon) / m.r
 
 
 @dataclass
@@ -103,7 +113,9 @@ def _batch_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _estimate(payoffs: np.ndarray, horizon: float, m: ModelParams) -> PayoffEstimate:
+def _estimate(
+    payoffs: np.ndarray, horizon: float, m: ModelParams, d: ClaimDistribution
+) -> PayoffEstimate:
     n = payoffs.size
     mean = math.fsum(payoffs) / n
     var = math.fsum(((payoffs - mean) ** 2).tolist()) / (n - 1)
@@ -112,7 +124,7 @@ def _estimate(payoffs: np.ndarray, horizon: float, m: ModelParams) -> PayoffEsti
         std_error=math.sqrt(var / n),
         n_paths=n,
         horizon=horizon,
-        tail_bound=tail_bound(m, horizon),
+        tail_bound=tail_bound(m, d, horizon),
     )
 
 
@@ -516,7 +528,7 @@ def estimate_strategies(
     payoffs = _batch_payoffs(
         m, d, n_paths, seed, T, sched, [x0 for x0, _ in ratchets], constants
     )
-    return [_estimate(p, T, m) for p in payoffs], payoffs
+    return [_estimate(p, T, m, d) for p in payoffs], payoffs
 
 
 def estimate_constant_payoff(

@@ -164,6 +164,26 @@ def test_simulate_constant_json(tmp_path):
     assert doc["mean"] < MODEL["c_bar"] / MODEL["r"] + 1e-9
 
 
+def test_simulate_json_records_its_horizon(tmp_path):
+    # simulate.horizon sets the horizon and --horizon overrides it; with
+    # neither the README model cuts at ceil(6 ln 10 / r) = 139, where the
+    # tail bound is max(c_bar, ell lam E[Z]) e^{-rT} / r
+    def horizon_doc(cfg, *extra):
+        out = str(tmp_path / "est.json")
+        argv = ["simulate", "--config", cfg, "--strategy", "boundary", "--x0", "0"]
+        assert main(argv + list(extra) + ["--out", out]) == 0
+        return json.loads(open(out).read())
+
+    set_in_config = make_cfg(tmp_path, simulate__horizon=50.0)
+    assert horizon_doc(set_in_config)["horizon"] == 50.0
+    assert horizon_doc(set_in_config, "--horizon", "42")["horizon"] == 42.0
+    doc = horizon_doc(make_cfg(tmp_path))
+    assert doc["horizon"] == 139.0
+    cap = max(MODEL["c_bar"], MODEL["ell"] * MODEL["lam"] * 0.6)
+    expect = cap * np.exp(-MODEL["r"] * 139.0) / MODEL["r"]
+    assert doc["tail_bound"] == pytest.approx(expect, rel=1e-12)
+
+
 def test_simulate_boundary_equals_constant_cap(tmp_path):
     cfg = make_cfg(tmp_path)
     o1, o2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")

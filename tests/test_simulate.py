@@ -71,14 +71,40 @@ def x_star_p(surface_p):
 
 
 def test_default_horizon_value():
-    assert sim.default_horizon(0.1) == 231.0
-    assert sim.default_horizon(1.0) == 24.0
+    assert sim.default_horizon(0.1) == 139.0
+    assert sim.default_horizon(1.0) == 14.0
 
 
 def test_tail_bound_value():
-    assert sim.tail_bound(M1, 231.0) == pytest.approx(
-        10.0 * math.exp(-23.1), rel=1e-12
+    # M1: dividends dominate (c_bar 1.0 > ell lam E[Z] 0.6); M2: injection
+    # costs dominate (2.4 > c_bar 1.2)
+    assert sim.tail_bound(M1, D1, 139.0) == pytest.approx(
+        10.0 * math.exp(-13.9), rel=1e-12
     )
+    assert sim.tail_bound(M2, D2, 139.0) == pytest.approx(
+        24.0 * math.exp(-13.9), rel=1e-12
+    )
+
+
+def test_tail_bound_covers_injection_costs():
+    # the cap rate from x0 = 0 with net drift mu - c_bar - lam E[Z] = -1
+    # keeps the surplus near 0, so after T it pays injection costs of
+    # about ell * 1 = 3 per unit of time against dividends of c_bar = 1:
+    # cutting it at T raises the mean by about 2 e^{-rT}/r, twice the
+    # dividends after T.  The paths share their claims across horizons, so
+    # the short payoffs are the long ones cut at T and the gap has a
+    # paired SE.
+    m = ModelParams(mu=2.0, lam=2.0, r=0.1, ell=3.0, c_bar=1.0, c_floor=0.0)
+    d = Exponential(gamma_mean=1.0)
+    n, T = 1000, 10.0
+    short, p_short = sim.estimate_constant_payoff(m, d, m.c_bar, 0.0, n, 3, horizon=T)
+    long, p_long = sim.estimate_constant_payoff(m, d, m.c_bar, 0.0, n, 3)
+    assert long.horizon == sim.default_horizon(m.r)
+    gap = abs(short.mean - long.mean)
+    se = float(np.std(p_short - p_long, ddof=1)) / math.sqrt(n)
+    dividends_only = (m.c_bar / m.r) * math.exp(-m.r * T)
+    assert gap > dividends_only + 3.0 * se
+    assert gap <= short.tail_bound + 3.0 * se
 
 
 def test_no_claims_constant_rate_closed_form():
