@@ -18,7 +18,8 @@ family:
   O(n) from the unprojected solution and a blocked suffix maximum.  The
   stages contract only by lam/(r + lam), so `anderson_fixed_point` mixes
   the last few of them (Anderson acceleration) and returns the first plain
-  stage whose update is below the tolerance.  n need not be n_x: a ladder
+  stage whose update is below the tolerance (`ladder.picard_rung` derives
+  it from the rung's acceptance bound and lam).  n need not be n_x: a ladder
   rung runs its stages only on the nodes up to a cut above its free
   boundary, with the obstacle value there as v_L (`ladder.picard_rung`).
 

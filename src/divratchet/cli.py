@@ -6,8 +6,8 @@ sweep.  Every run starts from a YAML config (--config); results go to
 exactly, with a fixed "\n" terminator so repeated runs are byte-identical;
 the grid tables format that text once per run of bitwise-equal cells along
 a row, since a contact region repeats one value across its rungs.  Progress
-and cache notices go to stderr only.  verify prices its discretization
-budget from the solved surface unless --eps-disc gives it.
+and cache notices go to stderr only.  verify always prices its
+discretization budget from the solved surface (`calibrate_eps_disc`).
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def load_or_solve(cfg: RunConfig, force: bool = False):
             print(f"cache hit: {path}", file=sys.stderr)
             return surface
         print(f"cache stale (hash mismatch), re-solving: {path}", file=sys.stderr)
-    surface = solve_ladder(cfg.model, cfg.claims, cfg.grid, cfg.ladder, update_tol=cfg.update_tol)
+    surface = solve_ladder(cfg.model, cfg.claims, cfg.grid, cfg.ladder)
     surface.params_hash = cfg.params_hash
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -130,7 +130,7 @@ def load_or_solve(cfg: RunConfig, force: bool = False):
 def cmd_boundary(args) -> int:
     cfg = load_config(args.config)
     m, d, grid = cfg.model, cfg.claims, cfg.grid
-    g = solve_g(m, d, grid, update_tol=cfg.update_tol)
+    g = solve_g(m, d, grid)
     kern, h = get_kernel(d, grid), h_eval(m, d, grid.nodes)
     g_prime, _ = cap_slope(g.v, m, kern, h)
     _, residual = scheme_residual(g.v, g_prime, m.c_bar, m, kern, h)
@@ -240,18 +240,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    if args.eps_disc is not None and not 0.0 <= args.eps_disc < math.inf:
-        # an infinite budget would pass every Monte Carlo check, a NaN or
-        # negative one fail them all; rejected before the surface is solved
-        raise ValidationError(
-            f"--eps-disc must be finite and non-negative, got {args.eps_disc!r}"
-        )
     surface = load_or_solve(cfg, force=args.force)
     cert = run_invariant_suite(surface)
     if not args.skip_mc:
-        eps = args.eps_disc
-        if eps is None:
-            _, eps = calibrate_eps_disc(surface, cfg.update_tol)
+        _, eps = calibrate_eps_disc(surface)
         m = cfg.model
         points = [
             (0.0, m.c_floor),
@@ -263,7 +255,7 @@ def cmd_verify(args) -> int:
     return 0 if cert.passed else 1
 
 
-_SWEEP_SECTIONS = ("model", "claims", "grid", "ladder", "solver", "simulate")
+_SWEEP_SECTIONS = ("model", "claims", "grid", "ladder", "simulate")
 
 
 def cmd_sweep(args) -> int:
@@ -358,10 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="invariant suite + MC cross-check certificate")
     common(sp)
-    sp.add_argument(
-        "--eps-disc", type=float, default=None,
-        help="discretization budget override (skips refinement calibration)",
-    )
     sp.add_argument(
         "--skip-mc", action="store_true",
         help="structural checks only, no Monte Carlo",

@@ -1,7 +1,7 @@
 """Run configuration: YAML loading, validation, and canonical hashing.
 
 The params hash covers every numeric input that changes solver output
-(model, claims, grid, ladder, solver update tolerance) and
+(model, claims, grid, ladder; the solver has no settings) and
 deliberately excludes seed, path count, horizon, and output paths, which
 affect only simulation estimates, never the cached surface.  It is salted
 with SURFACE_FORMAT, the version of the cache layout, so a cache of
@@ -39,7 +39,6 @@ _KEYS = {
     "model": ("mu", "lam", "r", "ell", "c_bar", "c_floor"),
     "grid": ("L", "n_x"),
     "ladder": ("n",),
-    "solver": ("update_tol",),
     "simulate": ("paths", "seed", "horizon"),
     "output": ("dir",),
 }
@@ -68,15 +67,12 @@ class RunConfig:
     claims: ClaimDistribution
     grid: Grid
     ladder: RateLadder
-    update_tol: float = 1e-10
     paths: int = 100000
     seed: int = 20240901
     horizon: float | None = None
     out_dir: str = "."
 
     def __post_init__(self):
-        if not 0 < self.update_tol < math.inf:
-            raise ValidationError("solver.update_tol must be positive and finite")
         if self.paths < 2:
             raise ValidationError("simulate.paths must be at least 2")
         if self.seed < 0:
@@ -105,7 +101,6 @@ class RunConfig:
             buf += key.encode()
             buf += struct.pack(f"<{len(vals)}d", *[float(x) for x in vals])
         buf += struct.pack("<dQQ", self.grid.L, self.grid.n_x, self.ladder.n)
-        buf += struct.pack("<d", self.update_tol)
         return hashlib.sha256(bytes(buf)).hexdigest()
 
 
@@ -194,7 +189,6 @@ def config_from_mapping(doc: dict) -> RunConfig:
         n=_num(lsec, "ladder", "n", cast=int),
     )
 
-    ssec = _section(doc, "solver", required=False)
     simsec = _section(doc, "simulate", required=False)
     osec = _section(doc, "output", required=False)
     horizon = simsec.get("horizon")
@@ -206,7 +200,6 @@ def config_from_mapping(doc: dict) -> RunConfig:
         claims=claims,
         grid=grid,
         ladder=ladder,
-        update_tol=_num(ssec, "solver", "update_tol", default=1e-10),
         paths=_num(simsec, "simulate", "paths", cast=int, default=100000),
         seed=_num(simsec, "simulate", "seed", cast=int, default=20240901),
         horizon=horizon,

@@ -50,13 +50,13 @@ claim family:
     because the contact set is an upper interval in x (waiting is optimal
     below the free boundary, switching above it).  A plain sweep contracts
     only by lam/(r + lam), so the sweeps are Anderson-mixed; the rung stops
-    on the sup-norm update of a plain sweep and returns that sweep.  Given
-    the first node of a start contact set, the sweeps run only up to a cut
-    node a margin above it (above it v is the obstacle, and T is causal,
-    so the convolution needs only the nodes up to the cut).  The result
-    stands if a full-domain sweep of it keeps every node from the cut on
-    at the obstacle; otherwise the rung is solved again on the whole
-    domain, from the same start.
+    on the sup-norm update of a plain sweep (`PICARD_STOP`) and returns that
+    sweep.  Given the first node of a start contact set, the sweeps run
+    only up to a cut node a margin above it (above it v is the obstacle,
+    and T is causal, so the convolution needs only the nodes up to the
+    cut).  The result stands if a full-domain sweep of it keeps every node
+    from the cut on at the obstacle; otherwise the rung is solved again on
+    the whole domain, from the same start.
 
 `solve_ladder` alone chooses each rung's start; the rung solvers take the
 obstacle row, a start contact set and, for Picard rungs, start values.
@@ -133,6 +133,11 @@ PICARD_MARGIN = 8
 #: the most policy steps, or Picard map evaluations, that one solve makes
 #: before it raises NoConvergence
 MAX_ITER = 10000
+#: a Picard rung stops once a plain sweep's update is at most its acceptance
+#: bound over PICARD_STOP * lam: the sweep took T of the previous iterate,
+#: and T has sup norm lam, so its defect is at most 1/PICARD_STOP of the
+#: bound in any time unit (at lam = 2 the stop is a hundredth of the bound)
+PICARD_STOP = 50
 
 
 @dataclass(frozen=True)
@@ -194,7 +199,7 @@ def accept_rung(residual, gap, bound: str, label: str, iterations: int, update: 
     if not defect <= tol:
         raise NoConvergence(
             f"rung {label}: the solver stopped but its complementarity defect "
-            f"{defect:.3e} exceeds {tol:.1e}; tighten solver.update_tol or refine the grid",
+            f"{defect:.3e} exceeds {tol:.1e}; refine the grid",
             iterations=iterations,
             update_norm=update,
             residual=defect,
@@ -207,16 +212,17 @@ def picard_rung(
     m: ModelParams,
     kern: ConvKernel,
     h: np.ndarray,
-    update_tol: float,
+    bound: str,
     label: str,
     first: int = 0,
     start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, float, np.ndarray]:
     """Anderson-mixed frozen-T projected sweeps from start (n_x + 1 nodes,
     on or above psi; default the obstacle psi itself) until the sup-norm
-    update of a plain sweep is at most update_tol.  If psi is -inf below
-    its last node (g), there is nothing to project, and each sweep is the
-    linear back-substitution.
+    update of a plain sweep is at most DEFAULT_TOLERANCES[bound] /
+    (PICARD_STOP * lam), bound naming the rung's acceptance bound.  If psi
+    is -inf below its last node (g), there is nothing to project, and each
+    sweep is the linear back-substitution.
 
     The contact set is an upper interval, so above the free boundary v is
     psi.  Given the first node `first` > 0 of the start contact set that
@@ -252,9 +258,10 @@ def picard_rung(
         return scan(v, kern.jump(v, m.lam))
 
     start = psi if start is None else start
+    stop = DEFAULT_TOLERANCES[bound] / (PICARD_STOP * m.lam)
 
     def solve(top):
-        return anderson_fixed_point(sweep, start[: top + 1], update_tol, MAX_ITER, f"rung {label}")
+        return anderson_fixed_point(sweep, start[: top + 1], stop, MAX_ITER, f"rung {label}")
 
     def residual(v):
         return scheme_residual(v, np.diff(v) / dx, c, m, kern, h)
@@ -324,7 +331,6 @@ def solve_g(
     m: ModelParams,
     d: ClaimDistribution,
     grid: Grid,
-    update_tol: float = 1e-10,
     band: np.ndarray | None = None,
 ) -> ValueSlice:
     """Rung 0, the cap-rate value g, by the route of the module docstring:
@@ -335,8 +341,8 @@ def solve_g(
     band in place if one is given), then the monotone projection; the
     step's residual serves below unless the projection moved g.
     Other densities: `picard_rung` from the constant c_bar/r (the value of
-    the cap strategy with no claims, an upper bound); update_tol acts on
-    this route only.  g is accepted by
+    the cap strategy with no claims, an upper bound), stopped for the
+    residual bound.  g is accepted by
     `accept_rung` against DEFAULT_TOLERANCES["residual"], the bound the
     certificate's `boundary_residual` reads; raises NoConvergence
     otherwise.
@@ -359,7 +365,7 @@ def solve_g(
             residual = scheme_residual(v, np.diff(v) / grid.dx, m.c_bar, m, kern, h)[1]
     else:
         v, iterations, update, residual = picard_rung(
-            psi, m.c_bar, m, kern, h, update_tol, "g", start=np.full(n + 1, v_L)
+            psi, m.c_bar, m, kern, h, "residual", "g", start=np.full(n + 1, v_L)
         )
     accept_rung(residual, v - psi, "residual", "g", iterations, update)
     return ValueSlice(v, iterations, update)
@@ -371,7 +377,6 @@ def solve_rung(
     m: ModelParams,
     kern: ConvKernel,
     h: np.ndarray,
-    update_tol: float = 1e-10,
     rung_label: str = "",
     contact: np.ndarray | None = None,
     start: np.ndarray | None = None,
@@ -385,10 +390,10 @@ def solve_rung(
     first node of contact and swept from start, default psi), both from
     the length-n_x start contact set contact: default every node, g's
     contact set, which makes a Picard rung sweep the whole domain.
-    `solve_ladder` chooses contact and start (module docstring).
-    update_tol is the Picard stop rule only.  Raises NoConvergence if the
-    solver does not settle, or if the rung's complementarity defect exceeds
-    DEFAULT_TOLERANCES["complementarity"] (`accept_rung`).
+    `solve_ladder` chooses contact and start (module docstring).  Raises
+    NoConvergence if the solver does not settle, or if the rung's
+    complementarity defect exceeds DEFAULT_TOLERANCES["complementarity"]
+    (`accept_rung`).
     """
     label = rung_label or str(c)
     if contact is None:
@@ -397,7 +402,7 @@ def solve_rung(
         v, iterations, update, residual = policy_rung(psi, contact, c, m, kern, h, label, band)
     else:
         v, iterations, update, residual = picard_rung(
-            psi, c, m, kern, h, update_tol, label, int(contact_scan(contact)[0]), start
+            psi, c, m, kern, h, "complementarity", label, int(contact_scan(contact)[0]), start
         )
     # v >= psi bitwise: both solvers end on or above the obstacle
     accept_rung(residual, v - psi, "complementarity", label, iterations, update)
@@ -409,17 +414,16 @@ def solve_ladder(
     d: ClaimDistribution,
     grid: Grid,
     ladder: RateLadder,
-    update_tol: float = 1e-10,
 ) -> ValueSurface:
     """Solve every rung from the cap rate down to the floor.
 
-    Rung 0 is g (`solve_g`), solved here with the same tolerance.  Each
-    later rung has its predecessor as obstacle, starts as the module
-    docstring describes (this loop applies that rule, from the contact set
-    v_i == v_{i-1} of the rung above and the thresholds of the two rungs
-    above), and is written into its row of the (n+1) x (n_x+1) value array
-    as soon as it is solved.  Raises DomainTooSmall at the first rung
-    whose threshold `require_trusted` rejects.
+    Rung 0 is g (`solve_g`).  Each later rung has its predecessor as
+    obstacle, starts as the module docstring describes (this loop applies
+    that rule, from the contact set v_i == v_{i-1} of the rung above and
+    the thresholds of the two rungs above), and is written into its row of
+    the (n+1) x (n_x+1) value array as soon as it is solved.  Raises
+    DomainTooSmall at the first rung whose threshold `require_trusted`
+    rejects.
     """
     if ladder.c_bar != m.c_bar or ladder.c_floor != m.c_floor:
         raise ValidationError("ladder rate range must match the model's")
@@ -428,7 +432,7 @@ def solve_ladder(
     # one band per ladder, g's included: each policy rung rewrites only its
     # rate diagonals
     band = kern.rung_band(0.0, 0.0, m.lam)[0] if kern.has_recursion() else None
-    g = solve_g(m, d, grid, update_tol=update_tol, band=band)
+    g = solve_g(m, d, grid, band=band)
     v = np.empty((ladder.n + 1, grid.n_x + 1))
     iterations = np.empty(ladder.n + 1, dtype=np.int64)
     update_norms = np.empty(ladder.n + 1)
@@ -450,8 +454,8 @@ def solve_ladder(
         if band is None and pocket:
             contact = None  # no cut holds below a pocket: sweep the whole domain
         rung = solve_rung(
-            psi, float(rates[i]), m, kern, h, update_tol=update_tol,
-            rung_label=f"{i}/{ladder.n}", contact=contact, start=start, band=band,
+            psi, float(rates[i]), m, kern, h, rung_label=f"{i}/{ladder.n}",
+            contact=contact, start=start, band=band,
         )
         v[i], iterations[i], update_norms[i] = rung.v, rung.iterations, rung.final_update_norm
         mask = rung.v == psi

@@ -3,7 +3,8 @@ Monte Carlo comparison through an independent route.  The Monte Carlo
 checks of every point come from one pass on one claim stream, so the
 feedback strategy and the constant rates of all points are compared on
 common random numbers, within a discretization budget that
-`calibrate_eps_disc` prices from the surface and its refinement pair.
+`calibrate_eps_disc` prices from the surface and its refinement pair (the
+`verify` command has no other; a library caller may pass its own).
 
 Every invariant the solver is supposed to enforce is re-measured here from
 the surface's values (never from solver-internal state) and reported as a
@@ -231,7 +232,7 @@ def run_invariant_suite(surface: ValueSurface) -> Certificate:
     return Certificate(checks=checks)
 
 
-def calibrate_eps_disc(surface: ValueSurface, update_tol: float = 1e-10) -> tuple[float, float]:
+def calibrate_eps_disc(surface: ValueSurface) -> tuple[float, float]:
     """Measure the discretization budget eps = kappa*(dx + dc) of a solved
     surface from one refinement pair (n_x, n) -> (2 n_x, 2 n), whose coarse
     member halves the surface when n_x >= 128 and n >= 2 and is the
@@ -249,9 +250,7 @@ def calibrate_eps_disc(surface: ValueSurface, update_tol: float = 1e-10) -> tupl
         g = Grid(L=grid.L, n_x=s * (grid.n_x // k))
         lad = RateLadder(n=s * (ladder.n // k), c_bar=ladder.c_bar, c_floor=ladder.c_floor)
         own = (g.n_x, lad.n) == (grid.n_x, ladder.n)
-        v = surface.v if own else solve_ladder(
-            surface.m, surface.claims, g, lad, update_tol=update_tol
-        ).v
+        v = surface.v if own else solve_ladder(surface.m, surface.claims, g, lad).v
         return v, g.dx + lad.dc
 
     (vc, step), (vf, _) = member(1), member(2)

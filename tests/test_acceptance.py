@@ -52,14 +52,14 @@ def report(num, name, ok, detail):
 @pytest.fixture(scope="module")
 def boundary():
     t0 = time.perf_counter()
-    sol = solve_g(M, D, GRID, update_tol=1e-12)
+    sol = solve_g(M, D, GRID)
     return sol, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def solved():
     t0 = time.perf_counter()
-    surface = solve_ladder(M, D, GRID, LADDER, update_tol=1e-12)
+    surface = solve_ladder(M, D, GRID, LADDER)
     return surface, time.perf_counter() - t0
 
 
@@ -67,7 +67,7 @@ def solved():
 def fine_surface():
     grid = Grid(L=GRID.L, n_x=2 * GRID.n_x)
     ladder = RateLadder(c_bar=M.c_bar, c_floor=M.c_floor, n=2 * LADDER.n)
-    return solve_ladder(M, D, grid, ladder, update_tol=1e-12)
+    return solve_ladder(M, D, grid, ladder)
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +146,7 @@ def test_criterion_02_ladder_estimates(solved):
 def test_criterion_03_dyadic_monotonicity(solved):
     surface, _ = solved
     half = RateLadder(c_bar=M.c_bar, c_floor=M.c_floor, n=128)
-    v128 = solve_ladder(M, D, GRID, half, update_tol=1e-12).v
+    v128 = solve_ladder(M, D, GRID, half).v
     excess = float(np.max(v128 - surface.v[::2]))
     ok = excess <= 1e-7
     line = report(3, "dyadic rung monotonicity", ok,
@@ -161,7 +161,7 @@ def test_criterion_04_floor_independence(solved, eps_disc):
     # doubled rung count keeps the rung spacing identical, so the rates in
     # [0, c_bar] coincide node for node
     lad_ext = RateLadder(c_bar=M.c_bar, c_floor=-1.0, n=512)
-    v_ext = solve_ladder(m_ext, D, GRID, lad_ext, update_tol=1e-12).v
+    v_ext = solve_ladder(m_ext, D, GRID, lad_ext).v
     keep = lad_ext.rates >= -1e-12
     assert np.allclose(lad_ext.rates[keep], LADDER.rates, atol=1e-15)
     gap = float(np.max(np.abs(v_ext[keep] - surface.v)))
@@ -293,7 +293,7 @@ def test_criterion_09_constructed_violations(solved):
     assert ok, line
 
 
-def test_criterion_10_determinism(tmp_path, eps_disc, capsys):
+def test_criterion_10_determinism(tmp_path, capsys):
     out_dir = tmp_path / "out"
     doc = {
         "model": {"mu": 2.0, "lam": 1.0, "r": 0.1, "ell": 1.2,
@@ -306,15 +306,14 @@ def test_criterion_10_determinism(tmp_path, eps_disc, capsys):
     }
     cfg = tmp_path / "ref.yaml"
     cfg.write_text(yaml.safe_dump(doc))
-    eps = repr(float(eps_disc))
 
     s1, s2 = str(tmp_path / "v1.csv"), str(tmp_path / "v2.csv")
     c1, c2 = str(tmp_path / "c1.json"), str(tmp_path / "c2.json")
     rc = [
         cli_main(["solve", "--config", str(cfg), "--out", s1]),
-        cli_main(["verify", "--config", str(cfg), "--eps-disc", eps, "--out", c1]),
+        cli_main(["verify", "--config", str(cfg), "--out", c1]),
         cli_main(["solve", "--config", str(cfg), "--out", s2]),
-        cli_main(["verify", "--config", str(cfg), "--eps-disc", eps, "--out", c2]),
+        cli_main(["verify", "--config", str(cfg), "--out", c2]),
     ]
     err = capsys.readouterr().err
     solve_same = open(s1, "rb").read() == open(s2, "rb").read()

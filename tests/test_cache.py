@@ -24,7 +24,7 @@ D = Exponential(gamma_mean=0.6)
 def surface():
     grid = Grid(L=20.0, n_x=200)
     ladder = RateLadder(c_bar=M.c_bar, c_floor=M.c_floor, n=8)
-    surface = solve_ladder(M, D, grid, ladder, update_tol=1e-10)
+    surface = solve_ladder(M, D, grid, ladder)
     surface.params_hash = "ab" * 32
     return surface
 
@@ -68,7 +68,7 @@ def test_hyperexponential_claims_round_trip(tmp_path):
     d = HyperExponential(weights=(0.25, 0.75), means=(0.2, 1.0))
     grid = Grid(L=30.0, n_x=150)
     ladder = RateLadder(c_bar=M.c_bar, c_floor=M.c_floor, n=4)
-    surf = solve_ladder(M, d, grid, ladder, update_tol=1e-9)
+    surf = solve_ladder(M, d, grid, ladder)
     path = str(tmp_path / "h.bin")
     write_surface(path, surf)
     back, d2 = read_surface(path)

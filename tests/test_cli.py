@@ -12,7 +12,7 @@ import yaml
 
 from divratchet import cache as cache_module
 from divratchet.cache import MAGIC, read_surface, write_surface
-from divratchet import cli, config, simulate as sim
+from divratchet import cli, config, ladder, simulate as sim
 from divratchet.cli import _BLOCK_ROWS, _write_rows, main
 from divratchet.config import load_config
 from divratchet.discretization import get_kernel, scheme_residual
@@ -29,7 +29,6 @@ def make_cfg(tmp_path, **over):
         "claims": {"kind": "exponential", "gamma": 0.6},
         "grid": {"L": 20.0, "n_x": 200},
         "ladder": {"n": 8},
-        "solver": {"update_tol": 1e-10},
         "simulate": {"paths": 300, "seed": 11},
         "output": {"dir": str(tmp_path / "out")},
     }
@@ -296,9 +295,10 @@ def test_verify_skip_mc_passes(tmp_path, capsys):
 
 
 def test_verify_with_mc_passes(tmp_path):
+    # on the budget verify measures from the surface's refinement pair
     cfg = make_cfg(tmp_path)
     out = str(tmp_path / "cert.json")
-    rc = main(["verify", "--config", cfg, "--eps-disc", "0.5", "--out", out])
+    rc = main(["verify", "--config", cfg, "--out", out])
     assert rc == 0
     cert = json.loads(open(out).read())
     assert cert["passed"] is True
@@ -312,16 +312,20 @@ def test_verify_with_mc_passes(tmp_path):
 
 @pytest.mark.parametrize("eps", ["inf", "nan", "-0.1"])
 def test_verify_rejects_bad_eps_disc(eps, tmp_path, capsys, monkeypatch):
-    # an infinite budget would pass every Monte Carlo check and a NaN or
-    # negative one fail them all; each exits 1 before the surface is solved
+    # verify always measures its discretization budget: a budget given on the
+    # command line (an infinite one would pass every Monte Carlo check, a NaN
+    # or negative one fail them all) is refused by the parser before the
+    # surface is solved
     def no_solve(*args, **kwargs):
         raise AssertionError("the surface was solved")
 
     monkeypatch.setattr(cli, "load_or_solve", no_solve)
     cfg = make_cfg(tmp_path)
     out = tmp_path / "cert.json"
-    assert main(["verify", "--config", cfg, "--eps-disc", eps, "--out", str(out)]) == 1
-    assert "ValidationError: " in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", cfg, "--eps-disc", eps, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --eps-disc" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -472,7 +476,7 @@ def test_sweep_fractional_integer_key_rejected_before_solving(tmp_path, capsys, 
         ("model.r", float("inf")),
         ("model.ell", float("inf")),
         ("model.c_floor", float("-inf")),
-        ("solver.update_tol", float("inf")),
+        ("simulate.horizon", float("inf")),
         ("claims.alpha", float("inf")),
         ("claims.theta", float("inf")),
     ],
@@ -499,6 +503,22 @@ def test_non_finite_config_value_rejected_before_solving(key, val, tmp_path, cap
     assert solves == [] and not out.exists()
 
 
+def test_loose_picard_stop_is_refused(tmp_path, capsys, monkeypatch):
+    # a Picard stop of 1e-8 at lam = 2 leaves rung 1's complementarity
+    # defect above the certificate's bound: solve refuses the surface, with
+    # the rung named, and caches nothing
+    monkeypatch.setattr(ladder, "PICARD_STOP", 0.5)
+    path = make_cfg(tmp_path, grid__n_x=800, ladder__n=16)
+    doc = yaml.safe_load(open(path))
+    doc["claims"] = {"kind": "shifted_pareto", "alpha": 3.0, "theta": 1.2}
+    with open(path, "w") as fh:
+        yaml.safe_dump(doc, fh)
+    out = tmp_path / "loose.csv"
+    assert main(["solve", "--config", path, "--force", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("NoConvergence: rung 1/16")
+    assert not out.exists() and not list((tmp_path / "out").glob("*.bin"))
+
+
 def test_sweep_bad_param_rejected(tmp_path, capsys):
     cfg = make_cfg(tmp_path)
     rc = main(["sweep", "--config", cfg, "--param", "nonsense",
@@ -509,43 +529,45 @@ def test_sweep_bad_param_rejected(tmp_path, capsys):
 
 def test_sweep_unknown_key_rejected(tmp_path, capsys):
     cfg = make_cfg(tmp_path)
-    rc = main(["sweep", "--config", cfg, "--param", "solver.method",
+    rc = main(["sweep", "--config", cfg, "--param", "ladder.method",
                "--values", "1.0"])
     assert rc == 1
-    assert "ValidationError: unknown config key solver.method" in capsys.readouterr().err
+    assert "ValidationError: unknown config key ladder.method" in capsys.readouterr().err
 
 
 def test_solver_max_iter_rejected_before_solving(tmp_path, capsys, monkeypatch):
-    # every solve is capped at ladder.MAX_ITER steps: the key is unknown to
-    # solve and to a sweep over it, and neither command solves anything
+    # every solve is capped at ladder.MAX_ITER steps and stops on a rule
+    # derived from the certificate's bounds: the solver section is unknown
+    # to solve and to a sweep over it, and neither command solves anything
     solves = []
     monkeypatch.setattr(cli, "load_or_solve", lambda *a, **k: solves.append(a))
     out, swept = tmp_path / "surface.csv", tmp_path / "sweep.csv"
     path = make_cfg(tmp_path, solver__max_iter=50)
     assert main(["solve", "--config", path, "--force", "--out", str(out)]) == 1
-    want = "ValidationError: unknown config key solver.max_iter"
-    assert capsys.readouterr().err.startswith(want)
+    assert capsys.readouterr().err == "ValidationError: unknown config key solver\n"
     path = make_cfg(tmp_path)
     rc = main(["sweep", "--config", path, "--param", "solver.max_iter",
                "--values", "50,100", "--out", str(swept)])
     assert rc == 1
-    assert capsys.readouterr().err.startswith(want)
+    assert capsys.readouterr().err.startswith(
+        "ValidationError: sweep parameter must be section.key"
+    )
     assert solves == [] and not out.exists() and not swept.exists()
 
 
 def test_sweep_empty_section_is_a_mapping(tmp_path):
-    # `solver:` left empty loads as None; solve reads it as no keys given
+    # `simulate:` left empty loads as None; solve reads it as no keys given
     path = make_cfg(tmp_path, ladder__n=4)
     doc = yaml.safe_load(open(path))
-    doc["solver"] = None
+    doc["simulate"] = None
     with open(path, "w") as fh:
         yaml.safe_dump(doc, fh)
     out = str(tmp_path / "sweep.csv")
     assert main(["solve", "--config", path, "--out", str(tmp_path / "s.csv")]) == 0
-    assert main(["sweep", "--config", path, "--param", "solver.update_tol",
-                 "--values", "1e-10", "--out", out]) == 0
+    assert main(["sweep", "--config", path, "--param", "simulate.seed",
+                 "--values", "7", "--out", out]) == 0
     rows = read_csv(out)
-    assert len(rows) == 1 + 5 and rows[1][0] == "1e-10"
+    assert len(rows) == 1 + 5 and rows[1][0] == "7.0"
 
 
 def test_sweep_non_mapping_section_rejected_before_solving(tmp_path, capsys, monkeypatch):

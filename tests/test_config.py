@@ -52,7 +52,6 @@ def test_load_minimal_config(tmp_path):
     assert cfg.grid.n_x == 2000
     assert cfg.ladder.n == 256
     # defaults fill in the optional sections
-    assert cfg.update_tol == 1e-10
     assert cfg.paths == 100000
     assert cfg.horizon is None
     assert cfg.out_dir == "."
@@ -60,11 +59,9 @@ def test_load_minimal_config(tmp_path):
 
 def test_optional_sections_respected(tmp_path):
     doc = base_doc()
-    doc["solver"] = {"update_tol": 1e-12}
     doc["simulate"] = {"paths": 5000, "seed": 7, "horizon": 100.0}
     doc["output"] = {"dir": "out"}
     cfg = load_config(write_cfg(tmp_path, doc))
-    assert cfg.update_tol == 1e-12
     assert cfg.paths == 5000
     assert cfg.seed == 7
     assert cfg.horizon == 100.0
@@ -115,7 +112,6 @@ def test_hash_stable_across_reload(tmp_path):
         ("grid__L", 25.0),
         ("grid__n_x", 1000),
         ("ladder__n", 128),
-        ("solver__update_tol", 1e-11),
     ],
 )
 def test_hash_changes_with_surface_inputs(tmp_path, key, val):
@@ -126,12 +122,13 @@ def test_hash_changes_with_surface_inputs(tmp_path, key, val):
 
 def test_hash_changes_with_the_surface_format(tmp_path, monkeypatch):
     # the format salts the hash, so a cache of another layout has another
-    # file name; format 1 (v, v', masks) gave this hash for the base config
+    # file name; salted with format 1 (v, v', masks), the base config's
+    # inputs hash to this
     cfg = load_config(write_cfg(tmp_path, base_doc()))
     now = cfg.params_hash
     monkeypatch.setattr(config, "SURFACE_FORMAT", 1)
     old = cfg.params_hash
-    assert old == "4a30e10ed37e885672d6752992e7680eb9cd8ba6da1160f8c63c5eb575065762"
+    assert old == "65320cfd1145a13dde22ebc57306b49735c91c798fc01cd55cc1b7f322a82e1a"
     assert now != old
 
 
@@ -273,15 +270,17 @@ def test_missing_claims_kind(tmp_path):
 
 
 def test_unknown_method_rejected(tmp_path):
-    with pytest.raises(ValidationError, match="solver.method"):
+    with pytest.raises(ValidationError, match="unknown config key solver$"):
         load_config(write_cfg(tmp_path, base_doc(solver__method="magic")))
 
 
 @pytest.mark.parametrize(
     "over,name",
     [
-        ({"solver__method": "auto"}, "solver.method"),
-        ({"solver__update_tl": 1e-9}, "solver.update_tl"),
+        # the solver has no settings: its stop rules follow from the
+        # certificate's bounds and the model
+        ({"solver__update_tol": 1e-10}, "solver"),
+        ({"ladder__update_tl": 1e-9}, "ladder.update_tl"),
         ({"model__mue": 2.0}, "model.mue"),
         ({"solvr": {"update_tol": 1e-9}}, "solvr"),
         ({"claims__alpha": 3.0}, "claims.alpha for claims.kind 'exponential'"),
@@ -289,10 +288,7 @@ def test_unknown_method_rejected(tmp_path):
             {"claims": {"kind": "shifted_pareto", "alpha": 3.0, "theta": 1.2, "gamma": 0.5}},
             "claims.gamma for claims.kind 'shifted_pareto'",
         ),
-        # g is accepted against the certificate's own residual bound
-        ({"solver__residual_tol": 1e-6}, "solver.residual_tol"),
-        # every solve is capped at ladder.MAX_ITER steps
-        ({"solver__max_iter": 500}, "solver.max_iter"),
+        ({"grid__method": "auto"}, "grid.method"),
     ],
 )
 def test_unknown_key_rejected(tmp_path, over, name):
@@ -332,7 +328,6 @@ model:  {mu: 2.0, lam: 2.0, r: 0.1, ell: 2.0, c_bar: 1.2, c_floor: 0.0}
 claims: {kind: exponential, gamma: 0.6}      # or hyperexponential / shifted_pareto
 grid:   {L: 20.0, n_x: 800}
 ladder: {n: 32}
-solver:   {update_tol: 1.0e-10}                 # optional
 simulate: {paths: 100000, seed: 20240901}       # optional
 output:   {dir: runs}                           # optional, cache location
 """
@@ -343,7 +338,7 @@ def test_libyaml_and_python_loaders_agree():
     fast = yaml.load(README_CONFIG, Loader=yaml.CSafeLoader)
     slow = yaml.load(README_CONFIG, Loader=yaml.SafeLoader)
     assert fast == slow
-    assert fast["solver"]["update_tol"] == 1e-10
+    assert fast["simulate"]["seed"] == 20240901
 
 
 def test_loads_without_libyaml(tmp_path, monkeypatch):

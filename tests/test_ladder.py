@@ -8,6 +8,8 @@ the Anderson-mixed projected-sweep Picard iteration otherwise) land on the
 right solution.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,7 @@ P2 = ShiftedPareto(3.0, 1.2)
 
 @pytest.fixture(scope="module")
 def ladder2():
-    return solve_ladder(M2, D2, G2, RateLadder(64, 1.2, 0.0), update_tol=1e-11)
+    return solve_ladder(M2, D2, G2, RateLadder(64, 1.2, 0.0))
 
 
 def dense_system(m, d, grid, c, v_L):
@@ -83,8 +85,11 @@ def dense_system(m, d, grid, c, v_L):
 
 
 def base_slice(m, d, grid):
-    """Rung 0 (the cap-rate value g) as the first obstacle."""
-    return solve_g(m, d, grid, update_tol=1e-13)
+    """Rung 0 (the cap-rate value g) as the first obstacle; a Picard g stops
+    at a 1e-13 update at lam = 2, a thousandth of the default."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ladder_mod, "PICARD_STOP", 50000)
+        return solve_g(m, d, grid)
 
 
 def howard_reference(m, d, grid, c, psi, v_L):
@@ -134,7 +139,7 @@ class TestDegenerateChain:
     def test_all_rungs_equal_g(self):
         grid = Grid(L=30.0, n_x=800)
         ladder = RateLadder(32, 1.0, 0.0)
-        surface = solve_ladder(M1, D1, grid, ladder, update_tol=1e-12)
+        surface = solve_ladder(M1, D1, grid, ladder)
         g = surface.v[0]
         for v, mask in zip(surface.v[1:], surface.masks[1:]):
             assert np.array_equal(v, g)
@@ -145,11 +150,9 @@ class TestDegenerateChain:
 class TestAgainstDenseReference:
     def test_rung_matches_howard(self):
         grid = Grid(L=12.0, n_x=96)
-        prev = solve_g(M2, D2, grid, update_tol=1e-13)
+        prev = solve_g(M2, D2, grid)
         for c in (1.0, 0.8, 0.6):
-            s = solve_rung(
-                prev.v, c, M2, get_kernel(D2, grid), h_eval(M2, D2, grid.nodes), update_tol=1e-13
-            )
+            s = solve_rung(prev.v, c, M2, get_kernel(D2, grid), h_eval(M2, D2, grid.nodes))
             ref = howard_reference(M2, D2, grid, c, prev.v, prev.v[-1])
             assert np.max(np.abs(s.v - ref)) < 1e-9
             prev = s
@@ -166,15 +169,15 @@ class TestAgainstDenseReference:
             assert s.iterations <= 10  # policy steps, not sweeps
             prev = s
 
-    def test_picard_rungs_match_howard(self):
-        # Pareto claims have no recursion and keep the projected sweep
+    def test_picard_rungs_match_howard(self, monkeypatch):
+        # Pareto claims have no recursion and keep the projected sweep,
+        # stopped here at a 1e-13 update
+        monkeypatch.setattr(ladder_mod, "PICARD_STOP", 50000)
         grid = Grid(L=12.0, n_x=96)
         prev = base_slice(M2, P2, grid)
         assert not get_kernel(P2, grid).has_recursion()
         for c in (1.0, 0.8, 0.6):
-            s = solve_rung(
-                prev.v, c, M2, get_kernel(P2, grid), h_eval(M2, P2, grid.nodes), update_tol=1e-13
-            )
+            s = solve_rung(prev.v, c, M2, get_kernel(P2, grid), h_eval(M2, P2, grid.nodes))
             ref = howard_reference(M2, P2, grid, c, prev.v, prev.v[-1])
             assert np.max(np.abs(s.v - ref)) < 1e-9
             prev = s
@@ -256,7 +259,7 @@ class TestAgainstDenseReference:
         h = h_eval(M2, D2, grid.nodes)
         for i in range(1, 33):
             v, sweeps, _, _ = picard_rung(
-                surface.v[i - 1], float(surface.rates[i]), M2, kern, h, 1e-10, "test",
+                surface.v[i - 1], float(surface.rates[i]), M2, kern, h, "complementarity", "test",
             )
             assert np.max(np.abs(v - surface.v[i])) < 1e-8
             assert sweeps > surface.iterations[i]
@@ -335,7 +338,7 @@ class TestAnderson:
         h = h_eval(M2, P2, grid.nodes)
         psi = base_slice(M2, P2, grid).v
         for i, c in enumerate(RateLadder(16, 1.2, 0.0).rates[1:], 1):
-            v, sweeps, update, _ = picard_rung(psi, float(c), M2, kern, h, 1e-10, str(i))
+            v, sweeps, update, _ = picard_rung(psi, float(c), M2, kern, h, "complementarity", str(i))
             ref, plain_sweeps = reference_picard_rung(psi, float(c), M2, P2, grid)
             assert update <= 1e-10
             assert np.max(np.abs(v - ref)) <= 1e-8
@@ -370,7 +373,7 @@ class TestAnderson:
             return sweep_mod.anderson_fixed_point(recorded, v, tol, max_iter, label)
 
         monkeypatch.setattr(ladder_mod, "anderson_fixed_point", watched)
-        v, sweeps, update, _ = picard_rung(psi, c, M2, kern, h, 1e-10, "forced")
+        v, sweeps, update, _ = picard_rung(psi, c, M2, kern, h, "complementarity", "forced")
         ref, plain_sweeps = reference_picard_rung(psi, c, M2, P2, grid)
         assert restarts >= 1
         assert update <= 1e-10
@@ -424,7 +427,7 @@ class TestAnderson:
         psi = base_slice(M2, P2, grid).v
         monkeypatch.setattr(ladder_mod, "MAX_ITER", 3)
         with pytest.raises(NoConvergence, match="rung x: .* after 3 map evaluations") as exc:
-            picard_rung(psi, 1.0, M2, kern, h, 1e-10, "x")
+            picard_rung(psi, 1.0, M2, kern, h, "complementarity", "x")
         assert exc.value.iterations == 3
 
 
@@ -457,19 +460,19 @@ class TestTruncatedPicard:
     def test_matches_whole_domain(self, d, n_x, n, monkeypatch):
         grid = Grid(L=20.0, n_x=n_x)
         ladder = RateLadder(n, 1.2, 0.0)
-        tol = 1e-10
+        tol = 1e-10  # the Picard stop at lam = 2
         lengths = record_solve_lengths(monkeypatch)
-        cut = solve_ladder(M2, d, grid, ladder, update_tol=tol)
+        cut = solve_ladder(M2, d, grid, ladder)
         # every rung from the second on was cut, and none solved again
         assert sum(k < n_x + 1 for k in lengths) == n - 1
         assert lengths.count(n_x + 1) == 1  # rung 1
         monkeypatch.setattr(ladder_mod, "PICARD_MARGIN", n_x)
-        full = solve_ladder(M2, d, grid, ladder, update_tol=tol)
+        full = solve_ladder(M2, d, grid, ladder)
         assert np.array_equal(cut.masks, full.masks)
         assert np.array_equal(cut.iterations, full.iterations)
         assert np.array_equal(extract_boundary(cut).x_star, extract_boundary(full).x_star)
         assert np.array_equal(build_rate_map(cut), build_rate_map(full))
-        # both stop within rho/(1 - rho) * update_tol of the same fixed point
+        # both stop within rho/(1 - rho) * tol of the same fixed point
         rho = M2.lam / (M2.r + M2.lam)
         assert np.max(np.abs(cut.v - full.v)) <= 2 * rho / (1 - rho) * tol
 
@@ -480,7 +483,7 @@ class TestTruncatedPicard:
         # and stops within the same distance of the same fixed point
         grid = Grid(L=20.0, n_x=n_x)
         ladder = RateLadder(n, 1.2, 0.0)
-        tol = 1e-10
+        tol = 1e-10  # the Picard stop at lam = 2
         solve_rung = ladder_mod.solve_rung
         starts = []
 
@@ -488,9 +491,9 @@ class TestTruncatedPicard:
             starts.append(start)
             return solve_rung(*args, **kwargs)
 
-        warm = solve_ladder(M2, d, grid, ladder, update_tol=tol)
+        warm = solve_ladder(M2, d, grid, ladder)
         monkeypatch.setattr(ladder_mod, "solve_rung", cold_rung)
-        cold = solve_ladder(M2, d, grid, ladder, update_tol=tol)
+        cold = solve_ladder(M2, d, grid, ladder)
         assert sum(s is not None for s in starts) == n - 2  # rungs 3..n had one
         assert np.array_equal(warm.masks, cold.masks)
         assert np.array_equal(extract_boundary(warm).x_star, extract_boundary(cold).x_star)
@@ -517,9 +520,9 @@ class TestTruncatedPicard:
             top = j + j // 4 + PICARD_MARGIN
             assert top < first
             lengths.clear()
-            v, sweeps, update, _ = picard_rung(psi, c, M2, kern, h, 1e-10, "x", first=j)
+            v, sweeps, update, _ = picard_rung(psi, c, M2, kern, h, "complementarity", "x", first=j)
             assert lengths[0] == top + 1 and lengths[1] == n + 1
-            full_v, full_sweeps, full_update, _ = picard_rung(psi, c, M2, kern, h, 1e-10, "x")
+            full_v, full_sweeps, full_update, _ = picard_rung(psi, c, M2, kern, h, "complementarity", "x")
             assert np.array_equal(v, full_v)
             assert update == full_update
             assert sweeps > full_sweeps  # the rejected solve is counted
@@ -545,7 +548,7 @@ class TestTruncatedPicard:
         first = int(np.argmax(surface.masks[8]))
         for start, full_grid_calls in [(first, 1), (first // 2, None), (0, None)]:
             lengths.clear()
-            v, _, _, res = picard_rung(psi, c, M2, kern, h, 1e-10, "x", first=start)
+            v, _, _, res = picard_rung(psi, c, M2, kern, h, "complementarity", "x", first=start)
             if full_grid_calls is not None:
                 assert lengths.count(n + 1) == full_grid_calls
             _, res_ref = scheme_residual(v, np.diff(v) / grid.dx, c, M2, kern, h)
@@ -611,13 +614,13 @@ class TestChainStructure:
             assert np.max(np.abs(np.minimum(res, gap))) <= 1e-8
 
     def test_dyadic_refinement_monotone(self, ladder2):
-        v32 = solve_ladder(M2, D2, G2, RateLadder(32, 1.2, 0.0), update_tol=1e-11).v
+        v32 = solve_ladder(M2, D2, G2, RateLadder(32, 1.2, 0.0)).v
         worst = float(np.max(v32 - ladder2.v[::2]))
         assert worst <= 1e-7
 
     def test_floor_extension_leaves_upper_rungs(self, ladder2):
         m_ext = ModelParams(mu=2.0, lam=2.0, r=0.1, ell=2.0, c_bar=1.2, c_floor=-0.6)
-        v96 = solve_ladder(m_ext, D2, G2, RateLadder(96, 1.2, -0.6), update_tol=1e-11).v
+        v96 = solve_ladder(m_ext, D2, G2, RateLadder(96, 1.2, -0.6)).v
         assert np.max(np.abs(ladder2.v - v96[:65])) <= 1e-9
 
 
@@ -752,15 +755,17 @@ class TestComplementarityBound:
         grid = Grid(L=20.0, n_x=200)
         ladder = RateLadder(4, M2.c_bar, M2.c_floor)
         surface = solve_ladder(M2, d, grid, ladder)
-        _, res = scheme_residual(
-            surface.v[1], np.diff(surface.v[1]) / grid.dx, float(surface.rates[1]),
-            M2, get_kernel(d, grid), h_eval(M2, d, grid.nodes),
-        )
+        kern, h, c = get_kernel(d, grid), h_eval(M2, d, grid.nodes), float(surface.rates[1])
+        _, res = scheme_residual(surface.v[1], np.diff(surface.v[1]) / grid.dx, c, M2, kern, h)
         defect = complementarity_defect(res, surface.v[1] - surface.v[0])
         assert 0.0 < defect <= DEFAULT_TOLERANCES["complementarity"]
         monkeypatch.setitem(DEFAULT_TOLERANCES, "complementarity", 1e-20)
+        # the Picard stop follows the bound down; scaling PICARD_STOP by the
+        # same factor holds it at 1e-10, to an ulp (g's stop would move, so
+        # rung 1 is solved alone, as solve_ladder solves it)
+        monkeypatch.setattr(ladder_mod, "PICARD_STOP", ladder_mod.PICARD_STOP * 1e-12)
         with pytest.raises(NoConvergence, match="rung 1/") as exc:
-            solve_ladder(M2, d, grid, ladder)
+            solve_rung(surface.v[0], c, M2, kern, h, rung_label="1/4")
         assert exc.value.residual == defect
         assert run_invariant_suite(surface).check("complementarity").bound == 1e-20
 
@@ -806,3 +811,44 @@ def test_surface_reads_the_solvers_masks_and_slopes(d, n_x, n, monkeypatch):
     assert 0.0 < surface.masks[1:].mean() < 1.0
     ref = chained_slopes(M2, d, grid, surface.rates, slices)
     assert surface.slopes()[0].tobytes() == ref.tobytes()
+
+
+class TestPicardStop:
+    """A Picard rung stops once its update is at most its acceptance bound
+    over PICARD_STOP * lam: T has sup norm lam, so the defect it hands to
+    `accept_rung` is the same share of the bound in every time unit."""
+
+    @staticmethod
+    def pareto_ladder(tau=1.0, lam=2.0, ell=2.0, c_bar=1.2, n_x=400, n=16):
+        # the README model with shifted Pareto claims; tau restates it with
+        # every rate quoted per a time unit tau times as long
+        m = ModelParams(mu=2.0 * tau, lam=lam * tau, r=0.1 * tau, ell=ell,
+                        c_bar=c_bar * tau, c_floor=0.0)
+        return solve_ladder(m, P2, Grid(L=20.0, n_x=n_x), RateLadder(n, m.c_bar, m.c_floor))
+
+    @pytest.mark.parametrize("tau", [1 / 365, 1 / 12, 12.0, 365.0])
+    def test_time_units_leave_the_solve_unchanged(self, tau):
+        # v does not depend on the time unit.  A stop fixed in money units
+        # fails g at tau = 365 (defect 5.55e-8 > 1e-8).  Measured: sup
+        # |v - v(tau = 1)| from 9.2e-10 (tau = 12) to 4.0e-7 (tau = 1/365,
+        # where the stop is 3.7e-8 in money)
+        surface = self.pareto_ladder(tau)
+        cert = run_invariant_suite(surface)
+        assert cert.passed, [c.name for c in cert.checks if not c.passed]
+        assert np.max(np.abs(surface.v - self.pareto_ladder().v)) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "lam, ell, c_bar", [(0.5, 2.0, 1.2), (8.0, 1.05, 1.9)], ids=["lam0.5", "lam8"]
+    )
+    def test_every_rung_stops_at_its_share_of_the_bound(self, lam, ell, c_bar):
+        surface = self.pareto_ladder(lam=lam, ell=ell, c_bar=c_bar)
+        assert DEFAULT_TOLERANCES["residual"] == DEFAULT_TOLERANCES["complementarity"] == 1e-8
+        assert np.all(surface.update_norms <= 1e-8 / (50 * lam))
+
+    def test_lam_2_keeps_the_money_stop(self):
+        # 1e-8 / (50 * 2.0) is bitwise 1e-10, the stop the ladder-pareto
+        # benchmark surface (1600 x 32) was solved with
+        v = self.pareto_ladder(n_x=1600, n=32).v
+        assert hashlib.sha256(v.tobytes()).hexdigest() == (
+            "7dafa8735fbb78846c1ac3f07f8a6659ac6aa5e0f8470fcf84555d38c2261c90"
+        )

@@ -47,7 +47,7 @@ G2 = Grid(L=20.0, n_x=800)
 @pytest.fixture(scope="module")
 def surf2():
     lad = RateLadder(64, 1.2, 0.0)
-    return solve_ladder(M2, D2, G2, lad, update_tol=1e-11)
+    return solve_ladder(M2, D2, G2, lad)
 
 
 def values_from_masks(masks):
