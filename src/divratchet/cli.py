@@ -111,16 +111,17 @@ def cache_path(cfg: RunConfig) -> str:
 
 
 def load_or_solve(cfg: RunConfig, force: bool = False):
-    """Surface for the config, from the cache when the hash matches."""
+    """Surface for the config, from the cache when its inputs match."""
     path = cache_path(cfg)
     if not force and os.path.exists(path):
         surface, _ = read_surface(path)
-        if surface.params_hash == cfg.params_hash:
+        if (surface.m, surface.claims, surface.grid, surface.ladder) == (
+            cfg.model, cfg.claims, cfg.grid, cfg.ladder
+        ):
             print(f"cache hit: {path}", file=sys.stderr)
             return surface
-        print(f"cache stale (hash mismatch), re-solving: {path}", file=sys.stderr)
+        print(f"cache stale (inputs differ), re-solving: {path}", file=sys.stderr)
     surface = solve_ladder(cfg.model, cfg.claims, cfg.grid, cfg.ladder)
-    surface.params_hash = cfg.params_hash
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
     write_surface(path, surface)

@@ -1,18 +1,20 @@
 """Run configuration: YAML loading, validation, and canonical hashing.
 
-The params hash covers every numeric input that changes solver output
-(model, claims, grid, ladder; the solver has no settings) and
-deliberately excludes seed, path count, horizon, and output paths, which
-affect only simulation estimates, never the cached surface.  It is salted
-with SURFACE_FORMAT, the version of the cache layout, so a cache of
-another layout is never looked up.
+A surface is named by its inputs: `surface_spec` writes the config
+sections it is solved from (model, claims, grid, ladder; the solver has
+no settings) as one canonical JSON text, which is both the header of its
+cache file and what the params hash digests.  Seed, path count, horizon
+and output paths affect only simulation estimates, never the cached
+surface, so they are left out.  The hash is salted with SURFACE_FORMAT,
+the version of the cache layout, so a cache of another layout is never
+looked up.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
-import struct
 from dataclasses import dataclass
 
 import yaml
@@ -32,7 +34,7 @@ from .model import (
 
 #: the format of a stored surface: the cache layout version and the salt of
 #: the params hash, so a format change also renames every cache file
-SURFACE_FORMAT = 2
+SURFACE_FORMAT = 3
 
 #: the keys each config section reads; the claims keys follow claims.kind
 _KEYS = {
@@ -48,15 +50,32 @@ def claims_spec(d: ClaimDistribution) -> tuple[str, dict]:
     """Config-style (kind, params) for a distribution, inverse of
     make_distribution."""
     if isinstance(d, Exponential):
-        return "exponential", {"gamma": d.gamma_mean}
+        return "exponential", {"gamma": float(d.gamma_mean)}
     if isinstance(d, HyperExponential):
         return "hyperexponential", {
             "weights": list(d.weights),
             "means": list(d.means),
         }
     if isinstance(d, ShiftedPareto):
-        return "shifted_pareto", {"alpha": d.alpha, "theta": d.theta}
+        return "shifted_pareto", {"alpha": float(d.alpha), "theta": float(d.theta)}
     raise ValidationError(f"unknown claim distribution type {type(d).__name__}")
+
+
+def surface_spec(
+    m: ModelParams, claims: ClaimDistribution, grid: Grid, ladder: RateLadder
+) -> str:
+    """The canonical JSON of the config sections a surface is solved from:
+    claims flat, as in YAML, and float fields written as floats, so equal
+    inputs give equal text whether they arrive as ints or floats, and
+    config_from_mapping reads the text back to the same inputs."""
+    kind, params = claims_spec(claims)
+    doc = {
+        "model": {k: float(getattr(m, k)) for k in _KEYS["model"]},
+        "claims": {"kind": kind, **params},
+        "grid": {"L": float(grid.L), "n_x": int(grid.n_x)},
+        "ladder": {"n": int(ladder.n)},
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -86,22 +105,10 @@ class RunConfig:
 
     @property
     def params_hash(self) -> str:
-        """sha256 over the canonical little-endian packing of all numeric
-        fields that determine the solved surface."""
-        m = self.model
-        buf = bytearray(f"divratchet-surface-v{SURFACE_FORMAT}".encode())
-        buf += struct.pack(
-            "<6d", m.mu, m.lam, m.r, m.ell, m.c_bar, m.c_floor
-        )
-        kind, params = claims_spec(self.claims)
-        buf += kind.encode()
-        for key in sorted(params):
-            val = params[key]
-            vals = val if isinstance(val, (list, tuple)) else [val]
-            buf += key.encode()
-            buf += struct.pack(f"<{len(vals)}d", *[float(x) for x in vals])
-        buf += struct.pack("<dQQ", self.grid.L, self.grid.n_x, self.ladder.n)
-        return hashlib.sha256(bytes(buf)).hexdigest()
+        """sha256 of the SURFACE_FORMAT salt and the surface_spec text."""
+        spec = surface_spec(self.model, self.claims, self.grid, self.ladder)
+        salted = f"divratchet-surface-v{SURFACE_FORMAT}" + spec
+        return hashlib.sha256(salted.encode()).hexdigest()
 
 
 def _reject_unknown(sec: dict, known, prefix: str, where: str = "") -> None:

@@ -96,7 +96,6 @@ class ValueSurface:
         v: np.ndarray,
         iterations: np.ndarray,
         update_norms: np.ndarray,
-        params_hash: str = "",
     ):
         want = [(ladder.n + 1, grid.n_x + 1), (ladder.n + 1,), (ladder.n + 1,)]
         shapes = [v.shape, iterations.shape, update_norms.shape]
@@ -110,7 +109,6 @@ class ValueSurface:
         self.v = v
         self.iterations = iterations
         self.update_norms = update_norms
-        self.params_hash = params_hash
 
     @property
     def masks(self) -> np.ndarray:

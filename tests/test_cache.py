@@ -10,7 +10,7 @@ import pytest
 
 from divratchet import cache
 from divratchet.cache import MAGIC, VERSION, read_surface, write_surface
-from divratchet.config import SURFACE_FORMAT, claims_spec
+from divratchet.config import SURFACE_FORMAT, claims_spec, surface_spec
 from divratchet.discretization import Grid
 from divratchet.errors import CacheError
 from divratchet.ladder import RateLadder, solve_ladder
@@ -24,9 +24,7 @@ D = Exponential(gamma_mean=0.6)
 def surface():
     grid = Grid(L=20.0, n_x=200)
     ladder = RateLadder(c_bar=M.c_bar, c_floor=M.c_floor, n=8)
-    surface = solve_ladder(M, D, grid, ladder)
-    surface.params_hash = "ab" * 32
-    return surface
+    return solve_ladder(M, D, grid, ladder)
 
 
 def test_round_trip_bit_exact(surface, tmp_path):
@@ -41,7 +39,6 @@ def test_round_trip_bit_exact(surface, tmp_path):
     assert np.array_equal(back.rates, surface.rates)
     assert np.array_equal(back.iterations, surface.iterations)
     assert np.array_equal(back.update_norms, surface.update_norms)
-    assert back.params_hash == surface.params_hash
     assert back.m == M
     assert back.grid == surface.grid
     assert back.ladder.n == surface.ladder.n
@@ -127,37 +124,43 @@ def test_header_corruption(surface, tmp_path):
         read_surface(str(path))
 
 
-def test_layout_is_header_rates_values_iterations_norms(surface, tmp_path):
-    # the masks and slopes are read off v, so the file holds v alone
+def test_layout_is_header_values_iterations_norms(surface, tmp_path):
+    # the header is the surface's config sections, the text its params hash
+    # digests; the rates are read off the ladder and the masks and slopes
+    # off v, so the file holds v alone
     path = tmp_path / "s.bin"
     write_surface(str(path), surface)
     raw = path.read_bytes()
     (hdr_len,) = struct.unpack_from("<I", raw, 8)
+    assert raw[12 : 12 + hdr_len].decode() == surface_spec(
+        surface.m, surface.claims, surface.grid, surface.ladder
+    )
     rows, nodes = surface.v.shape
-    assert len(raw) == 12 + hdr_len + 8 * (rows + rows * nodes + rows + rows)
+    assert len(raw) == 12 + hdr_len + 8 * (rows * nodes + rows + rows)
 
 
 def test_version_is_the_surface_format():
-    assert VERSION == SURFACE_FORMAT == 2
+    assert VERSION == SURFACE_FORMAT == 3
 
 
 def test_version_1_file_rejected(surface, tmp_path):
+    # a format-1 or format-2 file (header, rates, v, iterations, norms)
+    # moved to a format-3 name is rejected, not misread
     path = tmp_path / "s.bin"
     write_surface(str(path), surface)
-    raw = bytearray(path.read_bytes())
-    raw[4:8] = struct.pack("<I", 1)
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CacheError, match="version 1 unsupported"):
-        read_surface(str(path))
+    for version in (1, 2):
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", version)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CacheError, match=f"version {version} unsupported"):
+            read_surface(str(path))
 
 
 def with_header(path, edit):
-    """Rewrite the JSON header of the cache at path through edit(header)."""
+    """Rewrite the JSON header of the cache at path to edit(header)."""
     raw = path.read_bytes()
     (hdr_len,) = struct.unpack_from("<I", raw, 8)
-    header = json.loads(raw[12 : 12 + hdr_len])
-    edit(header)
-    hdr = json.dumps(header).encode()
+    hdr = json.dumps(edit(json.loads(raw[12 : 12 + hdr_len]))).encode()
     path.write_bytes(raw[:8] + struct.pack("<I", len(hdr)) + hdr + raw[12 + hdr_len :])
 
 
@@ -168,14 +171,23 @@ def with_header(path, edit):
 def test_malformed_claims_header_is_a_cache_error(surface, tmp_path, params):
     path = tmp_path / "s.bin"
     write_surface(str(path), surface)
-    with_header(path, lambda h: h["claims"].update(params=params))
+    with_header(path, lambda h: h | {"claims": h["claims"] | params})
     with pytest.raises(CacheError, match="header malformed: claims.gamma must be a number"):
         read_surface(str(path))
 
 
+@pytest.mark.parametrize("header", [[], 3, "x"], ids=["list", "number", "string"])
+def test_non_object_header_is_a_cache_error(surface, tmp_path, header):
+    path = tmp_path / "s.bin"
+    write_surface(str(path), surface)
+    with_header(path, lambda h: header)
+    with pytest.raises(CacheError, match="cache header malformed"):
+        read_surface(str(path))
+
+
 def test_failed_write_keeps_earlier_cache(surface, tmp_path, monkeypatch):
-    # the write fails after the header and the rates: the cache already at
-    # the path stays byte-identical and no temporary file is left behind
+    # the write fails after the header and the values: the cache already
+    # at the path stays byte-identical and no temporary file is left behind
     path = tmp_path / "s.bin"
     write_surface(str(path), surface)
     before = path.read_bytes()
@@ -189,7 +201,7 @@ def test_failed_write_keeps_earlier_cache(surface, tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     other = read_surface(str(path))[0]
-    other.params_hash = "cd" * 32
+    other.v[4] += 1.0
     monkeypatch.setattr(cache.np, "ascontiguousarray", failing)
     with pytest.raises(OSError, match="disk full"):
         write_surface(str(path), other)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -395,9 +396,9 @@ def test_failed_cache_write_blocks_no_later_command(tmp_path, monkeypatch):
 
 
 def test_cache_of_the_previous_format_is_not_read(tmp_path, capsys, monkeypatch):
-    # an out_dir filled before the format change holds version-1 files
-    # under the version-1 names; the format salts the hash, so they are
-    # never looked up and every command runs
+    # an out_dir filled before a format change holds files of the earlier
+    # format under names salted by it; the format salts the hash, so they
+    # are never looked up and every command runs
     cfg = make_cfg(tmp_path)
     monkeypatch.setattr(config, "SURFACE_FORMAT", 1)
     old = cli.cache_path(load_config(cfg))
@@ -411,6 +412,29 @@ def test_cache_of_the_previous_format_is_not_read(tmp_path, capsys, monkeypatch)
     assert main(["verify", "--config", cfg, "--skip-mc", "--out", str(tmp_path / "c.json")]) == 0
     assert "cache hit" in capsys.readouterr().err
     assert open(old, "rb").read() == MAGIC + struct.pack("<II", 1, 2) + b"{}"
+
+
+def test_stale_cache_is_solved_again(tmp_path, capsys):
+    # config A's cache file under config B's name: its header names A's
+    # inputs, so B is solved again and its surface replaces the file
+    cfg_a = str(tmp_path / "a.yaml")
+    os.replace(make_cfg(tmp_path), cfg_a)
+    cfg_b = make_cfg(tmp_path, model__ell=2.5)
+    assert main(["solve", "--config", cfg_a, "--out", str(tmp_path / "a.csv")]) == 0
+    run_b = load_config(cfg_b)
+    path_b = cli.cache_path(run_b)
+    shutil.copyfile(cli.cache_path(load_config(cfg_a)), path_b)
+    capsys.readouterr()
+    out, forced = str(tmp_path / "b.csv"), str(tmp_path / "b-forced.csv")
+    assert main(["solve", "--config", cfg_b, "--out", out]) == 0
+    assert f"cache stale (inputs differ), re-solving: {path_b}" in capsys.readouterr().err
+    back, _ = read_surface(path_b)
+    assert (back.m, back.claims, back.grid, back.ladder) == (
+        run_b.model, run_b.claims, run_b.grid, run_b.ladder
+    )
+    assert main(["solve", "--config", cfg_b, "--force", "--out", forced]) == 0
+    assert open(out, "rb").read() == open(forced, "rb").read()
+    assert read_surface(path_b)[0].v.tobytes() == back.v.tobytes()
 
 
 def test_error_names_module_error(tmp_path, capsys):

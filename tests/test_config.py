@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 import yaml
 
@@ -122,14 +123,26 @@ def test_hash_changes_with_surface_inputs(tmp_path, key, val):
 
 def test_hash_changes_with_the_surface_format(tmp_path, monkeypatch):
     # the format salts the hash, so a cache of another layout has another
-    # file name; salted with format 1 (v, v', masks), the base config's
-    # inputs hash to this
+    # file name; salted with format 3 (header, v, iterations, norms), the
+    # base config's inputs hash to this
     cfg = load_config(write_cfg(tmp_path, base_doc()))
     now = cfg.params_hash
+    assert now == "f6f5b9a469e2daa0605f5566ada9ab66965f181c5a9ba261b265eee0aa4e07b8"
     monkeypatch.setattr(config, "SURFACE_FORMAT", 1)
-    old = cfg.params_hash
-    assert old == "65320cfd1145a13dde22ebc57306b49735c91c798fc01cd55cc1b7f322a82e1a"
-    assert now != old
+    assert cfg.params_hash != now
+
+
+def test_hash_reads_int_inputs_as_floats(tmp_path):
+    # the library may pass 2 where YAML says 2.0: equal inputs, equal hash
+    m = ModelParams(mu=2, lam=1, r=0.1, ell=1.2, c_bar=1, c_floor=0)
+    built = RunConfig(
+        model=m,
+        claims=Exponential(gamma_mean=1),
+        grid=Grid(L=30, n_x=np.int64(2000)),
+        ladder=RateLadder(c_bar=1, c_floor=0, n=256),
+    )
+    loaded = load_config(write_cfg(tmp_path, base_doc(claims__gamma=1.0)))
+    assert built.params_hash == loaded.params_hash
 
 
 @pytest.mark.parametrize(
